@@ -92,6 +92,16 @@ def e_star(m: Multisegment) -> TWord:
     return TWord(_V(e_star_prefactor_exponent(m)), tuple(m.segments()))
 
 
+def _accumulate(target: dict, key, coeff: LaurentPoly) -> None:
+    """Add coeff to the entry at key, dropping the key when the sum is zero."""
+    cur = target.get(key)
+    cur = coeff if cur is None else cur + coeff
+    if cur.is_zero():
+        target.pop(key, None)
+    else:
+        target[key] = cur
+
+
 class PBWElement:
     """A finitely supported linear combination of basis elements E(M)."""
 
@@ -133,12 +143,7 @@ class PBWElement:
             return NotImplemented
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+            _accumulate(out, m, c)
         res = PBWElement.__new__(PBWElement)
         res._terms = out
         return res
@@ -174,9 +179,7 @@ class PBWElement:
         out: dict[Multisegment, LaurentPoly] = {}
         for rec in data:
             m = Multisegment.from_json(rec["mseg"])
-            c = LaurentPoly.from_json(rec["coeff"])
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
+            _accumulate(out, m, LaurentPoly.from_json(rec["coeff"]))
         return cls(out)
 
     def __str__(self) -> str:
@@ -210,29 +213,20 @@ def _rewrite(word: TWord, from_right: bool):
     pending: dict[Word, LaurentPoly] = {word.segments: word.prefix}
     finished: dict[Word, LaurentPoly] = {}
     stuck: dict[Word, LaurentPoly] = {}
-
-    def _push(target: dict, key: Word, coeff: LaurentPoly) -> None:
-        cur = target.get(key)
-        cur = coeff if cur is None else cur + coeff
-        if cur.is_zero():
-            target.pop(key, None)
-        else:
-            target[key] = cur
-
     while pending:
         w, c = pending.popitem()
         inv = _inversions(w)
         admissible = [i for i in inv if _exchangeable(w, i)]
         if not admissible:
-            _push(stuck if inv else finished, w, c)
+            _accumulate(stuck if inv else finished, w, c)
             continue
         i = admissible[-1] if from_right else admissible[0]
         d2, d1 = w[i], w[i + 1]  # d1 < d2 out of order
-        _push(pending, w[: i] + (d1, d2) + w[i + 2 :], c)
+        _accumulate(pending, w[: i] + (d1, d2) + w[i + 2 :], c)
         if precedes(d1, d2):
             cap = Segment(d2.a, d1.b)
             cup = Segment(d1.a, d2.b)
-            _push(pending, w[: i] + (cap, cup) + w[i + 2 :], c * _EXCHANGE)
+            _accumulate(pending, w[: i] + (cap, cup) + w[i + 2 :], c * _EXCHANGE)
     return finished, stuck
 
 
@@ -240,13 +234,7 @@ def _collect(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPol
     out: dict[Multisegment, LaurentPoly] = {}
     for w, c in finished.items():
         m = Multisegment(w)
-        coeff = c * _V(-e_star_prefactor_exponent(m))
-        prev = out.get(m)
-        coeff = coeff if prev is None else prev + coeff
-        if coeff.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = coeff
+        _accumulate(out, m, c * _V(-e_star_prefactor_exponent(m)))
     return out
 
 
@@ -339,14 +327,7 @@ def product_expansion_guarded(
         for coeff, w in words:
             for m, c in factor.terms().items():
                 piece = e_star(m)
-                key = w + piece.segments
-                add = coeff * c * piece.prefix
-                cur = expanded.get(key)
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    expanded.pop(key, None)
-                else:
-                    expanded[key] = cur
+                _accumulate(expanded, w + piece.segments, coeff * c * piece.prefix)
         words = [(c, w) for w, c in expanded.items()]
 
     exact: dict[Multisegment, LaurentPoly] = {}
@@ -354,12 +335,7 @@ def product_expansion_guarded(
     for coeff, w in words:
         finished, stuck = _rewrite(TWord(coeff, w), from_right=False)
         for m, c in _collect(finished).items():
-            prev = exact.get(m)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                exact.pop(m, None)
-            else:
-                exact[m] = c
+            _accumulate(exact, m, c)
         for sw in stuck:
             tainted.update(reachable_normal_multisegments(sw))
     for m in tainted:

@@ -8,17 +8,28 @@ regular bi-sequences and their m-fold replications; anything else raises
 UnsupportedFamily, because the dimension parameter entering the
 coefficients is not available in general.
 
-For a strongly regular family the index set is the interval of S_k above
-the minimal permutation, every coset is a singleton, and the dimension gap
-between members sigma <= omega is length(omega) - length(sigma).  For an
-m-replication the indices are double cosets of the block parabolic W_m,
-represented by their minimal elements, and the dimension gap is taken to
-be the length difference of those representatives.  On pairs coming from
-the normalizer of W_m (representatives t_m(x)) this equals
-m**2 (length difference downstairs), the value the closed-form parabolic
-coefficients use; elsewhere it is the natural extension, and the
-inversion identity is insensitive to the choice since any per-index
-normalization conjugates out of the matrix product.
+The indices are the double cosets W_b w W_a in S_k, where W_b and W_a
+are the parabolics fixing the runs of equal right and left ends: two words
+give the same member of the family exactly when they lie in one such
+coset.  Each coset is represented by its minimal element.  For a strongly
+regular family both parabolics are trivial and every coset is a
+singleton; for an m-replication they are the block parabolic W_m.  One
+route serves both: the top index omega~ is the minimal representative of
+omega's coset, and the Kazhdan-Lusztig row {x: P_{x,omega~}} of omega~
+holds its whole lower Bruhat interval.  Grouping that row by coset yields
+every index below omega~ (a coset's minimal element lies below all its
+members) together with the polynomials the signed sums need, so S_k is
+never enumerated.  The matrix index set is read the same way from the row
+of the minimal representative of w0's coset, which lies above every other
+minimal representative.
+
+The dimension gap between indices sigma <= omega is taken to be the
+length difference of the representatives.  On pairs coming from the
+normalizer of W_m (representatives t_m(x)) this equals m**2 (length
+difference downstairs), the value the closed-form parabolic coefficients
+use; elsewhere it is the natural extension, and the inversion identity is
+insensitive to the choice since any per-index normalization conjugates
+out of the matrix product.
 
 Expansion coefficients, rendered in v with q = v**-2:
 
@@ -37,11 +48,21 @@ comparison.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from dataclasses import dataclass
+from typing import Literal
 
-from .kl import KLTable, _kl_row, kl_poly, parabolic_kl_neg1, parabolic_kl_q
+from .kl import (
+    KLTable,
+    QTuple,
+    _kl_row,
+    _padd,
+    _perm_length,
+    _psub_scaled,
+    _qtuple_to_poly,
+    kl_poly,
+    parabolic_kl_neg1,
+    parabolic_kl_q,
+)
 from .poly import LaurentPoly
 from .segcomb import (
     BelowSigma0,
@@ -50,6 +71,8 @@ from .segcomb import (
     is_regular,
     is_strongly_regular,
     multisegment_of,
+    p1_shape,
+    p2_shape,
     replicate,
     sigma0,
 )
@@ -61,8 +84,8 @@ from .symgroup import (
     compose,
     length,
     longest_element,
+    min_double_coset_rep,
     parity,
-    permutations_of,
 )
 
 
@@ -91,112 +114,49 @@ def family_replication(A: BiSequence) -> tuple[BiSequence, int]:
     """
     if is_strongly_regular(A):
         return A, 1
-    runs_a: list[tuple[int, int]] = []
-    for val, grp in itertools.groupby(A.a):
-        runs_a.append((val, sum(1 for _ in grp)))
-    runs_b: list[tuple[int, int]] = []
-    for val, grp in itertools.groupby(A.b):
-        runs_b.append((val, sum(1 for _ in grp)))
-    lengths = {m for _, m in runs_a} | {m for _, m in runs_b}
+    lengths = set(p1_shape(A).block_sizes) | set(p2_shape(A).block_sizes)
     if len(lengths) != 1:
         raise UnsupportedFamily(f"{A} is not a uniform replication")
     m = lengths.pop()
-    if m < 2 or len(runs_a) != len(runs_b):
+    if m < 2:
         raise UnsupportedFamily(f"{A} is not a replication of a regular family")
-    base = BiSequence(tuple(v for v, _ in runs_a), tuple(v for v, _ in runs_b))
+    base = BiSequence(A.a[::m], A.b[::m])
     if not is_strongly_regular(base):
         raise UnsupportedFamily(f"the base {base} of {A} is not strongly regular")
     return base, m
 
 
-def _a_runs(A: BiSequence) -> list[tuple[int, int]]:
-    runs = []
-    start = 0
-    for i in range(1, A.k):
-        if A.a[i] != A.a[i - 1]:
-            runs.append((start, i))
-            start = i
-    runs.append((start, A.k))
-    return runs
-
-
-@dataclass
-class FamilyCosets:
-    """Double cosets of a replicated family, keyed by their multisegments.
-
-    Each permutation w of S_n pairs a_i with b_{w(i)}; two permutations
-    give the same multiset of pairs exactly when they lie in the same
-    double coset of the block parabolic.  Since the left ends are fixed by
-    position, the multiset is captured by sorting the assigned right ends
-    within each run of equal left ends.
-    """
-
-    A: BiSequence
-    reps: dict[tuple, Perm] = field(default_factory=dict)
-    members: dict[tuple, list[tuple[Perm, int]]] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, A: BiSequence) -> "FamilyCosets":
-        n = A.k
-        b = A.b
-        runs = _a_runs(A)
-        reps: dict[tuple, Perm] = {}
-        replen: dict[tuple, int] = {}
-        members: dict[tuple, list[tuple[Perm, int]]] = {}
-        for w, lw in permutations_with_length(n):
-            bs = [b[j - 1] for j in w]
-            key = tuple(x for start, stop in runs for x in sorted(bs[start:stop]))
-            bucket = members.get(key)
-            if bucket is None:
-                members[key] = [(w, -1 if lw % 2 else 1)]
-                replen[key] = lw
-                reps[key] = w
-            else:
-                bucket.append((w, -1 if lw % 2 else 1))
-                if lw < replen[key]:
-                    replen[key] = lw
-                    reps[key] = w
-        return cls(A, reps, members)
-
-    def key_of(self, w: Perm) -> tuple:
-        b = self.A.b
-        bs = [b[j - 1] for j in w]
-        return tuple(x for start, stop in _a_runs(self.A)
-                     for x in sorted(bs[start:stop]))
-
-    def rep_of(self, w: Perm) -> Perm:
-        return self.reps[self.key_of(w)]
-
-
-_COSETS_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], FamilyCosets] = {}
-_COSETS_CACHE_LIMIT = 3
-
-
-def _family_cosets(A: BiSequence) -> FamilyCosets:
-    key = (A.a, A.b)
-    hit = _COSETS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    built = FamilyCosets.build(A)
-    if len(_COSETS_CACHE) >= _COSETS_CACHE_LIMIT:
-        _COSETS_CACHE.pop(next(iter(_COSETS_CACHE)))
-    _COSETS_CACHE[key] = built
-    return built
-
-
 def _check_family(A: BiSequence, omega: Perm) -> tuple[Perm, Perm]:
     """Validate the family and the top permutation; returns (sigma0, omega~)."""
-    base, m = family_replication(A)
+    family_replication(A)
     s0 = sigma0(A)
     if len(omega) != A.k:
         raise ValueError("permutation size does not match the family")
-    if m == 1:
-        top = omega
-    else:
-        top = _family_cosets(A).rep_of(omega)
+    top = min_double_coset_rep(omega, p1_shape(A), p2_shape(A))
     if not bruhat_leq(s0, top):
         raise BelowSigma0(f"{omega} lies below sigma0({A}) = {s0}")
     return s0, top
+
+
+def _cosets_below(table: KLTable, A: BiSequence,
+                  top: Perm) -> dict[Perm, list[tuple[Perm, QTuple]]]:
+    """The row {x: P_{x,top}} grouped by double coset of the family.
+
+    x pairs a_i with b_{x(i)}, so two words lie in the same double coset
+    exactly when they assign the same right ends to each run of equal left
+    ends.  Keys are the shortest members, the minimal representatives: the
+    row holds the whole lower interval of top, and a coset's minimal
+    element lies below each of its members.
+    """
+    right_end = ((0,) + A.b).__getitem__  # b_j for 1-based j
+    runs = p2_shape(A).blocks()
+    buckets: dict[tuple, list[tuple[Perm, QTuple]]] = {}
+    for x, p in _kl_row(table, top).items():
+        key = tuple([tuple(sorted(map(right_end, x[start:stop])))
+                     for start, stop in runs])
+        buckets.setdefault(key, []).append((x, p))
+    return {min(members, key=lambda e: _perm_length(e[0]))[0]: members
+            for members in buckets.values()}
 
 
 def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, LaurentPoly]:
@@ -206,24 +166,12 @@ def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
     sigma0(A) and omega~.
     """
     s0, top = _check_family(A, omega)
-    base, m = family_replication(A)
-    n = A.k
-    w0 = longest_element(n)
+    w0 = longest_element(A.k)
     topw0 = compose(top, w0)
-    out: dict[Perm, LaurentPoly] = {}
     lt = length(top)
-    if m == 1:
-        candidates: Iterable[Perm] = permutations_of(n)
-    else:
-        candidates = _family_cosets(A).reps.values()
-    for rep in candidates:
-        if not (bruhat_leq(s0, rep) and bruhat_leq(rep, top)):
-            continue
-        p = kl_poly(table, topw0, compose(rep, w0))
-        if p.is_zero():
-            continue
-        out[rep] = LaurentPoly.v(lt - length(rep)) * p
-    return out
+    return {rep: LaurentPoly.v(lt - length(rep))
+            * kl_poly(table, topw0, compose(rep, w0))
+            for rep in _cosets_below(table, A, top) if bruhat_leq(s0, rep)}
 
 
 def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, LaurentPoly]:
@@ -234,46 +182,17 @@ def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
     the other direction.
     """
     s0, top = _check_family(A, omega)
-    base, m = family_replication(A)
-    n = A.k
     lt = length(top)
     eps_top = parity(top)
     out: dict[Perm, LaurentPoly] = {}
-    if m == 1:
-        for rep in permutations_of(n):
-            if not (bruhat_leq(s0, rep) and bruhat_leq(rep, top)):
-                continue
-            p = kl_poly(table, rep, top)
-            if p.is_zero():
-                continue
-            sign = eps_top * parity(rep)
-            out[rep] = LaurentPoly.v(lt - length(rep)) * p * sign
-        return out
-
-    cosets = _family_cosets(A)
-    row = _kl_row(table, top)
-    active: dict[tuple, Perm] = {}
-    for key, rep in cosets.reps.items():
-        if bruhat_leq(s0, rep) and bruhat_leq(rep, top):
-            active[key] = rep
-    for key, rep in active.items():
-        acc = None
-        for member, eps in cosets.members[key]:
-            p = row.get(member)
-            if not p:
-                continue
-            term = {d: eps * c for d, c in enumerate(p) if c}
-            if acc is None:
-                acc = term
-            else:
-                for d, c in term.items():
-                    acc[d] = acc.get(d, 0) + c
-        if not acc:
+    for rep, members in _cosets_below(table, A, top).items():
+        if not bruhat_leq(s0, rep):
             continue
-        poly = LaurentPoly.from_q_coeffs({d: c for d, c in acc.items() if c})
-        if poly.is_zero():
-            continue
-        out[rep] = LaurentPoly.v(lt - length(rep)) * poly * eps_top
+        acc: QTuple = ()
+        for x, p in members:
+            acc = _psub_scaled(acc, p, 1, 0) if _perm_length(x) & 1 else _padd(acc, p)
+        if acc:
+            out[rep] = LaurentPoly.v(lt - length(rep)) * _qtuple_to_poly(acc) * eps_top
     return out
 
 
@@ -376,13 +295,9 @@ class TransitionMatrix:
 def transition_matrix(table: KLTable, A: BiSequence, direction: str) -> TransitionMatrix:
     """The full matrix over all indices above sigma0(A)."""
     d = _canon_direction(direction)
-    base, m = family_replication(A)
-    s0 = sigma0(A)
-    if m == 1:
-        index = [w for w in permutations_of(A.k) if bruhat_leq(s0, w)]
-    else:
-        index = [rep for rep in _family_cosets(A).reps.values() if bruhat_leq(s0, rep)]
-    index.sort(key=lambda w: (length(w), w))
+    s0, top = _check_family(A, longest_element(A.k))
+    index = sorted((rep for rep in _cosets_below(table, A, top) if bruhat_leq(s0, rep)),
+                   key=lambda w: (length(w), w))
     expander = expand_E_in_G if d == "e2g" else expand_G_in_E
     entries: dict[tuple[Perm, Perm], LaurentPoly] = {}
     for col in index:

@@ -2,10 +2,12 @@ import pytest
 
 from helpers import all_perms
 from klforge.poly import LaurentPoly
+from klforge.kl import kl_poly
 from klforge.segcomb import (
     BelowSigma0,
     BiSequence,
     construct_strongly_regular,
+    dominates_sigma0,
     multisegment_of,
     replicate,
     sigma0,
@@ -26,6 +28,7 @@ from klforge.symgroup import (
     is_pattern_avoiding,
     length,
     longest_element,
+    parity,
     replicate_perm,
 )
 
@@ -81,6 +84,35 @@ def test_expand_below_sigma0(table):
 def test_expand_unsupported_family(table):
     with pytest.raises(UnsupportedFamily):
         expand_E_in_G(table, BiSequence((1, 1, 2), (8, 7, 7)), identity(3))
+
+
+@pytest.mark.parametrize("k,m", [(3, 1), (2, 3), (3, 2)])
+def test_coset_expansion_matches_brute_force(table, k, m):
+    # the double cosets of a family, found from their definition: all words
+    # of S_n giving the same member of the family, with the shortest one as
+    # representative
+    for s0 in _avoiders(k):
+        A = replicate(construct_strongly_regular(s0), m)
+        fam_s0 = sigma0(A)
+        groups = {}
+        for w in all_perms(A.k):
+            if dominates_sigma0(A, w):
+                groups.setdefault(multisegment_of(A, w), []).append(w)
+        reps = {min(ws, key=length): ws for ws in groups.values()}
+        for rep, ws in reps.items():
+            assert sum(length(w) == length(rep) for w in ws) == 1
+        for top, members in reps.items():
+            want = {}
+            for rep, ws in reps.items():
+                acc = LaurentPoly.zero()
+                for x in ws:
+                    acc = acc + kl_poly(table, x, top) * parity(x)
+                if not acc.is_zero():
+                    want[rep] = V(length(top) - length(rep)) * acc * parity(top)
+            below = {r for r in reps if bruhat_leq(fam_s0, r) and bruhat_leq(r, top)}
+            for omega in members:
+                assert expand_G_in_E(table, A, omega) == want, (s0, omega)
+                assert set(expand_E_in_G(table, A, omega)) == below, (s0, omega)
 
 
 def test_triangularity(table):

@@ -151,7 +151,10 @@ def test_sweep_full_grid(table):
 def test_sweep_parallel_matches_serial(table):
     serial = sweep(table, 2, 2, parallelism=1)
     parallel = sweep(table, 2, 2, parallelism=2)
-    assert [r.to_json() == s.to_json() or r.check == s.check
-            for r, s in zip(serial, parallel)]
+    def untimed(reports):
+        return [{k: v for k, v in r.to_json().items() if k != "elapsed_s"}
+                for r in reports]
+
+    assert untimed(serial) == untimed(parallel)
     assert [(r.check, r.case, r.status) for r in serial] == [
         (r.check, r.case, r.status) for r in parallel]
