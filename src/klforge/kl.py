@@ -7,8 +7,10 @@ P_{y,w} for y <= w is built from the vector of sw, since the mu-correction
 terms need the top coefficients of every entry of that vector anyway.
 Rows are cached in memory with a size cap, and the polynomials actually
 asked for are memoized in a KLTable, optionally persisted as an append-only
-JSON-lines file (one record per queried pair; a corrupt tail is truncated
-on load, so interrupted sweeps restart cleanly).
+JSON-lines file: one record per comparable, off-diagonal pair looked up,
+whether by kl_poly or as a summand of a parabolic sum.  On load, bad records
+are skipped and an unterminated tail is truncated, so interrupted sweeps
+restart cleanly.
 
 Conventions.  P_{w,w} = 1, P_{x,w} = 0 when x is not below w in Bruhat
 order, and deg_q P_{x,w} <= (length(w) - length(x) - 1) / 2 for x < w.
@@ -33,8 +35,11 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 import threading
-from typing import Mapping
+from collections import OrderedDict
+from typing import Callable, Mapping
 
 from .poly import LaurentPoly
 from .symgroup import (
@@ -127,14 +132,40 @@ def _conjugate_by_w0(w: Perm) -> Perm:
     return tuple(n + 1 - w[n - 1 - i] for i in range(n))
 
 
+def _identity(w: Perm) -> Perm:
+    return w
+
+
+def _conjugate_inverse_by_w0(w: Perm) -> Perm:
+    return _conjugate_by_w0(inverse(w))
+
+
+# The classical symmetries P_{x,w} = P_{f(x),f(w)}: x, x^-1, w0 x w0 and
+# w0 x^-1 w0.  Each is an involution, so the map that carries a key to its
+# canonical form also carries it back.  The identity comes first, so a
+# canonical top is its own representative.
+_SYMMETRIES: tuple[Callable[[Perm], Perm], ...] = (
+    _identity, inverse, _conjugate_by_w0, _conjugate_inverse_by_w0)
+
+
+def _canonical_top(w: Perm) -> tuple[Perm, list[Callable[[Perm], Perm]]]:
+    """The least image of w under _SYMMETRIES, and the symmetries giving it."""
+    images = [(f(w), f) for f in _SYMMETRIES]
+    top = min(t for t, _ in images)
+    return top, [f for t, f in images if t == top]
+
+
 class KLTable:
     """Memo table for Kazhdan-Lusztig polynomials.
 
-    Finished polynomials are cached under a key normalized by the two
-    classical symmetries P_{x,w} = P_{x^-1,w^-1} = P_{w0 x w0, w0 w w0},
-    which quarters the cache.  Rows of the recursion are held in an
+    Finished polynomials are cached under a key normalized by _SYMMETRIES,
+    which quarters the cache; the key's top is the canonical top of the row
+    cache, so an answer is read straight out of a cached row.  Only
+    comparable, off-diagonal pairs are stored: kl_poly and the summands of
+    parabolic_kl_q share one lookup.  Rows of the recursion are held in an
     in-memory cache whose total entry count is capped; least recently used
-    rows are dropped first and recomputed on demand.
+    rows are dropped first and recomputed on demand.  Loading a memo file
+    skips bad records and rewrites the file without them.
 
     Concurrent use is safe: all writers compute identical values, so the
     last-write-wins inserts are benign, and the persistence writer is
@@ -144,8 +175,8 @@ class KLTable:
     def __init__(self, path: str | os.PathLike | None = None,
                  max_row_entries: int = 4_000_000):
         self._final: dict[tuple[Perm, Perm], QTuple] = {}
-        self._rows: dict[Perm, dict[Perm, QTuple]] = {}
-        self._row_order: list[Perm] = []  # LRU, least recent first
+        # LRU, least recent first
+        self._rows: OrderedDict[Perm, dict[Perm, QTuple]] = OrderedDict()
         self._row_entries = 0
         self._max_row_entries = max_row_entries
         self._lock = threading.Lock()
@@ -158,15 +189,11 @@ class KLTable:
     def _load(self) -> None:
         if not os.path.exists(self._path):
             return
-        good_end = 0
         with open(self._path, "rb") as fh:
             data = fh.read()
-        pos = 0
-        while pos < len(data):
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                break  # unterminated trailing record
-            line = data[pos : nl]
+        *lines, tail = data.split(b"\n")  # tail: an unterminated record
+        kept: list[bytes] = []
+        for line in lines:
             try:
                 rec = json.loads(line)
                 s = tuple(int(i) for i in rec["s"])
@@ -174,14 +201,19 @@ class KLTable:
                 if rec["n"] != len(s) or len(s) != len(w):
                     raise ValueError("inconsistent record")
                 p = _poly_to_qtuple(rec["p"])
-            except (ValueError, KeyError, TypeError):
-                break
+            except (ValueError, KeyError, TypeError, AttributeError):
+                continue
             self._final[self._canonical_pair(s, w)] = p
-            pos = nl + 1
-            good_end = pos
-        if good_end != len(data):
+            kept.append(line)
+        if len(kept) < len(lines):
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self._path) or ".")
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(line + b"\n" for line in kept)
+            shutil.copymode(self._path, tmp)
+            os.replace(tmp, self._path)
+        elif tail:
             with open(self._path, "r+b") as fh:
-                fh.truncate(good_end)
+                fh.truncate(len(data) - len(tail))
 
     def _persist(self, s: Perm, w: Perm, p: QTuple) -> None:
         if self._path is None:
@@ -201,11 +233,9 @@ class KLTable:
 
     @staticmethod
     def _canonical_pair(s: Perm, w: Perm) -> tuple[Perm, Perm]:
-        si, wi = inverse(s), inverse(w)
-        variants = [(s, w), (si, wi),
-                    (_conjugate_by_w0(s), _conjugate_by_w0(w)),
-                    (_conjugate_by_w0(si), _conjugate_by_w0(wi))]
-        return min(variants, key=lambda p: (p[1], p[0]))
+        """The least (top, bottom) image of the pair under _SYMMETRIES."""
+        top, symmetries = _canonical_top(w)
+        return min(f(s) for f in symmetries), top
 
     # -- row cache -------------------------------------------------------
 
@@ -213,11 +243,7 @@ class KLTable:
         with self._lock:
             row = self._rows.get(w)
             if row is not None:
-                try:
-                    self._row_order.remove(w)
-                except ValueError:
-                    pass
-                self._row_order.append(w)
+                self._rows.move_to_end(w)
             return row
 
     def _row_put(self, w: Perm, row: dict[Perm, QTuple]) -> None:
@@ -225,47 +251,28 @@ class KLTable:
             if w in self._rows:
                 return
             self._rows[w] = row
-            self._row_order.append(w)
             self._row_entries += len(row)
-            while self._row_entries > self._max_row_entries and len(self._row_order) > 1:
-                old = self._row_order.pop(0)
-                self._row_entries -= len(self._rows.pop(old))
+            while self._row_entries > self._max_row_entries and len(self._rows) > 1:
+                self._row_entries -= len(self._rows.popitem(last=False)[1])
 
     def clear_rows(self) -> None:
         """Drop the in-memory recursion rows (memoized answers are kept)."""
         with self._lock:
             self._rows.clear()
-            self._row_order.clear()
             self._row_entries = 0
-
-
-def _row_variants(w: Perm) -> list[tuple[Perm, str]]:
-    wi = inverse(w)
-    return [(w, "id"), (wi, "inv"),
-            (_conjugate_by_w0(w), "conj"), (_conjugate_by_w0(wi), "invconj")]
-
-
-def _apply_symmetry(x: Perm, tag: str) -> Perm:
-    if tag == "id":
-        return x
-    if tag == "inv":
-        return inverse(x)
-    if tag == "conj":
-        return _conjugate_by_w0(x)
-    return _conjugate_by_w0(inverse(x))
 
 
 def _kl_row(table: KLTable, w: Perm) -> dict[Perm, QTuple]:
     """The full vector {y: P_{y,w}} over y <= w, possibly via a symmetry."""
-    canon, tag = min(_row_variants(w), key=lambda v: v[0])
+    canon, symmetries = _canonical_top(w)
     row = table._row_get(canon)
     if row is None:
         row = _compute_row(table, canon)
         table._row_put(canon, row)
-    if tag == "id":
+    f = symmetries[0]
+    if f is _identity:
         return row
-    # each symmetry is an involution, so the same map pulls keys back
-    return {_intern_perm(_apply_symmetry(y, tag)): p for y, p in row.items()}
+    return {_intern_perm(f(y)): p for y, p in row.items()}
 
 
 def _compute_row(table: KLTable, w: Perm) -> dict[Perm, QTuple]:
@@ -333,8 +340,7 @@ def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
     hit = table._final.get(key)
     if hit is not None:
         return hit
-    row = _kl_row(table, w)
-    p = row.get(s, ())
+    p = _kl_row(table, key[1]).get(key[0], ())
     table._final[key] = p
     table._persist(key[0], key[1], p)
     return p
@@ -364,22 +370,13 @@ def parabolic_kl_q(table: KLTable, sigma: Perm, omega: Perm, m: int) -> LaurentP
     """The q-variant parabolic polynomial of the cosets of sigma, omega.
 
     Computed as the alternating sum over the block parabolic W_m of
-    P_{t(sigma) x, t(omega)}.  Every summand is recorded in the memo
-    table, so a warm table answers without running the recursion at all.
+    P_{t(sigma) x, t(omega)}.  Every summand goes through the memo table,
+    so a warm table answers without running the recursion at all.
     """
     _, ts, tw, shape = _replication_data(sigma, omega, m)
-    row: dict[Perm, QTuple] | None = None
     acc: QTuple = ()
     for x in shape.elements():
-        y = compose(ts, x)
-        key = table._canonical_pair(y, tw)
-        p = table._final.get(key)
-        if p is None:
-            if row is None:
-                row = _kl_row(table, tw)
-            p = row.get(y, ())
-            table._final[key] = p
-            table._persist(key[0], key[1], p)
+        p = _kl_qtuple(table, compose(ts, x), tw)
         if not p:
             continue
         if _perm_length(x) % 2:

@@ -82,15 +82,6 @@ def apply_s_left(w: Perm, i: int) -> Perm:
     return tuple(out)
 
 
-def right_descents(w: Perm) -> list[int]:
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
-
-
-def left_descents(w: Perm) -> list[int]:
-    pos = inverse(w)
-    return [i for i in range(1, len(w)) if pos[i - 1] > pos[i]]
-
-
 def reduced_word(w: Perm) -> list[int]:
     """Indices i_1, ..., i_l with w = s_{i_1} * ... * s_{i_l}, l = length(w)."""
     word: list[int] = []
@@ -132,28 +123,6 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
 
 def permutations_of(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
-
-
-def permutations_with_length(n: int) -> Iterator[tuple[Perm, int]]:
-    """All of S_n as (word, length) pairs.
-
-    Builds each permutation by inserting the largest value into a shorter
-    one; placing n with p elements to its right adds p inversions, so the
-    length comes for free instead of costing a quadratic scan per word.
-    """
-    if n < 1:
-        yield (), 0
-        return
-    level: list[tuple[Perm, int]] = [((1,), 0)]
-    for k in range(2, n):
-        level = [(w[: k - 1 - p] + (k,) + w[k - 1 - p :], l + p)
-                 for w, l in level for p in range(k)]
-    if n == 1:
-        yield from level
-        return
-    for w, l in level:
-        for p in range(n):
-            yield w[: n - 1 - p] + (n,) + w[n - 1 - p :], l + p
 
 
 def enumerate_interval(x: Perm, y: Perm) -> set[Perm]:

@@ -328,14 +328,7 @@ def sweep(table: KLTable, kmax: int, mmax: int,
     def run(case: tuple) -> VerificationReport:
         kind = case[0]
         if kind == "main":
-            _, k, m, s0, sigma, omega = case
-            if not kl_poly(table, s0, omega).is_one():
-                started = time.time()
-                return _skip("main-theorem",
-                             {"k": k, "m": m, "sigma0": list(s0),
-                              "sigma": list(sigma), "omega": list(omega)},
-                             "HypothesisFailed: P(sigma0, omega) is not trivial",
-                             started)
+            _, _, m, s0, sigma, omega = case
             return verify_main_theorem(table, s0, sigma, omega, m)
         if kind == "prop1":
             _, k, m, s0, sigma, omega = case

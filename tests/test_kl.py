@@ -183,6 +183,62 @@ def test_cache_rejects_bad_record_then_truncates(tmp_path):
     assert path.read_bytes() == good
 
 
+@pytest.mark.parametrize("bad_record", [
+    b'{"n": 4, "s": [1,\n',
+    b'{"n": 4, "s": [1, 2, 3, 4], "w": [3, 4, 1, 2], "p": [1]}\n',
+], ids=["truncated", "p-not-a-map"])
+def test_cache_skips_bad_middle_record_and_keeps_the_rest(tmp_path, bad_record):
+    path = tmp_path / "cache.jsonl"
+    t1 = KLTable(path)
+    for w in all_perms(4):
+        kl_poly(t1, identity(4), w)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) >= 5
+    bad = len(lines) // 2
+    path.write_bytes(b"".join(lines[:bad] + [bad_record] + lines[bad + 1:]))
+    t2 = KLTable(path)
+    assert path.read_bytes() == b"".join(lines[:bad] + lines[bad + 1:])
+    assert len(t2._final) == len(lines) - 1
+    for line in lines[:bad] + lines[bad + 1:]:
+        rec = json.loads(line)
+        assert t2._canonical_pair(tuple(rec["s"]), tuple(rec["w"])) in t2._final
+
+
+def test_parabolic_sum_persists_only_nonzero_summands(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    t = KLTable(path)
+    for sigma, omega, m in [((2, 1), (2, 1), 2), ((1, 2), (2, 1), 3),
+                            ((1, 2, 3), (3, 2, 1), 2), ((2, 1, 3), (3, 1, 2), 2)]:
+        parabolic_kl_q(t, sigma, omega, m)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records
+    assert all(rec["p"] for rec in records)
+
+
+def test_warm_table_answers_parabolic_sum_without_rows(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cases = [((1, 2, 3), (3, 2, 1), 2), ((1, 2), (2, 1), 3)]
+    cold = [parabolic_kl_q(KLTable(path), *case) for case in cases]
+    written = path.read_bytes()
+    warm = KLTable(path)
+    assert [parabolic_kl_q(warm, *case) for case in cases] == cold
+    assert not warm._rows
+    assert path.read_bytes() == written
+
+
+def test_row_cache_evicts_least_recently_read():
+    t = KLTable(max_row_entries=3)
+    a, b, c, d, e = (1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1)
+    for w in (a, b, c):
+        t._row_put(w, {w: (1,)})
+    assert t._row_get(a) == {a: (1,)}
+    t._row_put(d, {d: (1,)})
+    assert set(t._rows) == {a, c, d}
+    t._row_put(e, {e: (1,)})
+    assert set(t._rows) == {a, d, e}
+    assert t._row_entries == 3
+
+
 def test_cache_record_schema(tmp_path):
     path = tmp_path / "cache.jsonl"
     t = KLTable(path)
