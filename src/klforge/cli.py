@@ -7,8 +7,7 @@ either a human-readable table form like 1+q or the JSON wire form.
 
 The Kazhdan-Lusztig memo table can persist to an append-only JSON-lines
 file given by --cache or the KLFORGE_CACHE environment variable; --no-cache
-bypasses persistence.  KLFORGE_THREADS (or --threads) sets the verification
-work-pool size.
+bypasses persistence.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from .poly import LaurentPoly
@@ -25,25 +23,6 @@ from .segcomb import BiSequence, multisegment_of, replicate, sigma0
 from .symgroup import NotComparable, Perm
 from .transition import transition_matrix
 from .verify import summarize, sweep
-
-
-@dataclass
-class Config:
-    cache_path: str | None
-    output_format: str
-    parallelism: int
-    kmax: int = 3
-    mmax: int = 3
-
-    def __post_init__(self):
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        if self.cache_path is not None:
-            parent = os.path.dirname(os.path.abspath(self.cache_path))
-            if not os.path.isdir(parent):
-                raise ValueError(f"cache directory {parent} does not exist")
-        if self.output_format not in ("table", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 def _parse_perm(text: str) -> Perm:
@@ -64,44 +43,41 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _poly_out(p: LaurentPoly, cfg: Config, var: str) -> str:
-    if cfg.output_format == "json":
+def _poly_out(p: LaurentPoly, fmt: str, var: str) -> str:
+    if fmt == "json":
         return json.dumps(p.to_json(var), sort_keys=True)
     return p.format(var)
 
 
-def _build_config(args) -> Config:
+def _table(args) -> KLTable:
+    """The memo table, persisted to --cache or KLFORGE_CACHE unless --no-cache."""
     cache = None
     if not args.no_cache:
         cache = args.cache or os.environ.get("KLFORGE_CACHE") or None
-    threads = args.threads or int(os.environ.get("KLFORGE_THREADS", "1"))
-    return Config(cache, args.format, threads,
-                  getattr(args, "kmax", 3), getattr(args, "mmax", 3))
-
-
-def _table(cfg: Config) -> KLTable:
-    return KLTable(cfg.cache_path)
+    if cache is not None:
+        parent = os.path.dirname(os.path.abspath(cache))
+        if not os.path.isdir(parent):
+            raise ValueError(f"cache directory {parent} does not exist")
+    return KLTable(cache)
 
 
 def cmd_kl(args) -> int:
-    cfg = _build_config(args)
     s, w = args.s, args.w
     if len(s) != len(w):
         print("error: permutations must have the same size", file=sys.stderr)
         return 2
-    print(_poly_out(kl_poly(_table(cfg), s, w), cfg, "q"))
+    print(_poly_out(kl_poly(_table(args), s, w), args.format, "q"))
     return 0
 
 
 def cmd_pkl(args) -> int:
-    cfg = _build_config(args)
     fn = parabolic_kl_q if args.variant == "q" else parabolic_kl_neg1
     try:
-        p = fn(_table(cfg), args.s, args.w, args.m)
+        p = fn(_table(args), args.s, args.w, args.m)
     except NotComparable as exc:
         print(f"not comparable: {exc}", file=sys.stderr)
         return 1
-    print(_poly_out(p, cfg, "q"))
+    print(_poly_out(p, args.format, "q"))
     return 0
 
 
@@ -112,9 +88,8 @@ def _bisequence_from_args(args) -> BiSequence:
 
 
 def cmd_sigma0(args) -> int:
-    cfg = _build_config(args)
     s0 = sigma0(BiSequence(args.a, args.b))
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(list(s0)))
     else:
         print(",".join(map(str, s0)))
@@ -122,10 +97,9 @@ def cmd_sigma0(args) -> int:
 
 
 def cmd_mseg(args) -> int:
-    cfg = _build_config(args)
     A = BiSequence(args.a, args.b)
     mseg = multisegment_of(A, args.perm)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(mseg.to_json(), sort_keys=True))
         return 0
     # construction order a_i, b_{perm(i)}, empty pairs dropped
@@ -139,12 +113,10 @@ def cmd_mseg(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    cfg = _build_config(args)
     A = _bisequence_from_args(args)
     if args.m > 1:
         A = replicate(A, args.m)
-    table = _table(cfg)
-    matrix = transition_matrix(table, A, args.direction)
+    matrix = transition_matrix(_table(args), A, args.direction)
     entries = []
     for (row, col), coeff in sorted(matrix.entries.items()):
         if args.w is not None and col != tuple(args.w):
@@ -161,9 +133,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _build_config(args)
-    table = _table(cfg)
-    reports = sweep(table, cfg.kmax, cfg.mmax, parallelism=cfg.parallelism)
+    reports = sweep(_table(args), args.kmax, args.mmax)
     for rep in reports:
         print(json.dumps(rep.to_json(), sort_keys=True))
     counts = summarize(reports)
@@ -177,8 +147,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-cache", action="store_true",
                    help="never read or write a memo file")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--threads", type=int, default=0,
-                   help="work-pool size (default: KLFORGE_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -255,12 +255,6 @@ class KLTable:
             while self._row_entries > self._max_row_entries and len(self._rows) > 1:
                 self._row_entries -= len(self._rows.popitem(last=False)[1])
 
-    def clear_rows(self) -> None:
-        """Drop the in-memory recursion rows (memoized answers are kept)."""
-        with self._lock:
-            self._rows.clear()
-            self._row_entries = 0
-
 
 def _kl_row(table: KLTable, w: Perm) -> dict[Perm, QTuple]:
     """The full vector {y: P_{y,w}} over y <= w, possibly via a symmetry."""
@@ -438,16 +432,13 @@ def _qmul(p: QTuple, r: QTuple) -> QTuple:
 
 # -- the parabolic module recursion (independent oracle) -----------------
 
-# Cache of rows per (n, block size m, eigenvalue tag); the tag "q" is the
-# sign-character module (matching the alternating-sum polynomial) and
-# "neg1" the trivial-character module (matching the translated ordinary
-# polynomial).  The binding of tag to module eigenvalue was fixed by
-# exhaustive agreement with the reductions above on S_4 and S_6.
-_DEODHAR_ROWS: dict[tuple[int, int, str], dict[Perm, dict[Perm, QTuple]]] = {}
-
-
-def _deodhar_row(n: int, m: int, variant: str, w: Perm) -> dict[Perm, QTuple]:
-    cache = _DEODHAR_ROWS.setdefault((n, m, variant), {})
+# The eigenvalue tag "q" is the sign-character module (matching the
+# alternating-sum polynomial) and "neg1" the trivial-character module
+# (matching the translated ordinary polynomial).  The binding of tag to
+# module eigenvalue was fixed by exhaustive agreement with the reductions
+# above on S_4 and S_6.  cache holds the rows of one (n, m, variant).
+def _deodhar_row(n: int, m: int, variant: str, w: Perm,
+                 cache: dict[Perm, dict[Perm, QTuple]]) -> dict[Perm, QTuple]:
     row = cache.get(w)
     if row is not None:
         return row
@@ -465,7 +456,7 @@ def _deodhar_row(n: int, m: int, variant: str, w: Perm) -> dict[Perm, QTuple]:
     for idx, val in enumerate(w):
         pos[val] = idx
     s = next(i for i in range(1, n) if pos[i] > pos[i + 1])
-    prev = _deodhar_row(n, m, variant, apply_s_left(w, s))
+    prev = _deodhar_row(n, m, variant, apply_s_left(w, s), cache)
 
     cand: dict[Perm, QTuple] = {}
 
@@ -501,7 +492,7 @@ def _deodhar_row(n: int, m: int, variant: str, w: Perm) -> dict[Perm, QTuple]:
         if not mu:
             continue
         shift = d >> 1
-        for x, px in _deodhar_row(n, m, variant, z).items():
+        for x, px in _deodhar_row(n, m, variant, z, cache).items():
             upd = _psub_scaled(cand.get(x, ()), px, mu, shift)
             if upd:
                 cand[x] = upd
@@ -522,5 +513,5 @@ def parabolic_kl_deodhar(sigma: Perm, omega: Perm, m: int,
     if variant not in ("q", "neg1"):
         raise ValueError("variant must be 'q' or 'neg1'")
     _, ts, tw, _ = _replication_data(sigma, omega, m)
-    row = _deodhar_row(len(ts), m, variant, tw)
+    row = _deodhar_row(len(ts), m, variant, tw, {})
     return _qtuple_to_poly(row.get(ts, ()))

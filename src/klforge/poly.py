@@ -251,6 +251,3 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self._coeffs.items()))!r})"
 
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()

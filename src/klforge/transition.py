@@ -98,12 +98,9 @@ Direction = Literal["e2g", "g2e"]
 
 
 def _canon_direction(direction: str) -> Direction:
-    d = direction.lower().replace("-", "").replace("_", "").replace("*", "")
-    if d in ("e2g", "eing", "eintog"):
-        return "e2g"
-    if d in ("g2e", "gine", "gintoe"):
-        return "g2e"
-    raise ValueError(f"unknown direction {direction!r}")
+    if direction not in ("e2g", "g2e"):
+        raise ValueError(f"unknown direction {direction!r}")
+    return direction
 
 
 def family_replication(A: BiSequence) -> tuple[BiSequence, int]:
@@ -264,9 +261,6 @@ class TransitionMatrix:
     direction: Direction
     index: list[Perm]
     entries: dict[tuple[Perm, Perm], LaurentPoly]
-
-    def entry(self, row: Perm, col: Perm) -> LaurentPoly:
-        return self.entries.get((row, col), LaurentPoly.zero())
 
     def product(self, other: "TransitionMatrix") -> dict[tuple[Perm, Perm], LaurentPoly]:
         out: dict[tuple[Perm, Perm], LaurentPoly] = {}

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
@@ -308,8 +307,7 @@ def _sweep_cases(kmax: int, mmax: int) -> list[tuple]:
     return cases
 
 
-def sweep(table: KLTable, kmax: int, mmax: int,
-          parallelism: int = 1) -> list[VerificationReport]:
+def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
     """Run every verifier over the admissible grid.
 
     The main-theorem check runs for every 213-avoiding minimal permutation,
@@ -337,11 +335,7 @@ def sweep(table: KLTable, kmax: int, mmax: int,
         return verify_power_identity(table, families[s0], omega, m)
 
     cases = _sweep_cases(kmax, mmax)
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(run, cases))
-    else:
-        reports = [run(c) for c in cases]
+    reports = [run(c) for c in cases]
 
     # constancy of the measured exponent for fixed (k, m)
     measured: dict[tuple[int, int], set[int]] = {}

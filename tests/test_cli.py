@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from klforge.cli import Config, main
+from klforge.cli import main
 from klforge.poly import LaurentPoly
 from klforge.segcomb import BiSequence
 
@@ -132,32 +132,21 @@ def test_no_cache_overrides_env(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_cache_directory(capsys):
-    code = main(["kl", "--s", "1,2", "--w", "2,1",
-                 "--cache", "/nonexistent/dir/cache.jsonl"])
-    capsys.readouterr()
-    assert code != 0
+    # every subcommand that opens a memo table rejects the path
+    family = json.dumps({"a": [1, 2], "b": [8, 7]})
+    for argv in (["kl", "--s", "1,2", "--w", "2,1"],
+                 ["pkl", "--s", "1,2", "--w", "2,1", "--m", "2"],
+                 ["expand", "--family", family, "--direction", "g2e"],
+                 ["verify", "--kmax", "1", "--mmax", "2"]):
+        code, _, err = run_cli(argv + ["--cache", "/nonexistent/dir/cache.jsonl"],
+                               capsys)
+        assert code == 1, argv
+        assert "cache directory" in err
 
 
 def test_malformed_permutation_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["kl", "--s", "1,3", "--w", "2,1", "--no-cache"])
+    for argv in (["kl", "--s", "1,3", "--w", "2,1"],
+                 ["kl", "--s", "1,2", "--w", "2,1", "--format", "yaml"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--no-cache"])
     capsys.readouterr()
-
-
-def test_threads_env_honored(capsys, monkeypatch):
-    monkeypatch.setenv("KLFORGE_THREADS", "2")
-    code, out, err = run_cli(
-        ["verify", "--kmax", "2", "--mmax", "2", "--no-cache"], capsys)
-    assert code == 0
-    assert "fail=0" in err
-
-
-def test_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        Config(None, "table", 0)
-    with pytest.raises(ValueError):
-        Config(None, "yaml", 1)
-    with pytest.raises(ValueError):
-        Config("/nonexistent/dir/x.jsonl", "table", 1)
-    cfg = Config(str(tmp_path / "c.jsonl"), "json", 2)
-    assert cfg.parallelism == 2

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -224,6 +226,37 @@ def test_warm_table_answers_parabolic_sum_without_rows(tmp_path):
     assert [parabolic_kl_q(warm, *case) for case in cases] == cold
     assert not warm._rows
     assert path.read_bytes() == written
+
+
+def test_table_shared_between_threads(tmp_path):
+    # two threads race over the same pairs in opposite orders
+    path = tmp_path / "m.jsonl"
+    perms = list(all_perms(5))
+    pairs = [(s, w) for w in perms for s in perms if bruhat_leq(s, w)]
+    serial = KLTable()
+    want = {pair: kl_poly(serial, *pair) for pair in pairs}
+    shared = KLTable(path)
+    got = [None, None]
+
+    def work(i):
+        got[i] = {pair: kl_poly(shared, *pair)
+                  for pair in (pairs if i == 0 else pairs[::-1])}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want, want]
+    reopened = KLTable(path)
+    assert {pair: kl_poly(reopened, *pair) for pair in pairs} == want
+    assert not reopened._rows  # every answer came from the file
 
 
 def test_row_cache_evicts_least_recently_read():

@@ -159,6 +159,15 @@ def test_coeff_parab_trivial(table):
         assert coeff_parab(table, A, (2, 1), (2, 1), 2, d) == ONE
 
 
+def test_unknown_direction_rejected(table):
+    A = construct_strongly_regular((1, 2))
+    for d in ("E-in-G", "sideways"):
+        with pytest.raises(ValueError):
+            transition_matrix(table, A, d)
+        with pytest.raises(ValueError):
+            coeff_parab(table, A, (2, 1), (2, 1), 2, d)
+
+
 def test_coeff_parab_examples(table):
     A = construct_strongly_regular((1, 2))
     assert coeff_parab(table, A, (1, 2), (2, 1), 2, "g2e") == V(2)
