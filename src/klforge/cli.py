@@ -138,7 +138,8 @@ def cmd_verify(args) -> int:
         print(json.dumps(rep.to_json(), sort_keys=True))
     counts = summarize(reports)
     print(f"pass={counts['pass']} fail={counts['fail']} "
-          f"skipped={counts['skipped']}", file=sys.stderr)
+          f"skipped={counts['skipped']} undetermined={counts['undetermined']}",
+          file=sys.stderr)
     return 1 if counts["fail"] else 0
 
 

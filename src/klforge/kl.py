@@ -14,9 +14,32 @@ restart cleanly.
 
 Conventions.  P_{w,w} = 1, P_{x,w} = 0 when x is not below w in Bruhat
 order, and deg_q P_{x,w} <= (length(w) - length(x) - 1) / 2 for x < w.
-Internally a polynomial in q is a dense tuple of coefficients indexed by
-q-degree, with no trailing zeros; the public functions wrap results in
-LaurentPoly (q rendered as v**-2).
+Outside the row recursion a polynomial in q is a dense tuple of
+coefficients indexed by q-degree, with no trailing zeros; the public
+functions wrap results in LaurentPoly (q rendered as v**-2).
+
+Inside the row recursion both permutations and polynomials are single ints:
+
+* a permutation w of n <= 16 letters is a key holding the 0-based position
+  of each value 1..n in a 4-bit field, value 1 in the most significant
+  field, above the length of w in the low 7 bits.  s_i w swaps the fields
+  of i and i+1 and moves the length by one, i is a left ascent of w when
+  the field of i is the smaller, and the length is key & 127.  Keys of the
+  same n compare like the tuples of their inverses, so the least tuple
+  image of w under _SYMMETRIES is the inverse of its least key image.
+* a polynomial is packed with the coefficient of q**d at bit 32*d, so
+  adding is +, subtracting mu q**k r is - (mu * r << 32*k) and every
+  coefficient is a 32-bit field.  Every finished row is checked to have
+  all coefficients below 2**24.  That bounds the next row: each of its
+  entries gathers at most two contributions from the row before, so its
+  coefficients stay below 2**25 before the corrections, and the
+  corrections only subtract nonnegative terms from them.  Python ints
+  are exact in between, so no field can carry into the next unnoticed.
+
+Keys and polynomials leave the row layer decoded, in _kl_qtuple and in
+transition._cosets_below.  The pools behind the encoding belong to the
+KLTable: the interned keys and packed values of finished rows, and the
+inverse and w0-conjugate images of each key, memoised as they are needed.
 
 Two parabolic polynomials are attached to cosets of W_m = S_m x ... x S_m
 inside S_{mk}, both reduced to ordinary polynomials:
@@ -39,6 +62,8 @@ import shutil
 import tempfile
 import threading
 from collections import OrderedDict
+from functools import reduce
+from operator import or_
 from typing import Callable, Mapping
 
 from .poly import LaurentPoly
@@ -63,23 +88,95 @@ QTuple = tuple[int, ...]
 
 _ONE: QTuple = (1,)
 
-# Interning pools shared by every table: the same small polynomials and the
-# same permutation tuples occur in millions of row entries.
-_POLY_POOL: dict[QTuple, QTuple] = {_ONE: _ONE}
-_PERM_POOL: dict[Perm, Perm] = {}
-_LEN_CACHE: dict[Perm, int] = {}
+# -- permutation keys and packed polynomials ---------------------------------
+
+_LEN_MASK = 127
+_MAX_N = 16
+_DIGIT = (1 << 32) - 1
+# the top 8 bits of each of the 64 coefficient fields; degrees stay below
+# (length(w0) - 1) / 2 < 60 for n <= 16
+_OVERFLOW = int("ff000000" * 64, 16)
 
 
-def _intern_perm(w: Perm) -> Perm:
-    return _PERM_POOL.setdefault(w, w)
+def _shift(v: int, n: int) -> int:
+    """The offset of the 4-bit position field of the value v in a key."""
+    return 7 + 4 * (n - v)
 
 
-def _perm_length(w: Perm) -> int:
-    cached = _LEN_CACHE.get(w)
-    if cached is None:
-        cached = length(w)
-        _LEN_CACHE[_intern_perm(w)] = cached
-    return cached
+def _encode(w: Perm) -> int:
+    """The key of w: positions of the values 1..n, then the length."""
+    n = len(w)
+    if n > _MAX_N:
+        raise ValueError(f"keys hold at most {_MAX_N} letters, not {n}")
+    key = 0
+    for i, v in enumerate(w):
+        key |= i << 4 * (n - v)
+    return key << 7 | length(w)
+
+
+def _decode(key: int, n: int) -> Perm:
+    w = [0] * n
+    key >>= 7
+    for v in range(n, 0, -1):
+        w[key & 15] = v
+        key >>= 4
+    return tuple(w)
+
+
+def _inv_key(key: int, n: int) -> int:
+    """The key of w^-1: the positions of w^-1 are the values of w."""
+    out = 0
+    for v in _decode(key, n):
+        out = out << 4 | (v - 1)
+    return out << 7 | key & _LEN_MASK
+
+
+def _conj_key(key: int, n: int) -> int:
+    """The key of w0 w w0: the fields reversed and complemented."""
+    out = 0
+    fields = key >> 7
+    for _ in range(n):
+        out = out << 4 | (n - 1 - (fields & 15))
+        fields >>= 4
+    return out << 7 | key & _LEN_MASK
+
+
+def _s_left(key: int, s: int, n: int) -> tuple[int, bool]:
+    """The key of s_s w, and whether s is a left ascent of w."""
+    lo = _shift(s + 1, n)  # the field of s sits just above
+    a = key >> (lo + 4) & 15
+    b = key >> lo & 15
+    t = key ^ ((a ^ b) * 17 << lo)
+    return (t + 1, True) if a < b else (t - 1, False)
+
+
+def _unpack(p: int) -> QTuple:
+    out = []
+    while p:
+        out.append(p & _DIGIT)
+        p >>= 32
+    return tuple(out)
+
+
+class _Images(dict):
+    """One involution of the keys of S_n, memoised in both directions."""
+
+    def __init__(self, image: Callable[[int, int], int], n: int,
+                 pool: dict[int, int]):
+        super().__init__()
+        self._image = image
+        self._n = n
+        self._pool = pool
+
+    def __missing__(self, key: int) -> int:
+        image = self._image(key, self._n)
+        image = self._pool.setdefault(image, image)
+        self[key] = image
+        self[image] = key
+        return image
+
+
+# -- the tuple side ----------------------------------------------------------
 
 
 def _padd(p: QTuple, r: QTuple) -> QTuple:
@@ -142,8 +239,7 @@ def _conjugate_inverse_by_w0(w: Perm) -> Perm:
 
 # The classical symmetries P_{x,w} = P_{f(x),f(w)}: x, x^-1, w0 x w0 and
 # w0 x^-1 w0.  Each is an involution, so the map that carries a key to its
-# canonical form also carries it back.  The identity comes first, so a
-# canonical top is its own representative.
+# canonical form also carries it back.
 _SYMMETRIES: tuple[Callable[[Perm], Perm], ...] = (
     _identity, inverse, _conjugate_by_w0, _conjugate_inverse_by_w0)
 
@@ -167,6 +263,12 @@ class KLTable:
     rows are dropped first and recomputed on demand.  Loading a memo file
     skips bad records and rewrites the file without them.
 
+    The table owns every pool of the row recursion: rows map permutation
+    keys to packed polynomials, each key and each packed value of a
+    finished row is interned in _keys and _polys, and _images holds, per n,
+    the inverse and w0-conjugate of each key met so far.  The pools outlive
+    evicted rows and go away with the table.
+
     Concurrent use is safe: all writers compute identical values, so the
     last-write-wins inserts are benign, and the persistence writer is
     serialized by a lock.
@@ -175,10 +277,13 @@ class KLTable:
     def __init__(self, path: str | os.PathLike | None = None,
                  max_row_entries: int = 4_000_000):
         self._final: dict[tuple[Perm, Perm], QTuple] = {}
-        # LRU, least recent first
-        self._rows: OrderedDict[Perm, dict[Perm, QTuple]] = OrderedDict()
+        # canonical top key -> {key: packed polynomial}; LRU, least recent first
+        self._rows: OrderedDict[int, dict[int, int]] = OrderedDict()
         self._row_entries = 0
         self._max_row_entries = max_row_entries
+        self._keys: dict[int, int] = {}
+        self._polys: dict[int, int] = {}
+        self._images: dict[int, tuple[_Images, _Images]] = {}
         self._lock = threading.Lock()
         self._path = os.fspath(path) if path is not None else None
         if self._path is not None:
@@ -237,16 +342,24 @@ class KLTable:
         top, symmetries = _canonical_top(w)
         return min(f(s) for f in symmetries), top
 
+    def _symmetries(self, n: int) -> tuple[_Images, _Images]:
+        """The inverse and the w0-conjugate of the keys of S_n."""
+        images = self._images.get(n)
+        if images is None:
+            images = self._images.setdefault(n, (
+                _Images(_inv_key, n, self._keys), _Images(_conj_key, n, self._keys)))
+        return images
+
     # -- row cache -------------------------------------------------------
 
-    def _row_get(self, w: Perm) -> dict[Perm, QTuple] | None:
+    def _row_get(self, w: int) -> dict[int, int] | None:
         with self._lock:
             row = self._rows.get(w)
             if row is not None:
                 self._rows.move_to_end(w)
             return row
 
-    def _row_put(self, w: Perm, row: dict[Perm, QTuple]) -> None:
+    def _row_put(self, w: int, row: dict[int, int]) -> None:
         with self._lock:
             if w in self._rows:
                 return
@@ -256,71 +369,82 @@ class KLTable:
                 self._row_entries -= len(self._rows.popitem(last=False)[1])
 
 
-def _kl_row(table: KLTable, w: Perm) -> dict[Perm, QTuple]:
-    """The full vector {y: P_{y,w}} over y <= w, possibly via a symmetry."""
-    canon, symmetries = _canonical_top(w)
+def _kl_row(table: KLTable, w: int, n: int) -> dict[int, int]:
+    """The row {y: P_{y,w}} over y <= w, as keys and packed polynomials,
+    possibly read through a symmetry from the row of the canonical top."""
+    inv, conj = table._symmetries(n)
+    wi = inv[w]
+    wc = conj[w]
+    canon = inv[min(w, wi, wc, conj[wi])]
     row = table._row_get(canon)
     if row is None:
-        row = _compute_row(table, canon)
+        row = _compute_row(table, canon, n)
         table._row_put(canon, row)
-    f = symmetries[0]
-    if f is _identity:
+    if canon == w:
         return row
-    return {_intern_perm(f(y)): p for y, p in row.items()}
+    if canon == wi:
+        return {inv[y]: p for y, p in row.items()}
+    if canon == wc:
+        return {conj[y]: p for y, p in row.items()}
+    return {conj[inv[y]]: p for y, p in row.items()}
 
 
-def _compute_row(table: KLTable, w: Perm) -> dict[Perm, QTuple]:
-    n = len(w)
-    lw = _perm_length(w)
+def _compute_row(table: KLTable, w: int, n: int) -> dict[int, int]:
+    lw = w & _LEN_MASK
     if lw == 0:
-        e = _intern_perm(w)
-        return {e: _ONE}
+        return {w: 1}
 
-    # leftmost left descent: smallest i with i+1 occurring before i
-    pos = [0] * (n + 1)
-    for idx, val in enumerate(w):
-        pos[val] = idx
-    s = next(i for i in range(1, n) if pos[i] > pos[i + 1])
+    # leftmost left descent: smallest s with s + 1 occurring before s
+    s = 1
+    while w >> _shift(s, n) & 15 < w >> _shift(s + 1, n) & 15:
+        s += 1
+    sw, _ = _s_left(w, s, n)
+    prev = _kl_row(table, sw, n)
 
-    a, b = pos[s], pos[s + 1]
-    lst = list(w)
-    lst[a], lst[b] = s + 1, s
-    sw = _intern_perm(tuple(lst))
-    prev = _kl_row(table, sw)
-
+    # The row of sw holds the whole interval [e, sw], and [e, w] is its
+    # union with s[e, sw].  Each pair {z, sz} there, z below sz, gets
+    # P_{z,sw} + q P_{sz,sw} at both members; it is visited from z, where
+    # s is an ascent (_s_left inlined: the fields of s and s + 1 sit at hi
+    # and lo).  At a descent z only the mu-correction is read off.
+    lo = _shift(s + 1, n)
+    hi = lo + 4
     lsw = lw - 1
-    cand: dict[Perm, QTuple] = {}
-    corrections: list[tuple[Perm, int]] = []
-    pool = _POLY_POOL
+    cand: dict[int, int] = {}
+    corrections: list[tuple[int, int]] = []
+    get = prev.get
     for z, pz in prev.items():
-        ai = z.index(s)
-        bi = z.index(s + 1)
-        zl = list(z)
-        zl[ai], zl[bi] = s + 1, s
-        t = _intern_perm(tuple(zl))
-        if ai < bi:
-            contrib = pz
+        a = z >> hi & 15
+        b = z >> lo & 15
+        if a < b:
+            t = (z ^ ((a ^ b) * 17 << lo)) + 1
+            pt = get(t)
+            cand[z] = cand[t] = pz if pt is None else pz + (pt << 32)
         else:
-            contrib = pool.setdefault((0,) + pz, (0,) + pz)
-            d = lsw - _perm_length(z)
-            if d & 1 and len(pz) - 1 == (d - 1) >> 1:
-                corrections.append((z, pz[-1]))
-        cur = cand.get(z)
-        cand[z] = contrib if cur is None else _padd(cur, contrib)
-        cur = cand.get(t)
-        cand[t] = contrib if cur is None else _padd(cur, contrib)
+            d = lsw - (z & _LEN_MASK)
+            if d & 1:
+                # the coefficient of q**((d - 1) / 2), nonzero only at the
+                # degree bound
+                mu = pz >> (d >> 1 << 5)
+                if mu:
+                    corrections.append((z, mu))
 
+    # every x below z lies in [e, w], and P_{x,w} never vanishes there
     for z, mu in corrections:
-        shift = (lw - _perm_length(z)) >> 1
-        zrow = _kl_row(table, z)
-        for x, px in zrow.items():
-            upd = _psub_scaled(cand.get(x, ()), px, mu, shift)
-            if upd:
-                cand[x] = upd
-            else:
-                cand.pop(x, None)
+        shift = (lw - (z & _LEN_MASK)) >> 1 << 5
+        for x, px in _kl_row(table, z, n).items():
+            cand[x] -= mu * px << shift
 
-    return {y: pool.setdefault(p, p) for y, p in cand.items()}
+    return _finish_row(table, cand)
+
+
+def _finish_row(table: KLTable, cand: dict[int, int]) -> dict[int, int]:
+    """Intern a finished row in the table's pools; raise if a coefficient
+    reached 2**24 (or went negative), see the module docstring."""
+    values = cand.values()
+    if reduce(or_, values, 0) & _OVERFLOW:
+        raise OverflowError("a Kazhdan-Lusztig coefficient reached 2**24")
+    keys, polys = table._keys.setdefault, table._polys.setdefault
+    return dict(zip(map(keys, cand, cand), map(polys, values, values)))
 
 
 def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
@@ -334,7 +458,7 @@ def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
     hit = table._final.get(key)
     if hit is not None:
         return hit
-    p = _kl_row(table, key[1]).get(key[0], ())
+    p = _unpack(_kl_row(table, _encode(key[1]), len(w)).get(_encode(key[0]), 0))
     table._final[key] = p
     table._persist(key[0], key[1], p)
     return p
@@ -373,7 +497,7 @@ def parabolic_kl_q(table: KLTable, sigma: Perm, omega: Perm, m: int) -> LaurentP
         p = _kl_qtuple(table, compose(ts, x), tw)
         if not p:
             continue
-        if _perm_length(x) % 2:
+        if length(x) % 2:
             acc = _psub_scaled(acc, p, 1, 0)
         else:
             acc = _padd(acc, p)
@@ -446,9 +570,9 @@ def _deodhar_row(n: int, m: int, variant: str, w: Perm,
     shape = ParabolicShape((m,) * (n // m))
     if not is_quotient_minimal(w, shape):
         raise ValueError(f"{w} is not a minimal coset representative")
-    lw = _perm_length(w)
+    lw = length(w)
     if lw == 0:
-        row = {_intern_perm(w): _ONE}
+        row = {w: _ONE}
         cache[w] = row
         return row
 
@@ -465,7 +589,7 @@ def _deodhar_row(n: int, m: int, variant: str, w: Perm,
         cand[key] = p if cur is None else _padd(cur, p)
 
     for z, pz in prev.items():
-        t = _intern_perm(apply_s_left(z, s))
+        t = apply_s_left(z, s)
         if not is_quotient_minimal(t, shape):
             if variant == "neg1":  # eigenvalue q: picks up a factor q + 1
                 acc(z, _padd(pz, _qshift(pz, 1)))
@@ -479,10 +603,10 @@ def _deodhar_row(n: int, m: int, variant: str, w: Perm,
             acc(t, qpz)
 
     # strip degree-violating top terms, largest lengths first
-    for z in sorted(cand, key=_perm_length, reverse=True):
+    for z in sorted(cand, key=length, reverse=True):
         if z == w:
             continue
-        d = lw - _perm_length(z)
+        d = lw - length(z)
         if d <= 0 or d & 1:
             continue
         p = cand.get(z)

@@ -52,13 +52,10 @@ def inverse(w: Perm) -> Perm:
 
 def length(w: Perm) -> int:
     """Inversion count of the one-line word."""
-    n = len(w)
-    inv = 0
-    for i in range(n):
-        wi = w[i]
-        for j in range(i + 1, n):
-            if wi > w[j]:
-                inv += 1
+    inv = seen = 0  # seen: the values met so far, as bits
+    for v in w:
+        inv += (seen >> v).bit_count()  # the larger ones come before v
+        seen |= 1 << v
     return inv
 
 

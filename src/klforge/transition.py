@@ -52,13 +52,16 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .kl import (
+    _LEN_MASK,
     KLTable,
     QTuple,
+    _decode,
+    _encode,
     _kl_row,
-    _padd,
-    _perm_length,
     _psub_scaled,
     _qtuple_to_poly,
+    _shift,
+    _unpack,
     kl_poly,
     parabolic_kl_neg1,
     parabolic_kl_q,
@@ -135,25 +138,45 @@ def _check_family(A: BiSequence, omega: Perm) -> tuple[Perm, Perm]:
     return s0, top
 
 
-def _cosets_below(table: KLTable, A: BiSequence,
-                  top: Perm) -> dict[Perm, list[tuple[Perm, QTuple]]]:
-    """The row {x: P_{x,top}} grouped by double coset of the family.
+def _cosets_below(table: KLTable, A: BiSequence, top: Perm) -> dict[Perm, QTuple]:
+    """The row {x: P_{x,top}} summed with signs (-1)**length(x) over each
+    double coset of the family.
 
     x pairs a_i with b_{x(i)}, so two words lie in the same double coset
-    exactly when they assign the same right ends to each run of equal left
-    ends.  Keys are the shortest members, the minimal representatives: the
-    row holds the whole lower interval of top, and a coset's minimal
-    element lies below each of its members.
+    exactly when each run of equal left ends gets the same number of each
+    right end.  That count matrix is read off the row's keys as a sum of
+    powers of n + 1, one unit per value.  Keys of the result are the
+    shortest members, the minimal representatives: the row holds the whole
+    lower interval of top, and a coset's minimal element lies below each of
+    its members.
     """
-    right_end = ((0,) + A.b).__getitem__  # b_j for 1-based j
-    runs = p2_shape(A).blocks()
-    buckets: dict[tuple, list[tuple[Perm, QTuple]]] = {}
-    for x, p in _kl_row(table, top).items():
-        key = tuple([tuple(sorted(map(right_end, x[start:stop])))
-                     for start, stop in runs])
-        buckets.setdefault(key, []).append((x, p))
-    return {min(members, key=lambda e: _perm_length(e[0]))[0]: members
-            for members in buckets.values()}
+    n = A.k
+    ends = {b: r for r, b in enumerate(sorted(set(A.b)))}
+    run_of = [j for j, (start, stop) in enumerate(p2_shape(A).blocks())
+              for _ in range(start, stop)]
+    # per value v: the shift of its position field, and its unit by position
+    units = [(_shift(v, n), [(n + 1) ** (j * len(ends) + ends[b]) for j in run_of])
+             for v, b in enumerate(A.b, 1)]
+    buckets: dict[int, list] = {}  # count matrix -> [shortest key, {packed: sign sum}]
+    for y, p in _kl_row(table, _encode(top), n).items():
+        coset = 0
+        for shift, unit in units:
+            coset += unit[y >> shift & 15]
+        bucket = buckets.get(coset)
+        if bucket is None:
+            bucket = buckets[coset] = [y, {}]
+        elif y & _LEN_MASK < bucket[0] & _LEN_MASK:
+            bucket[0] = y
+        signs = bucket[1]
+        signs[p] = signs.get(p, 0) + (-1 if y & 1 else 1)  # y & 1: odd length
+    out: dict[Perm, QTuple] = {}
+    for rep, signs in buckets.values():
+        acc: QTuple = ()
+        for p, c in signs.items():
+            if c:
+                acc = _psub_scaled(acc, _unpack(p), -c, 0)
+        out[_decode(rep, n)] = acc
+    return out
 
 
 def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, LaurentPoly]:
@@ -182,13 +205,8 @@ def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
     lt = length(top)
     eps_top = parity(top)
     out: dict[Perm, LaurentPoly] = {}
-    for rep, members in _cosets_below(table, A, top).items():
-        if not bruhat_leq(s0, rep):
-            continue
-        acc: QTuple = ()
-        for x, p in members:
-            acc = _psub_scaled(acc, p, 1, 0) if _perm_length(x) & 1 else _padd(acc, p)
-        if acc:
+    for rep, acc in _cosets_below(table, A, top).items():
+        if bruhat_leq(s0, rep) and acc:
             out[rep] = LaurentPoly.v(lt - length(rep)) * _qtuple_to_poly(acc) * eps_top
     return out
 

@@ -8,6 +8,7 @@ import pytest
 from helpers import all_perms, kl_oracle
 from klforge.kl import (
     KLTable,
+    _encode,
     kl_inversion_check,
     kl_poly,
     parabolic_kl_deodhar,
@@ -21,6 +22,7 @@ from klforge.symgroup import (
     compose,
     identity,
     inverse,
+    is_pattern_avoiding,
     length,
     longest_element,
     replicate_perm,
@@ -66,6 +68,20 @@ def test_s5_sample_against_r_polynomial_oracle(table):
         if bruhat_leq(s, w):
             assert kl_poly(table, s, w).as_q_polynomial() == kl_oracle(s, w), (s, w)
             done += 1
+
+
+@pytest.mark.parametrize("n, smooth", [(6, 366), (7, 1552)])
+def test_trivial_polynomial_iff_smooth(n, smooth):
+    # P_{e,w} = 1 exactly when w avoids 3412 and 4231 (Lakshmibai-Sandhya
+    # smoothness with Deodhar's criterion); the counts are OEIS A032351
+    t = KLTable()
+    e = identity(n)
+    count = 0
+    for w in all_perms(n):
+        avoids = is_pattern_avoiding(w, (3, 4, 1, 2)) and is_pattern_avoiding(w, (4, 2, 3, 1))
+        assert kl_poly(t, e, w).is_one() == avoids, w
+        count += avoids
+    assert count == smooth
 
 
 def test_degree_bound_and_positivity(table):
@@ -261,13 +277,13 @@ def test_table_shared_between_threads(tmp_path):
 
 def test_row_cache_evicts_least_recently_read():
     t = KLTable(max_row_entries=3)
-    a, b, c, d, e = (1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1)
+    a, b, c, d, e = map(_encode, [(1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 2, 1), (2, 3, 1)])
     for w in (a, b, c):
-        t._row_put(w, {w: (1,)})
-    assert t._row_get(a) == {a: (1,)}
-    t._row_put(d, {d: (1,)})
+        t._row_put(w, {w: 1})
+    assert t._row_get(a) == {a: 1}
+    t._row_put(d, {d: 1})
     assert set(t._rows) == {a, c, d}
-    t._row_put(e, {e: (1,)})
+    t._row_put(e, {e: 1})
     assert set(t._rows) == {a, d, e}
     assert t._row_entries == 3
 

@@ -16,6 +16,7 @@ from klforge.verify import (
     verify_prop1,
 )
 from klforge.symgroup import identity
+import klforge.verify as verify_module
 
 V = LaurentPoly.v
 
@@ -146,3 +147,47 @@ def test_sweep_full_grid(table):
         assert counts["fail"] == 0, [r.to_json() for r in reports
                                      if r.status == "fail"][:3]
         assert counts["pass"] > 0
+
+
+class _TaintsEverything(frozenset):
+    def __contains__(self, item):
+        return True
+
+
+def _undetermined_products(monkeypatch):
+    real = verify_module.product_expansion_guarded
+
+    def tainted(factors):
+        exact, _ = real(factors)
+        return exact, _TaintsEverything()
+
+    monkeypatch.setattr(verify_module, "product_expansion_guarded", tainted)
+
+
+def test_sweep_survives_undetermined_products(table, monkeypatch):
+    expected = sweep(table, 2, 2)
+    _undetermined_products(monkeypatch)
+    reports = sweep(table, 2, 2)
+    assert [(r.check, r.case) for r in reports] == [(r.check, r.case) for r in expected]
+    prop1 = [r for r in reports if r.check == "product-vanishing"]
+    assert prop1 and all(r.status == "undetermined" for r in prop1)
+    assert all(r.reason.startswith("NonGeneralPositionExchange:") for r in prop1)
+    assert all(r.computed is None for r in prop1)
+    assert [r.to_json()["status"] for r in reports if r.check != "product-vanishing"] \
+        == [r.to_json()["status"] for r in expected if r.check != "product-vanishing"]
+    counts = summarize(reports)
+    assert counts["undetermined"] == len(prop1)
+    assert counts["fail"] == 0
+    assert sum(counts.values()) == len(reports)
+
+
+def test_cli_counts_undetermined(monkeypatch, capsys):
+    from klforge.cli import main
+
+    _undetermined_products(monkeypatch)
+    code = main(["verify", "--kmax", "2", "--mmax", "2", "--no-cache"])
+    out, err = capsys.readouterr()
+    statuses = [json.loads(line)["status"] for line in out.splitlines()]
+    assert code == 0
+    assert f"undetermined={statuses.count('undetermined')}" in err
+    assert statuses.count("undetermined") > 0
