@@ -17,7 +17,7 @@ from .symgroup import (
     bruhat_leq,
     length,
 )
-from .kl import KLTable, kl_poly, parabolic_kl_deodhar, parabolic_kl_neg1, parabolic_kl_q
+from .kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,5 @@ __all__ = [
     "kl_poly",
     "parabolic_kl_q",
     "parabolic_kl_neg1",
-    "parabolic_kl_deodhar",
     "__version__",
 ]

@@ -7,10 +7,9 @@ P_{y,w} for y <= w is built from the vector of sw, since the mu-correction
 terms need the top coefficients of every entry of that vector anyway.
 Rows are cached in memory with a size cap, and the polynomials actually
 asked for are memoized in a KLTable, optionally persisted as an append-only
-JSON-lines file: one record per comparable, off-diagonal pair looked up,
-whether by kl_poly or as a summand of a parabolic sum.  On load, bad records
-are skipped and an unterminated tail is truncated, so interrupted sweeps
-restart cleanly.
+JSON-lines file: one record per comparable, off-diagonal pair looked up.
+On load, bad records are skipped and an unterminated tail is truncated, so
+interrupted sweeps restart cleanly.
 
 Conventions.  P_{w,w} = 1, P_{x,w} = 0 when x is not below w in Bruhat
 order, and deg_q P_{x,w} <= (length(w) - length(x) - 1) / 2 for x < w.
@@ -36,22 +35,42 @@ Inside the row recursion both permutations and polynomials are single ints:
   corrections only subtract nonnegative terms from them.  Python ints
   are exact in between, so no field can carry into the next unnoticed.
 
-Keys and polynomials leave the row layer decoded, in _kl_qtuple and in
-transition._cosets_below.  The pools behind the encoding belong to the
-KLTable: the interned keys and packed values of finished rows, and the
-inverse and w0-conjugate images of each key, memoised as they are needed.
+Keys and polynomials leave the row layer decoded, in _kl_qtuple, in
+_parabolic_qtuple and in transition._cosets_below.  The pools behind the
+encoding belong to the KLTable: the interned keys and packed values of
+finished rows, and the inverse and w0-conjugate images of each key,
+memoised as they are needed.
 
-Two parabolic polynomials are attached to cosets of W_m = S_m x ... x S_m
-inside S_{mk}, both reduced to ordinary polynomials:
+Two parabolic polynomials are attached to the cosets w W_m of the block
+parabolic W_m = S_m x ... x S_m inside S_{mk}, indexed by their minimal
+representatives; t_m is the block replication S_k -> S_{mk}, and the
+polynomials of (sigma, omega) are those of (t_m(sigma), t_m(omega)).  Both
+are computed by Deodhar's recursion in the induced module of the Hecke
+algebra (Deodhar, "On some geometric aspects of Bruhat orderings II",
+J. Algebra 111, 1987), run on the same keys over minimal representatives
+only:
 
-* the q-variant is the alternating sum over x in W_m of P_{t(sigma) x, t(omega)};
-* the -1-variant is P_{t(sigma) w_m, t(omega) w_m} for the longest w_m of W_m,
+* the q-variant, the sign-character module, equals the alternating sum
+  over x in W_m of P_{t(sigma) x, t(omega)};
+* the -1-variant, the trivial-character module, equals
+  P_{t(sigma) w_m, t(omega) w_m} for the longest element w_m of W_m.
 
-where t is the block replication embedding S_k -> S_{mk}.  An independent
-recursion in the induced module of the Hecke algebra (the classical
-parabolic recursion, run over minimal coset representatives only) is
-provided for cross-validation; it never shares intermediate state with the
-signed-sum route.
+A module row of w holds the polynomials of every y below w, taken from
+the row of sw for the leftmost left descent s.  The swapped fields a, b of
+s lie in one block of positions, a // m == b // m, exactly when s y leaves
+the minimal representatives; there the q-variant gets nothing and the
+-1-variant gets (1 + q) p_y, and every other entry gets p_y + q p_{sy} as
+in the ordinary step.  So again each coefficient gathers at most two
+coefficients of the row before, and the 2**24 argument above carries over:
+the module's mu-corrections are the structure constants of the image of
+the Kazhdan-Lusztig basis, nonnegative like the ordinary ones.  Module
+entries can vanish below w, so vanished entries are dropped from a row.
+The two reductions above and the tuple form of the recursion are oracles
+of the test suite.  Conjugation by w0 maps blocks of positions to blocks
+of the same size, hence cosets of W_m to cosets of W_m, and keeps both
+module polynomials: rows are cached under the lesser of a top and its
+w0-conjugate, and t_m(omega) conjugates to t_m(w0 omega w0).  Inversion
+does not map cosets to cosets and is not used.
 """
 
 from __future__ import annotations
@@ -69,16 +88,10 @@ from typing import Callable, Mapping
 from .poly import LaurentPoly
 from .symgroup import (
     NotComparable,
-    ParabolicShape,
     Perm,
-    apply_s_left,
     bruhat_leq,
-    compose,
-    enumerate_interval,
     inverse,
-    is_quotient_minimal,
     length,
-    longest_element,
     replicate_perm,
 )
 
@@ -87,6 +100,9 @@ from .symgroup import (
 QTuple = tuple[int, ...]
 
 _ONE: QTuple = (1,)
+
+# The parabolic variants, by the character of W_m the module is induced from.
+_VARIANTS = ("q", "neg1")
 
 # -- permutation keys and packed polynomials ---------------------------------
 
@@ -150,6 +166,18 @@ def _s_left(key: int, s: int, n: int) -> tuple[int, bool]:
     return (t + 1, True) if a < b else (t - 1, False)
 
 
+def _is_minimal_key(key: int, n: int, m: int) -> bool:
+    """Whether the key's permutation is the minimal representative of its
+    coset w W_m: the values increase inside each block of m positions."""
+    last = [-1] * (n // m)  # per block, the position of the last value seen
+    for v in range(1, n + 1):
+        p = key >> _shift(v, n) & 15
+        if p < last[p // m]:
+            return False
+        last[p // m] = p
+    return True
+
+
 def _unpack(p: int) -> QTuple:
     out = []
     while p:
@@ -179,21 +207,6 @@ class _Images(dict):
 # -- the tuple side ----------------------------------------------------------
 
 
-def _padd(p: QTuple, r: QTuple) -> QTuple:
-    if not p:
-        return r
-    if not r:
-        return p
-    if len(p) < len(r):
-        p, r = r, p
-    out = list(p)
-    for i, c in enumerate(r):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _psub_scaled(p: QTuple, r: QTuple, mu: int, shift: int) -> QTuple:
     """p - mu * q**shift * r, normalized."""
     out = list(p) + [0] * max(0, shift + len(r) - len(p))
@@ -202,10 +215,6 @@ def _psub_scaled(p: QTuple, r: QTuple, mu: int, shift: int) -> QTuple:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _qshift(p: QTuple, k: int) -> QTuple:
-    return ((0,) * k + p) if p else p
 
 
 def _qtuple_to_poly(p: QTuple) -> LaurentPoly:
@@ -251,19 +260,39 @@ def _canonical_top(w: Perm) -> tuple[Perm, list[Callable[[Perm], Perm]]]:
     return top, [f for t, f in images if t == top]
 
 
+def _coset_pair(sigma: Perm, omega: Perm) -> tuple[Perm, Perm]:
+    """The pair or its w0-conjugate, whichever has the lesser (top, bottom);
+    both have the same parabolic polynomials."""
+    w, s = min((omega, sigma), (_conjugate_by_w0(omega), _conjugate_by_w0(sigma)))
+    return s, w
+
+
 class KLTable:
     """Memo table for Kazhdan-Lusztig polynomials.
 
-    Finished polynomials are cached under a key normalized by _SYMMETRIES,
-    which quarters the cache; the key's top is the canonical top of the row
-    cache, so an answer is read straight out of a cached row.  Only
-    comparable, off-diagonal pairs are stored: kl_poly and the summands of
-    parabolic_kl_q share one lookup.  Rows of the recursion are held in an
-    in-memory cache whose total entry count is capped; least recently used
-    rows are dropped first and recomputed on demand.  Loading a memo file
-    skips bad records and rewrites the file without them.
+    Two kinds of finished polynomials are cached, and persisted as one
+    JSON line each:
 
-    The table owns every pool of the row recursion: rows map permutation
+    * an ordinary P_{s,w}, under the pair normalized by _SYMMETRIES, which
+      quarters the cache; the key's top is the canonical top of the row
+      cache, so an answer is read straight out of a cached row.  Only
+      comparable, off-diagonal pairs are stored.  Record:
+      {"n", "s", "w", "p"} with n = len(s).
+    * a parabolic polynomial of the cosets of t_m(s) below t_m(w), keyed by
+      (m, variant, s, w) with the pair normalized by w0-conjugation (see
+      _coset_pair).  Only comparable, off-diagonal pairs with m >= 2 are
+      stored.  Record: {"m", "v", "n", "s", "w", "p"} with n = m * len(s),
+      so a loader that reads only ordinary records finds n != len(s) and
+      skips the line instead of misreading it.
+
+    Rows of both recursions are held in one in-memory cache whose total
+    entry count is capped; least recently used rows are dropped first and
+    recomputed on demand.  Ordinary rows are keyed by the canonical top's
+    key, module rows by (top key, m, neg1) with the lesser of the top and
+    its w0-conjugate.  Loading a memo file skips bad records and rewrites
+    the file without them.
+
+    The table owns every pool of the row recursions: rows map permutation
     keys to packed polynomials, each key and each packed value of a
     finished row is interned in _keys and _polys, and _images holds, per n,
     the inverse and w0-conjugate of each key met so far.  The pools outlive
@@ -276,9 +305,10 @@ class KLTable:
 
     def __init__(self, path: str | os.PathLike | None = None,
                  max_row_entries: int = 4_000_000):
-        self._final: dict[tuple[Perm, Perm], QTuple] = {}
-        # canonical top key -> {key: packed polynomial}; LRU, least recent first
-        self._rows: OrderedDict[int, dict[int, int]] = OrderedDict()
+        # (s, w) or (m, variant, s, w) -> polynomial
+        self._final: dict[tuple, QTuple] = {}
+        # row key -> {key: packed polynomial}; LRU, least recent first
+        self._rows: OrderedDict[object, dict[int, int]] = OrderedDict()
         self._row_entries = 0
         self._max_row_entries = max_row_entries
         self._keys: dict[int, int] = {}
@@ -303,12 +333,22 @@ class KLTable:
                 rec = json.loads(line)
                 s = tuple(int(i) for i in rec["s"])
                 w = tuple(int(i) for i in rec["w"])
-                if rec["n"] != len(s) or len(s) != len(w):
+                if len(s) != len(w):
                     raise ValueError("inconsistent record")
+                if "m" in rec:
+                    m, variant = rec["m"], rec["v"]
+                    if (type(m) is not int or m < 2 or variant not in _VARIANTS
+                            or rec["n"] != m * len(s)):
+                        raise ValueError("inconsistent record")
+                    key = (m, variant, *_coset_pair(s, w))
+                else:
+                    if rec["n"] != len(s):
+                        raise ValueError("inconsistent record")
+                    key = self._canonical_pair(s, w)
                 p = _poly_to_qtuple(rec["p"])
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
-            self._final[self._canonical_pair(s, w)] = p
+            self._final[key] = p
             kept.append(line)
         if len(kept) < len(lines):
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self._path) or ".")
@@ -320,15 +360,11 @@ class KLTable:
             with open(self._path, "r+b") as fh:
                 fh.truncate(len(data) - len(tail))
 
-    def _persist(self, s: Perm, w: Perm, p: QTuple) -> None:
+    def _persist(self, rec: dict, p: QTuple) -> None:
+        """Append one record: rec holds every field but "p"."""
         if self._path is None:
             return
-        rec = {
-            "n": len(s),
-            "s": list(s),
-            "w": list(w),
-            "p": {str(d): c for d, c in enumerate(p) if c},
-        }
+        rec["p"] = {str(d): c for d, c in enumerate(p) if c}
         line = json.dumps(rec, separators=(",", ":")) + "\n"
         with self._lock:
             with open(self._path, "a", encoding="utf-8") as fh:
@@ -352,14 +388,14 @@ class KLTable:
 
     # -- row cache -------------------------------------------------------
 
-    def _row_get(self, w: int) -> dict[int, int] | None:
+    def _row_get(self, w: object) -> dict[int, int] | None:
         with self._lock:
             row = self._rows.get(w)
             if row is not None:
                 self._rows.move_to_end(w)
             return row
 
-    def _row_put(self, w: int, row: dict[int, int]) -> None:
+    def _row_put(self, w: object, row: dict[int, int]) -> None:
         with self._lock:
             if w in self._rows:
                 return
@@ -389,17 +425,20 @@ def _kl_row(table: KLTable, w: int, n: int) -> dict[int, int]:
     return {conj[inv[y]]: p for y, p in row.items()}
 
 
+def _left_descent(w: int, n: int) -> int:
+    """The leftmost left descent of w: the smallest s with s + 1 before s."""
+    s = 1
+    while w >> _shift(s, n) & 15 < w >> _shift(s + 1, n) & 15:
+        s += 1
+    return s
+
+
 def _compute_row(table: KLTable, w: int, n: int) -> dict[int, int]:
     lw = w & _LEN_MASK
     if lw == 0:
         return {w: 1}
-
-    # leftmost left descent: smallest s with s + 1 occurring before s
-    s = 1
-    while w >> _shift(s, n) & 15 < w >> _shift(s + 1, n) & 15:
-        s += 1
-    sw, _ = _s_left(w, s, n)
-    prev = _kl_row(table, sw, n)
+    s = _left_descent(w, n)
+    prev = _kl_row(table, _s_left(w, s, n)[0], n)
 
     # The row of sw holds the whole interval [e, sw], and [e, w] is its
     # union with s[e, sw].  Each pair {z, sz} there, z below sz, gets
@@ -447,6 +486,79 @@ def _finish_row(table: KLTable, cand: dict[int, int]) -> dict[int, int]:
     return dict(zip(map(keys, cand, cand), map(polys, values, values)))
 
 
+def _module_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int, int]:
+    """The module row {y: p_{y,w}} of the minimal representative w, over
+    the minimal y <= w with a nonzero polynomial; read through the
+    w0-conjugation when w is not the lesser of the two tops."""
+    conj = table._symmetries(n)[1]
+    wc = conj[w]
+    canon = min(w, wc)
+    tag = (canon, m, neg1)
+    row = table._row_get(tag)
+    if row is None:
+        if not _is_minimal_key(canon, n, m):
+            raise ValueError(f"{_decode(canon, n)} is not a minimal coset representative")
+        row = _compute_module_row(table, canon, n, m, neg1)
+        table._row_put(tag, row)
+    if canon == w:
+        return row
+    return {conj[y]: p for y, p in row.items()}
+
+
+def _compute_module_row(table: KLTable, w: int, n: int, m: int,
+                        neg1: bool) -> dict[int, int]:
+    lw = w & _LEN_MASK
+    if lw == 0:
+        return {w: 1}
+    s = _left_descent(w, n)
+    prev = _module_row(table, _s_left(w, s, n)[0], n, m, neg1)
+
+    # As in _compute_row, with the pairs {z, sz} that leave the minimal
+    # representatives (both fields in one block) handled on their own.  An
+    # entry of the row of sw may vanish, so the partner of a descent z is
+    # looked up too.  The mu-corrections are read at the descents, and in
+    # the -1-variant also off (1 + q) p_z, whose top coefficient is that
+    # of p_z.
+    lo = _shift(s + 1, n)
+    hi = lo + 4
+    lsw = lw - 1
+    cand: dict[int, int] = {}
+    corrections: list[tuple[int, int]] = []
+    get = prev.get
+    for z, pz in prev.items():
+        a = z >> hi & 15
+        b = z >> lo & 15
+        if a // m == b // m:
+            if not neg1:
+                continue  # eigenvalue -1: the two contributions cancel
+            cand[z] = pz + (pz << 32)  # eigenvalue q: a factor 1 + q
+        elif a < b:
+            t = (z ^ ((a ^ b) * 17 << lo)) + 1
+            pt = get(t)
+            cand[z] = cand[t] = pz if pt is None else pz + (pt << 32)
+            continue
+        else:
+            t = (z ^ ((a ^ b) * 17 << lo)) - 1
+            if t not in prev:
+                cand[z] = cand[t] = pz << 32
+        d = lsw - (z & _LEN_MASK)
+        if d & 1:
+            mu = pz >> (d >> 1 << 5)
+            if mu:
+                corrections.append((z, mu))
+
+    for z, mu in corrections:
+        shift = (lw - (z & _LEN_MASK)) >> 1 << 5
+        for x, px in _module_row(table, z, n, m, neg1).items():
+            p = cand.get(x, 0) - (mu * px << shift)
+            if p:
+                cand[x] = p
+            else:
+                del cand[x]
+
+    return _finish_row(table, cand)
+
+
 def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
     if len(s) != len(w):
         raise ValueError("permutations must have the same n")
@@ -460,7 +572,7 @@ def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
         return hit
     p = _unpack(_kl_row(table, _encode(key[1]), len(w)).get(_encode(key[0]), 0))
     table._final[key] = p
-    table._persist(key[0], key[1], p)
+    table._persist({"n": len(w), "s": list(key[0]), "w": list(key[1])}, p)
     return p
 
 
@@ -469,173 +581,44 @@ def kl_poly(table: KLTable, s: Perm, w: Perm) -> LaurentPoly:
     return _qtuple_to_poly(_kl_qtuple(table, s, w))
 
 
-def _replication_data(sigma: Perm, omega: Perm, m: int):
+def _parabolic_qtuple(table: KLTable, sigma: Perm, omega: Perm, m: int,
+                      variant: str) -> QTuple:
+    """One entry of the module row of t_m(omega), through the memo table;
+    for m = 1 the module is the Hecke algebra and the entry is P."""
     if len(sigma) != len(omega):
         raise ValueError("permutations must have the same n")
     if m < 1:
         raise ValueError("m must be at least 1")
-    k = len(sigma)
-    ts = replicate_perm(sigma, m)
-    tw = replicate_perm(omega, m)
+    if sigma == omega:
+        return _ONE
+    s, w = _coset_pair(sigma, omega)
+    key = (m, variant, s, w)
+    hit = table._final.get(key)
+    if hit is not None:
+        return hit
+    ts, tw = replicate_perm(s, m), replicate_perm(w, m)
     if not bruhat_leq(ts, tw):
         raise NotComparable(
-            f"t_{m}({sigma}) is not below t_{m}({omega}) in Bruhat order"
-        )
-    return k, ts, tw, ParabolicShape((m,) * k)
+            f"t_{m}({sigma}) is not below t_{m}({omega}) in Bruhat order")
+    if m == 1:
+        return _kl_qtuple(table, s, w)
+    row = _module_row(table, _encode(tw), len(tw), m, variant == "neg1")
+    p = _unpack(row.get(_encode(ts), 0))
+    table._final[key] = p
+    table._persist({"m": m, "v": variant, "n": len(tw), "s": list(s), "w": list(w)}, p)
+    return p
 
 
 def parabolic_kl_q(table: KLTable, sigma: Perm, omega: Perm, m: int) -> LaurentPoly:
-    """The q-variant parabolic polynomial of the cosets of sigma, omega.
-
-    Computed as the alternating sum over the block parabolic W_m of
-    P_{t(sigma) x, t(omega)}.  Every summand goes through the memo table,
-    so a warm table answers without running the recursion at all.
-    """
-    _, ts, tw, shape = _replication_data(sigma, omega, m)
-    acc: QTuple = ()
-    for x in shape.elements():
-        p = _kl_qtuple(table, compose(ts, x), tw)
-        if not p:
-            continue
-        if length(x) % 2:
-            acc = _psub_scaled(acc, p, 1, 0)
-        else:
-            acc = _padd(acc, p)
-    return _qtuple_to_poly(acc)
+    """The q-variant parabolic polynomial of the cosets of t_m(sigma) and
+    t_m(omega): one entry of the sign-character module row of t_m(omega),
+    equal to the alternating sum over W_m of P_{t(sigma) x, t(omega)}.  A
+    warm memo table answers without running the recursion."""
+    return _qtuple_to_poly(_parabolic_qtuple(table, sigma, omega, m, "q"))
 
 
 def parabolic_kl_neg1(table: KLTable, sigma: Perm, omega: Perm, m: int) -> LaurentPoly:
-    """The -1-variant parabolic polynomial: one ordinary polynomial after
-    translating both cosets by the longest element of W_m."""
-    _, ts, tw, shape = _replication_data(sigma, omega, m)
-    wm = shape.longest()
-    return kl_poly(table, compose(ts, wm), compose(tw, wm))
-
-
-def kl_inversion_check(table: KLTable, sigma: Perm, omega: Perm) -> bool:
-    """The alternating-sum inversion identity over the interval [sigma, omega].
-
-    sum over sigma <= x <= omega of
-        (-1)**(l(x)-l(sigma)) P_{sigma,x} P_{w0 omega, w0 x}
-    equals 1 when sigma == omega and 0 otherwise.
-    """
-    if not bruhat_leq(sigma, omega):
-        raise NotComparable(f"{sigma} is not below {omega}")
-    n = len(sigma)
-    w0 = longest_element(n)
-    base = length(sigma)
-    acc: QTuple = ()
-    for x in enumerate_interval(sigma, omega):
-        p1 = _kl_qtuple(table, sigma, x)
-        if not p1:
-            continue
-        p2 = _kl_qtuple(table, compose(w0, omega), compose(w0, x))
-        if not p2:
-            continue
-        prod = _qmul(p1, p2)
-        if (length(x) - base) % 2:
-            acc = _psub_scaled(acc, prod, 1, 0)
-        else:
-            acc = _padd(acc, prod)
-    expected: QTuple = _ONE if sigma == omega else ()
-    return acc == expected
-
-
-def _qmul(p: QTuple, r: QTuple) -> QTuple:
-    if not p or not r:
-        return ()
-    out = [0] * (len(p) + len(r) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(r):
-                out[i + j] += a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-# -- the parabolic module recursion (independent oracle) -----------------
-
-# The eigenvalue tag "q" is the sign-character module (matching the
-# alternating-sum polynomial) and "neg1" the trivial-character module
-# (matching the translated ordinary polynomial).  The binding of tag to
-# module eigenvalue was fixed by exhaustive agreement with the reductions
-# above on S_4 and S_6.  cache holds the rows of one (n, m, variant).
-def _deodhar_row(n: int, m: int, variant: str, w: Perm,
-                 cache: dict[Perm, dict[Perm, QTuple]]) -> dict[Perm, QTuple]:
-    row = cache.get(w)
-    if row is not None:
-        return row
-
-    shape = ParabolicShape((m,) * (n // m))
-    if not is_quotient_minimal(w, shape):
-        raise ValueError(f"{w} is not a minimal coset representative")
-    lw = length(w)
-    if lw == 0:
-        row = {w: _ONE}
-        cache[w] = row
-        return row
-
-    pos = [0] * (n + 1)
-    for idx, val in enumerate(w):
-        pos[val] = idx
-    s = next(i for i in range(1, n) if pos[i] > pos[i + 1])
-    prev = _deodhar_row(n, m, variant, apply_s_left(w, s), cache)
-
-    cand: dict[Perm, QTuple] = {}
-
-    def acc(key: Perm, p: QTuple) -> None:
-        cur = cand.get(key)
-        cand[key] = p if cur is None else _padd(cur, p)
-
-    for z, pz in prev.items():
-        t = apply_s_left(z, s)
-        if not is_quotient_minimal(t, shape):
-            if variant == "neg1":  # eigenvalue q: picks up a factor q + 1
-                acc(z, _padd(pz, _qshift(pz, 1)))
-            # eigenvalue -1: the two contributions cancel
-        elif z.index(s) < z.index(s + 1):
-            acc(z, pz)
-            acc(t, pz)
-        else:
-            qpz = _qshift(pz, 1)
-            acc(z, qpz)
-            acc(t, qpz)
-
-    # strip degree-violating top terms, largest lengths first
-    for z in sorted(cand, key=length, reverse=True):
-        if z == w:
-            continue
-        d = lw - length(z)
-        if d <= 0 or d & 1:
-            continue
-        p = cand.get(z)
-        if not p or len(p) - 1 < d >> 1:
-            continue
-        mu = p[d >> 1]
-        if not mu:
-            continue
-        shift = d >> 1
-        for x, px in _deodhar_row(n, m, variant, z, cache).items():
-            upd = _psub_scaled(cand.get(x, ()), px, mu, shift)
-            if upd:
-                cand[x] = upd
-            else:
-                cand.pop(x, None)
-
-    cache[w] = cand
-    return cand
-
-
-def parabolic_kl_deodhar(sigma: Perm, omega: Perm, m: int,
-                         variant: str = "q") -> LaurentPoly:
-    """Parabolic polynomial by the recursion in the induced Hecke module.
-
-    Fully independent of the signed-sum and translation reductions; used to
-    cross-validate them.  variant selects the q- or -1-flavour.
-    """
-    if variant not in ("q", "neg1"):
-        raise ValueError("variant must be 'q' or 'neg1'")
-    _, ts, tw, _ = _replication_data(sigma, omega, m)
-    row = _deodhar_row(len(ts), m, variant, tw, {})
-    return _qtuple_to_poly(row.get(ts, ()))
+    """The -1-variant parabolic polynomial: one entry of the
+    trivial-character module row of t_m(omega), equal to the ordinary
+    polynomial of both cosets translated by the longest element of W_m."""
+    return _qtuple_to_poly(_parabolic_qtuple(table, sigma, omega, m, "neg1"))

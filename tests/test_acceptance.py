@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one summary line
 per criterion.  All criteria share one memo table; a cold run is dominated
-by the Kazhdan-Lusztig recursion in S_8 and S_9.
+by the ordinary Kazhdan-Lusztig rows in S_8 and S_9 that the transition
+expansions read.
 """
 
 import random
@@ -10,14 +11,13 @@ from math import comb
 
 import pytest
 
-from helpers import all_perms, bruhat_leq_subword
-from klforge.kl import (
+from helpers import (
+    all_perms,
+    bruhat_leq_subword,
     kl_inversion_check,
-    kl_poly,
     parabolic_kl_deodhar,
-    parabolic_kl_neg1,
-    parabolic_kl_q,
 )
+from klforge.kl import kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from klforge.poly import LaurentPoly
 from klforge.pbw import straighten, TWord
 from klforge.segcomb import (
@@ -152,7 +152,7 @@ def test_criterion_5_power_identity(table):
 
 
 def test_criterion_6_oracle_suites(table):
-    # parabolic recursion oracle against the signed-sum reduction
+    # the parabolic recursion on tuples against the packed module rows
     pairs = 0
     for k in (1, 2, 3):
         for m in (1, 2):

@@ -150,3 +150,17 @@ def test_malformed_permutation_rejected(capsys):
         with pytest.raises(SystemExit):
             main(argv + ["--no-cache"])
     capsys.readouterr()
+
+
+def test_python_dash_m_klforge():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "klforge", "pkl", "--s", "1,2", "--w", "2,1",
+         "--m", "2", "--no-cache"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "q\n"

@@ -5,13 +5,19 @@ import threading
 
 import pytest
 
-from helpers import all_perms, kl_oracle
+from helpers import (
+    all_perms,
+    kl_inversion_check,
+    kl_oracle,
+    parabolic_kl_deodhar,
+    parabolic_signed_sum,
+    parabolic_translated,
+)
 from klforge.kl import (
     KLTable,
+    _conjugate_by_w0,
     _encode,
-    kl_inversion_check,
     kl_poly,
-    parabolic_kl_deodhar,
     parabolic_kl_neg1,
     parabolic_kl_q,
 )
@@ -151,16 +157,25 @@ def test_parabolic_not_comparable(table):
 
 
 def test_deodhar_matches_reductions(table):
-    for k in (1, 2, 3):
-        for m in (1, 2):
-            for s in all_perms(k):
-                for w in all_perms(k):
-                    if not bruhat_leq(replicate_perm(s, m), replicate_perm(w, m)):
-                        continue
-                    assert parabolic_kl_deodhar(s, w, m, "q") == parabolic_kl_q(
-                        table, s, w, m), (s, w, m)
-                    assert parabolic_kl_deodhar(s, w, m, "neg1") == parabolic_kl_neg1(
-                        table, s, w, m), (s, w, m)
+    # every comparable pair: the q-variant against the signed sum, the
+    # -1-variant against the translated ordinary polynomial (which needs
+    # ordinary S_9 rows of the costliest tops at (3, 3), 720 s, so not
+    # there), and both against the recursion on tuples
+    for k, m in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2),
+                 (4, 2), (3, 3), (2, 4)]:
+        rows = {"q": {}, "neg1": {}}  # tuple rows shared by the pairs of (k, m)
+        for s in all_perms(k):
+            for w in all_perms(k):
+                if not bruhat_leq(replicate_perm(s, m), replicate_perm(w, m)):
+                    continue
+                q = parabolic_kl_q(table, s, w, m)
+                neg1 = parabolic_kl_neg1(table, s, w, m)
+                assert q == parabolic_signed_sum(table, s, w, m), (s, w, m)
+                if (k, m) != (3, 3):
+                    assert neg1 == parabolic_translated(table, s, w, m), (s, w, m)
+                assert q == parabolic_kl_deodhar(s, w, m, "q", rows["q"]), (s, w, m)
+                assert neg1 == parabolic_kl_deodhar(
+                    s, w, m, "neg1", rows["neg1"]), (s, w, m)
 
 
 def test_deodhar_k2_m3(table):
@@ -222,26 +237,72 @@ def test_cache_skips_bad_middle_record_and_keeps_the_rest(tmp_path, bad_record):
         assert t2._canonical_pair(tuple(rec["s"]), tuple(rec["w"])) in t2._final
 
 
-def test_parabolic_sum_persists_only_nonzero_summands(tmp_path):
+PARABOLIC_CASES = [((2, 1), (2, 1), 2), ((1, 2), (2, 1), 3),
+                   ((1, 2, 3), (3, 2, 1), 2), ((2, 1, 3), (3, 1, 2), 2),
+                   ((1, 3, 2), (2, 3, 1), 2)]
+
+
+def test_parabolic_answers_persist_one_record_each(tmp_path):
     path = tmp_path / "cache.jsonl"
     t = KLTable(path)
-    for sigma, omega, m in [((2, 1), (2, 1), 2), ((1, 2), (2, 1), 3),
-                            ((1, 2, 3), (3, 2, 1), 2), ((2, 1, 3), (3, 1, 2), 2)]:
-        parabolic_kl_q(t, sigma, omega, m)
+    for sigma, omega, m in PARABOLIC_CASES:
+        for fn in (parabolic_kl_q, parabolic_kl_neg1):
+            fn(t, sigma, omega, m)
+            fn(t, sigma, omega, m)  # the second answer comes from the table
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert records
-    assert all(rec["p"] for rec in records)
+    # the diagonal pair is never stored, and (2, 1, 3) < (3, 1, 2) shares
+    # the record of its w0-conjugate (1, 3, 2) < (2, 3, 1)
+    stored = [((1, 2), (2, 1), 3), ((1, 2, 3), (3, 2, 1), 2), ((1, 3, 2), (2, 3, 1), 2)]
+    assert len(records) == 2 * len(stored)
+    for rec in records:
+        assert set(rec) == {"m", "v", "n", "s", "w", "p"}
+        assert rec["n"] == rec["m"] * len(rec["s"])
+    assert {(tuple(r["s"]), tuple(r["w"]), r["m"], r["v"]) for r in records} == {
+        (s, w, m, v) for s, w, m in stored for v in ("q", "neg1")}
+
+
+def test_w0_conjugate_pairs_share_one_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    t = KLTable(path)
+    sigma, omega, m = (1, 2, 3, 4), (2, 4, 1, 3), 2
+    p = parabolic_kl_q(t, sigma, omega, m)
+    lines = path.read_bytes()
+    assert len(lines.splitlines()) == 1
+    assert parabolic_kl_q(t, _conjugate_by_w0(sigma), _conjugate_by_w0(omega), m) == p
+    assert path.read_bytes() == lines
+    fresh = KLTable()
+    assert parabolic_kl_q(fresh, _conjugate_by_w0(sigma), _conjugate_by_w0(omega), m) == p
 
 
 def test_warm_table_answers_parabolic_sum_without_rows(tmp_path):
+    cases = PARABOLIC_CASES + [((1, 2, 3, 4), (2, 4, 1, 3), 2)]
+    for variant, fn in [("q", parabolic_kl_q), ("neg1", parabolic_kl_neg1)]:
+        path = tmp_path / f"{variant}.jsonl"
+        cold_table = KLTable(path)
+        cold = [fn(cold_table, *case) for case in cases]
+        assert cold_table._rows  # the cold table ran the module recursion
+        written = path.read_bytes()
+        warm = KLTable(path)
+        assert [fn(warm, *case) for case in cases] == cold
+        assert not warm._rows  # no row of either kind
+        assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("bad_record", [
+    b'{"m":2,"v":"q","n":4,"s":[1,2,3],"w":[3,2,1],"p":{"0":1}}\n',
+    b'{"m":2,"v":"q","n":3,"s":[1,2,3],"w":[3,2,1],"p":{"0":1}}\n',
+    b'{"m":2,"v":"neg2","n":6,"s":[1,2,3],"w":[3,2,1],"p":{"0":1}}\n',
+], ids=["n-not-m-times-k", "n-equal-to-k", "unknown-variant"])
+def test_parabolic_record_with_bad_fields_is_skipped(tmp_path, bad_record):
     path = tmp_path / "cache.jsonl"
-    cases = [((1, 2, 3), (3, 2, 1), 2), ((1, 2), (2, 1), 3)]
-    cold = [parabolic_kl_q(KLTable(path), *case) for case in cases]
-    written = path.read_bytes()
-    warm = KLTable(path)
-    assert [parabolic_kl_q(warm, *case) for case in cases] == cold
-    assert not warm._rows
-    assert path.read_bytes() == written
+    t1 = KLTable(path)
+    for sigma, omega, m in PARABOLIC_CASES:
+        parabolic_kl_q(t1, sigma, omega, m)
+    good = path.read_bytes()
+    path.write_bytes(bad_record + good)
+    t2 = KLTable(path)
+    assert path.read_bytes() == good
+    assert t2._final == t1._final
 
 
 def test_table_shared_between_threads(tmp_path):

@@ -1,5 +1,5 @@
-"""The integer encodings under the row recursion: permutation keys and
-packed q-polynomials."""
+"""The integer encodings under the row recursions: permutation keys,
+packed q-polynomials, and the coset tests of the module recursion."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,11 +13,21 @@ from klforge.kl import (
     _encode,
     _finish_row,
     _inv_key,
+    _is_minimal_key,
+    _left_descent,
     _LEN_MASK,
+    _module_row,
     _s_left,
     _unpack,
 )
-from klforge.symgroup import apply_s_left, inverse, length
+from klforge.symgroup import (
+    ParabolicShape,
+    apply_s_left,
+    inverse,
+    is_quotient_minimal,
+    length,
+    replicate_perm,
+)
 
 
 def check_key(w):
@@ -81,3 +91,57 @@ def test_finished_rows_share_pooled_keys_and_values():
     (ka, pa), = _finish_row(t, {fresh(key): fresh(p)}).items()
     (kb, pb), = _finish_row(t, {fresh(key): fresh(p)}).items()
     assert ka is kb and pa is pb
+
+
+def _shapes():
+    for n in range(1, 7):
+        for m in range(1, n + 1):
+            if n % m == 0:
+                yield n, m, ParabolicShape((m,) * (n // m))
+
+
+def test_key_quotient_test_matches_is_quotient_minimal():
+    for n, m, shape in _shapes():
+        for w in all_perms(n):
+            assert _is_minimal_key(_encode(w), n, m) == is_quotient_minimal(w, shape), (w, m)
+
+
+def test_w0_conjugation_keeps_minimal_representatives():
+    for n, m, shape in _shapes():
+        for w in all_perms(n):
+            if is_quotient_minimal(w, shape):
+                assert _is_minimal_key(_conj_key(_encode(w), n), n, m), (w, m)
+    # t_m(omega) conjugates to t_m(w0 omega w0)
+    for k in range(1, 4):
+        for m in range(1, 4):
+            for omega in all_perms(k):
+                assert _conjugate_by_w0(replicate_perm(omega, m)) == replicate_perm(
+                    _conjugate_by_w0(omega), m)
+
+
+# Rows of the module recursion in S_4 with W_2 = S_2 x S_2, from one made-up
+# row of sw whose entries do not trigger mu-corrections:
+# * q: the top 3412 has s = 2 and sw = 2413; the pair {e, s_2} meets at e
+#   as c q + q 2**23;
+# * -1: the top 2413 has s = 1 and sw = 1423; s_1 e leaves the quotient,
+#   so e gets (1 + q)(2**23 + c q).
+# Either way the coefficient of q at e is c + 2**23.
+@pytest.mark.parametrize("neg1, top, prev", [
+    (False, (3, 4, 1, 2), lambda c: {(1, 2, 3, 4): c << 32, (1, 3, 2, 4): 1 << 23}),
+    (True, (2, 4, 1, 3), lambda c: {(1, 2, 3, 4): (1 << 23) + (c << 32)}),
+], ids=["q", "neg1"])
+def test_module_row_coefficient_of_2_pow_24_raises(neg1, top, prev):
+    n, m = 4, 2
+    w = _encode(top)
+    sw = _s_left(w, _left_descent(w, n), n)[0]
+    assert sw <= _conj_key(sw, n)  # sw is the key its row is cached under
+
+    def table_with(c):
+        t = KLTable()
+        t._row_put((sw, m, neg1), {_encode(z): p for z, p in prev(c).items()})
+        return t
+
+    row = _module_row(table_with((1 << 23) - 1), w, n, m, neg1)
+    assert _unpack(row[_encode((1, 2, 3, 4))])[1] == (1 << 24) - 1
+    with pytest.raises(OverflowError):
+        _module_row(table_with(1 << 23), w, n, m, neg1)

@@ -149,6 +149,32 @@ def test_sweep_full_grid(table):
         assert counts["pass"] > 0
 
 
+def test_sweep_reports_every_case_past_the_budget(table, monkeypatch):
+    ran = []
+
+    def stub(*args):
+        ran.append(args)
+        return VerificationReport("stub", {}, None, None, "skipped", "stub")
+
+    for name in ("verify_main_theorem", "verify_prop1", "verify_power_identity"):
+        monkeypatch.setattr(verify_module, name, stub)
+    reports = sweep(table, 4, 3)
+    budget = [r for r in reports if r.check != "stub"]
+    assert len(ran) + len(budget) == len(reports)
+    # k = 4, m = 3: the 548 main-theorem and 105 power-identity cases of
+    # the 14 bottoms, one report each
+    assert summarize(budget) == {"pass": 0, "fail": 0, "skipped": 653,
+                                 "undetermined": 0}
+    assert {r.check: sum(b.check == r.check for b in budget) for r in budget} == {
+        "main-theorem": 548, "power-identity": 105}
+    for r in budget:
+        assert r.reason.startswith("Budget: n = m*k = 12 > 9"), r.reason
+        assert (r.case["k"], r.case["m"]) == (4, 3)
+        assert set(r.case) == ({"k", "m", "sigma0", "sigma", "omega"}
+                               if r.check == "main-theorem"
+                               else {"k", "m", "family", "omega"})
+
+
 class _TaintsEverything(frozenset):
     def __contains__(self, item):
         return True
