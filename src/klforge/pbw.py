@@ -27,15 +27,26 @@ a plain transposition times an undetermined power of v and cannot create
 new multisegments.  The guarded product below exploits exactly this: a
 word whose remaining inversions all share an end is dropped, and every
 multisegment any continuation of it could still reach (explored by a
-breadth-first search over reorderings and exchanges) is marked tainted.
-Coefficients at untainted multisegments are therefore exact; tainted ones
-are withheld rather than guessed.
+depth-first search over reorderings and exchanges, at most
+_REACH_STATE_CAP words) is marked tainted.  Coefficients at untainted
+multisegments are therefore exact; tainted ones are withheld rather than
+guessed.  Product words and the stuck words of each are summed before
+the search, so a word whose coefficient cancels taints nothing.
 
 Rewriting repeatedly picks the leftmost exchangeable pair of some pending
 word; words are keyed in a map so duplicates merge eagerly.  An exchange
 either removes an inversion or splits endpoints into a strictly more
 nested pair, so the process terminates; confluence is asserted by test
 (rightmost picking must give the same normal form), not assumed.
+
+The rewriting runs on packed words.  A segment [a, b] is the int
+((b + 2**31) << 32) | (a + 2**31), whose int order is the segment order
+(b, a); ends outside [-2**31, 2**31) raise ValueError.  A word is a tuple
+of these ints, an inversion is w[i] > w[i + 1], and the general-position,
+linked and cap/cup tests read the two 32-bit fields.  Multisegments are
+built only from finished or reachable sorted words.  The module keeps no
+pool between calls.  The Segment-object rewriting and reachability search
+it replaced live on in tests/helpers.py as the test oracle.
 """
 
 from __future__ import annotations
@@ -45,14 +56,12 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .poly import LaurentPoly
-from .segcomb import (
-    Multisegment,
-    Segment,
-    general_position,
-    precedes,
-    seg_sort_key,
-)
-from .symgroup import NotComparable, Perm, bruhat_leq, length
+from .segcomb import Multisegment, Segment
+
+# Unused here since the kernel reads packed ints; perfbench/spans.py patches
+# these names on this module, so they stay importable from it.
+from .segcomb import general_position, precedes, seg_sort_key  # noqa: F401
+from .symgroup import bruhat_leq  # noqa: F401
 
 _V = LaurentPoly.v
 _EXCHANGE = _V(-1) - _V(1)  # v**-1 - v
@@ -75,11 +84,6 @@ class TWord:
         if not isinstance(other, TWord):
             return NotImplemented
         return TWord(self.prefix * other.prefix, self.segments + other.segments)
-
-
-def segment_less(d1: Segment, d2: Segment) -> bool:
-    """The total order: earlier right end first, ties by earlier left end."""
-    return seg_sort_key(d1) < seg_sort_key(d2)
 
 
 def e_star_prefactor_exponent(m: Multisegment) -> int:
@@ -192,49 +196,95 @@ class PBWElement:
         return f"PBWElement({self._terms!r})"
 
 
-Word = tuple[Segment, ...]
+_BITS = 32
+_LO = (1 << _BITS) - 1  # the left-end field
+_HI = ~_LO  # the right-end field
+_BIAS = 1 << (_BITS - 1)
+
+Word = tuple[int, ...]  # packed segments
 
 
-def _inversions(word: Word) -> list[int]:
-    return [i for i in range(len(word) - 1)
-            if seg_sort_key(word[i]) > seg_sort_key(word[i + 1])]
+def _pack(s: Segment) -> int:
+    a, b = s.a + _BIAS, s.b + _BIAS
+    if a < 0 or b > _LO:  # a <= b for every Segment
+        raise ValueError(f"segment {s} has an end outside [-2**31, 2**31)")
+    return (b << _BITS) | a
 
 
-def _exchangeable(word: Word, i: int) -> bool:
-    return general_position(word[i + 1], word[i])
+def _unpack(x: int) -> Segment:
+    return Segment((x & _LO) - _BIAS, (x >> _BITS) - _BIAS)
 
 
-def _rewrite(word: TWord, from_right: bool):
+def _pack_word(segments: Iterable[Segment]) -> Word:
+    return tuple(map(_pack, segments))
+
+
+class _Decoder(dict):
+    """Packed segments back to Segment objects, each decoded once per call."""
+
+    def __missing__(self, x: int) -> Segment:
+        s = self[x] = _unpack(x)
+        return s
+
+    def multisegment(self, w: Word) -> Multisegment:
+        return Multisegment(map(self.__getitem__, w))
+
+
+def _general_position(x: int, y: int) -> bool:
+    """No common end, and neither segment starts just after the other ends."""
+    ax, bx, ay, by = x & _LO, x >> _BITS, y & _LO, y >> _BITS
+    return ax != ay and bx != by and ax != by + 1 and ay != bx + 1
+
+
+def _cap_cup(x: int, y: int) -> tuple[int, int] | None:
+    """For an inversion x > y: the pair (y cap x, y cup x) when y precedes x
+    in general position, that is a_y < a_x <= b_y < b_x, else None."""
+    ax, ay = x & _LO, y & _LO
+    if ay < ax <= (y >> _BITS) < (x >> _BITS):
+        return (y & _HI) | ax, (x & _HI) | ay
+    return None
+
+
+def _rewrite(word: Word, prefix: LaurentPoly, from_right: bool):
     """Shared straightening loop.
 
-    Returns (finished, stuck): coefficient maps keyed by word, where stuck
-    words are those whose every inversion is outside general position.
+    Returns (finished, stuck): coefficient maps keyed by packed word, where
+    stuck words are those whose every inversion is outside general position.
     """
-    pending: dict[Word, LaurentPoly] = {word.segments: word.prefix}
+    pending: dict[Word, LaurentPoly] = {word: prefix}
     finished: dict[Word, LaurentPoly] = {}
     stuck: dict[Word, LaurentPoly] = {}
     while pending:
         w, c = pending.popitem()
-        inv = _inversions(w)
-        admissible = [i for i in inv if _exchangeable(w, i)]
-        if not admissible:
-            _accumulate(stuck if inv else finished, w, c)
+        pick = -1
+        inverted = False
+        for i in range(len(w) - 1):
+            x, y = w[i], w[i + 1]
+            if x > y:
+                inverted = True
+                if _general_position(x, y):
+                    pick = i
+                    if not from_right:
+                        break
+        if pick < 0:
+            _accumulate(stuck if inverted else finished, w, c)
             continue
-        i = admissible[-1] if from_right else admissible[0]
-        d2, d1 = w[i], w[i + 1]  # d1 < d2 out of order
-        _accumulate(pending, w[: i] + (d1, d2) + w[i + 2 :], c)
-        if precedes(d1, d2):
-            cap = Segment(d2.a, d1.b)
-            cup = Segment(d1.a, d2.b)
-            _accumulate(pending, w[: i] + (cap, cup) + w[i + 2 :], c * _EXCHANGE)
+        x, y = w[pick], w[pick + 1]
+        head, tail = w[:pick], w[pick + 2:]
+        _accumulate(pending, head + (y, x) + tail, c)
+        pair = _cap_cup(x, y)
+        if pair:
+            _accumulate(pending, head + pair + tail, c * _EXCHANGE)
     return finished, stuck
 
 
-def _collect(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPoly]:
+def _collect(finished: dict[Word, LaurentPoly],
+             decode: _Decoder) -> dict[Multisegment, LaurentPoly]:
+    """Sorted words to basis elements, the basis prefactor divided out."""
     out: dict[Multisegment, LaurentPoly] = {}
     for w, c in finished.items():
-        m = Multisegment(w)
-        _accumulate(out, m, c * _V(-e_star_prefactor_exponent(m)))
+        m = decode.multisegment(w)
+        out[m] = c * _V(-e_star_prefactor_exponent(m))
     return out
 
 
@@ -246,14 +296,15 @@ def straighten(word: TWord, _pick: str = "leftmost") -> PBWElement:
     NonGeneralPositionExchange when a word gets stuck on inversions the
     rules do not cover.
     """
-    finished, stuck = _rewrite(word, _pick == "rightmost")
+    finished, stuck = _rewrite(_pack_word(word.segments), word.prefix,
+                               _pick == "rightmost")
     if stuck:
         w = next(iter(stuck))
-        i = _inversions(w)[0]
+        i = next(i for i in range(len(w) - 1) if w[i] > w[i + 1])
         raise NonGeneralPositionExchange(
-            f"cannot exchange T{w[i]} T{w[i + 1]}: pair not in general position"
-        )
-    return PBWElement(_collect(finished))
+            f"cannot exchange T{_unpack(w[i])} T{_unpack(w[i + 1])}: "
+            f"pair not in general position")
+    return PBWElement(_collect(finished, _Decoder()))
 
 
 def multiply(x: PBWElement, y: PBWElement, _pick: str = "leftmost") -> PBWElement:
@@ -268,46 +319,42 @@ def multiply(x: PBWElement, y: PBWElement, _pick: str = "leftmost") -> PBWElemen
     return result
 
 
-_REACH_CACHE: dict[Word, frozenset[Multisegment]] = {}
 _REACH_STATE_CAP = 200_000
 
 
-def reachable_normal_multisegments(word: Word) -> frozenset[Multisegment]:
-    """All multisegments any complete normalization of the word can reach.
+def _reachable(word: Word) -> set[Word]:
+    """Every sorted word some complete normalization of the word can reach.
 
     Explores every rewriting order, treating an inversion that shares an
     end as a plain transposition (its true exchange is a transposition up
-    to a v-power and contributes no new multisegments).  Used to decide
-    which coefficients a dropped stuck word could still have influenced.
+    to a v-power and contributes no new multisegments).  Raises
+    NonGeneralPositionExchange past _REACH_STATE_CAP words.
     """
-    hit = _REACH_CACHE.get(word)
-    if hit is not None:
-        return hit
     seen: set[Word] = {word}
     frontier = [word]
-    out: set[Multisegment] = set()
+    out: set[Word] = set()
     while frontier:
         w = frontier.pop()
-        inv = _inversions(w)
-        if not inv:
-            out.add(Multisegment(w))
+        nxt = []
+        for i in range(len(w) - 1):
+            x, y = w[i], w[i + 1]
+            if x > y:
+                head, tail = w[:i], w[i + 2:]
+                nxt.append(head + (y, x) + tail)
+                pair = _cap_cup(x, y)
+                if pair:
+                    nxt.append(head + pair + tail)
+        if not nxt:
+            out.add(w)
             continue
-        for i in inv:
-            d2, d1 = w[i], w[i + 1]
-            nxt = [w[: i] + (d1, d2) + w[i + 2 :]]
-            if general_position(d1, d2) and precedes(d1, d2):
-                nxt.append(w[: i] + (Segment(d2.a, d1.b), Segment(d1.a, d2.b))
-                           + w[i + 2 :])
-            for t in nxt:
-                if t not in seen:
-                    if len(seen) >= _REACH_STATE_CAP:
-                        raise NonGeneralPositionExchange(
-                            "reachability search exceeded the state cap")
-                    seen.add(t)
-                    frontier.append(t)
-    result = frozenset(out)
-    _REACH_CACHE[word] = result
-    return result
+        for t in nxt:
+            if t not in seen:
+                if len(seen) >= _REACH_STATE_CAP:
+                    raise NonGeneralPositionExchange(
+                        "reachability search exceeded the state cap")
+                seen.add(t)
+                frontier.append(t)
+    return out
 
 
 def product_expansion_guarded(
@@ -321,31 +368,26 @@ def product_expansion_guarded(
     coefficients are returned only at untainted multisegments, where they
     are exact.
     """
-    words: list[tuple[LaurentPoly, Word]] = [(LaurentPoly.one(), ())]
+    words: dict[Word, LaurentPoly] = {(): LaurentPoly.one()}
     for factor in factors:
+        pieces = [(_pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m)))
+                  for m, c in factor.terms().items()]
         expanded: dict[Word, LaurentPoly] = {}
-        for coeff, w in words:
-            for m, c in factor.terms().items():
-                piece = e_star(m)
-                _accumulate(expanded, w + piece.segments, coeff * c * piece.prefix)
-        words = [(c, w) for w, c in expanded.items()]
+        for w, coeff in words.items():
+            for piece, c in pieces:
+                _accumulate(expanded, w + piece, coeff * c)
+        words = expanded
 
-    exact: dict[Multisegment, LaurentPoly] = {}
-    tainted: set[Multisegment] = set()
-    for coeff, w in words:
-        finished, stuck = _rewrite(TWord(coeff, w), from_right=False)
-        for m, c in _collect(finished).items():
-            _accumulate(exact, m, c)
+    exact: dict[Word, LaurentPoly] = {}
+    tainted: set[Word] = set()
+    for w, coeff in words.items():
+        finished, stuck = _rewrite(w, coeff, from_right=False)
+        for fw, c in finished.items():
+            _accumulate(exact, fw, c)
         for sw in stuck:
-            tainted.update(reachable_normal_multisegments(sw))
-    for m in tainted:
-        exact.pop(m, None)
-    return PBWElement(exact), frozenset(tainted)
-
-
-def c_strongly_regular(sigma: Perm, omega: Perm, m: int) -> int:
-    """The orbit-dimension gap m**2 (length(omega) - length(sigma)) between
-    members of an m-replicated strongly regular family."""
-    if not bruhat_leq(sigma, omega):
-        raise NotComparable(f"{sigma} is not below {omega}")
-    return m * m * (length(omega) - length(sigma))
+            tainted |= _reachable(sw)
+    for w in tainted:
+        exact.pop(w, None)
+    decode = _Decoder()
+    return (PBWElement(_collect(exact, decode)),
+            frozenset(map(decode.multisegment, tainted)))

@@ -163,11 +163,6 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no exponents")
         return min(self._coeffs)
 
-    def max_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no exponents")
-        return max(self._coeffs)
-
     def monomial(self) -> tuple[int, int] | None:
         """(exponent, coefficient) if this is a single monomial, else None."""
         if len(self._coeffs) != 1:

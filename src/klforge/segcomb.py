@@ -31,12 +31,7 @@ from .symgroup import (
     Perm,
     inverse,
     is_pattern_avoiding,
-    replicate_perm,
 )
-
-
-class NotLinked(ValueError):
-    """union/intersection requested for a pair that is not linked in order."""
 
 
 class BelowSigma0(ValueError):
@@ -82,17 +77,6 @@ def general_position(d1: Segment, d2: Segment) -> bool:
         and d1.a != d2.b + 1
         and d2.a != d1.b + 1
     )
-
-
-def union_intersection(d1: Segment, d2: Segment) -> tuple[Segment, Segment | None]:
-    """For d1 preceding d2: the union [a1, b2], and the intersection [a2, b1]
-    when the pair is also in general position (else None)."""
-    if not precedes(d1, d2):
-        raise NotLinked(f"{d1} does not precede {d2}")
-    union = Segment(d1.a, d2.b)
-    if general_position(d1, d2):
-        return union, Segment(d2.a, d1.b)
-    return union, None
 
 
 class Multisegment:
@@ -340,24 +324,3 @@ def construct_strongly_regular(sigma: Perm) -> BiSequence:
             f"construction for {sigma} produced {A} with sigma0 {sigma0(A)}"
         )
     return A
-
-
-def bisequences(k: int, lo: int, hi: int) -> Iterator[BiSequence]:
-    """All valid bi-sequences of length k with entries in [lo, hi].
-
-    A test generator; the count grows quickly with the range.
-    """
-    values = range(lo, hi + 1)
-    for a in itertools.combinations_with_replacement(values, k):
-        for b_rev in itertools.combinations_with_replacement(values, k):
-            b = tuple(reversed(b_rev))
-            if all(a[i] <= b[k - 1 - i] + 1 for i in range(k)):
-                yield BiSequence(a, b)
-
-
-def double_multiplication_holds(A: BiSequence, sigma: Perm, m: int) -> bool:
-    """m copies of M_sigma(A) equal the replicated-family member at the
-    block replication of sigma."""
-    left = m * multisegment_of(A, sigma)
-    right = multisegment_of(replicate(A, m), replicate_perm(sigma, m))
-    return left == right

@@ -7,7 +7,9 @@ recursion with mu-corrections.  The parabolic polynomials have three
 oracles beside the packed module rows of klforge.kl: the alternating sum of
 ordinary polynomials over W_m, the ordinary polynomial of the cosets
 translated by the longest element of W_m, and Deodhar's recursion on
-permutation tuples.
+permutation tuples.  The straightening engine's packed-int kernel is
+checked against the Segment-object rewriting and reachability search it
+replaced.  Helpers that only tests call live here too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,25 @@ import itertools
 from functools import lru_cache
 
 from klforge.kl import KLTable, _kl_qtuple, kl_poly
+from klforge.pbw import (
+    NonGeneralPositionExchange,
+    PBWElement,
+    TWord,
+    _accumulate,
+    e_star,
+    e_star_prefactor_exponent,
+)
 from klforge.poly import LaurentPoly
+from klforge.segcomb import (
+    BiSequence,
+    Multisegment,
+    Segment,
+    general_position,
+    multisegment_of,
+    precedes,
+    replicate,
+    seg_sort_key,
+)
 from klforge.symgroup import (
     NotComparable,
     ParabolicShape,
@@ -288,3 +308,150 @@ def parabolic_kl_deodhar(sigma: Perm, omega: Perm, m: int, variant: str = "q",
     ts, tw, _ = _replication(sigma, omega, m)
     row = _deodhar_row(len(ts), m, variant, tw, {} if cache is None else cache)
     return LaurentPoly.from_q_coeffs({d: c for d, c in enumerate(row.get(ts, ())) if c})
+
+
+# -- segment helpers -----------------------------------------------------
+
+
+class NotLinked(ValueError):
+    """union/intersection requested for a pair that is not linked in order."""
+
+
+def segment_less(d1: Segment, d2: Segment) -> bool:
+    """The total order: earlier right end first, ties by earlier left end."""
+    return seg_sort_key(d1) < seg_sort_key(d2)
+
+
+def union_intersection(d1: Segment, d2: Segment) -> tuple[Segment, Segment | None]:
+    """For d1 preceding d2: the union [a1, b2], and the intersection [a2, b1]
+    when the pair is also in general position (else None)."""
+    if not precedes(d1, d2):
+        raise NotLinked(f"{d1} does not precede {d2}")
+    union = Segment(d1.a, d2.b)
+    if general_position(d1, d2):
+        return union, Segment(d2.a, d1.b)
+    return union, None
+
+
+def bisequences(k: int, lo: int, hi: int):
+    """All valid bi-sequences of length k with entries in [lo, hi]; the
+    count grows quickly with the range."""
+    values = range(lo, hi + 1)
+    for a in itertools.combinations_with_replacement(values, k):
+        for b_rev in itertools.combinations_with_replacement(values, k):
+            b = tuple(reversed(b_rev))
+            if all(a[i] <= b[k - 1 - i] + 1 for i in range(k)):
+                yield BiSequence(a, b)
+
+
+def double_multiplication_holds(A: BiSequence, sigma: Perm, m: int) -> bool:
+    """m copies of M_sigma(A) equal the replicated-family member at the
+    block replication of sigma."""
+    left = m * multisegment_of(A, sigma)
+    right = multisegment_of(replicate(A, m), replicate_perm(sigma, m))
+    return left == right
+
+
+def c_strongly_regular(sigma: Perm, omega: Perm, m: int) -> int:
+    """The orbit-dimension gap m**2 (length(omega) - length(sigma)) between
+    members of an m-replicated strongly regular family."""
+    if not bruhat_leq(sigma, omega):
+        raise NotComparable(f"{sigma} is not below {omega}")
+    return m * m * (length(omega) - length(sigma))
+
+
+# -- straightening oracle on Segment objects -----------------------------
+
+Word = tuple[Segment, ...]
+_V = LaurentPoly.v
+_EXCHANGE = _V(-1) - _V(1)
+
+
+def _inversions(word: Word) -> list[int]:
+    return [i for i in range(len(word) - 1)
+            if seg_sort_key(word[i]) > seg_sort_key(word[i + 1])]
+
+
+def rewrite_oracle(word: TWord, from_right: bool):
+    """(finished, stuck) coefficient maps keyed by Segment words."""
+    pending: dict[Word, LaurentPoly] = {word.segments: word.prefix}
+    finished: dict[Word, LaurentPoly] = {}
+    stuck: dict[Word, LaurentPoly] = {}
+    while pending:
+        w, c = pending.popitem()
+        inv = _inversions(w)
+        admissible = [i for i in inv if general_position(w[i + 1], w[i])]
+        if not admissible:
+            _accumulate(stuck if inv else finished, w, c)
+            continue
+        i = admissible[-1] if from_right else admissible[0]
+        d2, d1 = w[i], w[i + 1]  # d1 < d2 out of order
+        _accumulate(pending, w[:i] + (d1, d2) + w[i + 2:], c)
+        if precedes(d1, d2):
+            cap = Segment(d2.a, d1.b)
+            cup = Segment(d1.a, d2.b)
+            _accumulate(pending, w[:i] + (cap, cup) + w[i + 2:], c * _EXCHANGE)
+    return finished, stuck
+
+
+def _collect_oracle(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPoly]:
+    out: dict[Multisegment, LaurentPoly] = {}
+    for w, c in finished.items():
+        m = Multisegment(w)
+        _accumulate(out, m, c * _V(-e_star_prefactor_exponent(m)))
+    return out
+
+
+def straighten_oracle(word: TWord, from_right: bool = False) -> PBWElement:
+    finished, stuck = rewrite_oracle(word, from_right)
+    if stuck:
+        raise NonGeneralPositionExchange("stuck on a pair not in general position")
+    return PBWElement(_collect_oracle(finished))
+
+
+def reachable_normal_multisegments(word: Word) -> frozenset[Multisegment]:
+    """All multisegments any complete normalization of the word can reach,
+    a shared-end inversion taken as a plain transposition."""
+    seen: set[Word] = {word}
+    frontier = [word]
+    out: set[Multisegment] = set()
+    while frontier:
+        w = frontier.pop()
+        inv = _inversions(w)
+        if not inv:
+            out.add(Multisegment(w))
+            continue
+        for i in inv:
+            d2, d1 = w[i], w[i + 1]
+            nxt = [w[:i] + (d1, d2) + w[i + 2:]]
+            if general_position(d1, d2) and precedes(d1, d2):
+                nxt.append(w[:i] + (Segment(d2.a, d1.b), Segment(d1.a, d2.b))
+                           + w[i + 2:])
+            for t in nxt:
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+    return frozenset(out)
+
+
+def product_expansion_guarded_oracle(factors):
+    """The guarded product on Segment words: (exact part, tainted set)."""
+    words: list[tuple[LaurentPoly, Word]] = [(LaurentPoly.one(), ())]
+    for factor in factors:
+        expanded: dict[Word, LaurentPoly] = {}
+        for coeff, w in words:
+            for m, c in factor.terms().items():
+                piece = e_star(m)
+                _accumulate(expanded, w + piece.segments, coeff * c * piece.prefix)
+        words = [(c, w) for w, c in expanded.items()]
+    exact: dict[Multisegment, LaurentPoly] = {}
+    tainted: set[Multisegment] = set()
+    for coeff, w in words:
+        finished, stuck = rewrite_oracle(TWord(coeff, w), from_right=False)
+        for m, c in _collect_oracle(finished).items():
+            _accumulate(exact, m, c)
+        for sw in stuck:
+            tainted.update(reachable_normal_multisegments(sw))
+    for m in tainted:
+        exact.pop(m, None)
+    return PBWElement(exact), frozenset(tainted)

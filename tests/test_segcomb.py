@@ -3,18 +3,21 @@ import random
 
 import pytest
 
-from helpers import all_perms
+from helpers import (
+    NotLinked,
+    all_perms,
+    bisequences,
+    double_multiplication_holds,
+    union_intersection,
+)
 from klforge.segcomb import (
     BelowSigma0,
     BiSequence,
     Multisegment,
     Not213Avoiding,
-    NotLinked,
     Segment,
-    bisequences,
     construct_strongly_regular,
     dominates_sigma0,
-    double_multiplication_holds,
     general_position,
     is_regular,
     is_strongly_regular,
@@ -24,7 +27,6 @@ from klforge.segcomb import (
     precedes,
     replicate,
     sigma0,
-    union_intersection,
 )
 from klforge.symgroup import bruhat_leq, identity, is_pattern_avoiding
 
