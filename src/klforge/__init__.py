@@ -10,7 +10,6 @@ verification harness over all of it (verify).
 
 from .poly import LaurentPoly, NotAQPolynomial
 from .symgroup import (
-    EmptyInterval,
     NotComparable,
     ParabolicShape,
     Perm,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LaurentPoly",
     "NotAQPolynomial",
-    "EmptyInterval",
     "NotComparable",
     "ParabolicShape",
     "Perm",

@@ -1,10 +1,33 @@
 """Kazhdan-Lusztig polynomials and their parabolic analogues.
 
-Ordinary polynomials P_{x,w} are computed by the classical recursion on the
-Kazhdan-Lusztig basis of the Hecke algebra, one left descent of w at a time.
-The recursion is run at the granularity of whole rows: the vector of all
-P_{y,w} for y <= w is built from the vector of sw, since the mu-correction
-terms need the top coefficients of every entry of that vector anyway.
+All of them come out of one recursion, Deodhar's recursion in a module of
+the Hecke algebra of S_n induced from a character of the block parabolic
+W_m = S_m x ... x S_m (Deodhar, "On some geometric aspects of Bruhat
+orderings II", J. Algebra 111, 1987).  The module has a basis indexed by
+the minimal representatives of the cosets w W_m.  For m = 1 the parabolic
+is trivial, the module is the Hecke algebra itself and the recursion is
+the classical one for the ordinary polynomials P_{x,w}.  For m >= 2 two
+parabolic polynomials are attached to the cosets; t_m is the block
+replication S_k -> S_{mk}, and the polynomials of (sigma, omega) are
+those of (t_m(sigma), t_m(omega)):
+
+* the q-variant, the sign-character module, equals the alternating sum
+  over x in W_m of P_{t(sigma) x, t(omega)};
+* the -1-variant, the trivial-character module, equals
+  P_{t(sigma) w_m, t(omega) w_m} for the longest element w_m of W_m.
+
+These two reductions and the tuple form of the recursion are oracles of
+the test suite.
+
+The recursion is run at the granularity of whole rows: the row of w holds
+the polynomial of every minimal y <= w, and it is built from the row of sw
+for the leftmost left descent s, since the mu-correction terms need the
+top coefficients of every entry of that row anyway.  The swapped fields
+a, b of s lie in one block of positions, a // m == b // m, exactly when
+s y leaves the minimal representatives, which never happens for m = 1;
+there the q-variant gets nothing and the -1-variant gets (1 + q) p_y.
+Every other pair {y, sy} gets p_y + q p_{sy} at both members.  Module
+entries can vanish below w, so vanished entries are dropped from a row.
 Rows are cached in memory with a size cap, and the polynomials actually
 asked for are memoized in a KLTable, optionally persisted as an append-only
 JSON-lines file: one record per comparable, off-diagonal pair looked up.
@@ -12,10 +35,11 @@ On load, bad records are skipped and an unterminated tail is truncated, so
 interrupted sweeps restart cleanly.
 
 Conventions.  P_{w,w} = 1, P_{x,w} = 0 when x is not below w in Bruhat
-order, and deg_q P_{x,w} <= (length(w) - length(x) - 1) / 2 for x < w.
-Outside the row recursion a polynomial in q is a dense tuple of
-coefficients indexed by q-degree, with no trailing zeros; the public
-functions wrap results in LaurentPoly (q rendered as v**-2).
+order, and deg_q P_{x,w} <= (length(w) - length(x) - 1) / 2 for x < w;
+the same holds for the module polynomials.  Outside the row recursion a
+polynomial in q is a dense tuple of coefficients indexed by q-degree, with
+no trailing zeros; the public functions wrap results in LaurentPoly (q
+rendered as v**-2).
 
 Inside the row recursion both permutations and polynomials are single ints:
 
@@ -30,10 +54,12 @@ Inside the row recursion both permutations and polynomials are single ints:
   adding is +, subtracting mu q**k r is - (mu * r << 32*k) and every
   coefficient is a 32-bit field.  Every finished row is checked to have
   all coefficients below 2**24.  That bounds the next row: each of its
-  entries gathers at most two contributions from the row before, so its
-  coefficients stay below 2**25 before the corrections, and the
-  corrections only subtract nonnegative terms from them.  Python ints
-  are exact in between, so no field can carry into the next unnoticed.
+  coefficients gathers at most two coefficients of the row before, (1 + q)
+  p_y included, so they stay below 2**25 before the corrections.  The
+  corrections only subtract nonnegative terms from them, since the
+  mu-coefficients are the structure constants of the image of the
+  Kazhdan-Lusztig basis, nonnegative in every variant.  Python ints are
+  exact in between, so no field can carry into the next unnoticed.
 
 Keys and polynomials leave the row layer decoded, in _kl_qtuple, in
 _parabolic_qtuple and in transition._cosets_below.  The pools behind the
@@ -41,36 +67,11 @@ encoding belong to the KLTable: the interned keys and packed values of
 finished rows, and the inverse and w0-conjugate images of each key,
 memoised as they are needed.
 
-Two parabolic polynomials are attached to the cosets w W_m of the block
-parabolic W_m = S_m x ... x S_m inside S_{mk}, indexed by their minimal
-representatives; t_m is the block replication S_k -> S_{mk}, and the
-polynomials of (sigma, omega) are those of (t_m(sigma), t_m(omega)).  Both
-are computed by Deodhar's recursion in the induced module of the Hecke
-algebra (Deodhar, "On some geometric aspects of Bruhat orderings II",
-J. Algebra 111, 1987), run on the same keys over minimal representatives
-only:
-
-* the q-variant, the sign-character module, equals the alternating sum
-  over x in W_m of P_{t(sigma) x, t(omega)};
-* the -1-variant, the trivial-character module, equals
-  P_{t(sigma) w_m, t(omega) w_m} for the longest element w_m of W_m.
-
-A module row of w holds the polynomials of every y below w, taken from
-the row of sw for the leftmost left descent s.  The swapped fields a, b of
-s lie in one block of positions, a // m == b // m, exactly when s y leaves
-the minimal representatives; there the q-variant gets nothing and the
--1-variant gets (1 + q) p_y, and every other entry gets p_y + q p_{sy} as
-in the ordinary step.  So again each coefficient gathers at most two
-coefficients of the row before, and the 2**24 argument above carries over:
-the module's mu-corrections are the structure constants of the image of
-the Kazhdan-Lusztig basis, nonnegative like the ordinary ones.  Module
-entries can vanish below w, so vanished entries are dropped from a row.
-The two reductions above and the tuple form of the recursion are oracles
-of the test suite.  Conjugation by w0 maps blocks of positions to blocks
-of the same size, hence cosets of W_m to cosets of W_m, and keeps both
-module polynomials: rows are cached under the lesser of a top and its
-w0-conjugate, and t_m(omega) conjugates to t_m(w0 omega w0).  Inversion
-does not map cosets to cosets and is not used.
+Conjugation by w0 maps blocks of positions to blocks of the same size,
+hence cosets of W_m to cosets of W_m, and keeps the module polynomials;
+t_m(omega) conjugates to t_m(w0 omega w0).  Inversion keeps P_{x,w} but
+maps cosets to cosets only for m = 1.  So a row is cached under the least
+image of its top under w0-conjugation and, for m = 1, inversion.
 """
 
 from __future__ import annotations
@@ -285,14 +286,13 @@ class KLTable:
       so a loader that reads only ordinary records finds n != len(s) and
       skips the line instead of misreading it.
 
-    Rows of both recursions are held in one in-memory cache whose total
-    entry count is capped; least recently used rows are dropped first and
-    recomputed on demand.  Ordinary rows are keyed by the canonical top's
-    key, module rows by (top key, m, neg1) with the lesser of the top and
-    its w0-conjugate.  Loading a memo file skips bad records and rewrites
-    the file without them.
+    Rows are held in one in-memory cache whose total entry count is
+    capped; least recently used rows are dropped first and recomputed on
+    demand.  Every row is keyed (canonical top key, m, neg1), the ordinary
+    rows with m = 1 and neg1 False.  Loading a memo file skips bad records
+    and rewrites the file without them.
 
-    The table owns every pool of the row recursions: rows map permutation
+    The table owns every pool of the row recursion: rows map permutation
     keys to packed polynomials, each key and each packed value of a
     finished row is interned in _keys and _polys, and _images holds, per n,
     the inverse and w0-conjugate of each key met so far.  The pools outlive
@@ -405,23 +405,31 @@ class KLTable:
                 self._row_entries -= len(self._rows.popitem(last=False)[1])
 
 
-def _kl_row(table: KLTable, w: int, n: int) -> dict[int, int]:
-    """The row {y: P_{y,w}} over y <= w, as keys and packed polynomials,
-    possibly read through a symmetry from the row of the canonical top."""
+def _row(table: KLTable, w: int, n: int, m: int = 1,
+         neg1: bool = False) -> dict[int, int]:
+    """The row {y: p_{y,w}} of the minimal representative w over the
+    minimal y <= w with a nonzero polynomial, as keys and packed
+    polynomials; read through a symmetry when w is not its canonical top."""
     inv, conj = table._symmetries(n)
-    wi = inv[w]
     wc = conj[w]
-    canon = inv[min(w, wi, wc, conj[wi])]
-    row = table._row_get(canon)
+    if m == 1:
+        wi = inv[w]
+        canon = inv[min(w, wi, wc, conj[wi])]
+    else:
+        canon = min(w, wc)
+    tag = (canon, m, neg1)
+    row = table._row_get(tag)
     if row is None:
-        row = _compute_row(table, canon, n)
-        table._row_put(canon, row)
+        if not _is_minimal_key(canon, n, m):
+            raise ValueError(f"{_decode(canon, n)} is not a minimal coset representative")
+        row = _compute_row(table, canon, n, m, neg1)
+        table._row_put(tag, row)
     if canon == w:
         return row
-    if canon == wi:
-        return {inv[y]: p for y, p in row.items()}
     if canon == wc:
         return {conj[y]: p for y, p in row.items()}
+    if canon == wi:
+        return {inv[y]: p for y, p in row.items()}
     return {conj[inv[y]]: p for y, p in row.items()}
 
 
@@ -433,92 +441,22 @@ def _left_descent(w: int, n: int) -> int:
     return s
 
 
-def _compute_row(table: KLTable, w: int, n: int) -> dict[int, int]:
+def _compute_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int, int]:
     lw = w & _LEN_MASK
     if lw == 0:
         return {w: 1}
     s = _left_descent(w, n)
-    prev = _kl_row(table, _s_left(w, s, n)[0], n)
+    prev = _row(table, _s_left(w, s, n)[0], n, m, neg1)
 
-    # The row of sw holds the whole interval [e, sw], and [e, w] is its
-    # union with s[e, sw].  Each pair {z, sz} there, z below sz, gets
-    # P_{z,sw} + q P_{sz,sw} at both members; it is visited from z, where
-    # s is an ascent (_s_left inlined: the fields of s and s + 1 sit at hi
-    # and lo).  At a descent z only the mu-correction is read off.
-    lo = _shift(s + 1, n)
-    hi = lo + 4
-    lsw = lw - 1
-    cand: dict[int, int] = {}
-    corrections: list[tuple[int, int]] = []
-    get = prev.get
-    for z, pz in prev.items():
-        a = z >> hi & 15
-        b = z >> lo & 15
-        if a < b:
-            t = (z ^ ((a ^ b) * 17 << lo)) + 1
-            pt = get(t)
-            cand[z] = cand[t] = pz if pt is None else pz + (pt << 32)
-        else:
-            d = lsw - (z & _LEN_MASK)
-            if d & 1:
-                # the coefficient of q**((d - 1) / 2), nonzero only at the
-                # degree bound
-                mu = pz >> (d >> 1 << 5)
-                if mu:
-                    corrections.append((z, mu))
-
-    # every x below z lies in [e, w], and P_{x,w} never vanishes there
-    for z, mu in corrections:
-        shift = (lw - (z & _LEN_MASK)) >> 1 << 5
-        for x, px in _kl_row(table, z, n).items():
-            cand[x] -= mu * px << shift
-
-    return _finish_row(table, cand)
-
-
-def _finish_row(table: KLTable, cand: dict[int, int]) -> dict[int, int]:
-    """Intern a finished row in the table's pools; raise if a coefficient
-    reached 2**24 (or went negative), see the module docstring."""
-    values = cand.values()
-    if reduce(or_, values, 0) & _OVERFLOW:
-        raise OverflowError("a Kazhdan-Lusztig coefficient reached 2**24")
-    keys, polys = table._keys.setdefault, table._polys.setdefault
-    return dict(zip(map(keys, cand, cand), map(polys, values, values)))
-
-
-def _module_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int, int]:
-    """The module row {y: p_{y,w}} of the minimal representative w, over
-    the minimal y <= w with a nonzero polynomial; read through the
-    w0-conjugation when w is not the lesser of the two tops."""
-    conj = table._symmetries(n)[1]
-    wc = conj[w]
-    canon = min(w, wc)
-    tag = (canon, m, neg1)
-    row = table._row_get(tag)
-    if row is None:
-        if not _is_minimal_key(canon, n, m):
-            raise ValueError(f"{_decode(canon, n)} is not a minimal coset representative")
-        row = _compute_module_row(table, canon, n, m, neg1)
-        table._row_put(tag, row)
-    if canon == w:
-        return row
-    return {conj[y]: p for y, p in row.items()}
-
-
-def _compute_module_row(table: KLTable, w: int, n: int, m: int,
-                        neg1: bool) -> dict[int, int]:
-    lw = w & _LEN_MASK
-    if lw == 0:
-        return {w: 1}
-    s = _left_descent(w, n)
-    prev = _module_row(table, _s_left(w, s, n)[0], n, m, neg1)
-
-    # As in _compute_row, with the pairs {z, sz} that leave the minimal
-    # representatives (both fields in one block) handled on their own.  An
-    # entry of the row of sw may vanish, so the partner of a descent z is
-    # looked up too.  The mu-corrections are read at the descents, and in
-    # the -1-variant also off (1 + q) p_z, whose top coefficient is that
-    # of p_z.
+    # The row of sw holds every minimal y <= sw with a nonzero entry, and
+    # the row of w lives on that set and its image under s.  Each pair
+    # {z, sz} that stays minimal, z below sz, gets p_z + q p_{sz} at both
+    # members; it is visited from z, where s is an ascent (_s_left inlined:
+    # the fields of s and s + 1 sit at hi and lo), or from sz when p_z
+    # vanished.  A pair that leaves the minimal representatives (both
+    # fields in one block) is handled on its own.  The mu-corrections are
+    # read at the descents, and in the -1-variant also off (1 + q) p_z,
+    # whose top coefficient is that of p_z.
     lo = _shift(s + 1, n)
     hi = lo + 4
     lsw = lw - 1
@@ -543,13 +481,15 @@ def _compute_module_row(table: KLTable, w: int, n: int, m: int,
                 cand[z] = cand[t] = pz << 32
         d = lsw - (z & _LEN_MASK)
         if d & 1:
+            # the coefficient of q**((d - 1) / 2), nonzero only at the
+            # degree bound
             mu = pz >> (d >> 1 << 5)
             if mu:
                 corrections.append((z, mu))
 
     for z, mu in corrections:
         shift = (lw - (z & _LEN_MASK)) >> 1 << 5
-        for x, px in _module_row(table, z, n, m, neg1).items():
+        for x, px in _row(table, z, n, m, neg1).items():
             p = cand.get(x, 0) - (mu * px << shift)
             if p:
                 cand[x] = p
@@ -557,6 +497,16 @@ def _compute_module_row(table: KLTable, w: int, n: int, m: int,
                 del cand[x]
 
     return _finish_row(table, cand)
+
+
+def _finish_row(table: KLTable, cand: dict[int, int]) -> dict[int, int]:
+    """Intern a finished row in the table's pools; raise if a coefficient
+    reached 2**24 (or went negative), see the module docstring."""
+    values = cand.values()
+    if reduce(or_, values, 0) & _OVERFLOW:
+        raise OverflowError("a Kazhdan-Lusztig coefficient reached 2**24")
+    keys, polys = table._keys.setdefault, table._polys.setdefault
+    return dict(zip(map(keys, cand, cand), map(polys, values, values)))
 
 
 def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
@@ -570,7 +520,7 @@ def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
     hit = table._final.get(key)
     if hit is not None:
         return hit
-    p = _unpack(_kl_row(table, _encode(key[1]), len(w)).get(_encode(key[0]), 0))
+    p = _unpack(_row(table, _encode(key[1]), len(w)).get(_encode(key[0]), 0))
     table._final[key] = p
     table._persist({"n": len(w), "s": list(key[0]), "w": list(key[1])}, p)
     return p
@@ -602,7 +552,7 @@ def _parabolic_qtuple(table: KLTable, sigma: Perm, omega: Perm, m: int,
             f"t_{m}({sigma}) is not below t_{m}({omega}) in Bruhat order")
     if m == 1:
         return _kl_qtuple(table, s, w)
-    row = _module_row(table, _encode(tw), len(tw), m, variant == "neg1")
+    row = _row(table, _encode(tw), len(tw), m, variant == "neg1")
     p = _unpack(row.get(_encode(ts), 0))
     table._final[key] = p
     table._persist({"m": m, "v": variant, "n": len(tw), "s": list(s), "w": list(w)}, p)

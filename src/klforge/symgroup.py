@@ -14,7 +14,6 @@ by a separate coset type.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,10 +23,6 @@ Perm = tuple[int, ...]
 
 class NotComparable(ValueError):
     """The two permutations are not comparable in Bruhat order."""
-
-
-class EmptyInterval(ValueError):
-    """Requested the Bruhat interval [x, y] with x not below y."""
 
 
 def identity(n: int) -> Perm:
@@ -64,38 +59,6 @@ def parity(w: Perm) -> int:
     return -1 if length(w) % 2 else 1
 
 
-def apply_s_right(w: Perm, i: int) -> Perm:
-    """w * s_i: swap positions i, i+1 (1-based)."""
-    return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-
-
-def apply_s_left(w: Perm, i: int) -> Perm:
-    """s_i * w: swap the values i, i+1 wherever they occur."""
-    a = w.index(i)
-    b = w.index(i + 1)
-    out = list(w)
-    out[a] = i + 1
-    out[b] = i
-    return tuple(out)
-
-
-def reduced_word(w: Perm) -> list[int]:
-    """Indices i_1, ..., i_l with w = s_{i_1} * ... * s_{i_l}, l = length(w)."""
-    word: list[int] = []
-    cur = w
-    n = len(w)
-    while True:
-        for i in range(1, n):
-            if cur[i - 1] > cur[i]:
-                cur = apply_s_right(cur, i)
-                word.append(i)
-                break
-        else:
-            break
-    word.reverse()
-    return word
-
-
 def bruhat_leq(x: Perm, y: Perm) -> bool:
     """Bruhat order via the tableau criterion.
 
@@ -122,21 +85,6 @@ def permutations_of(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
-def enumerate_interval(x: Perm, y: Perm) -> set[Perm]:
-    """All z with x <= z <= y.
-
-    The lower cone of y is generated as the set of products of subwords of
-    one reduced word for y, so the cost is proportional to the answer, not
-    to n!.
-    """
-    if not bruhat_leq(x, y):
-        raise EmptyInterval(f"{x} is not below {y}")
-    lower: set[Perm] = {identity(len(y))}
-    for i in reduced_word(y):
-        lower |= {apply_s_right(z, i) for z in lower}
-    return {z for z in lower if bruhat_leq(x, z)}
-
-
 @dataclass(frozen=True)
 class ParabolicShape:
     """Block sizes of a standard parabolic subgroup of S_n."""
@@ -160,32 +108,6 @@ class ParabolicShape:
             out.append((start, start + b))
             start += b
         return out
-
-    def generator_indices(self) -> list[int]:
-        """The i for which s_i lies in the subgroup (1-based)."""
-        out = []
-        for start, stop in self.blocks():
-            out.extend(range(start + 1, stop))
-        return out
-
-    def size(self) -> int:
-        return math.prod(math.factorial(b) for b in self.block_sizes)
-
-    def longest(self) -> Perm:
-        """The longest element: each block reversed in place."""
-        word: list[int] = []
-        for start, stop in self.blocks():
-            word.extend(range(stop, start, -1))
-        return tuple(word)
-
-    def elements(self) -> Iterator[Perm]:
-        """All members of the subgroup, as permutations of {1..n}."""
-        per_block = [
-            list(itertools.permutations(range(start + 1, stop + 1)))
-            for start, stop in self.blocks()
-        ]
-        for combo in itertools.product(*per_block):
-            yield tuple(itertools.chain.from_iterable(combo))
 
 
 def min_coset_rep(w: Perm, shape: ParabolicShape) -> Perm:
@@ -211,13 +133,6 @@ def min_double_coset_rep(w: Perm, left: ParabolicShape, right: ParabolicShape) -
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def is_quotient_minimal(w: Perm, shape: ParabolicShape) -> bool:
-    """Whether w is the minimal representative of w * W_shape."""
-    return all(
-        w[i] < w[i + 1] for start, stop in shape.blocks() for i in range(start, stop - 1)
-    )
 
 
 def replicate_perm(x: Perm, m: int) -> Perm:

@@ -57,9 +57,9 @@ from .kl import (
     QTuple,
     _decode,
     _encode,
-    _kl_row,
     _psub_scaled,
     _qtuple_to_poly,
+    _row,
     _shift,
     _unpack,
     kl_poly,
@@ -158,7 +158,7 @@ def _cosets_below(table: KLTable, A: BiSequence, top: Perm) -> dict[Perm, QTuple
     units = [(_shift(v, n), [(n + 1) ** (j * len(ends) + ends[b]) for j in run_of])
              for v, b in enumerate(A.b, 1)]
     buckets: dict[int, list] = {}  # count matrix -> [shortest key, {packed: sign sum}]
-    for y, p in _kl_row(table, _encode(top), n).items():
+    for y, p in _row(table, _encode(top), n).items():
         coset = 0
         for shift, unit in units:
             coset += unit[y >> shift & 15]
@@ -257,18 +257,6 @@ def g_star_power_with_taint(table: KLTable, A: BiSequence, omega: Perm,
         raise UnsupportedFamily(f"{A} is not strongly regular")
     one_copy = expansion_as_pbw(A, expand_G_in_E(table, A, omega))
     return product_expansion_guarded([one_copy] * m)
-
-
-def g_star_power_in_E(table: KLTable, A: BiSequence, omega: Perm, m: int) -> PBWElement:
-    """E-basis expansion of the m-th power of G(M_omega(A)), computed by
-    expanding one factor over the strongly regular family and multiplying
-    the copies through the straightening engine.
-
-    Coefficients at multisegments that cross products can only reach
-    through exchanges outside the implemented rule set are omitted; the
-    companion g_star_power_with_taint reports exactly which ones.
-    """
-    return g_star_power_with_taint(table, A, omega, m)[0]
 
 
 @dataclass

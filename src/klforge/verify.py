@@ -21,9 +21,9 @@ Each verifier computes one identity two ways and reports the comparison:
 Hypothesis violations yield skipped reports, so a sweep distinguishes
 "does not apply" from "contradicted", and so do the cases the sweep's
 budget n = m*k <= SWEEP_MAX_N leaves out.  A product coefficient the exchange
-rules leave open yields an undetermined report, so one such case never
-stops a sweep.  All arithmetic is exact; a report passes only on exact
-equality.
+rules leave open, or a product past the straightening engine's state cap,
+yields an undetermined report, so one such case never stops a sweep.  All
+arithmetic is exact; a report passes only on exact equality.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .segcomb import (
     replicate,
     sigma0,
 )
-from .pbw import PBWElement, product_expansion_guarded
+from .pbw import NonGeneralPositionExchange, PBWElement, product_expansion_guarded
 from .symgroup import (
     Perm,
     bruhat_leq,
@@ -121,6 +121,13 @@ def _finish(check: str, case: dict, claimed: LaurentPoly, computed: LaurentPoly,
 
 def _skip(check: str, case: dict, reason: str, started: float) -> VerificationReport:
     return VerificationReport(check, case, None, None, "skipped", reason,
+                              elapsed=time.time() - started)
+
+
+def _undetermined(check: str, case: dict, reason: str,
+                  started: float) -> VerificationReport:
+    return VerificationReport(check, case, None, None, "undetermined",
+                              f"NonGeneralPositionExchange: {reason}",
                               elapsed=time.time() - started)
 
 
@@ -207,14 +214,15 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     left = PBWElement.basis(multisegment_of(replicate(A, m - 1),
                                             replicate_perm(sigma, m - 1)))
     right = PBWElement.basis(multisegment_of(A, omega))
-    exact, tainted = product_expansion_guarded([left, right])
+    try:
+        exact, tainted = product_expansion_guarded([left, right])
+    except NonGeneralPositionExchange as exc:
+        return _undetermined(check, case, str(exc), started)
     target = multisegment_of(replicate(A, m), replicate_perm(sigma, m))
     if target in tainted:
-        return VerificationReport(
-            check, case, None, None, "undetermined",
-            f"NonGeneralPositionExchange: the coefficient at {target} is not "
-            f"determined by the implemented exchange rules",
-            elapsed=time.time() - started)
+        return _undetermined(
+            check, case, f"the coefficient at {target} is not determined by "
+            f"the implemented exchange rules", started)
     computed = exact.coefficient(target)
     if omega == sigma:
         claimed = LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2)))
@@ -250,9 +258,10 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     power identity; fails hard when the ratio is not a single monomial.
 
     The comparison runs over every multisegment whose coefficient the
-    straightening engine determines exactly on the product side; this
-    always includes the replicated-coset block, in particular the top
-    element, and tainted coefficients are excluded from both sides.
+    straightening engine determines exactly on the product side; tainted
+    coefficients are excluded from both sides.  The report is undetermined
+    when the top element is tainted or the product outgrows the engine's
+    search.
     """
     started = time.time()
     case = {"k": A.k, "m": m, "family": A.to_json(), "omega": list(omega)}
@@ -273,12 +282,17 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     replicated = replicate(A, m)
     left = expansion_as_pbw(
         replicated, expand_G_in_E(table, replicated, replicate_perm(omega, m)))
-    right, tainted = g_star_power_with_taint(table, A, omega, m)
+    try:
+        right, tainted = g_star_power_with_taint(table, A, omega, m)
+    except NonGeneralPositionExchange as exc:
+        return _undetermined(check, case, str(exc), started)
     top = multisegment_of(replicated, replicate_perm(omega, m))
+    if top in tainted:
+        return _undetermined(
+            check, case, f"the leading coefficient at {top} is not determined "
+            f"by the implemented exchange rules", started)
     keys = (left.support() | right.support()) - set(tainted)
     try:
-        if top in tainted:
-            raise NotMonomialRatio("the leading coefficient is tainted")
         e = _monomial_ratio(right, left,
                             sorted(keys, key=Multisegment.sort_key))
     except NotMonomialRatio as exc:

@@ -41,20 +41,101 @@ from klforge.symgroup import (
     NotComparable,
     ParabolicShape,
     Perm,
-    apply_s_left,
-    apply_s_right,
     bruhat_leq,
     compose,
-    enumerate_interval,
     identity,
-    is_quotient_minimal,
     length,
     longest_element,
-    reduced_word,
     replicate_perm,
 )
+from klforge.transition import g_star_power_with_taint
 
 QTuple = tuple[int, ...]
+
+
+# -- symmetric group helpers ---------------------------------------------
+
+
+class EmptyInterval(ValueError):
+    """Requested the Bruhat interval [x, y] with x not below y."""
+
+
+def apply_s_right(w: Perm, i: int) -> Perm:
+    """w * s_i: swap positions i, i+1 (1-based)."""
+    return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+
+
+def apply_s_left(w: Perm, i: int) -> Perm:
+    """s_i * w: swap the values i, i+1 wherever they occur."""
+    a = w.index(i)
+    b = w.index(i + 1)
+    out = list(w)
+    out[a] = i + 1
+    out[b] = i
+    return tuple(out)
+
+
+def reduced_word(w: Perm) -> list[int]:
+    """Indices i_1, ..., i_l with w = s_{i_1} * ... * s_{i_l}, l = length(w)."""
+    word: list[int] = []
+    cur = w
+    n = len(w)
+    while True:
+        for i in range(1, n):
+            if cur[i - 1] > cur[i]:
+                cur = apply_s_right(cur, i)
+                word.append(i)
+                break
+        else:
+            break
+    word.reverse()
+    return word
+
+
+def enumerate_interval(x: Perm, y: Perm) -> set[Perm]:
+    """All z with x <= z <= y.
+
+    The lower cone of y is generated as the set of products of subwords of
+    one reduced word for y, so the cost is proportional to the answer, not
+    to n!.
+    """
+    if not bruhat_leq(x, y):
+        raise EmptyInterval(f"{x} is not below {y}")
+    lower: set[Perm] = {identity(len(y))}
+    for i in reduced_word(y):
+        lower |= {apply_s_right(z, i) for z in lower}
+    return {z for z in lower if bruhat_leq(x, z)}
+
+
+def is_quotient_minimal(w: Perm, shape: ParabolicShape) -> bool:
+    """Whether w is the minimal representative of w * W_shape."""
+    return all(
+        w[i] < w[i + 1] for start, stop in shape.blocks() for i in range(start, stop - 1)
+    )
+
+
+def parabolic_longest(shape: ParabolicShape) -> Perm:
+    """The longest element of W_shape: each block reversed in place."""
+    word: list[int] = []
+    for start, stop in shape.blocks():
+        word.extend(range(stop, start, -1))
+    return tuple(word)
+
+
+def parabolic_elements(shape: ParabolicShape):
+    """All members of W_shape, as permutations of {1..n}."""
+    per_block = [
+        list(itertools.permutations(range(start + 1, stop + 1)))
+        for start, stop in shape.blocks()
+    ]
+    for combo in itertools.product(*per_block):
+        yield tuple(itertools.chain.from_iterable(combo))
+
+
+def g_star_power_in_E(table: KLTable, A: BiSequence, omega: Perm, m: int) -> PBWElement:
+    """E-basis expansion of the m-th power of G(M_omega(A)), without the
+    coefficients the exchange rules leave open."""
+    return g_star_power_with_taint(table, A, omega, m)[0]
 
 
 def bruhat_leq_subword(x: Perm, y: Perm) -> bool:
@@ -211,7 +292,7 @@ def parabolic_signed_sum(table: KLTable, sigma: Perm, omega: Perm,
     P_{t(sigma) x, t(omega)}."""
     ts, tw, shape = _replication(sigma, omega, m)
     acc = LaurentPoly.zero()
-    for x in shape.elements():
+    for x in parabolic_elements(shape):
         p = kl_poly(table, compose(ts, x), tw)
         acc = acc - p if length(x) % 2 else acc + p
     return acc
@@ -222,7 +303,7 @@ def parabolic_translated(table: KLTable, sigma: Perm, omega: Perm,
     """The -1-variant: P_{t(sigma) w_m, t(omega) w_m} for the longest
     element w_m of W_m."""
     ts, tw, shape = _replication(sigma, omega, m)
-    wm = shape.longest()
+    wm = parabolic_longest(shape)
     return kl_poly(table, compose(ts, wm), compose(tw, wm))
 
 

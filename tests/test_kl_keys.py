@@ -1,10 +1,11 @@
-"""The integer encodings under the row recursions: permutation keys,
+"""The integer encodings under the row recursion: permutation keys,
 packed q-polynomials, and the coset tests of the module recursion."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import all_perms
+from helpers import all_perms, apply_s_left, is_quotient_minimal
+import klforge.kl as kl_module
 from klforge.kl import (
     KLTable,
     _conj_key,
@@ -16,16 +17,15 @@ from klforge.kl import (
     _is_minimal_key,
     _left_descent,
     _LEN_MASK,
-    _module_row,
+    _row,
     _s_left,
     _unpack,
 )
 from klforge.symgroup import (
     ParabolicShape,
-    apply_s_left,
     inverse,
-    is_quotient_minimal,
     length,
+    longest_element,
     replicate_perm,
 )
 
@@ -141,7 +141,38 @@ def test_module_row_coefficient_of_2_pow_24_raises(neg1, top, prev):
         t._row_put((sw, m, neg1), {_encode(z): p for z, p in prev(c).items()})
         return t
 
-    row = _module_row(table_with((1 << 23) - 1), w, n, m, neg1)
+    row = _row(table_with((1 << 23) - 1), w, n, m, neg1)
     assert _unpack(row[_encode((1, 2, 3, 4))])[1] == (1 << 24) - 1
     with pytest.raises(OverflowError):
-        _module_row(table_with(1 << 23), w, n, m, neg1)
+        _row(table_with(1 << 23), w, n, m, neg1)
+
+
+# Rows computed for one top in a fresh table.  Ordinary rows share work
+# through inversion and w0-conjugation of their tops, module rows through
+# w0-conjugation alone, since inversion does not map cosets to cosets.
+@pytest.mark.parametrize("k, m, neg1, rows", [
+    (6, 1, False, 70),
+    (7, 1, False, 230),
+    (4, 2, False, 158),
+    (4, 2, True, 125),
+    (3, 3, False, 92),
+    (3, 3, True, 119),
+])
+def test_rows_computed_for_the_top_of_w0(monkeypatch, k, m, neg1, rows):
+    computed = []
+    compute = kl_module._compute_row
+
+    def counting(table, w, n, m, neg1):
+        computed.append((w, m, neg1))
+        return compute(table, w, n, m, neg1)
+
+    monkeypatch.setattr(kl_module, "_compute_row", counting)
+    n = k * m
+    _row(KLTable(), _encode(replicate_perm(longest_element(k), m)), n, m, neg1)
+    assert len(computed) == len(set(computed)) == rows
+
+
+@pytest.mark.parametrize("neg1", [False, True])
+def test_row_of_a_non_minimal_top_raises(neg1):
+    with pytest.raises(ValueError, match="not a minimal coset representative"):
+        _row(KLTable(), _encode((2, 1, 3, 4)), 4, 2, neg1)

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import all_perms
+from helpers import all_perms, g_star_power_in_E
 from klforge.poly import LaurentPoly
 from klforge.kl import kl_poly
 from klforge.segcomb import (
@@ -19,7 +19,6 @@ from klforge.transition import (
     expand_G_in_E,
     expansion_as_pbw,
     family_replication,
-    g_star_power_in_E,
     transition_matrix,
 )
 from klforge.symgroup import (

@@ -16,6 +16,8 @@ from klforge.verify import (
     verify_prop1,
 )
 from klforge.symgroup import identity
+import klforge.pbw as pbw_module
+import klforge.transition as transition_module
 import klforge.verify as verify_module
 
 V = LaurentPoly.v
@@ -180,14 +182,14 @@ class _TaintsEverything(frozenset):
         return True
 
 
-def _undetermined_products(monkeypatch):
-    real = verify_module.product_expansion_guarded
+def _undetermined_products(monkeypatch, module=verify_module):
+    real = module.product_expansion_guarded
 
     def tainted(factors):
         exact, _ = real(factors)
         return exact, _TaintsEverything()
 
-    monkeypatch.setattr(verify_module, "product_expansion_guarded", tainted)
+    monkeypatch.setattr(module, "product_expansion_guarded", tainted)
 
 
 def test_sweep_survives_undetermined_products(table, monkeypatch):
@@ -217,3 +219,28 @@ def test_cli_counts_undetermined(monkeypatch, capsys):
     assert code == 0
     assert f"undetermined={statuses.count('undetermined')}" in err
     assert statuses.count("undetermined") > 0
+
+
+def test_sweep_survives_the_straightening_state_cap(table, monkeypatch, capsys):
+    from klforge.cli import main
+
+    monkeypatch.setattr(pbw_module, "_REACH_STATE_CAP", 2)
+    r = verify_prop1(construct_strongly_regular((1, 2)), (1, 2), (2, 1), 2)
+    assert r.status == "undetermined" and r.computed is None
+    assert r.reason.startswith("NonGeneralPositionExchange:")
+    reports = sweep(table, 2, 2)
+    counts = summarize(reports)
+    assert counts["fail"] == 0
+    capped = [r for r in reports if r.status == "undetermined"]
+    assert {r.check for r in capped} == {"product-vanishing", "power-identity"}
+    assert all(r.reason.startswith("NonGeneralPositionExchange:") for r in capped)
+    assert main(["verify", "--kmax", "2", "--mmax", "2", "--no-cache"]) == 0
+    assert "fail=0" in capsys.readouterr().err
+
+
+def test_tainted_leading_coefficient_is_undetermined(table, monkeypatch):
+    _undetermined_products(monkeypatch, transition_module)
+    reports = [r for r in sweep(table, 2, 2) if r.check == "power-identity"]
+    assert reports and all(r.status == "undetermined" for r in reports)
+    assert all(r.reason.startswith("NonGeneralPositionExchange:") for r in reports)
+    assert all(r.computed is None for r in reports)
