@@ -44,9 +44,10 @@ The rewriting runs on packed words.  A segment [a, b] is the int
 (b, a); ends outside [-2**31, 2**31) raise ValueError.  A word is a tuple
 of these ints, an inversion is w[i] > w[i + 1], and the general-position,
 linked and cap/cup tests read the two 32-bit fields.  Multisegments are
-built only from finished or reachable sorted words.  The module keeps no
-pool between calls.  The Segment-object rewriting and reachability search
-it replaced live on in tests/helpers.py as the test oracle.
+built only from finished or reachable sorted words, by run length, with no
+count and no sort.  The module keeps no pool between calls.  The rewriting
+and reachability search on Segments it replaced are the test oracle in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -227,7 +228,13 @@ class _Decoder(dict):
         return s
 
     def multisegment(self, w: Word) -> Multisegment:
-        return Multisegment(map(self.__getitem__, w))
+        """The multisegment of a sorted word, read off by run length."""
+        items, start = [], 0
+        for i in range(1, len(w) + 1):
+            if i == len(w) or w[i] != w[start]:
+                items.append((self[w[start]], i - start))
+                start = i
+        return Multisegment.from_sorted_items(tuple(items))
 
 
 def _general_position(x: int, y: int) -> bool:

@@ -23,6 +23,7 @@ which is what the straightening engine needs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -80,23 +81,29 @@ def general_position(d1: Segment, d2: Segment) -> bool:
 
 
 class Multisegment:
-    """A finite multiset of segments, canonically sorted by seg_sort_key."""
+    """A finite multiset of segments, canonically sorted by seg_sort_key.
+    The constructor counts and sorts; from_sorted_items (pbw's run-length
+    decoder, n * M) takes (segment, multiplicity) pairs already in order."""
 
     __slots__ = ("_items",)
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        counts: dict[Segment, int] = {}
-        for s in segments:
-            counts[s] = counts.get(s, 0) + 1
-        self._items = tuple(sorted(counts.items(), key=lambda kv: seg_sort_key(kv[0])))
+        self._items = tuple(sorted(Counter(segments).items(),
+                                   key=lambda kv: seg_sort_key(kv[0])))
 
     @classmethod
     def from_counts(cls, counts: Mapping[Segment, int]) -> "Multisegment":
-        m = cls.__new__(cls)
         items = [(s, c) for s, c in counts.items() if c]
         if any(c < 0 for _, c in items):
             raise ValueError("multiplicities must be nonnegative")
-        m._items = tuple(sorted(items, key=lambda kv: seg_sort_key(kv[0])))
+        return cls.from_sorted_items(
+            tuple(sorted(items, key=lambda kv: seg_sort_key(kv[0]))))
+
+    @classmethod
+    def from_sorted_items(cls, items: tuple[tuple[Segment, int], ...]) -> "Multisegment":
+        """Positive multiplicities in increasing segment order, unchecked."""
+        m = cls.__new__(cls)
+        m._items = items
         return m
 
     @classmethod
@@ -135,17 +142,16 @@ class Multisegment:
     def __add__(self, other: "Multisegment") -> "Multisegment":
         if not isinstance(other, Multisegment):
             return NotImplemented
-        counts: dict[Segment, int] = {}
-        for s, c in itertools.chain(self._items, other._items):
-            counts[s] = counts.get(s, 0) + c
-        return Multisegment.from_counts(counts)
+        return Multisegment.from_counts(
+            Counter(dict(self._items)) + Counter(dict(other._items)))
 
     def __rmul__(self, n: int) -> "Multisegment":
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("multiplicities must be nonnegative")
-        return Multisegment.from_counts({s: n * c for s, c in self._items})
+        items = tuple((s, n * c) for s, c in self._items) if n else ()
+        return Multisegment.from_sorted_items(items)
 
     __mul__ = __rmul__
 
@@ -162,10 +168,9 @@ class Multisegment:
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> "Multisegment":
-        counts: dict[Segment, int] = {}
+        counts: Counter[Segment] = Counter()
         for rec in data:
-            s = Segment(int(rec["a"]), int(rec["b"]))
-            counts[s] = counts.get(s, 0) + int(rec.get("mult", 1))
+            counts[Segment(int(rec["a"]), int(rec["b"]))] += int(rec.get("mult", 1))
         return cls.from_counts(counts)
 
     def __str__(self) -> str:
@@ -217,16 +222,7 @@ class BiSequence:
 
 def _run_blocks(values: tuple[int, ...]) -> tuple[int, ...]:
     """Lengths of maximal runs of equal consecutive values."""
-    blocks: list[int] = []
-    run = 1
-    for i in range(1, len(values)):
-        if values[i] == values[i - 1]:
-            run += 1
-        else:
-            blocks.append(run)
-            run = 1
-    blocks.append(run)
-    return tuple(blocks)
+    return tuple(len(list(run)) for _, run in itertools.groupby(values))
 
 
 def p1_shape(A: BiSequence) -> ParabolicShape:

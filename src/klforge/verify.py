@@ -206,19 +206,22 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
             raise HypothesisFailed("m must be greater than 1")
         if not is_strongly_regular(A):
             raise HypothesisFailed(f"{A} is not strongly regular")
+        if any(tuple(sorted(p)) != identity(k) for p in (sigma, omega)):
+            raise HypothesisFailed(f"sigma and omega must permute 1..{k}")
         if not (dominates_sigma0(A, sigma) and dominates_sigma0(A, omega)):
             raise HypothesisFailed("sigma and omega must dominate sigma0")
     except HypothesisFailed as exc:
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
 
-    left = PBWElement.basis(multisegment_of(replicate(A, m - 1),
-                                            replicate_perm(sigma, m - 1)))
+    # The member at t_j(sigma) of the j-fold replication is j * M_sigma.
+    m_sigma = multisegment_of(A, sigma)
+    left = PBWElement.basis((m - 1) * m_sigma)
     right = PBWElement.basis(multisegment_of(A, omega))
     try:
         exact, tainted = product_expansion_guarded([left, right])
     except NonGeneralPositionExchange as exc:
         return _undetermined(check, case, str(exc), started)
-    target = multisegment_of(replicate(A, m), replicate_perm(sigma, m))
+    target = m * m_sigma
     if target in tainted:
         return _undetermined(
             check, case, f"the coefficient at {target} is not determined by "
@@ -271,6 +274,8 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
             raise HypothesisFailed("m must be greater than 1")
         if not is_strongly_regular(A):
             raise HypothesisFailed(f"{A} is not strongly regular")
+        if tuple(sorted(omega)) != identity(A.k):
+            raise HypothesisFailed(f"omega must permute 1..{A.k}")
         if not dominates_sigma0(A, omega):
             raise HypothesisFailed("omega must dominate sigma0")
         if not is_square_irreducible(table, A, omega):
@@ -286,7 +291,7 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
         right, tainted = g_star_power_with_taint(table, A, omega, m)
     except NonGeneralPositionExchange as exc:
         return _undetermined(check, case, str(exc), started)
-    top = multisegment_of(replicated, replicate_perm(omega, m))
+    top = m * multisegment_of(A, omega)
     if top in tainted:
         return _undetermined(
             check, case, f"the leading coefficient at {top} is not determined "

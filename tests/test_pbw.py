@@ -284,6 +284,50 @@ def test_packed_guarded_product_matches_oracle(factors):
     check_product(factors)
 
 
+# -- decoding sorted packed words by run length ------------------------------
+
+
+def check_decoder(w):
+    got = pbw._Decoder().multisegment(w)
+    want = Multisegment(map(pbw._unpack, w))
+    assert got == want and hash(got) == hash(want)
+
+
+def _sorted_word(segments):
+    return tuple(sorted(map(pbw._pack, segments)))
+
+
+def test_decoder_matches_counting_constructor_seeded():
+    rng = random.Random(9001)
+    check_decoder(())
+    for _ in range(300):
+        pool = [Segment(a, a + rng.randint(0, 3))
+                for a in (rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))]
+        check_decoder(_sorted_word(rng.choice(pool)
+                                   for _ in range(rng.randint(1, 8))))
+
+
+# few distinct segments in many copies, ends on both sides of zero
+_repeated_words = st.lists(
+    st.builds(lambda a, d: Segment(a, a + d), st.integers(-3, 1), st.integers(0, 2)),
+    min_size=0, max_size=10).map(_sorted_word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeated_words)
+def test_decoder_matches_counting_constructor(w):
+    check_decoder(w)
+
+
+def test_decoded_keys_find_constructed_keys():
+    segs = [Segment(-5, -2), Segment(-5, -2), Segment(-1, 3), Segment(2, 6)]
+    decoded = pbw._Decoder().multisegment(_sorted_word(segs))
+    built = Multisegment(reversed(segs))
+    assert PBWElement.basis(decoded).coefficient(built) == ONE
+    assert PBWElement.basis(built).coefficient(decoded) == ONE
+    assert built in frozenset([decoded]) and decoded in frozenset([built])
+
+
 def test_reach_state_cap_raises(monkeypatch):
     # the one stuck word of this product reaches 3 words in all
     factors = [PBWElement.basis(mseg((5, 5), (1, 7))),

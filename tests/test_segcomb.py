@@ -28,7 +28,7 @@ from klforge.segcomb import (
     replicate,
     sigma0,
 )
-from klforge.symgroup import bruhat_leq, identity, is_pattern_avoiding
+from klforge.symgroup import bruhat_leq, identity, is_pattern_avoiding, replicate_perm
 
 
 def test_segment_validation():
@@ -119,6 +119,32 @@ def test_replicate():
     assert replicate(A, 3) == BiSequence(
         (1, 1, 1, 2, 2, 2, 3, 3, 3), (8, 8, 8, 7, 7, 7, 6, 6, 6))
     assert replicate(A, 1) == A
+
+
+def test_replicated_member_is_the_scaled_member():
+    # M at t_m(sigma) in the m-fold replication is m * M_sigma, which
+    # verify_prop1 and verify_power_identity build by scaling
+    for k in (1, 2, 3, 4):
+        for s0 in all_perms(k):
+            if not is_pattern_avoiding(s0, (2, 1, 3)):
+                continue
+            A = construct_strongly_regular(s0)
+            for sig in all_perms(k):
+                if not bruhat_leq(s0, sig):
+                    continue
+                for m in (1, 2, 3, 4):
+                    scaled = m * multisegment_of(A, sig)
+                    built = multisegment_of(replicate(A, m), replicate_perm(sig, m))
+                    assert scaled == built and hash(scaled) == hash(built), (A, sig, m)
+
+
+def test_scaling_keeps_order_and_drops_everything_at_zero():
+    M = Multisegment([Segment(1, 7), Segment(5, 5), Segment(5, 5), Segment(-3, 2)])
+    assert 3 * M == M * 3 == Multisegment(list(M.segments()) * 3)
+    assert [s for s, _ in (3 * M).items()] == [s for s, _ in M.items()]
+    assert 0 * M == Multisegment.empty() and not (0 * M)
+    with pytest.raises(ValueError):
+        -1 * M
 
 
 def test_replicated_parabolics():

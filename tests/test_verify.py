@@ -87,6 +87,19 @@ def test_prop1_constant_shape():
         assert r.passed and r.computed == V(f), (k, m, r.computed)
 
 
+@pytest.mark.parametrize("sigma, omega", [((1, 2), (1, 2, 3)), ((1, 2), (3, 1))])
+def test_prop1_skips_what_is_not_a_permutation_of_the_family(sigma, omega):
+    r = verify_prop1(construct_strongly_regular((1, 2)), sigma, omega, 2)
+    assert r.status == "skipped"
+    assert r.reason.startswith("HypothesisFailed:") and "permute 1..2" in r.reason
+
+
+def test_power_identity_skips_what_is_not_a_permutation_of_the_family(table):
+    r = verify_power_identity(table, construct_strongly_regular((1, 2)), (2, 1, 3), 2)
+    assert r.status == "skipped"
+    assert r.reason.startswith("HypothesisFailed:") and "permute 1..2" in r.reason
+
+
 def test_power_identity_examples(table):
     A = BiSequence((1, 5), (7, 5))
     r = verify_power_identity(table, A, (1, 2), 2)
