@@ -84,6 +84,8 @@ def cmd_pkl(args) -> int:
 def _bisequence_from_args(args) -> BiSequence:
     if args.family:
         return BiSequence.from_json(json.loads(args.family))
+    if args.a is None or args.b is None:
+        raise ValueError("expand needs --family, or both --a and --b")
     return BiSequence(args.a, args.b)
 
 
@@ -113,6 +115,8 @@ def cmd_mseg(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if args.m < 1:
+        raise ValueError("m must be at least 1")
     A = _bisequence_from_args(args)
     if args.m > 1:
         A = replicate(A, args.m)

@@ -33,6 +33,17 @@ multisegments are therefore exact; tainted ones are withheld rather than
 guessed.  Product words and the stuck words of each are summed before
 the search, so a word whose coefficient cancels taints nothing.
 
+product_coefficient_guarded reads one coefficient through the same product
+words, rewriting and search, and decodes nothing.  It skips, unrewritten,
+every word the rank lemma rules out.  Let r_ij = #{[a, b] : a <= i, j <= b}.
+No step changes the multisets of left and of right ends or lowers an r_ij:
+a transposition keeps the multiset, and the exchange of a linked pair
+a_y < a_x <= b_y < b_x gives [a_x, b_y] and [a_y, b_x]; an interval inside
+both old segments lies inside both new ones, and one inside exactly one
+lies inside [a_y, b_x].  So a word whose end multisets differ from the
+target's, or with some r_ij above the target's (i a left end and j a right
+end of the target, i <= j), can neither finish at the target nor taint it.
+
 Rewriting repeatedly picks the leftmost exchangeable pair of some pending
 word; words are keyed in a map so duplicates merge eagerly.  An exchange
 either removes an inversion or splits endpoints into a strictly more
@@ -52,8 +63,11 @@ tests/helpers.py.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
+from operator import gt
 from typing import Iterable, Mapping
 
 from .poly import LaurentPoly
@@ -113,12 +127,7 @@ class PBWElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Multisegment, LaurentPoly] | None = None):
-        clean: dict[Multisegment, LaurentPoly] = {}
-        if terms:
-            for m, c in terms.items():
-                if not c.is_zero():
-                    clean[m] = c
-        self._terms = clean
+        self._terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
     def unit(cls) -> "PBWElement":
@@ -149,18 +158,12 @@ class PBWElement:
         out = dict(self._terms)
         for m, c in other._terms.items():
             _accumulate(out, m, c)
-        res = PBWElement.__new__(PBWElement)
-        res._terms = out
-        return res
+        return PBWElement(out)
 
     def scale(self, c: LaurentPoly | int) -> "PBWElement":
         if isinstance(c, int):
             c = LaurentPoly.from_int(c)
-        if c.is_zero():
-            return PBWElement()
-        res = PBWElement.__new__(PBWElement)
-        res._terms = {m: x * c for m, x in self._terms.items()}
-        return res
+        return PBWElement({m: x * c for m, x in self._terms.items()})
 
     def __mul__(self, other: "PBWElement") -> "PBWElement":
         if not isinstance(other, PBWElement):
@@ -229,12 +232,8 @@ class _Decoder(dict):
 
     def multisegment(self, w: Word) -> Multisegment:
         """The multisegment of a sorted word, read off by run length."""
-        items, start = [], 0
-        for i in range(1, len(w) + 1):
-            if i == len(w) or w[i] != w[start]:
-                items.append((self[w[start]], i - start))
-                start = i
-        return Multisegment.from_sorted_items(tuple(items))
+        return Multisegment.from_sorted_items(
+            tuple((self[x], len(list(run))) for x, run in groupby(w)))
 
 
 def _general_position(x: int, y: int) -> bool:
@@ -318,11 +317,9 @@ def multiply(x: PBWElement, y: PBWElement, _pick: str = "leftmost") -> PBWElemen
     """Bilinear extension of word concatenation followed by straightening."""
     result = PBWElement()
     for m1, c1 in x.terms().items():
-        w1 = e_star(m1)
         for m2, c2 in y.terms().items():
-            w2 = e_star(m2)
-            piece = straighten(w1 * w2, _pick=_pick).scale(c1 * c2)
-            result = result + piece
+            word = e_star(m1) * e_star(m2)
+            result = result + straighten(word, _pick=_pick).scale(c1 * c2)
     return result
 
 
@@ -364,6 +361,43 @@ def _reachable(word: Word) -> set[Word]:
     return out
 
 
+def _rewritten_products(factors: Iterable[PBWElement], target: Word | None = None):
+    """(finished, stuck) of _rewrite for every choice of one monomial per
+    factor, concatenated, basis prefactors multiplied in and equal words
+    summed; with a target, the words the rank lemma rules out are skipped."""
+    words: dict[Word, LaurentPoly] = {(): LaurentPoly.one()}
+    for factor in factors:
+        pieces = [(_pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m)))
+                  for m, c in factor.terms().items()]
+        expanded: dict[Word, LaurentPoly] = {}
+        for w, coeff in words.items():
+            for piece, c in pieces:
+                _accumulate(expanded, w + piece, coeff * c)
+        words = expanded
+    for w, coeff in words.items():
+        if target is None or not _cannot_reach(w, target):
+            yield _rewrite(w, coeff, from_right=False)
+
+
+def _cannot_reach(w: Word, target: Word) -> bool:
+    """Whether the rank lemma rules out reaching the target from w.  At the
+    last segment with left end i, bw and bt hold the sorted right ends of the
+    segments with a <= i; some r_ij(w) > r_ij(target) exactly when an entry
+    of bw exceeds the entry of bt in its place (for j <= i, r_ij is
+    #{a <= i} - #{b < j}, fixed by the end multisets)."""
+    ws = sorted((x & _LO, x >> _BITS) for x in w)
+    ts = sorted((x & _LO, x >> _BITS) for x in target)
+    if [a for a, _ in ws] != [a for a, _ in ts]:
+        return True
+    bw, bt = [], []
+    for k, ((i, p), (_, q)) in enumerate(zip(ws, ts)):
+        insort(bw, p)
+        insort(bt, q)
+        if (k + 1 == len(ws) or ws[k + 1][0] != i) and any(map(gt, bw, bt)):
+            return True
+    return bw != bt
+
+
 def product_expansion_guarded(
     factors: Iterable[PBWElement],
 ) -> tuple[PBWElement, frozenset[Multisegment]]:
@@ -375,20 +409,9 @@ def product_expansion_guarded(
     coefficients are returned only at untainted multisegments, where they
     are exact.
     """
-    words: dict[Word, LaurentPoly] = {(): LaurentPoly.one()}
-    for factor in factors:
-        pieces = [(_pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m)))
-                  for m, c in factor.terms().items()]
-        expanded: dict[Word, LaurentPoly] = {}
-        for w, coeff in words.items():
-            for piece, c in pieces:
-                _accumulate(expanded, w + piece, coeff * c)
-        words = expanded
-
     exact: dict[Word, LaurentPoly] = {}
     tainted: set[Word] = set()
-    for w, coeff in words.items():
-        finished, stuck = _rewrite(w, coeff, from_right=False)
+    for finished, stuck in _rewritten_products(factors):
         for fw, c in finished.items():
             _accumulate(exact, fw, c)
         for sw in stuck:
@@ -398,3 +421,16 @@ def product_expansion_guarded(
     decode = _Decoder()
     return (PBWElement(_collect(exact, decode)),
             frozenset(map(decode.multisegment, tainted)))
+
+
+def product_coefficient_guarded(factors: Iterable[PBWElement],
+                                target: Multisegment) -> LaurentPoly | None:
+    """The exact coefficient of E(target) in the product, or None when the
+    target is tainted; product_expansion_guarded restricted to one key."""
+    t = _pack_word(target.segments())
+    total = LaurentPoly.zero()
+    for finished, stuck in _rewritten_products(factors, t):
+        if any(t in _reachable(sw) for sw in stuck):
+            return None
+        total = total + finished.get(t, LaurentPoly.zero())
+    return total * _V(-e_star_prefactor_exponent(target))

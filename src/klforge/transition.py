@@ -268,26 +268,16 @@ class TransitionMatrix:
     index: list[Perm]
     entries: dict[tuple[Perm, Perm], LaurentPoly]
 
-    def product(self, other: "TransitionMatrix") -> dict[tuple[Perm, Perm], LaurentPoly]:
-        out: dict[tuple[Perm, Perm], LaurentPoly] = {}
-        for r in self.index:
-            for c in self.index:
-                acc = LaurentPoly.zero()
-                for mid in self.index:
-                    x = self.entries.get((r, mid))
-                    y = other.entries.get((mid, c))
-                    if x is not None and y is not None:
-                        acc = acc + x * y
-                if not acc.is_zero():
-                    out[(r, c)] = acc
-        return out
-
     def is_inverse_of(self, other: "TransitionMatrix") -> bool:
-        prod = self.product(other)
+        """Whether self * other is the identity matrix on the index."""
         for r in self.index:
             for c in self.index:
-                want = LaurentPoly.one() if r == c else LaurentPoly.zero()
-                if prod.get((r, c), LaurentPoly.zero()) != want:
+                acc = LaurentPoly.one() if r == c else LaurentPoly.zero()
+                for mid in self.index:
+                    x, y = self.entries.get((r, mid)), other.entries.get((mid, c))
+                    if x is not None and y is not None:
+                        acc = acc - x * y
+                if not acc.is_zero():
                     return False
         return True
 

@@ -144,6 +144,21 @@ def test_bad_cache_directory(capsys):
         assert "cache directory" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--direction", "g2e"], "expand needs --family, or both --a and --b"),
+    (["--a", "1,2", "--direction", "g2e"], "expand needs --family, or both --a and --b"),
+    (["--b", "8,7", "--direction", "g2e"], "expand needs --family, or both --a and --b"),
+    (["--a", "1,2", "--b", "8,7", "--m", "0", "--direction", "g2e"],
+     "m must be at least 1"),
+    (["--a", "1,2", "--b", "8,7", "--m", "-2", "--direction", "g2e"],
+     "m must be at least 1"),
+])
+def test_expand_rejects_bad_arguments(argv, message, capsys):
+    code, out, err = run_cli(["expand", *argv, "--no-cache"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_malformed_permutation_rejected(capsys):
     for argv in (["kl", "--s", "1,3", "--w", "2,1"],
                  ["kl", "--s", "1,2", "--w", "2,1", "--format", "yaml"]):

@@ -19,6 +19,7 @@ from klforge.pbw import (
     TWord,
     e_star,
     multiply,
+    product_coefficient_guarded,
     product_expansion_guarded,
     straighten,
 )
@@ -359,3 +360,109 @@ def test_module_keeps_no_pool():
     pools = [name for name, value in vars(pbw).items()
              if not name.startswith("__") and isinstance(value, (dict, set, list))]
     assert pools == []
+
+
+# -- the one-coefficient reader and the rank cut -----------------------------
+#
+# Ends in 0..9 with short segments, so shared ends, adjacent segments and
+# linked pairs are all common.
+
+_segments09 = st.builds(lambda a, d: Segment(a, min(a + d, 9)),
+                        st.integers(0, 9), st.integers(0, 4))
+_combinations = st.dictionaries(
+    st.lists(_segments09, min_size=1, max_size=3).map(Multisegment),
+    st.sampled_from([ONE, -ONE, V(1), EXCH]), min_size=1, max_size=2).map(PBWElement)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_combinations, min_size=2, max_size=3), st.randoms(use_true_random=False))
+def test_coefficient_reader_matches_expansion(factors, rnd):
+    exact, tainted = product_expansion_guarded(factors)
+    concat = sum((next(iter(f.terms())) for f in factors), Multisegment.empty())
+    starts = [rnd.randint(0, 9) for _ in range(concat.total())]
+    other = Multisegment(Segment(a, rnd.randint(a, 9)) for a in starts)
+    for target in exact.support() | tainted | {concat, other}:
+        got = product_coefficient_guarded(factors, target)
+        if target in tainted:
+            assert got is None, target
+        else:
+            assert got == exact.coefficient(target), target
+
+
+def _ends(segments):
+    return sorted(s.a for s in segments), sorted(s.b for s in segments)
+
+
+def _rank(segments, i, j):
+    return sum(1 for s in segments if s.a <= i and j <= s.b)
+
+
+def cut_by_definition(word, target):
+    """Whether the end multisets differ, or some r_ij of the word exceeds the
+    target's, i a left end and j a right end of the target with i <= j."""
+    lefts, rights = _ends(target)
+    if _ends(word) != (lefts, rights):
+        return True
+    return any(_rank(word, i, j) > _rank(target, i, j)
+               for i in lefts for j in rights if i <= j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_segments09, min_size=1, max_size=7), st.randoms(use_true_random=False))
+def test_rank_cut_matches_its_definition(segments, rnd):
+    # the same end multisets, paired again, and a target with other ends
+    rights = [s.b for s in segments]
+    rnd.shuffle(rights)
+    if any(s.a > b for s, b in zip(segments, rights)):
+        rights.sort()  # with the lefts sorted too, every pair is a segment
+        lefts = sorted(s.a for s in segments)
+    else:
+        lefts = [s.a for s in segments]
+    others = [Segment(a, rnd.randint(a, 9)) for a in lefts]
+    w = pbw._pack_word(segments)
+    for target in (list(map(Segment, lefts, rights)), others, segments):
+        t = _sorted_word(target)
+        assert pbw._cannot_reach(w, t) == cut_by_definition(segments, target)
+    assert not pbw._cannot_reach(w, _sorted_word(segments))
+
+
+@pytest.mark.parametrize("word, target, cut", [
+    (((1, 2),), ((1, 3),), True),                    # right ends differ only
+    (((2, 3),), ((1, 3),), True),                    # left ends differ only
+    (((2, 3), (1, 4)), ((1, 3), (2, 4)), True),      # r_14 = 1 > 0
+    (((2, 4), (1, 3)), ((2, 3), (1, 4)), False),     # the exchange reaches it
+    (((2, 4), (1, 3)), ((1, 3), (2, 4)), False),     # the transposition does
+])
+def test_rank_cut_examples(word, target, cut):
+    t = _sorted_word(Segment(a, b) for a, b in target)
+    assert pbw._cannot_reach(pbw._pack_word(Segment(a, b) for a, b in word), t) == cut
+
+
+def test_reader_rewrites_no_cut_word(monkeypatch):
+    def no_rewrite(*args, **kwargs):
+        raise AssertionError("a cut word was rewritten")
+
+    monkeypatch.setattr(pbw, "_rewrite", no_rewrite)
+    factors = [PBWElement.basis(mseg((2, 3))), PBWElement.basis(mseg((1, 4)))]
+    assert product_coefficient_guarded(factors, mseg((1, 3), (2, 4))) == LaurentPoly.zero()
+    assert product_coefficient_guarded(factors, mseg((1, 4))) == LaurentPoly.zero()
+
+
+def test_reader_on_a_linked_pair():
+    factors = [PBWElement.basis(mseg((2, 4))), PBWElement.basis(mseg((1, 3)))]
+    assert product_coefficient_guarded(factors, mseg((1, 3), (2, 4))) == ONE
+    assert product_coefficient_guarded(factors, mseg((2, 3), (1, 4))) == EXCH
+    stuck = [PBWElement.basis(mseg((5, 5), (1, 7))), PBWElement.basis(mseg((1, 5), (5, 7)))]
+    assert product_coefficient_guarded(stuck, mseg((5, 5), (1, 7), (1, 5), (5, 7))) is None
+    assert product_coefficient_guarded(stuck, 2 * mseg((5, 5), (1, 7))) == LaurentPoly.zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_segments09, min_size=1, max_size=6))
+def test_reachable_keeps_ends_and_never_lowers_a_rank(segments):
+    start = list(segments)
+    points = [(i, j) for i in range(10) for j in range(i, 10)]
+    for w in pbw._reachable(pbw._pack_word(segments)):
+        got = list(map(pbw._unpack, w))
+        assert _ends(got) == _ends(start)
+        assert all(_rank(got, i, j) >= _rank(start, i, j) for i, j in points)

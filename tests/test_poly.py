@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klforge.poly import LaurentPoly, NotAQPolynomial
 
@@ -50,6 +51,23 @@ def test_ring_axioms_random():
         assert (p * r) * s == p * (r * s)
         assert p * r == r * p
         assert p * (r + s) == p * r + p * s
+
+
+_polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
+                         max_size=4).map(LaurentPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _polys)
+def test_ring_axioms(p, r, s):
+    assert (p + r) + s == p + (r + s)
+    assert p + r == r + p
+    assert p + ZERO == p and p * ONE == p and (p * ZERO).is_zero()
+    assert (p + (-p)).is_zero() and p - r == p + (-r)
+    assert (p * r) * s == p * (r * s)
+    assert p * r == r * p
+    assert p * (r + s) == p * r + p * s
+    assert hash(p + r) == hash(r + p)
 
 
 def test_q_roundtrip_random():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     EmptyInterval,
@@ -71,6 +72,18 @@ def test_bruhat_matches_subword_oracle_s5_sample():
     for _ in range(300):
         x, y = rng.choice(perms), rng.choice(perms)
         assert bruhat_leq(x, y) == bruhat_leq_subword(x, y), (x, y)
+
+
+_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*[st.permutations(range(1, n + 1)).map(tuple)] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs)
+def test_bruhat_matches_subword_oracle(pair):
+    x, y = pair
+    assert bruhat_leq(x, y) == bruhat_leq_subword(x, y)
+    assert bruhat_leq(y, x) == bruhat_leq_subword(y, x)
 
 
 def test_min_coset_rep():

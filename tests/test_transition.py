@@ -131,6 +131,8 @@ def test_matrix_inversion_strongly_regular(table):
             m1 = transition_matrix(table, A, "e2g")
             m2 = transition_matrix(table, A, "g2e")
             assert m1.is_inverse_of(m2) and m2.is_inverse_of(m1), (k, s0)
+            if len(m1.entries) > len(m1.index):  # unitriangular, not the identity
+                assert not m1.is_inverse_of(m1) and not m2.is_inverse_of(m2)
 
 
 def test_matrix_inversion_replicated_m2(table):

@@ -203,6 +203,9 @@ def _undetermined_products(monkeypatch, module=verify_module):
         return exact, _TaintsEverything()
 
     monkeypatch.setattr(module, "product_expansion_guarded", tainted)
+    if hasattr(module, "product_coefficient_guarded"):
+        monkeypatch.setattr(module, "product_coefficient_guarded",
+                            lambda factors, target: None)
 
 
 def test_sweep_survives_undetermined_products(table, monkeypatch):
