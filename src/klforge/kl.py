@@ -223,12 +223,14 @@ def _qtuple_to_poly(p: QTuple) -> LaurentPoly:
 
 
 def _poly_to_qtuple(data: Mapping[str, int]) -> QTuple:
-    if not data:
-        return ()
-    deg = max(int(d) for d in data)
-    out = [0] * (deg + 1)
-    for d, c in data.items():
-        out[int(d)] = int(c)
+    """A stored {q-degree: coefficient} map; ValueError on a negative or
+    repeated degree ("1" and "01") or a coefficient that is not an int."""
+    items = [(int(d), c) for d, c in data.items()]
+    if any(d < 0 or type(c) is not int for d, c in items) or len(dict(items)) < len(items):
+        raise ValueError("bad polynomial")
+    out = [0] * (1 + max((d for d, _ in items), default=-1))
+    for d, c in items:
+        out[d] = c
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -331,9 +333,8 @@ class KLTable:
         for line in lines:
             try:
                 rec = json.loads(line)
-                s = tuple(int(i) for i in rec["s"])
-                w = tuple(int(i) for i in rec["w"])
-                if len(s) != len(w):
+                s, w = tuple(rec["s"]), tuple(rec["w"])
+                if not sorted(s) == sorted(w) == [*range(1, len(s) + 1)]:
                     raise ValueError("inconsistent record")
                 if "m" in rec:
                     m, variant = rec["m"], rec["v"]

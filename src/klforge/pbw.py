@@ -33,16 +33,18 @@ multisegments are therefore exact; tainted ones are withheld rather than
 guessed.  Product words and the stuck words of each are summed before
 the search, so a word whose coefficient cancels taints nothing.
 
-product_coefficient_guarded reads one coefficient through the same product
-words, rewriting and search, and decodes nothing.  It skips, unrewritten,
-every word the rank lemma rules out.  Let r_ij = #{[a, b] : a <= i, j <= b}.
-No step changes the multisets of left and of right ends or lowers an r_ij:
-a transposition keeps the multiset, and the exchange of a linked pair
-a_y < a_x <= b_y < b_x gives [a_x, b_y] and [a_y, b_x]; an interval inside
-both old segments lies inside both new ones, and one inside exactly one
-lies inside [a_y, b_x].  So a word whose end multisets differ from the
-target's, or with some r_ij above the target's (i a left end and j a right
-end of the target, i <= j), can neither finish at the target nor taint it.
+word_coefficient reads one coefficient through the same rewriting and
+search, from packed product words its caller builds (verify_prop1 packs
+family members itself; product_coefficient_guarded packs basis-element
+combinations), decodes nothing, and skips unrewritten every word the rank
+lemma rules out.  Let r_ij = #{[a, b] : a <= i, j <= b}.  No step changes
+the multisets of left and of right ends or lowers an r_ij: a transposition
+keeps the multiset, and the exchange of a linked pair a_y < a_x <= b_y < b_x
+gives [a_x, b_y] and [a_y, b_x]; an interval inside both old segments lies
+inside both new ones, and one inside exactly one lies inside [a_y, b_x].
+So a word whose end multisets differ from the target's, or with some r_ij
+above the target's (i a left end and j a right end of the target, i <= j),
+can neither finish at the target nor taint it.
 
 Rewriting repeatedly picks the leftmost exchangeable pair of some pending
 word; words are keyed in a map so duplicates merge eagerly.  An exchange
@@ -55,10 +57,9 @@ The rewriting runs on packed words.  A segment [a, b] is the int
 (b, a); ends outside [-2**31, 2**31) raise ValueError.  A word is a tuple
 of these ints, an inversion is w[i] > w[i + 1], and the general-position,
 linked and cap/cup tests read the two 32-bit fields.  Multisegments are
-built only from finished or reachable sorted words, by run length, with no
-count and no sort.  The module keeps no pool between calls.  The rewriting
-and reachability search on Segments it replaced are the test oracle in
-tests/helpers.py.
+built only from finished or reachable sorted words, by run length.  The
+module keeps no pool between calls.  The Segment-object rewriting and
+search it replaced are the test oracle in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -208,11 +209,11 @@ _BIAS = 1 << (_BITS - 1)
 Word = tuple[int, ...]  # packed segments
 
 
-def _pack(s: Segment) -> int:
-    a, b = s.a + _BIAS, s.b + _BIAS
-    if a < 0 or b > _LO:  # a <= b for every Segment
-        raise ValueError(f"segment {s} has an end outside [-2**31, 2**31)")
-    return (b << _BITS) | a
+def pack_segment(a: int, b: int) -> int:
+    """The packed segment [a, b], a <= b."""
+    if a < -_BIAS or b >= _BIAS:
+        raise ValueError(f"segment [{a},{b}] has an end outside [-2**31, 2**31)")
+    return ((b + _BIAS) << _BITS) | (a + _BIAS)
 
 
 def _unpack(x: int) -> Segment:
@@ -220,7 +221,7 @@ def _unpack(x: int) -> Segment:
 
 
 def _pack_word(segments: Iterable[Segment]) -> Word:
-    return tuple(map(_pack, segments))
+    return tuple(pack_segment(s.a, s.b) for s in segments)
 
 
 class _Decoder(dict):
@@ -361,10 +362,9 @@ def _reachable(word: Word) -> set[Word]:
     return out
 
 
-def _rewritten_products(factors: Iterable[PBWElement], target: Word | None = None):
-    """(finished, stuck) of _rewrite for every choice of one monomial per
-    factor, concatenated, basis prefactors multiplied in and equal words
-    summed; with a target, the words the rank lemma rules out are skipped."""
+def _product_words(factors: Iterable[PBWElement]) -> dict[Word, LaurentPoly]:
+    """Every choice of one monomial per factor, concatenated, with the basis
+    prefactors multiplied in and equal words summed."""
     words: dict[Word, LaurentPoly] = {(): LaurentPoly.one()}
     for factor in factors:
         pieces = [(_pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m)))
@@ -374,9 +374,7 @@ def _rewritten_products(factors: Iterable[PBWElement], target: Word | None = Non
             for piece, c in pieces:
                 _accumulate(expanded, w + piece, coeff * c)
         words = expanded
-    for w, coeff in words.items():
-        if target is None or not _cannot_reach(w, target):
-            yield _rewrite(w, coeff, from_right=False)
+    return words
 
 
 def _cannot_reach(w: Word, target: Word) -> bool:
@@ -411,7 +409,8 @@ def product_expansion_guarded(
     """
     exact: dict[Word, LaurentPoly] = {}
     tainted: set[Word] = set()
-    for finished, stuck in _rewritten_products(factors):
+    for w, coeff in _product_words(factors).items():
+        finished, stuck = _rewrite(w, coeff, from_right=False)
         for fw, c in finished.items():
             _accumulate(exact, fw, c)
         for sw in stuck:
@@ -423,14 +422,26 @@ def product_expansion_guarded(
             frozenset(map(decode.multisegment, tainted)))
 
 
+def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
+                     exponent: int) -> LaurentPoly | None:
+    """The exact coefficient of E(target) in the sum of the product words,
+    or None when the target is tainted.  Each word's coefficient carries
+    its basis prefactors; target is a sorted word, exponent the exponent of
+    its own prefactor.  Words the rank lemma rules out are not rewritten."""
+    total = LaurentPoly.zero()
+    for w, coeff in words.items():
+        if _cannot_reach(w, target):
+            continue
+        finished, stuck = _rewrite(w, coeff, from_right=False)
+        if any(target in _reachable(sw) for sw in stuck):
+            return None
+        total = total + finished.get(target, LaurentPoly.zero())
+    return total * _V(-exponent)
+
+
 def product_coefficient_guarded(factors: Iterable[PBWElement],
                                 target: Multisegment) -> LaurentPoly | None:
     """The exact coefficient of E(target) in the product, or None when the
-    target is tainted; product_expansion_guarded restricted to one key."""
-    t = _pack_word(target.segments())
-    total = LaurentPoly.zero()
-    for finished, stuck in _rewritten_products(factors, t):
-        if any(t in _reachable(sw) for sw in stuck):
-            return None
-        total = total + finished.get(t, LaurentPoly.zero())
-    return total * _V(-e_star_prefactor_exponent(target))
+    target is tainted; word_coefficient on the product words."""
+    return word_coefficient(_product_words(factors), _pack_word(target.segments()),
+                            e_star_prefactor_exponent(target))

@@ -42,7 +42,7 @@ Expansion coefficients, rendered in v with q = v**-2:
 Both closed parabolic forms (the translated ordinary polynomial for E in
 G, the alternating-sum polynomial for G in E, each with the monomial
 v**(m**2 length gap) and sign eps(sigma omega)**m) must agree entrywise
-with these on replicated families; coeff_parab assembles them for
+with these on replicated families; tests/helpers.py assembles them for
 comparison.
 """
 
@@ -63,15 +63,14 @@ from .kl import (
     _shift,
     _unpack,
     kl_poly,
-    parabolic_kl_neg1,
-    parabolic_kl_q,
+    parabolic_kl_q,  # noqa: F401  (perfbench/spans.py patches it)
 )
 from .poly import LaurentPoly
 from .segcomb import (
     BelowSigma0,
     BiSequence,
     Multisegment,
-    is_regular,
+    is_regular,  # noqa: F401  (perfbench/spans.py patches it)
     is_strongly_regular,
     multisegment_of,
     p1_shape,
@@ -81,7 +80,6 @@ from .segcomb import (
 )
 from .pbw import PBWElement, product_expansion_guarded
 from .symgroup import (
-    NotComparable,
     Perm,
     bruhat_leq,
     compose,
@@ -214,36 +212,6 @@ def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
 def expansion_as_pbw(A: BiSequence, coeffs: dict[Perm, LaurentPoly]) -> PBWElement:
     """Reindex an expansion from coset representatives to multisegments."""
     return PBWElement({multisegment_of(A, rep): c for rep, c in coeffs.items()})
-
-
-def coeff_parab(table: KLTable, A: BiSequence, sigma: Perm, omega: Perm,
-                m: int, direction: str) -> LaurentPoly:
-    """Closed form of one transition entry on an m-replicated regular family.
-
-    direction 'e2g': the coefficient of G at the coset of sigma in the
-    expansion of E at the coset of omega, namely the monomial
-    v**(m**2 gap) times the translated parabolic polynomial of
-    (omega w0, sigma w0).  direction 'g2e': the coefficient of E in G,
-    the same monomial times the sign eps(sigma omega)**m times the
-    alternating-sum parabolic polynomial of (sigma, omega).
-    """
-    d = _canon_direction(direction)
-    if not is_regular(A):
-        raise UnsupportedFamily(f"{A} is not regular")
-    s0 = sigma0(A)
-    if not bruhat_leq(s0, sigma):
-        raise BelowSigma0(f"{sigma} lies below sigma0({A}) = {s0}")
-    if not bruhat_leq(sigma, omega):
-        raise NotComparable(f"{sigma} is not below {omega}")
-    k = A.k
-    gap = m * m * (length(omega) - length(sigma))
-    mono = LaurentPoly.v(gap)
-    if d == "e2g":
-        w0 = longest_element(k)
-        p = parabolic_kl_neg1(table, compose(omega, w0), compose(sigma, w0), m)
-        return mono * p
-    sign = (parity(sigma) * parity(omega)) ** m
-    return mono * parabolic_kl_q(table, sigma, omega, m) * sign
 
 
 def g_star_power_with_taint(table: KLTable, A: BiSequence, omega: Perm,

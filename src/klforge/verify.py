@@ -13,8 +13,9 @@ Each verifier computes one identity two ways and reports the comparison:
 * verify_prop1: in the straightening engine, the coefficient of the
   replicated basis element E(M_{t_m(sigma)}) inside
   E(M_{t_{m-1}(sigma)}) * E(M_omega) vanishes unless omega == sigma, and
-  then equals v**(k (C(m-1,2) - C(m,2))).  Only that coefficient is read,
-  by pbw.product_coefficient_guarded, not the whole product.
+  then equals v**(k (C(m-1,2) - C(m,2))).  The members are packed straight
+  from the family's ends and only that coefficient is read, by
+  pbw.word_coefficient; no Multisegment or PBWElement is built.
 * verify_power_identity: the E-basis expansions of G(M_omega)**m and of
   G(M at the replicated coset) agree up to one monomial v**e, with e
   depending only on (k, m).  The exponent is measured, not asserted.
@@ -49,7 +50,7 @@ from .segcomb import (
     replicate,
     sigma0,
 )
-from .pbw import NonGeneralPositionExchange, PBWElement, product_coefficient_guarded
+from .pbw import NonGeneralPositionExchange, PBWElement, pack_segment, word_coefficient
 from .pbw import product_expansion_guarded  # noqa: F401  (perfbench/spans.py patches it)
 from .symgroup import (
     Perm,
@@ -118,19 +119,19 @@ def _finish(check: str, case: dict, claimed: LaurentPoly, computed: LaurentPoly,
             started: float, **extra) -> VerificationReport:
     status = "pass" if claimed == computed else "fail"
     return VerificationReport(check, case, claimed, computed, status,
-                              elapsed=time.time() - started, **extra)
+                              elapsed=time.perf_counter() - started, **extra)
 
 
 def _skip(check: str, case: dict, reason: str, started: float) -> VerificationReport:
     return VerificationReport(check, case, None, None, "skipped", reason,
-                              elapsed=time.time() - started)
+                              elapsed=time.perf_counter() - started)
 
 
 def _undetermined(check: str, case: dict, reason: str,
                   started: float) -> VerificationReport:
     return VerificationReport(check, case, None, None, "undetermined",
                               f"NonGeneralPositionExchange: {reason}",
-                              elapsed=time.time() - started)
+                              elapsed=time.perf_counter() - started)
 
 
 def is_square_irreducible(table: KLTable, A: BiSequence, sigma: Perm) -> bool:
@@ -146,9 +147,10 @@ def is_square_irreducible(table: KLTable, A: BiSequence, sigma: Perm) -> bool:
 
 def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
                         omega: Perm, m: int) -> VerificationReport:
-    """Compare the alternating-sum parabolic polynomial with the claimed
-    monomial q**(C(m,2) (length(omega) - length(sigma)))."""
-    started = time.time()
+    """Compare the parabolic polynomial, read from the induced-module row of
+    t_m(omega), with the claimed monomial
+    q**(C(m,2) (length(omega) - length(sigma)))."""
+    started = time.perf_counter()
     case = {"k": len(sigma0_perm), "m": m, "sigma0": list(sigma0_perm),
             "sigma": list(sigma), "omega": list(omega)}
     check = "main-theorem"
@@ -174,7 +176,7 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
 def verify_corollary_smooth(table: KLTable, omega: Perm, m: int) -> list[VerificationReport]:
     """The identity-bottom case: requires trivial P(e, omega), then checks
     every sigma below omega."""
-    started = time.time()
+    started = time.perf_counter()
     k = len(omega)
     e = identity(k)
     p0 = kl_poly(table, e, omega)
@@ -198,7 +200,7 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     E(M_omega) and reads off the coefficient of the m-replicated element;
     the report is undetermined when the exchange rules leave it open.
     """
-    started = time.time()
+    started = time.perf_counter()
     k = A.k
     case = {"k": k, "m": m, "family": A.to_json(),
             "sigma": list(sigma), "omega": list(omega)}
@@ -215,19 +217,22 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     except HypothesisFailed as exc:
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
 
-    # The member at t_j(sigma) of the j-fold replication is j * M_sigma.
-    m_sigma = multisegment_of(A, sigma)
-    left = PBWElement.basis((m - 1) * m_sigma)
-    right = PBWElement.basis(multisegment_of(A, omega))
-    target = m * m_sigma
+    # Strong regularity makes the k segments [a_i, b_sigma(i)] of M_sigma
+    # nonempty and distinct; t_j(sigma) repeats each of them j times.
+    segs = sorted((A.b[j - 1], a) for a, j in zip(A.a, sigma))  # segment order
+    s = [pack_segment(a, b) for b, a in segs]
+    o = tuple(sorted(pack_segment(a, A.b[j - 1]) for a, j in zip(A.a, omega)))
+    left = tuple(x for x in s for _ in range(m - 1))
+    target = tuple(x for x in s for _ in range(m))
     try:
-        computed = product_coefficient_guarded([left, right], target)
+        computed = word_coefficient({left + o: LaurentPoly.v(k * comb(m - 1, 2))},
+                                    target, k * comb(m, 2))
     except NonGeneralPositionExchange as exc:
         return _undetermined(check, case, str(exc), started)
     if computed is None:
-        return _undetermined(
-            check, case, f"the coefficient at {target} is not determined by "
-            f"the implemented exchange rules", started)
+        named = "+".join(f"[{a},{b}]" for b, a in segs for _ in range(m))
+        return _undetermined(check, case, f"the coefficient at {named} is not "
+                             f"determined by the implemented exchange rules", started)
     if omega == sigma:
         claimed = LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2)))
     else:
@@ -267,7 +272,7 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     when the top element is tainted or the product outgrows the engine's
     search.
     """
-    started = time.time()
+    started = time.perf_counter()
     case = {"k": A.k, "m": m, "family": A.to_json(), "omega": list(omega)}
     check = "power-identity"
     try:
@@ -305,7 +310,7 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
         return VerificationReport(check, case, LaurentPoly.zero(),
                                   LaurentPoly.one(), "fail",
                                   f"NotMonomialRatio: {exc}",
-                                  elapsed=time.time() - started)
+                                  elapsed=time.perf_counter() - started)
     mono = LaurentPoly.v(e)
     return _finish(check, case, mono, mono, started, measured_exponent=e)
 

@@ -9,15 +9,19 @@ ordinary polynomials over W_m, the ordinary polynomial of the cosets
 translated by the longest element of W_m, and Deodhar's recursion on
 permutation tuples.  The straightening engine's packed-int kernel is
 checked against the Segment-object rewriting and reachability search it
-replaced.  Helpers that only tests call live here too.
+replaced, and verify_prop1's packed words against the Multisegment and
+PBWElement route they replaced.  The transition expansions are compared
+with the closed parabolic forms of coeff_parab.  Helpers that only tests
+call live here too.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 
-from klforge.kl import KLTable, _kl_qtuple, kl_poly
+from klforge.kl import KLTable, _kl_qtuple, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from klforge.pbw import (
     NonGeneralPositionExchange,
     PBWElement,
@@ -25,17 +29,21 @@ from klforge.pbw import (
     _accumulate,
     e_star,
     e_star_prefactor_exponent,
+    product_coefficient_guarded,
 )
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
+    BelowSigma0,
     BiSequence,
     Multisegment,
     Segment,
     general_position,
+    is_regular,
     multisegment_of,
     precedes,
     replicate,
     seg_sort_key,
+    sigma0,
 )
 from klforge.symgroup import (
     NotComparable,
@@ -46,9 +54,10 @@ from klforge.symgroup import (
     identity,
     length,
     longest_element,
+    parity,
     replicate_perm,
 )
-from klforge.transition import g_star_power_with_taint
+from klforge.transition import UnsupportedFamily, _canon_direction, g_star_power_with_taint
 
 QTuple = tuple[int, ...]
 
@@ -130,6 +139,36 @@ def parabolic_elements(shape: ParabolicShape):
     ]
     for combo in itertools.product(*per_block):
         yield tuple(itertools.chain.from_iterable(combo))
+
+
+def coeff_parab(table: KLTable, A: BiSequence, sigma: Perm, omega: Perm,
+                m: int, direction: str) -> LaurentPoly:
+    """Closed form of one transition entry on an m-replicated regular family.
+
+    direction 'e2g': the coefficient of G at the coset of sigma in the
+    expansion of E at the coset of omega, namely the monomial
+    v**(m**2 gap) times the translated parabolic polynomial of
+    (omega w0, sigma w0).  direction 'g2e': the coefficient of E in G,
+    the same monomial times the sign eps(sigma omega)**m times the
+    alternating-sum parabolic polynomial of (sigma, omega).
+    """
+    d = _canon_direction(direction)
+    if not is_regular(A):
+        raise UnsupportedFamily(f"{A} is not regular")
+    s0 = sigma0(A)
+    if not bruhat_leq(s0, sigma):
+        raise BelowSigma0(f"{sigma} lies below sigma0({A}) = {s0}")
+    if not bruhat_leq(sigma, omega):
+        raise NotComparable(f"{sigma} is not below {omega}")
+    k = A.k
+    gap = m * m * (length(omega) - length(sigma))
+    mono = LaurentPoly.v(gap)
+    if d == "e2g":
+        w0 = longest_element(k)
+        p = parabolic_kl_neg1(table, compose(omega, w0), compose(sigma, w0), m)
+        return mono * p
+    sign = (parity(sigma) * parity(omega)) ** m
+    return mono * parabolic_kl_q(table, sigma, omega, m) * sign
 
 
 def g_star_power_in_E(table: KLTable, A: BiSequence, omega: Perm, m: int) -> PBWElement:
@@ -536,3 +575,24 @@ def product_expansion_guarded_oracle(factors):
     for m in tainted:
         exact.pop(m, None)
     return PBWElement(exact), frozenset(tainted)
+
+
+def prop1_oracle(A: BiSequence, sigma: Perm, omega: Perm,
+                 m: int) -> tuple[str, LaurentPoly | None]:
+    """(status, computed) of verify_prop1 on a case that meets its
+    hypotheses, through Multisegments and PBWElements: E((m-1) M_sigma)
+    times E(M_omega), read at m M_sigma."""
+    m_sigma = multisegment_of(A, sigma)
+    left = PBWElement.basis((m - 1) * m_sigma)
+    right = PBWElement.basis(multisegment_of(A, omega))
+    try:
+        computed = product_coefficient_guarded([left, right], m * m_sigma)
+    except NonGeneralPositionExchange:
+        return "undetermined", None
+    if computed is None:
+        return "undetermined", None
+    if omega == sigma:
+        claimed = LaurentPoly.v(A.k * (comb(m - 1, 2) - comb(m, 2)))
+    else:
+        claimed = LaurentPoly.zero()
+    return ("pass" if computed == claimed else "fail"), computed

@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     all_perms,
     bruhat_leq_subword,
+    coeff_parab,
     kl_inversion_check,
     parabolic_kl_deodhar,
 )
@@ -27,7 +28,7 @@ from klforge.segcomb import (
     replicate,
     sigma0,
 )
-from klforge.transition import coeff_parab, expand_E_in_G, expand_G_in_E, transition_matrix
+from klforge.transition import expand_E_in_G, expand_G_in_E, transition_matrix
 from klforge.verify import verify_power_identity, verify_prop1
 from klforge.symgroup import (
     bruhat_leq,

@@ -237,6 +237,27 @@ def test_cache_skips_bad_middle_record_and_keeps_the_rest(tmp_path, bad_record):
         assert t2._canonical_pair(tuple(rec["s"]), tuple(rec["w"])) in t2._final
 
 
+@pytest.mark.parametrize("bad_record", [
+    b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"-1":1}}\n',
+    b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1,"-1":7}}\n',
+    b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1,"1":1,"01":5}}\n',
+    b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1.7}}\n',
+    b'{"n":2,"s":[1,1],"w":[2,1],"p":{"0":1}}\n',
+    b'{"n":2,"s":[1,2],"w":[2,2],"p":{"0":1}}\n',
+], ids=["negative-degree", "negative-degree-over-the-constant", "repeated-degree",
+        "float-coefficient", "s-not-a-permutation", "w-not-a-permutation"])
+def test_cache_skips_record_with_untrustworthy_values(tmp_path, bad_record):
+    path = tmp_path / "cache.jsonl"
+    t1 = KLTable(path)
+    kl_poly(t1, (1, 2), (2, 1))
+    good = path.read_bytes()
+    path.write_bytes(bad_record + good)
+    t2 = KLTable(path)
+    assert path.read_bytes() == good
+    assert t2._final == t1._final
+    assert kl_poly(t2, identity(4), (3, 4, 1, 2)) == Q({0: 1, 1: 1})
+
+
 PARABOLIC_CASES = [((2, 1), (2, 1), 2), ((1, 2), (2, 1), 3),
                    ((1, 2, 3), (3, 2, 1), 2), ((2, 1, 3), (3, 1, 2), 2),
                    ((1, 3, 2), (2, 3, 1), 2)]

@@ -295,7 +295,7 @@ def check_decoder(w):
 
 
 def _sorted_word(segments):
-    return tuple(sorted(map(pbw._pack, segments)))
+    return tuple(sorted(pbw._pack_word(segments)))
 
 
 def test_decoder_matches_counting_constructor_seeded():

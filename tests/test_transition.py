@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import all_perms, g_star_power_in_E
+from helpers import all_perms, coeff_parab, g_star_power_in_E
 from klforge.poly import LaurentPoly
 from klforge.kl import kl_poly
 from klforge.segcomb import (
@@ -14,7 +14,6 @@ from klforge.segcomb import (
 )
 from klforge.transition import (
     UnsupportedFamily,
-    coeff_parab,
     expand_E_in_G,
     expand_G_in_E,
     expansion_as_pbw,

@@ -1,10 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import all_perms
+from helpers import all_perms, prop1_oracle
+from klforge.pbw import PBWElement
 from klforge.poly import LaurentPoly
-from klforge.segcomb import BelowSigma0, BiSequence, construct_strongly_regular
+from klforge.segcomb import (
+    BelowSigma0,
+    BiSequence,
+    Multisegment,
+    Segment,
+    construct_strongly_regular,
+    dominates_sigma0,
+    multisegment_of,
+)
 from klforge.verify import (
     VerificationReport,
     is_square_irreducible,
@@ -15,7 +25,7 @@ from klforge.verify import (
     verify_power_identity,
     verify_prop1,
 )
-from klforge.symgroup import identity
+from klforge.symgroup import identity, is_pattern_avoiding
 import klforge.pbw as pbw_module
 import klforge.transition as transition_module
 import klforge.verify as verify_module
@@ -92,6 +102,67 @@ def test_prop1_skips_what_is_not_a_permutation_of_the_family(sigma, omega):
     r = verify_prop1(construct_strongly_regular((1, 2)), sigma, omega, 2)
     assert r.status == "skipped"
     assert r.reason.startswith("HypothesisFailed:") and "permute 1..2" in r.reason
+
+
+# (family, sigma, omega) for every strongly regular family with k <= 3 and
+# every sigma, omega above its minimal permutation
+_PROP1_CASES = [
+    (A, sigma, omega)
+    for k in (1, 2, 3)
+    for s0 in all_perms(k) if is_pattern_avoiding(s0, (2, 1, 3))
+    for A in [construct_strongly_regular(s0)]
+    for sigma in all_perms(k) if dominates_sigma0(A, sigma)
+    for omega in all_perms(k) if dominates_sigma0(A, omega)]
+
+
+def _shifted(A, d):
+    return BiSequence(tuple(x + d for x in A.a), tuple(x + d for x in A.b))
+
+
+def test_packed_prop1_matches_the_multisegment_route():
+    for A, sigma, omega in _PROP1_CASES:
+        for m in (2, 3):
+            r = verify_prop1(A, sigma, omega, m)
+            assert (r.status, r.computed) == prop1_oracle(A, sigma, omega, m), \
+                (A, sigma, omega, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PROP1_CASES), st.sampled_from((2, 3)), st.data())
+def test_packed_prop1_matches_the_multisegment_route_on_shifted_families(case, m, data):
+    A, sigma, omega = case
+    lo, hi = -2**31 - min(A.a), 2**31 - 1 - max(A.b)
+    B = _shifted(A, data.draw(st.integers(lo, hi) | st.sampled_from((lo, hi))))
+    r, unshifted = verify_prop1(B, sigma, omega, m), verify_prop1(A, sigma, omega, m)
+    assert (r.status, r.computed) == prop1_oracle(B, sigma, omega, m) \
+        == (unshifted.status, unshifted.computed)
+
+
+@pytest.mark.parametrize("edge", ["low", "high"])
+def test_prop1_rejects_ends_past_32_bits(edge):
+    A = construct_strongly_regular((1, 3, 2))
+    d = -2**31 - min(A.a) - 1 if edge == "low" else 2**31 - max(A.b)
+    with pytest.raises(ValueError, match="outside"):
+        verify_prop1(_shifted(A, d), (1, 3, 2), (3, 2, 1), 2)
+
+
+def test_prop1_builds_no_segment_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Segment, Multisegment or PBWElement was built")
+
+    A = construct_strongly_regular((1, 2))
+    target = str(2 * multisegment_of(A, (1, 2)))
+    for cls in (Multisegment, Segment, PBWElement):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(Multisegment, "from_sorted_items", refuse)
+    reports = [verify_prop1(B, sigma, omega, m)
+               for B, sigma, omega in _PROP1_CASES[::7] for m in (2, 3)]
+    assert {r.status for r in reports} == {"pass"}
+    monkeypatch.setattr(pbw_module, "_REACH_STATE_CAP", 2)
+    assert verify_prop1(A, (1, 2), (2, 1), 2).status == "undetermined"
+    monkeypatch.setattr(verify_module, "word_coefficient", lambda *args: None)
+    r = verify_prop1(A, (1, 2), (2, 1), 2)
+    assert r.status == "undetermined" and f"coefficient at {target} is not" in r.reason
 
 
 def test_power_identity_skips_what_is_not_a_permutation_of_the_family(table):
@@ -203,9 +274,9 @@ def _undetermined_products(monkeypatch, module=verify_module):
         return exact, _TaintsEverything()
 
     monkeypatch.setattr(module, "product_expansion_guarded", tainted)
-    if hasattr(module, "product_coefficient_guarded"):
-        monkeypatch.setattr(module, "product_coefficient_guarded",
-                            lambda factors, target: None)
+    if hasattr(module, "word_coefficient"):
+        monkeypatch.setattr(module, "word_coefficient",
+                            lambda words, target, exponent: None)
 
 
 def test_sweep_survives_undetermined_products(table, monkeypatch):
