@@ -48,8 +48,7 @@ Inside the row recursion both permutations and polynomials are single ints:
   field, above the length of w in the low 7 bits.  s_i w swaps the fields
   of i and i+1 and moves the length by one, i is a left ascent of w when
   the field of i is the smaller, and the length is key & 127.  Keys of the
-  same n compare like the tuples of their inverses, so the least tuple
-  image of w under _SYMMETRIES is the inverse of its least key image.
+  same n compare like the tuples of their inverses.
 * a polynomial is packed with the coefficient of q**d at bit 32*d, so
   adding is +, subtracting mu q**k r is - (mu * r << 32*k) and every
   coefficient is a 32-bit field.  Every finished row is checked to have
@@ -63,15 +62,22 @@ Inside the row recursion both permutations and polynomials are single ints:
 
 Keys and polynomials leave the row layer decoded, in _kl_qtuple, in
 _parabolic_qtuple and in transition._cosets_below.  The pools behind the
-encoding belong to the KLTable: the interned keys and packed values of
-finished rows, and the inverse and w0-conjugate images of each key,
-memoised as they are needed.
+encoding belong to the KLTable: the key of each permutation asked about,
+the interned keys and packed values of finished rows, and the inverse and
+w0-conjugate images of each key, memoised as they are needed.
 
 Conjugation by w0 maps blocks of positions to blocks of the same size,
 hence cosets of W_m to cosets of W_m, and keeps the module polynomials;
 t_m(omega) conjugates to t_m(w0 omega w0).  Inversion keeps P_{x,w} but
-maps cosets to cosets only for m = 1.  So a row is cached under the least
-image of its top under w0-conjugation and, for m = 1, inversion.
+maps cosets to cosets only for m = 1.  So a row is cached under a
+canonical top: for m >= 2 the least key image under w0-conjugation, and
+for m = 1 the inverse of the least key image under inversion and
+w0-conjugation, which is the image whose tuple is least.  The memo keys
+are normalized once, on keys, by the same images (_pair_key), so the top
+of a memo key is the canonical top of its row and a lookup that misses
+reads the row as it is cached.  A parabolic pair is normalized in S_k:
+t_m keeps the order of keys and commutes with w0-conjugation, so the top
+replicates to the canonical top of the module row.
 """
 
 from __future__ import annotations
@@ -87,14 +93,7 @@ from operator import or_
 from typing import Callable, Mapping
 
 from .poly import LaurentPoly
-from .symgroup import (
-    NotComparable,
-    Perm,
-    bruhat_leq,
-    inverse,
-    length,
-    replicate_perm,
-)
+from .symgroup import NotComparable, Perm, bruhat_leq, replicate_perm
 
 # A polynomial in q as a dense coefficient tuple, least degree first,
 # normalized with no trailing zeros; () is the zero polynomial.
@@ -121,14 +120,22 @@ def _shift(v: int, n: int) -> int:
 
 
 def _encode(w: Perm) -> int:
-    """The key of w: positions of the values 1..n, then the length."""
+    """The key of w: positions of the values 1..n, then the length.
+    ValueError unless w is a permutation of 1..n."""
     n = len(w)
     if n > _MAX_N:
         raise ValueError(f"keys hold at most {_MAX_N} letters, not {n}")
-    key = 0
-    for i, v in enumerate(w):
-        key |= i << 4 * (n - v)
-    return key << 7 | length(w)
+    key = inversions = seen = 0  # seen: the values met so far, as bits
+    try:
+        for i, v in enumerate(w):
+            key |= i << 4 * (n - v)
+            inversions += (seen >> v).bit_count()
+            seen |= 1 << v
+    except ValueError:  # a value above n or below 0: a negative shift
+        seen = 0
+    if seen != (2 << n) - 2:
+        raise ValueError(f"{w} is not a permutation of 1..{n}")
+    return key << 7 | inversions
 
 
 def _decode(key: int, n: int) -> Perm:
@@ -219,7 +226,7 @@ def _psub_scaled(p: QTuple, r: QTuple, mu: int, shift: int) -> QTuple:
 
 
 def _qtuple_to_poly(p: QTuple) -> LaurentPoly:
-    return LaurentPoly.from_q_coeffs({d: c for d, c in enumerate(p) if c})
+    return LaurentPoly({-2 * d: c for d, c in enumerate(p) if c})  # q = v**-2
 
 
 def _poly_to_qtuple(data: Mapping[str, int]) -> QTuple:
@@ -236,57 +243,28 @@ def _poly_to_qtuple(data: Mapping[str, int]) -> QTuple:
     return tuple(out)
 
 
-def _conjugate_by_w0(w: Perm) -> Perm:
-    n = len(w)
-    return tuple(n + 1 - w[n - 1 - i] for i in range(n))
-
-
-def _identity(w: Perm) -> Perm:
-    return w
-
-
-def _conjugate_inverse_by_w0(w: Perm) -> Perm:
-    return _conjugate_by_w0(inverse(w))
-
-
-# The classical symmetries P_{x,w} = P_{f(x),f(w)}: x, x^-1, w0 x w0 and
-# w0 x^-1 w0.  Each is an involution, so the map that carries a key to its
-# canonical form also carries it back.
-_SYMMETRIES: tuple[Callable[[Perm], Perm], ...] = (
-    _identity, inverse, _conjugate_by_w0, _conjugate_inverse_by_w0)
-
-
-def _canonical_top(w: Perm) -> tuple[Perm, list[Callable[[Perm], Perm]]]:
-    """The least image of w under _SYMMETRIES, and the symmetries giving it."""
-    images = [(f(w), f) for f in _SYMMETRIES]
-    top = min(t for t, _ in images)
-    return top, [f for t, f in images if t == top]
-
-
-def _coset_pair(sigma: Perm, omega: Perm) -> tuple[Perm, Perm]:
-    """The pair or its w0-conjugate, whichever has the lesser (top, bottom);
-    both have the same parabolic polynomials."""
-    w, s = min((omega, sigma), (_conjugate_by_w0(omega), _conjugate_by_w0(sigma)))
-    return s, w
-
-
 class KLTable:
     """Memo table for Kazhdan-Lusztig polynomials.
 
     Two kinds of finished polynomials are cached, and persisted as one
     JSON line each:
 
-    * an ordinary P_{s,w}, under the pair normalized by _SYMMETRIES, which
-      quarters the cache; the key's top is the canonical top of the row
-      cache, so an answer is read straight out of a cached row.  Only
-      comparable, off-diagonal pairs are stored.  Record:
+    * an ordinary P_{s,w}, under the key (bottom, top): the keys of the
+      pair's image under inversion and w0-conjugation whose top is the
+      canonical top of its row (_pair_key), which quarters the cache.
+      Only comparable, off-diagonal pairs are stored.  Record:
       {"n", "s", "w", "p"} with n = len(s).
-    * a parabolic polynomial of the cosets of t_m(s) below t_m(w), keyed by
-      (m, variant, s, w) with the pair normalized by w0-conjugation (see
-      _coset_pair).  Only comparable, off-diagonal pairs with m >= 2 are
-      stored.  Record: {"m", "v", "n", "s", "w", "p"} with n = m * len(s),
-      so a loader that reads only ordinary records finds n != len(s) and
-      skips the line instead of misreading it.
+    * a parabolic polynomial of the cosets of t_m(s) below t_m(w), under
+      the key (m, variant, bottom, top): the keys in S_k of the pair or
+      its w0-conjugate, whichever has the lesser top.  Only comparable,
+      off-diagonal pairs with m >= 2 are stored.  Record:
+      {"m", "v", "n", "s", "w", "p"} with n = m * len(s), so a loader
+      that reads only ordinary records finds n != len(s) and skips the
+      line instead of misreading it.
+
+    A record holds the normalized pair as tuples.  The loader normalizes
+    whatever member of the symmetry class a record holds, so files that
+    store other members load and answer the same.
 
     Rows are held in one in-memory cache whose total entry count is
     capped; least recently used rows are dropped first and recomputed on
@@ -296,8 +274,9 @@ class KLTable:
 
     The table owns every pool of the row recursion: rows map permutation
     keys to packed polynomials, each key and each packed value of a
-    finished row is interned in _keys and _polys, and _images holds, per n,
-    the inverse and w0-conjugate of each key met so far.  The pools outlive
+    finished row is interned in _keys and _polys, _perm_keys holds the key
+    of each permutation asked about, and _images holds, per n, the inverse
+    and w0-conjugate of each key met so far.  The pools outlive
     evicted rows and go away with the table.
 
     Concurrent use is safe: all writers compute identical values, so the
@@ -307,13 +286,14 @@ class KLTable:
 
     def __init__(self, path: str | os.PathLike | None = None,
                  max_row_entries: int = 4_000_000):
-        # (s, w) or (m, variant, s, w) -> polynomial
+        # (bottom, top) or (m, variant, bottom, top), as keys -> polynomial
         self._final: dict[tuple, QTuple] = {}
         # row key -> {key: packed polynomial}; LRU, least recent first
         self._rows: OrderedDict[object, dict[int, int]] = OrderedDict()
         self._row_entries = 0
         self._max_row_entries = max_row_entries
         self._keys: dict[int, int] = {}
+        self._perm_keys: dict[Perm, int] = {}
         self._polys: dict[int, int] = {}
         self._images: dict[int, tuple[_Images, _Images]] = {}
         self._lock = threading.Lock()
@@ -333,19 +313,12 @@ class KLTable:
         for line in lines:
             try:
                 rec = json.loads(line)
-                s, w = tuple(rec["s"]), tuple(rec["w"])
-                if not sorted(s) == sorted(w) == [*range(1, len(s) + 1)]:
+                s, w, m = rec["s"], rec["w"], rec.get("m", 1)
+                kind = (m, rec["v"]) if "m" in rec else ()
+                if (type(m) is not int or len(w) != len(s) or rec["n"] != m * len(s)
+                        or kind and (m < 2 or rec["v"] not in _VARIANTS)):
                     raise ValueError("inconsistent record")
-                if "m" in rec:
-                    m, variant = rec["m"], rec["v"]
-                    if (type(m) is not int or m < 2 or variant not in _VARIANTS
-                            or rec["n"] != m * len(s)):
-                        raise ValueError("inconsistent record")
-                    key = (m, variant, *_coset_pair(s, w))
-                else:
-                    if rec["n"] != len(s):
-                        raise ValueError("inconsistent record")
-                    key = self._canonical_pair(s, w)
+                key = (*kind, *_pair_key(self, _encode(s), _encode(w), len(s), m))
                 p = _poly_to_qtuple(rec["p"])
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
@@ -373,11 +346,12 @@ class KLTable:
 
     # -- key normalization ----------------------------------------------
 
-    @staticmethod
-    def _canonical_pair(s: Perm, w: Perm) -> tuple[Perm, Perm]:
-        """The least (top, bottom) image of the pair under _SYMMETRIES."""
-        top, symmetries = _canonical_top(w)
-        return min(f(s) for f in symmetries), top
+    def _key(self, w: Perm) -> int:
+        """The key of the permutation w, encoded once per table."""
+        key = self._perm_keys.get(w)
+        if key is None:
+            key = self._perm_keys[w] = _encode(w)
+        return key
 
     def _symmetries(self, n: int) -> tuple[_Images, _Images]:
         """The inverse and the w0-conjugate of the keys of S_n."""
@@ -406,18 +380,35 @@ class KLTable:
                 self._row_entries -= len(self._rows.popitem(last=False)[1])
 
 
+def _top(inv: _Images, conj: _Images, w: int, m: int) -> int:
+    """The canonical top of the row of w, see the module docstring."""
+    if m > 1:
+        return min(w, conj[w])
+    wi = inv[w]
+    return inv[min(w, wi, conj[w], conj[wi])]
+
+
+def _pair_key(table: KLTable, s: int, w: int, n: int, m: int = 1) -> tuple[int, int]:
+    """The memo key (bottom, top) of the keys s, w of S_n in the module of
+    W_m: the image of the pair under the symmetry that carries w to the
+    canonical top of its row (of t_m(w) for m >= 2), with the least bottom
+    when two symmetries do."""
+    inv, conj = table._symmetries(n)
+    top = _top(inv, conj, w, m)
+    images = [(w, s), (conj[w], conj[s])]
+    if m == 1:
+        wi, si = inv[w], inv[s]
+        images += [(wi, si), (conj[wi], conj[si])]
+    return min([y for x, y in images if x == top]), top
+
+
 def _row(table: KLTable, w: int, n: int, m: int = 1,
          neg1: bool = False) -> dict[int, int]:
     """The row {y: p_{y,w}} of the minimal representative w over the
     minimal y <= w with a nonzero polynomial, as keys and packed
     polynomials; read through a symmetry when w is not its canonical top."""
     inv, conj = table._symmetries(n)
-    wc = conj[w]
-    if m == 1:
-        wi = inv[w]
-        canon = inv[min(w, wi, wc, conj[wi])]
-    else:
-        canon = min(w, wc)
+    canon = _top(inv, conj, w, m)
     tag = (canon, m, neg1)
     row = table._row_get(tag)
     if row is None:
@@ -427,9 +418,9 @@ def _row(table: KLTable, w: int, n: int, m: int = 1,
         table._row_put(tag, row)
     if canon == w:
         return row
-    if canon == wc:
+    if canon == conj[w]:
         return {conj[y]: p for y, p in row.items()}
-    if canon == wi:
+    if canon == inv[w]:  # m = 1
         return {inv[y]: p for y, p in row.items()}
     return {conj[inv[y]]: p for y, p in row.items()}
 
@@ -513,17 +504,20 @@ def _finish_row(table: KLTable, cand: dict[int, int]) -> dict[int, int]:
 def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
     if len(s) != len(w):
         raise ValueError("permutations must have the same n")
-    if s == w:
+    n = len(w)
+    sk, wk = table._key(s), table._key(w)
+    if sk == wk:
         return _ONE
-    if not bruhat_leq(s, w):
-        return ()
-    key = table._canonical_pair(s, w)
+    key = _pair_key(table, sk, wk, n)
     hit = table._final.get(key)
     if hit is not None:
         return hit
-    p = _unpack(_row(table, _encode(key[1]), len(w)).get(_encode(key[0]), 0))
+    if not bruhat_leq(s, w):
+        return ()
+    bottom, top = key
+    p = _unpack(_row(table, top, n).get(bottom, 0))
     table._final[key] = p
-    table._persist({"n": len(w), "s": list(key[0]), "w": list(key[1])}, p)
+    table._persist({"n": n, "s": list(_decode(bottom, n)), "w": list(_decode(top, n))}, p)
     return p
 
 
@@ -540,23 +534,27 @@ def _parabolic_qtuple(table: KLTable, sigma: Perm, omega: Perm, m: int,
         raise ValueError("permutations must have the same n")
     if m < 1:
         raise ValueError("m must be at least 1")
-    if sigma == omega:
+    k = len(omega)
+    s, w = table._key(sigma), table._key(omega)
+    if s == w:
         return _ONE
-    s, w = _coset_pair(sigma, omega)
-    key = (m, variant, s, w)
+    key = _pair_key(table, s, w, k, m)
+    if m > 1:
+        key = (m, variant, *key)
     hit = table._final.get(key)
     if hit is not None:
         return hit
-    ts, tw = replicate_perm(s, m), replicate_perm(w, m)
+    bottom, top = _decode(key[-2], k), _decode(key[-1], k)
+    ts, tw = replicate_perm(bottom, m), replicate_perm(top, m)
     if not bruhat_leq(ts, tw):
         raise NotComparable(
             f"t_{m}({sigma}) is not below t_{m}({omega}) in Bruhat order")
     if m == 1:
-        return _kl_qtuple(table, s, w)
+        return _kl_qtuple(table, bottom, top)
     row = _row(table, _encode(tw), len(tw), m, variant == "neg1")
     p = _unpack(row.get(_encode(ts), 0))
     table._final[key] = p
-    table._persist({"m": m, "v": variant, "n": len(tw), "s": list(s), "w": list(w)}, p)
+    table._persist({"m": m, "v": variant, "n": len(tw), "s": list(bottom), "w": list(top)}, p)
     return p
 
 

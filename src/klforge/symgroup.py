@@ -151,20 +151,16 @@ def replicate_perm(x: Perm, m: int) -> Perm:
 
 
 def is_pattern_avoiding(w: Perm, pattern: Perm) -> bool:
-    """True iff no subsequence of w is ordered like the pattern."""
-    p = len(pattern)
-    if p > len(w):
-        return True
-    rank = tuple(sorted(range(p), key=lambda i: pattern[i]))
-    want = [0] * p
-    for r, i in enumerate(rank):
-        want[i] = r
-    for positions in itertools.combinations(range(len(w)), p):
-        vals = [w[i] for i in positions]
-        order = sorted(range(p), key=lambda i: vals[i])
-        got = [0] * p
-        for r, i in enumerate(order):
-            got[i] = r
-        if got == want:
+    """True iff no subsequence of w is ordered like the pattern: no choice
+    of len(pattern) values of w, kept in order, increases when read in the
+    order that sorts the pattern."""
+    order = sorted(range(len(pattern)), key=pattern.__getitem__)
+    for vals in itertools.combinations(w, len(pattern)):
+        prev = 0  # below every value
+        for i in order:
+            if vals[i] < prev:
+                break
+            prev = vals[i]
+        else:
             return False
     return True

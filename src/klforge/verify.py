@@ -151,12 +151,15 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
     t_m(omega), with the claimed monomial
     q**(C(m,2) (length(omega) - length(sigma)))."""
     started = time.perf_counter()
-    case = {"k": len(sigma0_perm), "m": m, "sigma0": list(sigma0_perm),
+    k = len(sigma0_perm)
+    case = {"k": k, "m": m, "sigma0": list(sigma0_perm),
             "sigma": list(sigma), "omega": list(omega)}
     check = "main-theorem"
     try:
         if m < 2:
             raise HypothesisFailed("m must be greater than 1")
+        if not sorted(sigma0_perm) == sorted(sigma) == sorted(omega) == [*range(1, k + 1)]:
+            raise HypothesisFailed(f"sigma0, sigma and omega must permute 1..{k}")
         if not is_pattern_avoiding(sigma0_perm, (2, 1, 3)):
             raise HypothesisFailed(f"sigma0 {sigma0_perm} contains the pattern 213")
         if not (bruhat_leq(sigma0_perm, sigma) and bruhat_leq(sigma, omega)):
@@ -167,8 +170,7 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
                 f"P(sigma0, omega) = {p0.format('q')} is not trivial")
     except HypothesisFailed as exc:
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
-    claimed = LaurentPoly.from_q_coeffs(
-        {comb(m, 2) * (length(omega) - length(sigma)): 1})
+    claimed = LaurentPoly.v(-2 * comb(m, 2) * (length(omega) - length(sigma)))  # q = v**-2
     computed = parabolic_kl_q(table, sigma, omega, m)
     return _finish(check, case, claimed, computed, started)
 

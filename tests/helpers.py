@@ -11,8 +11,9 @@ permutation tuples.  The straightening engine's packed-int kernel is
 checked against the Segment-object rewriting and reachability search it
 replaced, and verify_prop1's packed words against the Multisegment and
 PBWElement route they replaced.  The transition expansions are compared
-with the closed parabolic forms of coeff_parab.  Helpers that only tests
-call live here too.
+with the closed parabolic forms of coeff_parab.  The memo table normalizes
+its keys on packed permutation keys; canonical_pair_oracle is the same
+normalization on tuples.  Helpers that only tests call live here too.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from klforge.symgroup import (
     bruhat_leq,
     compose,
     identity,
+    inverse,
     length,
     longest_element,
     parity,
@@ -139,6 +141,37 @@ def parabolic_elements(shape: ParabolicShape):
     ]
     for combo in itertools.product(*per_block):
         yield tuple(itertools.chain.from_iterable(combo))
+
+
+# -- the memo key on tuples ----------------------------------------------
+
+
+def conjugate_by_w0(w: Perm) -> Perm:
+    n = len(w)
+    return tuple(n + 1 - w[n - 1 - i] for i in range(n))
+
+
+def _same(w: Perm) -> Perm:
+    return w
+
+
+def _conjugate_inverse_by_w0(w: Perm) -> Perm:
+    return conjugate_by_w0(inverse(w))
+
+
+# The classical symmetries P_{x,w} = P_{f(x),f(w)}: x, x^-1, w0 x w0 and
+# w0 x^-1 w0.  Conjugation by w0 alone also keeps the parabolic polynomials.
+SYMMETRIES = (_same, inverse, conjugate_by_w0, _conjugate_inverse_by_w0)
+COSET_SYMMETRIES = (_same, conjugate_by_w0)
+
+
+def canonical_pair_oracle(s: Perm, w: Perm, m: int = 1) -> tuple[Perm, Perm]:
+    """The pair normalized on tuples, as (bottom, top): the least (top,
+    bottom) image under SYMMETRIES for m = 1, under COSET_SYMMETRIES for
+    m >= 2.  Two pairs have one memo key exactly when they have one image."""
+    images = [(f(w), f(s)) for f in (SYMMETRIES if m == 1 else COSET_SYMMETRIES)]
+    top, bottom = min(images)
+    return bottom, top
 
 
 def coeff_parab(table: KLTable, A: BiSequence, sigma: Perm, omega: Perm,

@@ -6,17 +6,22 @@ import threading
 import pytest
 
 from helpers import (
+    COSET_SYMMETRIES,
+    SYMMETRIES,
     all_perms,
+    canonical_pair_oracle,
+    conjugate_by_w0,
     kl_inversion_check,
     kl_oracle,
     parabolic_kl_deodhar,
     parabolic_signed_sum,
     parabolic_translated,
 )
+import klforge.kl as kl_module
 from klforge.kl import (
     KLTable,
-    _conjugate_by_w0,
     _encode,
+    _pair_key,
     kl_poly,
     parabolic_kl_neg1,
     parabolic_kl_q,
@@ -36,6 +41,12 @@ from klforge.symgroup import (
 
 Q = LaurentPoly.from_q_coeffs
 ONE = LaurentPoly.one()
+
+
+def memo_key(table, s, w, m=1, variant="q"):
+    """The key the table files the polynomial of the pair under."""
+    key = _pair_key(table, _encode(s), _encode(w), len(s), m)
+    return key if m == 1 else (m, variant, *key)
 
 
 def test_diagonal_and_zero(table):
@@ -190,7 +201,7 @@ def test_cache_persistence(tmp_path):
     t1 = KLTable(path)
     p = kl_poly(t1, identity(4), (3, 4, 1, 2))
     t2 = KLTable(path)
-    key = t2._canonical_pair(identity(4), (3, 4, 1, 2))
+    key = memo_key(t2, identity(4), (3, 4, 1, 2))
     assert key in t2._final
     assert kl_poly(t2, identity(4), (3, 4, 1, 2)) == p
 
@@ -234,7 +245,7 @@ def test_cache_skips_bad_middle_record_and_keeps_the_rest(tmp_path, bad_record):
     assert len(t2._final) == len(lines) - 1
     for line in lines[:bad] + lines[bad + 1:]:
         rec = json.loads(line)
-        assert t2._canonical_pair(tuple(rec["s"]), tuple(rec["w"])) in t2._final
+        assert memo_key(t2, rec["s"], rec["w"]) in t2._final
 
 
 @pytest.mark.parametrize("bad_record", [
@@ -271,9 +282,10 @@ def test_parabolic_answers_persist_one_record_each(tmp_path):
             fn(t, sigma, omega, m)
             fn(t, sigma, omega, m)  # the second answer comes from the table
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    # the diagonal pair is never stored, and (2, 1, 3) < (3, 1, 2) shares
-    # the record of its w0-conjugate (1, 3, 2) < (2, 3, 1)
-    stored = [((1, 2), (2, 1), 3), ((1, 2, 3), (3, 2, 1), 2), ((1, 3, 2), (2, 3, 1), 2)]
+    # the diagonal pair is never stored, and (1, 3, 2) < (2, 3, 1) shares
+    # the record of its w0-conjugate (2, 1, 3) < (3, 1, 2), whose top has
+    # the lesser key: keys compare like the inverses (2, 3, 1) < (3, 1, 2)
+    stored = [((1, 2), (2, 1), 3), ((1, 2, 3), (3, 2, 1), 2), ((2, 1, 3), (3, 1, 2), 2)]
     assert len(records) == 2 * len(stored)
     for rec in records:
         assert set(rec) == {"m", "v", "n", "s", "w", "p"}
@@ -289,10 +301,10 @@ def test_w0_conjugate_pairs_share_one_record(tmp_path):
     p = parabolic_kl_q(t, sigma, omega, m)
     lines = path.read_bytes()
     assert len(lines.splitlines()) == 1
-    assert parabolic_kl_q(t, _conjugate_by_w0(sigma), _conjugate_by_w0(omega), m) == p
+    assert parabolic_kl_q(t, conjugate_by_w0(sigma), conjugate_by_w0(omega), m) == p
     assert path.read_bytes() == lines
     fresh = KLTable()
-    assert parabolic_kl_q(fresh, _conjugate_by_w0(sigma), _conjugate_by_w0(omega), m) == p
+    assert parabolic_kl_q(fresh, conjugate_by_w0(sigma), conjugate_by_w0(omega), m) == p
 
 
 def test_warm_table_answers_parabolic_sum_without_rows(tmp_path):
@@ -393,3 +405,90 @@ def test_row_cache_eviction():
 def test_mismatched_sizes(table):
     with pytest.raises(ValueError):
         kl_poly(table, (1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("fn", [
+    kl_poly,
+    lambda t, s, w: parabolic_kl_q(t, s, w, 2),
+    lambda t, s, w: parabolic_kl_neg1(t, s, w, 2),
+], ids=["kl_poly", "parabolic_kl_q", "parabolic_kl_neg1"])
+@pytest.mark.parametrize("s, w", [
+    ((1, 1, 3), (3, 2, 1)),
+    ((1, 2, 3), (3, 2, 2)),
+    ((1, 2), (1, 2, 3)),
+    ((1, 2, 3), (3, 2, 4)),
+    ((0, 1, 2), (1, 2, 3)),
+    ((-1, 2, 1), (3, 2, 1)),
+], ids=["s-repeats", "w-repeats", "sizes-differ", "value-above-n", "value-zero",
+        "value-negative"])
+def test_non_permutations_raise_and_write_no_record(tmp_path, fn, s, w):
+    path = tmp_path / "cache.jsonl"
+    t = KLTable(path)
+    with pytest.raises(ValueError):
+        fn(t, s, w)
+    assert not t._final and not path.exists()
+
+
+# Pairs asked in the memo file tests: every comparable pair of S_4, and
+# every comparable parabolic pair at (k, m) = (3, 2), (2, 3) in both variants.
+MEMO_PAIRS = [(kl_poly, s, w, 1) for w in all_perms(4) for s in all_perms(4)
+              if s != w and bruhat_leq(s, w)] + [
+    (fn, s, w, m) for k, m in [(3, 2), (2, 3)] for fn in (parabolic_kl_q, parabolic_kl_neg1)
+    for w in all_perms(k) for s in all_perms(k) if s != w and bruhat_leq(s, w)]
+
+
+def _ask(table, fn, s, w, m):
+    return fn(table, s, w) if m == 1 else fn(table, s, w, m)
+
+
+@pytest.mark.parametrize("member", ["oracle", *range(4)])
+def test_memo_file_with_other_members_answers_warm(tmp_path, monkeypatch, member):
+    # a record holding another member of its symmetry class, the tuple
+    # oracle's or the image under each symmetry, loads under the same key
+    path = tmp_path / "cache.jsonl"
+    cold = KLTable(path)
+    want = [_ask(cold, *case) for case in MEMO_PAIRS]
+    lines = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        s, w, m = tuple(rec["s"]), tuple(rec["w"]), rec.get("m", 1)
+        if member == "oracle":
+            s, w = canonical_pair_oracle(s, w, m)
+        else:
+            fs = SYMMETRIES if m == 1 else COSET_SYMMETRIES
+            s, w = fs[member % len(fs)](s), fs[member % len(fs)](w)
+        lines.append(json.dumps({**rec, "s": list(s), "w": list(w)}) + "\n")
+    path.write_text("".join(lines))
+
+    def no_rows(*args):
+        raise AssertionError("a warm table computed a row")
+
+    monkeypatch.setattr(kl_module, "_compute_row", no_rows)
+    warm = KLTable(path)
+    assert len(warm._final) == len(lines)
+    assert [_ask(warm, *case) for case in MEMO_PAIRS] == want
+    assert not warm._rows
+    assert path.read_text() == "".join(lines)
+
+
+def test_cold_lookups_read_cached_rows_without_remapping(monkeypatch):
+    # the top of a memo key is the canonical top of its row, so a lookup
+    # that misses gets the cached row itself, never a remapped copy
+    row, depth, outer = kl_module._row, [0], []
+
+    def watched(table, w, n, m=1, neg1=False):
+        depth[0] += 1
+        try:
+            got = row(table, w, n, m, neg1)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            outer.append(got is table._rows[(w, m, neg1)])
+        return got
+
+    monkeypatch.setattr(kl_module, "_row", watched)
+    t = KLTable()
+    for fn, s, w, m in MEMO_PAIRS + [(parabolic_kl_q, s, w, 2) for w in all_perms(4)
+                                     for s in all_perms(4) if s != w and bruhat_leq(s, w)]:
+        _ask(t, fn, s, w, m)
+    assert len(outer) > 100 and all(outer)

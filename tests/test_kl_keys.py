@@ -4,12 +4,19 @@ packed q-polynomials, and the coset tests of the module recursion."""
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import all_perms, apply_s_left, is_quotient_minimal
+from helpers import (
+    COSET_SYMMETRIES,
+    SYMMETRIES,
+    all_perms,
+    apply_s_left,
+    canonical_pair_oracle,
+    conjugate_by_w0,
+    is_quotient_minimal,
+)
 import klforge.kl as kl_module
 from klforge.kl import (
     KLTable,
     _conj_key,
-    _conjugate_by_w0,
     _decode,
     _encode,
     _finish_row,
@@ -17,12 +24,14 @@ from klforge.kl import (
     _is_minimal_key,
     _left_descent,
     _LEN_MASK,
+    _pair_key,
     _row,
     _s_left,
     _unpack,
 )
 from klforge.symgroup import (
     ParabolicShape,
+    bruhat_leq,
     inverse,
     length,
     longest_element,
@@ -36,14 +45,14 @@ def check_key(w):
     assert _decode(key, n) == w
     assert key & _LEN_MASK == length(w)
     assert _inv_key(key, n) == _encode(inverse(w))
-    assert _conj_key(key, n) == _encode(_conjugate_by_w0(w))
+    assert _conj_key(key, n) == _encode(conjugate_by_w0(w))
     for s in range(1, n):
         sw = apply_s_left(w, s)
         assert _s_left(key, s, n) == (_encode(sw), length(sw) > length(w))
     # the least key image is the inverse of the least tuple image
     inv, conj = _inv_key(key, n), _conj_key(key, n)
     least = min(key, inv, conj, _conj_key(inv, n))
-    assert _decode(_inv_key(least, n), n) == KLTable._canonical_pair(w, w)[1]
+    assert _decode(_inv_key(least, n), n) == canonical_pair_oracle(w, w)[1]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -115,8 +124,8 @@ def test_w0_conjugation_keeps_minimal_representatives():
     for k in range(1, 4):
         for m in range(1, 4):
             for omega in all_perms(k):
-                assert _conjugate_by_w0(replicate_perm(omega, m)) == replicate_perm(
-                    _conjugate_by_w0(omega), m)
+                assert conjugate_by_w0(replicate_perm(omega, m)) == replicate_perm(
+                    conjugate_by_w0(omega), m)
 
 
 # Rows of the module recursion in S_4 with W_2 = S_2 x S_2, from one made-up
@@ -176,3 +185,50 @@ def test_rows_computed_for_the_top_of_w0(monkeypatch, k, m, neg1, rows):
 def test_row_of_a_non_minimal_top_raises(neg1):
     with pytest.raises(ValueError, match="not a minimal coset representative"):
         _row(KLTable(), _encode((2, 1, 3, 4)), 4, 2, neg1)
+
+
+def _memo_key(table, s, w, m):
+    return _pair_key(table, _encode(s), _encode(w), len(s), m)
+
+
+def check_pair_key(table, s, w, m):
+    """The memo key of (s, w) names the oracle's pair, and its top is the
+    canonical top of the row: the least tuple image for m = 1 (see
+    check_key), the lesser replicated key under w0-conjugation for m >= 2
+    where the replicated keys exist."""
+    k = len(s)
+    bottom, top = _memo_key(table, s, w, m)
+    if m == 1:
+        assert _decode(top, k) == canonical_pair_oracle(w, w)[1]
+    elif m * k <= 16:
+        t = _encode(replicate_perm(_decode(top, k), m))
+        assert t <= _conj_key(t, m * k)
+    return (bottom, top), canonical_pair_oracle(s, w, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pairs_share_a_memo_key_exactly_when_the_oracle_says(m):
+    t = KLTable()
+    for k in range(1, 6):
+        keys = {}
+        for w in all_perms(k):
+            for s in all_perms(k):
+                if bruhat_leq(s, w):
+                    key, oracle = check_pair_key(t, s, w, m)
+                    assert keys.setdefault(key, oracle) == oracle, (s, w, m)
+        assert len(set(keys.values())) == len(keys)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.permutations(range(1, n + 1)),
+    st.sampled_from([1, 2, 3]), st.integers(0, 3), st.integers(0, 3))))
+def test_pair_keys_against_the_oracle_up_to_8_letters(case):
+    s, w, m, f, g = case
+    s, w = tuple(s), tuple(w)
+    fs = SYMMETRIES if m == 1 else COSET_SYMMETRIES
+    f, g = fs[f % len(fs)], fs[g % len(fs)]
+    t = KLTable()
+    key, oracle = check_pair_key(t, s, w, m)
+    assert _memo_key(t, f(s), f(w), m) == key  # one symmetry on both members
+    other, other_oracle = check_pair_key(t, f(s), g(w), m)
+    assert (other == key) == (other_oracle == oracle)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -165,6 +166,30 @@ def test_pattern_avoidance_catalan_counts():
     counts = [sum(1 for w in all_perms(k) if is_pattern_avoiding(w, (2, 1, 3)))
               for k in (1, 2, 3, 4, 5)]
     assert counts == [1, 2, 5, 14, 42]
+
+
+def _contains_pattern(w, pattern):
+    """Some positions i_1 < ... < i_p of w carry values in the relative
+    order of the pattern, compared pair by pair."""
+    p = len(pattern)
+    return any(all((w[i[a]] < w[i[b]]) == (pattern[a] < pattern[b])
+                   for a in range(p) for b in range(p))
+               for i in itertools.combinations(range(len(w)), p))
+
+
+def test_pattern_avoidance_against_the_definition_seeded():
+    patterns = [p for k in range(1, 5) for p in all_perms(k)]
+    for n in range(1, 6):
+        for w in all_perms(n):
+            for pattern in patterns:
+                assert is_pattern_avoiding(w, pattern) == (not _contains_pattern(w, pattern))
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(1, n + 1))),
+       st.integers(1, 4).flatmap(lambda p: st.permutations(range(1, p + 1))))
+def test_pattern_avoidance_against_the_definition(w, pattern):
+    w, pattern = tuple(w), tuple(pattern)
+    assert is_pattern_avoiding(w, pattern) == (not _contains_pattern(w, pattern))
 
 
 def test_enumerate_interval():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import all_perms, prop1_oracle
+from klforge.kl import KLTable
 from klforge.pbw import PBWElement
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
@@ -66,6 +67,19 @@ def test_main_theorem_hypothesis_filter(table):
     assert "HypothesisFailed" in r.reason and "1+q" in r.reason
     r = verify_main_theorem(table, (2, 1, 3), (2, 1, 3), (3, 2, 1), 2)
     assert r.status == "skipped" and "213" in r.reason
+
+
+@pytest.mark.parametrize("s0, sigma, omega", [
+    ((1, 2), (1, 2, 3), (3, 2, 1)),
+    ((1, 2, 3), (1, 2, 3), (3, 2, 2)),
+    ((1, 2, 3), (1, 1, 3), (3, 2, 1)),
+], ids=["sizes-differ", "omega-repeats-a-value", "sigma-repeats-a-value"])
+def test_main_theorem_skips_what_is_not_a_permutation(tmp_path, s0, sigma, omega):
+    table = KLTable(tmp_path / "memo.jsonl")
+    r = verify_main_theorem(table, s0, sigma, omega, 2)
+    assert r.status == "skipped"
+    assert r.reason.startswith("HypothesisFailed:") and "permute 1.." in r.reason
+    assert not table._final and not (tmp_path / "memo.jsonl").exists()
 
 
 def test_corollary_smooth(table):
