@@ -58,6 +58,8 @@ def _table(args) -> KLTable:
         parent = os.path.dirname(os.path.abspath(cache))
         if not os.path.isdir(parent):
             raise ValueError(f"cache directory {parent} does not exist")
+        if os.path.isdir(cache):
+            raise ValueError(f"cache path {cache} is a directory")
     return KLTable(cache)
 
 

@@ -37,9 +37,7 @@ interrupted sweeps restart cleanly.
 Conventions.  P_{w,w} = 1, P_{x,w} = 0 when x is not below w in Bruhat
 order, and deg_q P_{x,w} <= (length(w) - length(x) - 1) / 2 for x < w;
 the same holds for the module polynomials.  Outside the row recursion a
-polynomial in q is a dense tuple of coefficients indexed by q-degree, with
-no trailing zeros; the public functions wrap results in LaurentPoly (q
-rendered as v**-2).
+polynomial is a LaurentPoly, with q rendered as v**-2.
 
 Inside the row recursion both permutations and polynomials are single ints:
 
@@ -60,11 +58,12 @@ Inside the row recursion both permutations and polynomials are single ints:
   Kazhdan-Lusztig basis, nonnegative in every variant.  Python ints are
   exact in between, so no field can carry into the next unnoticed.
 
-Keys and polynomials leave the row layer decoded, in _kl_qtuple, in
-_parabolic_qtuple and in transition._cosets_below.  The pools behind the
-encoding belong to the KLTable: the key of each permutation asked about,
-the interned keys and packed values of finished rows, and the inverse and
-w0-conjugate images of each key, memoised as they are needed.
+Keys and polynomials leave the row layer decoded, in _lookup and in
+transition._cosets_below, whose signed sums _add_unpacked adds up field
+by field.  The pools behind the encoding belong to the KLTable: the key
+of each permutation asked about, the interned keys and packed values of
+finished rows, and the inverse and w0-conjugate images of each key,
+memoised as they are needed.
 
 Conjugation by w0 maps blocks of positions to blocks of the same size,
 hence cosets of W_m to cosets of W_m, and keeps the module polynomials;
@@ -95,11 +94,7 @@ from typing import Callable, Mapping
 from .poly import LaurentPoly
 from .symgroup import NotComparable, Perm, bruhat_leq, replicate_perm
 
-# A polynomial in q as a dense coefficient tuple, least degree first,
-# normalized with no trailing zeros; () is the zero polynomial.
-QTuple = tuple[int, ...]
-
-_ONE: QTuple = (1,)
+_ONE = LaurentPoly.one()
 
 # The parabolic variants, by the character of W_m the module is induced from.
 _VARIANTS = ("q", "neg1")
@@ -186,12 +181,19 @@ def _is_minimal_key(key: int, n: int, m: int) -> bool:
     return True
 
 
-def _unpack(p: int) -> QTuple:
-    out = []
+def _add_unpacked(out: dict[int, int], p: int, c: int) -> dict[int, int]:
+    """Add c times the packed polynomial p into out, a map {v-exponent:
+    coefficient} with q = v**-2, which LaurentPoly clears of zeros."""
+    e = 0
     while p:
-        out.append(p & _DIGIT)
+        out[e] = out.get(e, 0) + c * (p & _DIGIT)
         p >>= 32
-    return tuple(out)
+        e -= 2
+    return out
+
+
+def _unpack(p: int) -> LaurentPoly:
+    return LaurentPoly(_add_unpacked({}, p, 1))
 
 
 class _Images(dict):
@@ -212,35 +214,17 @@ class _Images(dict):
         return image
 
 
-# -- the tuple side ----------------------------------------------------------
-
-
-def _psub_scaled(p: QTuple, r: QTuple, mu: int, shift: int) -> QTuple:
-    """p - mu * q**shift * r, normalized."""
-    out = list(p) + [0] * max(0, shift + len(r) - len(p))
-    for i, c in enumerate(r):
-        out[shift + i] -= mu * c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _qtuple_to_poly(p: QTuple) -> LaurentPoly:
-    return LaurentPoly({-2 * d: c for d, c in enumerate(p) if c})  # q = v**-2
-
-
-def _poly_to_qtuple(data: Mapping[str, int]) -> QTuple:
-    """A stored {q-degree: coefficient} map; ValueError on a negative or
-    repeated degree ("1" and "01") or a coefficient that is not an int."""
+def _poly_of_record(data: Mapping[str, int], gap: int, ordinary: bool) -> LaurentPoly:
+    """A stored {q-degree: coefficient} map of a pair whose lengths differ
+    by gap; ValueError on what the recursion cannot produce: a negative,
+    repeated ("1" and "01") or too high degree, a negative or non-int
+    coefficient, or an ordinary polynomial with constant term other than 1."""
     items = [(int(d), c) for d, c in data.items()]
-    if any(d < 0 or type(c) is not int for d, c in items) or len(dict(items)) < len(items):
+    coeffs = dict(items)
+    if (any(d < 0 or 2 * d >= gap or type(c) is not int or c < 0 for d, c in items)
+            or len(coeffs) < len(items) or ordinary and coeffs.get(0) != 1):
         raise ValueError("bad polynomial")
-    out = [0] * (1 + max((d for d, _ in items), default=-1))
-    for d, c in items:
-        out[d] = c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return LaurentPoly.from_q_coeffs(coeffs)
 
 
 class KLTable:
@@ -262,9 +246,13 @@ class KLTable:
       that reads only ordinary records finds n != len(s) and skips the
       line instead of misreading it.
 
-    A record holds the normalized pair as tuples.  The loader normalizes
+    A record holds the normalized pair as tuples and "p" as a map from
+    q-degree to coefficient, in increasing degree.  The loader normalizes
     whatever member of the symmetry class a record holds, so files that
-    store other members load and answer the same.
+    store other members load and answer the same, and it skips a
+    polynomial the recursion cannot produce (_poly_of_record).  The
+    cached values are LaurentPoly, immutable, so a hit hands out the
+    stored value itself.
 
     Rows are held in one in-memory cache whose total entry count is
     capped; least recently used rows are dropped first and recomputed on
@@ -287,7 +275,7 @@ class KLTable:
     def __init__(self, path: str | os.PathLike | None = None,
                  max_row_entries: int = 4_000_000):
         # (bottom, top) or (m, variant, bottom, top), as keys -> polynomial
-        self._final: dict[tuple, QTuple] = {}
+        self._final: dict[tuple, LaurentPoly] = {}
         # row key -> {key: packed polynomial}; LRU, least recent first
         self._rows: OrderedDict[object, dict[int, int]] = OrderedDict()
         self._row_entries = 0
@@ -318,8 +306,10 @@ class KLTable:
                 if (type(m) is not int or len(w) != len(s) or rec["n"] != m * len(s)
                         or kind and (m < 2 or rec["v"] not in _VARIANTS)):
                     raise ValueError("inconsistent record")
-                key = (*kind, *_pair_key(self, _encode(s), _encode(w), len(s), m))
-                p = _poly_to_qtuple(rec["p"])
+                sk, wk = _encode(s), _encode(w)
+                key = (*kind, *_pair_key(self, sk, wk, len(s), m))
+                gap = m * m * ((wk & _LEN_MASK) - (sk & _LEN_MASK))  # in S_{mk}
+                p = _poly_of_record(rec["p"], gap, m == 1)
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
             self._final[key] = p
@@ -334,11 +324,11 @@ class KLTable:
             with open(self._path, "r+b") as fh:
                 fh.truncate(len(data) - len(tail))
 
-    def _persist(self, rec: dict, p: QTuple) -> None:
+    def _persist(self, rec: dict, p: LaurentPoly) -> None:
         """Append one record: rec holds every field but "p"."""
         if self._path is None:
             return
-        rec["p"] = {str(d): c for d, c in enumerate(p) if c}
+        rec["p"] = p.to_json("q")["coeffs"]
         line = json.dumps(rec, separators=(",", ":")) + "\n"
         with self._lock:
             with open(self._path, "a", encoding="utf-8") as fh:
@@ -501,35 +491,12 @@ def _finish_row(table: KLTable, cand: dict[int, int]) -> dict[int, int]:
     return dict(zip(map(keys, cand, cand), map(polys, values, values)))
 
 
-def _kl_qtuple(table: KLTable, s: Perm, w: Perm) -> QTuple:
-    if len(s) != len(w):
-        raise ValueError("permutations must have the same n")
-    n = len(w)
-    sk, wk = table._key(s), table._key(w)
-    if sk == wk:
-        return _ONE
-    key = _pair_key(table, sk, wk, n)
-    hit = table._final.get(key)
-    if hit is not None:
-        return hit
-    if not bruhat_leq(s, w):
-        return ()
-    bottom, top = key
-    p = _unpack(_row(table, top, n).get(bottom, 0))
-    table._final[key] = p
-    table._persist({"n": n, "s": list(_decode(bottom, n)), "w": list(_decode(top, n))}, p)
-    return p
-
-
-def kl_poly(table: KLTable, s: Perm, w: Perm) -> LaurentPoly:
-    """P_{s,w}(q), as a LaurentPoly in the q-view (zero when s is not below w)."""
-    return _qtuple_to_poly(_kl_qtuple(table, s, w))
-
-
-def _parabolic_qtuple(table: KLTable, sigma: Perm, omega: Perm, m: int,
-                      variant: str) -> QTuple:
+def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
+            variant: str | None) -> LaurentPoly:
     """One entry of the module row of t_m(omega), through the memo table;
-    for m = 1 the module is the Hecke algebra and the entry is P."""
+    for m = 1 the module is the Hecke algebra and the entry is P.  A pair
+    that is not comparable in Bruhat order gets 0 when variant is None,
+    for the ordinary polynomial, and raises NotComparable otherwise."""
     if len(sigma) != len(omega):
         raise ValueError("permutations must have the same n")
     if m < 1:
@@ -547,15 +514,22 @@ def _parabolic_qtuple(table: KLTable, sigma: Perm, omega: Perm, m: int,
     bottom, top = _decode(key[-2], k), _decode(key[-1], k)
     ts, tw = replicate_perm(bottom, m), replicate_perm(top, m)
     if not bruhat_leq(ts, tw):
+        if variant is None:
+            return LaurentPoly()
         raise NotComparable(
             f"t_{m}({sigma}) is not below t_{m}({omega}) in Bruhat order")
-    if m == 1:
-        return _kl_qtuple(table, bottom, top)
-    row = _row(table, _encode(tw), len(tw), m, variant == "neg1")
+    n = len(tw)
+    row = _row(table, _encode(tw), n, m, m > 1 and variant == "neg1")
     p = _unpack(row.get(_encode(ts), 0))
     table._final[key] = p
-    table._persist({"m": m, "v": variant, "n": len(tw), "s": list(bottom), "w": list(top)}, p)
+    kind = {"m": m, "v": variant} if m > 1 else {}
+    table._persist({**kind, "n": n, "s": list(bottom), "w": list(top)}, p)
     return p
+
+
+def kl_poly(table: KLTable, s: Perm, w: Perm) -> LaurentPoly:
+    """P_{s,w}(q), as a LaurentPoly in the q-view (zero when s is not below w)."""
+    return _lookup(table, s, w, 1, None)
 
 
 def parabolic_kl_q(table: KLTable, sigma: Perm, omega: Perm, m: int) -> LaurentPoly:
@@ -563,11 +537,11 @@ def parabolic_kl_q(table: KLTable, sigma: Perm, omega: Perm, m: int) -> LaurentP
     t_m(omega): one entry of the sign-character module row of t_m(omega),
     equal to the alternating sum over W_m of P_{t(sigma) x, t(omega)}.  A
     warm memo table answers without running the recursion."""
-    return _qtuple_to_poly(_parabolic_qtuple(table, sigma, omega, m, "q"))
+    return _lookup(table, sigma, omega, m, "q")
 
 
 def parabolic_kl_neg1(table: KLTable, sigma: Perm, omega: Perm, m: int) -> LaurentPoly:
     """The -1-variant parabolic polynomial: one entry of the
     trivial-character module row of t_m(omega), equal to the ordinary
     polynomial of both cosets translated by the longest element of W_m."""
-    return _qtuple_to_poly(_parabolic_qtuple(table, sigma, omega, m, "neg1"))
+    return _lookup(table, sigma, omega, m, "neg1")

@@ -54,14 +54,11 @@ from typing import Literal
 from .kl import (
     _LEN_MASK,
     KLTable,
-    QTuple,
+    _add_unpacked,
     _decode,
     _encode,
-    _psub_scaled,
-    _qtuple_to_poly,
     _row,
     _shift,
-    _unpack,
     kl_poly,
     parabolic_kl_q,  # noqa: F401  (perfbench/spans.py patches it)
 )
@@ -136,7 +133,7 @@ def _check_family(A: BiSequence, omega: Perm) -> tuple[Perm, Perm]:
     return s0, top
 
 
-def _cosets_below(table: KLTable, A: BiSequence, top: Perm) -> dict[Perm, QTuple]:
+def _cosets_below(table: KLTable, A: BiSequence, top: Perm) -> dict[Perm, LaurentPoly]:
     """The row {x: P_{x,top}} summed with signs (-1)**length(x) over each
     double coset of the family.
 
@@ -167,13 +164,13 @@ def _cosets_below(table: KLTable, A: BiSequence, top: Perm) -> dict[Perm, QTuple
             bucket[0] = y
         signs = bucket[1]
         signs[p] = signs.get(p, 0) + (-1 if y & 1 else 1)  # y & 1: odd length
-    out: dict[Perm, QTuple] = {}
+    out: dict[Perm, LaurentPoly] = {}
     for rep, signs in buckets.values():
-        acc: QTuple = ()
+        acc: dict[int, int] = {}
         for p, c in signs.items():
             if c:
-                acc = _psub_scaled(acc, _unpack(p), -c, 0)
-        out[_decode(rep, n)] = acc
+                _add_unpacked(acc, p, c)
+        out[_decode(rep, n)] = LaurentPoly(acc)
     return out
 
 
@@ -204,8 +201,8 @@ def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
     eps_top = parity(top)
     out: dict[Perm, LaurentPoly] = {}
     for rep, acc in _cosets_below(table, A, top).items():
-        if bruhat_leq(s0, rep) and acc:
-            out[rep] = LaurentPoly.v(lt - length(rep)) * _qtuple_to_poly(acc) * eps_top
+        if bruhat_leq(s0, rep) and not acc.is_zero():
+            out[rep] = LaurentPoly.v(lt - length(rep)) * acc * eps_top
     return out
 
 

@@ -22,7 +22,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from klforge.kl import KLTable, _kl_qtuple, kl_poly, parabolic_kl_neg1, parabolic_kl_q
+from klforge.kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from klforge.pbw import (
     NonGeneralPositionExchange,
     PBWElement,
@@ -308,19 +308,6 @@ def all_perms(n: int):
     return itertools.permutations(range(1, n + 1))
 
 
-def _qmul(p: QTuple, r: QTuple) -> QTuple:
-    if not p or not r:
-        return ()
-    out = [0] * (len(p) + len(r) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(r):
-                out[i + j] += a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def kl_inversion_check(table: KLTable, sigma: Perm, omega: Perm) -> bool:
     """The alternating-sum inversion identity over the interval [sigma, omega].
 
@@ -332,17 +319,11 @@ def kl_inversion_check(table: KLTable, sigma: Perm, omega: Perm) -> bool:
         raise NotComparable(f"{sigma} is not below {omega}")
     w0 = longest_element(len(sigma))
     base = length(sigma)
-    acc: QTuple = ()
+    acc = LaurentPoly.zero()
     for x in enumerate_interval(sigma, omega):
-        p1 = _kl_qtuple(table, sigma, x)
-        if not p1:
-            continue
-        p2 = _kl_qtuple(table, compose(w0, omega), compose(w0, x))
-        if not p2:
-            continue
-        sign = -1 if (length(x) - base) % 2 else 1
-        acc = _radd(acc, _rscale(_qmul(p1, p2), sign, 0))
-    return acc == ((1,) if sigma == omega else ())
+        p = kl_poly(table, sigma, x) * kl_poly(table, compose(w0, omega), compose(w0, x))
+        acc = acc - p if (length(x) - base) % 2 else acc + p
+    return acc == (1 if sigma == omega else 0)
 
 
 # -- parabolic oracles ---------------------------------------------------

@@ -131,17 +131,18 @@ def test_no_cache_overrides_env(tmp_path, capsys, monkeypatch):
     assert code == 0 and not cache.exists()
 
 
-def test_bad_cache_directory(capsys):
+def test_bad_cache_directory(tmp_path, capsys):
     # every subcommand that opens a memo table rejects the path
     family = json.dumps({"a": [1, 2], "b": [8, 7]})
     for argv in (["kl", "--s", "1,2", "--w", "2,1"],
                  ["pkl", "--s", "1,2", "--w", "2,1", "--m", "2"],
                  ["expand", "--family", family, "--direction", "g2e"],
                  ["verify", "--kmax", "1", "--mmax", "2"]):
-        code, _, err = run_cli(argv + ["--cache", "/nonexistent/dir/cache.jsonl"],
-                               capsys)
-        assert code == 1, argv
-        assert "cache directory" in err
+        for path, message in (("/nonexistent/dir/cache.jsonl", "cache directory"),
+                              (str(tmp_path), "is a directory")):
+            code, _, err = run_cli(argv + ["--cache", path], capsys)
+            assert code == 1, (argv, path)
+            assert err.startswith("error: ") and message in err, (argv, path)
 
 
 @pytest.mark.parametrize("argv, message", [

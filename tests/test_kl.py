@@ -255,8 +255,15 @@ def test_cache_skips_bad_middle_record_and_keeps_the_rest(tmp_path, bad_record):
     b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1.7}}\n',
     b'{"n":2,"s":[1,1],"w":[2,1],"p":{"0":1}}\n',
     b'{"n":2,"s":[1,2],"w":[2,2],"p":{"0":1}}\n',
+    b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1,"1":1,"2":1}}\n',
+    b'{"n":3,"s":[1,2,3],"w":[3,2,1],"p":{"1_0":1}}\n',
+    b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1,"1":-1}}\n',
+    b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":2,"1":1}}\n',
+    b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{}}\n',
 ], ids=["negative-degree", "negative-degree-over-the-constant", "repeated-degree",
-        "float-coefficient", "s-not-a-permutation", "w-not-a-permutation"])
+        "float-coefficient", "s-not-a-permutation", "w-not-a-permutation",
+        "degree-above-the-bound", "degree-with-digit-separator", "negative-coefficient",
+        "constant-term-not-1", "zero-polynomial"])
 def test_cache_skips_record_with_untrustworthy_values(tmp_path, bad_record):
     path = tmp_path / "cache.jsonl"
     t1 = KLTable(path)
@@ -325,7 +332,8 @@ def test_warm_table_answers_parabolic_sum_without_rows(tmp_path):
     b'{"m":2,"v":"q","n":4,"s":[1,2,3],"w":[3,2,1],"p":{"0":1}}\n',
     b'{"m":2,"v":"q","n":3,"s":[1,2,3],"w":[3,2,1],"p":{"0":1}}\n',
     b'{"m":2,"v":"neg2","n":6,"s":[1,2,3],"w":[3,2,1],"p":{"0":1}}\n',
-], ids=["n-not-m-times-k", "n-equal-to-k", "unknown-variant"])
+    b'{"m":2,"v":"q","n":6,"s":[1,2,3],"w":[3,2,1],"p":{"6":1}}\n',
+], ids=["n-not-m-times-k", "n-equal-to-k", "unknown-variant", "degree-above-the-bound"])
 def test_parabolic_record_with_bad_fields_is_skipped(tmp_path, bad_record):
     path = tmp_path / "cache.jsonl"
     t1 = KLTable(path)
@@ -383,14 +391,15 @@ def test_row_cache_evicts_least_recently_read():
 
 
 def test_cache_record_schema(tmp_path):
+    # the exact bytes: q-degrees in increasing order, no spaces
     path = tmp_path / "cache.jsonl"
     t = KLTable(path)
-    kl_poly(t, identity(4), (3, 4, 1, 2))
-    rec = json.loads(path.read_text().splitlines()[0])
-    assert set(rec) == {"n", "s", "w", "p"}
-    assert rec["n"] == 4
-    assert all(isinstance(x, int) for x in rec["s"] + rec["w"])
-    assert all(isinstance(c, int) for c in rec["p"].values())
+    assert kl_poly(t, identity(4), (3, 4, 1, 2)) == Q({0: 1, 1: 1})
+    assert parabolic_kl_q(t, identity(4), (3, 4, 1, 2), 2) == Q({4: 1, 5: 1, 6: 1})
+    assert path.read_text().splitlines() == [
+        '{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1,"1":1}}',
+        '{"m":2,"v":"q","n":8,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"4":1,"5":1,"6":1}}',
+    ]
 
 
 def test_row_cache_eviction():
