@@ -71,12 +71,13 @@ t_m(omega) conjugates to t_m(w0 omega w0).  Inversion keeps P_{x,w} but
 maps cosets to cosets only for m = 1.  So a row is cached under a
 canonical top: for m >= 2 the least key image under w0-conjugation, and
 for m = 1 the inverse of the least key image under inversion and
-w0-conjugation, which is the image whose tuple is least.  The memo keys
-are normalized once, on keys, by the same images (_pair_key), so the top
-of a memo key is the canonical top of its row and a lookup that misses
-reads the row as it is cached.  A parabolic pair is normalized in S_k:
-t_m keeps the order of keys and commutes with w0-conjugation, so the top
-replicates to the canonical top of the module row.
+w0-conjugation, which is the image whose tuple is least.  The memo files
+an answer under the key of each image of the pair by the same symmetries,
+its class (_pair_class), so a hit is one dict read on the pair as asked.
+A miss computes, and a record holds, the canonical member, whose top is
+the canonical top of its row, so a miss reads the row as it is cached.
+A parabolic pair is compared and listed in S_k: t_m is an order embedding,
+keeps the order of keys and commutes with w0-conjugation.
 """
 
 from __future__ import annotations
@@ -230,29 +231,27 @@ def _poly_of_record(data: Mapping[str, int], gap: int, ordinary: bool) -> Lauren
 class KLTable:
     """Memo table for Kazhdan-Lusztig polynomials.
 
-    Two kinds of finished polynomials are cached, and persisted as one
-    JSON line each:
+    Two kinds of finished polynomials are cached in _final, and persisted
+    as one JSON line each:
 
-    * an ordinary P_{s,w}, under the key (bottom, top): the keys of the
-      pair's image under inversion and w0-conjugation whose top is the
-      canonical top of its row (_pair_key), which quarters the cache.
+    * an ordinary P_{s,w}, under the key (bottom, top) of each member of
+      the pair's class under inversion and w0-conjugation (_pair_class).
       Only comparable, off-diagonal pairs are stored.  Record:
       {"n", "s", "w", "p"} with n = len(s).
     * a parabolic polynomial of the cosets of t_m(s) below t_m(w), under
-      the key (m, variant, bottom, top): the keys in S_k of the pair or
-      its w0-conjugate, whichever has the lesser top.  Only comparable,
-      off-diagonal pairs with m >= 2 are stored.  Record:
-      {"m", "v", "n", "s", "w", "p"} with n = m * len(s), so a loader
-      that reads only ordinary records finds n != len(s) and skips the
-      line instead of misreading it.
+      the key (m, variant, bottom, top) of the pair and of its
+      w0-conjugate, as keys in S_k.  Only comparable, off-diagonal pairs
+      with m >= 2 are stored.  Record: {"m", "v", "n", "s", "w", "p"}
+      with n = m * len(s), so a loader that reads only ordinary records
+      finds n != len(s) and skips the line instead of misreading it.
 
-    A record holds the normalized pair as tuples and "p" as a map from
-    q-degree to coefficient, in increasing degree.  The loader normalizes
-    whatever member of the symmetry class a record holds, so files that
-    store other members load and answer the same, and it skips a
-    polynomial the recursion cannot produce (_poly_of_record).  The
-    cached values are LaurentPoly, immutable, so a hit hands out the
-    stored value itself.
+    A record holds the canonical member of the class as tuples and "p" as
+    a map from q-degree to coefficient, in increasing degree.  The loader
+    lists the class of whatever member a record holds, so files that
+    store other members load and answer the same.  It skips a pair that
+    is not strictly below in Bruhat order and a polynomial the recursion
+    cannot produce (_poly_of_record).  The cached values are LaurentPoly,
+    immutable, so a hit hands out the stored value itself.
 
     Rows are held in one in-memory cache whose total entry count is
     capped; least recently used rows are dropped first and recomputed on
@@ -297,22 +296,25 @@ class KLTable:
         with open(self._path, "rb") as fh:
             data = fh.read()
         *lines, tail = data.split(b"\n")  # tail: an unterminated record
+        decode = json.JSONDecoder().decode
         kept: list[bytes] = []
         for line in lines:
             try:
-                rec = json.loads(line)
+                rec = decode(line.decode())
                 s, w, m = rec["s"], rec["w"], rec.get("m", 1)
                 kind = (m, rec["v"]) if "m" in rec else ()
                 if (type(m) is not int or len(w) != len(s) or rec["n"] != m * len(s)
                         or kind and (m < 2 or rec["v"] not in _VARIANTS)):
                     raise ValueError("inconsistent record")
                 sk, wk = _encode(s), _encode(w)
-                key = (*kind, *_pair_key(self, sk, wk, len(s), m))
+                if sk == wk or not bruhat_leq(s, w):  # in S_k: t_m embeds the order
+                    raise ValueError("not a pair below the diagonal")
                 gap = m * m * ((wk & _LEN_MASK) - (sk & _LEN_MASK))  # in S_{mk}
                 p = _poly_of_record(rec["p"], gap, m == 1)
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
-            self._final[key] = p
+            for pair in _pair_class(self, sk, wk, len(s), m):
+                self._final[(*kind, *pair)] = p
             kept.append(line)
         if len(kept) < len(lines):
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self._path) or ".")
@@ -378,18 +380,17 @@ def _top(inv: _Images, conj: _Images, w: int, m: int) -> int:
     return inv[min(w, wi, conj[w], conj[wi])]
 
 
-def _pair_key(table: KLTable, s: int, w: int, n: int, m: int = 1) -> tuple[int, int]:
-    """The memo key (bottom, top) of the keys s, w of S_n in the module of
-    W_m: the image of the pair under the symmetry that carries w to the
-    canonical top of its row (of t_m(w) for m >= 2), with the least bottom
-    when two symmetries do."""
+def _pair_class(table: KLTable, s: int, w: int, n: int, m: int = 1) -> list[tuple[int, int]]:
+    """The symmetry class of the keys s, w of S_n in the module of W_m, as
+    (bottom, top) pairs: the pair and its w0-conjugate, and for m = 1 their
+    inverses too.  The first is the canonical member, the one whose top is
+    the canonical top of its row (of t_m(w) for m >= 2, see _top), with the
+    least bottom when two members share that top."""
     inv, conj = table._symmetries(n)
-    top = _top(inv, conj, w, m)
-    images = [(w, s), (conj[w], conj[s])]
+    pairs = [(s, w), (conj[s], conj[w])]
     if m == 1:
-        wi, si = inv[w], inv[s]
-        images += [(wi, si), (conj[wi], conj[si])]
-    return min([y for x, y in images if x == top]), top
+        pairs += [(inv[b], inv[t]) for b, t in pairs]
+    return sorted(pairs, key=lambda p: (inv[p[1]] if m == 1 else p[1], p[0]))
 
 
 def _row(table: KLTable, w: int, n: int, m: int = 1,
@@ -501,29 +502,28 @@ def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
         raise ValueError("permutations must have the same n")
     if m < 1:
         raise ValueError("m must be at least 1")
-    k = len(omega)
     s, w = table._key(sigma), table._key(omega)
     if s == w:
         return _ONE
-    key = _pair_key(table, s, w, k, m)
-    if m > 1:
-        key = (m, variant, *key)
-    hit = table._final.get(key)
+    hit = table._final.get((s, w) if m == 1 else (m, variant, s, w))
     if hit is not None:
         return hit
-    bottom, top = _decode(key[-2], k), _decode(key[-1], k)
-    ts, tw = replicate_perm(bottom, m), replicate_perm(top, m)
-    if not bruhat_leq(ts, tw):
+    if not bruhat_leq(sigma, omega):  # in S_k: t_m embeds the order
         if variant is None:
             return LaurentPoly()
         raise NotComparable(
             f"t_{m}({sigma}) is not below t_{m}({omega}) in Bruhat order")
-    n = len(tw)
-    row = _row(table, _encode(tw), n, m, m > 1 and variant == "neg1")
+    k = len(omega)
+    members = _pair_class(table, s, w, k, m)
+    bottom, top = _decode(members[0][0], k), _decode(members[0][1], k)
+    ts, tw = replicate_perm(bottom, m), replicate_perm(top, m)
+    row = _row(table, _encode(tw), len(tw), m, m > 1 and variant == "neg1")
     p = _unpack(row.get(_encode(ts), 0))
-    table._final[key] = p
-    kind = {"m": m, "v": variant} if m > 1 else {}
-    table._persist({**kind, "n": n, "s": list(bottom), "w": list(top)}, p)
+    kind = (m, variant) if m > 1 else ()
+    for pair in members:
+        table._final[(*kind, *pair)] = p
+    rec = {"m": m, "v": variant} if m > 1 else {}
+    table._persist({**rec, "n": len(tw), "s": list(bottom), "w": list(top)}, p)
     return p
 
 

@@ -21,7 +21,7 @@ import klforge.kl as kl_module
 from klforge.kl import (
     KLTable,
     _encode,
-    _pair_key,
+    _pair_class,
     kl_poly,
     parabolic_kl_neg1,
     parabolic_kl_q,
@@ -45,8 +45,23 @@ ONE = LaurentPoly.one()
 
 def memo_key(table, s, w, m=1, variant="q"):
     """The key the table files the polynomial of the pair under."""
-    key = _pair_key(table, _encode(s), _encode(w), len(s), m)
+    key = _pair_class(table, _encode(s), _encode(w), len(s), m)[0]
     return key if m == 1 else (m, variant, *key)
+
+
+def check_records_answer(table, lines):
+    """Each record of a memo file answers its stored polynomial from the
+    table without computing a row, and no two records share a class."""
+    keys = set()
+    for line in lines:
+        rec = json.loads(line)
+        s, w, m, v = tuple(rec["s"]), tuple(rec["w"]), rec.get("m", 1), rec.get("v")
+        fn = {None: kl_poly, "q": parabolic_kl_q, "neg1": parabolic_kl_neg1}[v]
+        p = Q({int(d): c for d, c in rec["p"].items()})
+        assert _ask(table, fn, s, w, m) == p, rec
+        keys.add(memo_key(table, s, w, m, v))
+    assert not table._rows
+    assert len(keys) == len(lines)
 
 
 def test_diagonal_and_zero(table):
@@ -242,10 +257,7 @@ def test_cache_skips_bad_middle_record_and_keeps_the_rest(tmp_path, bad_record):
     path.write_bytes(b"".join(lines[:bad] + [bad_record] + lines[bad + 1:]))
     t2 = KLTable(path)
     assert path.read_bytes() == b"".join(lines[:bad] + lines[bad + 1:])
-    assert len(t2._final) == len(lines) - 1
-    for line in lines[:bad] + lines[bad + 1:]:
-        rec = json.loads(line)
-        assert memo_key(t2, rec["s"], rec["w"]) in t2._final
+    check_records_answer(t2, lines[:bad] + lines[bad + 1:])
 
 
 @pytest.mark.parametrize("bad_record", [
@@ -333,7 +345,9 @@ def test_warm_table_answers_parabolic_sum_without_rows(tmp_path):
     b'{"m":2,"v":"q","n":3,"s":[1,2,3],"w":[3,2,1],"p":{"0":1}}\n',
     b'{"m":2,"v":"neg2","n":6,"s":[1,2,3],"w":[3,2,1],"p":{"0":1}}\n',
     b'{"m":2,"v":"q","n":6,"s":[1,2,3],"w":[3,2,1],"p":{"6":1}}\n',
-], ids=["n-not-m-times-k", "n-equal-to-k", "unknown-variant", "degree-above-the-bound"])
+    b'{"m":2,"v":"q","n":4,"s":[1,2],"w":[1,2],"p":{}}\n',
+], ids=["n-not-m-times-k", "n-equal-to-k", "unknown-variant", "degree-above-the-bound",
+        "diagonal-pair"])
 def test_parabolic_record_with_bad_fields_is_skipped(tmp_path, bad_record):
     path = tmp_path / "cache.jsonl"
     t1 = KLTable(path)
@@ -344,6 +358,25 @@ def test_parabolic_record_with_bad_fields_is_skipped(tmp_path, bad_record):
     t2 = KLTable(path)
     assert path.read_bytes() == good
     assert t2._final == t1._final
+    check_records_answer(t2, good.splitlines())
+
+
+def test_cache_skips_records_of_incomparable_pairs(tmp_path):
+    # 2134 and 1342 are not comparable in Bruhat order, nor are their
+    # replications; both records pass every other check of the loader
+    path = tmp_path / "cache.jsonl"
+    t1 = KLTable(path)
+    kl_poly(t1, (1, 2), (2, 1))
+    good = path.read_bytes()
+    s, w = (2, 1, 3, 4), (1, 3, 4, 2)
+    path.write_bytes(b'{"n":4,"s":[2,1,3,4],"w":[1,3,4,2],"p":{"0":1}}\n' + good
+                     + b'{"m":2,"v":"q","n":8,"s":[2,1,3,4],"w":[1,3,4,2],"p":{"0":1}}\n')
+    t2 = KLTable(path)
+    assert path.read_bytes() == good
+    assert kl_poly(t2, s, w) == kl_poly(KLTable(), s, w) == LaurentPoly.zero()
+    with pytest.raises(NotComparable):
+        parabolic_kl_q(t2, s, w, 2)
+    assert path.read_bytes() == good
 
 
 def test_table_shared_between_threads(tmp_path):
@@ -474,10 +507,28 @@ def test_memo_file_with_other_members_answers_warm(tmp_path, monkeypatch, member
 
     monkeypatch.setattr(kl_module, "_compute_row", no_rows)
     warm = KLTable(path)
-    assert len(warm._final) == len(lines)
+    check_records_answer(warm, lines)
     assert [_ask(warm, *case) for case in MEMO_PAIRS] == want
     assert not warm._rows
     assert path.read_text() == "".join(lines)
+
+
+def test_warm_hits_never_normalise(tmp_path, monkeypatch):
+    # every member of a loaded class is a key of its own: a hit is one dict
+    # read, with no class listing and no row
+    path = tmp_path / "cache.jsonl"
+    cold = KLTable(path)
+    want = [_ask(cold, *case) for case in MEMO_PAIRS]
+    warm = KLTable(path)
+
+    def fail(*args):
+        raise AssertionError("a warm hit normalised its pair or computed a row")
+
+    monkeypatch.setattr(kl_module, "_compute_row", fail)
+    monkeypatch.setattr(kl_module, "_pair_class", fail)
+    for (fn, s, w, m), p in zip(MEMO_PAIRS, want):
+        for f in SYMMETRIES if m == 1 else COSET_SYMMETRIES:
+            assert _ask(warm, fn, f(s), f(w), m) == p, (s, w, m, f)
 
 
 def test_cold_lookups_read_cached_rows_without_remapping(monkeypatch):

@@ -24,7 +24,7 @@ from klforge.kl import (
     _is_minimal_key,
     _left_descent,
     _LEN_MASK,
-    _pair_key,
+    _pair_class,
     _row,
     _s_left,
     _unpack,
@@ -188,7 +188,7 @@ def test_row_of_a_non_minimal_top_raises(neg1):
 
 
 def _memo_key(table, s, w, m):
-    return _pair_key(table, _encode(s), _encode(w), len(s), m)
+    return _pair_class(table, _encode(s), _encode(w), len(s), m)[0]
 
 
 def check_pair_key(table, s, w, m):

@@ -142,6 +142,17 @@ def test_replicate_length_scaling():
                 assert length(replicate_perm(x, m)) == m * m * length(x)
 
 
+def test_replicate_is_a_bruhat_order_embedding():
+    # x <= y in S_k exactly when t_m(x) <= t_m(y) in S_mk, so the memo
+    # compares a parabolic pair in S_k
+    for k in range(1, 5):
+        for m in (2, 3):
+            for x in all_perms(k):
+                for y in all_perms(k):
+                    assert bruhat_leq(x, y) == bruhat_leq(
+                        replicate_perm(x, m), replicate_perm(y, m)), (x, y, m)
+
+
 def test_replicate_block_compatibilities():
     # t(x w0) = t(x) t(w0) and t(w0) * longest(W_m) = longest(S_mk)
     for k in (2, 3):
