@@ -7,7 +7,9 @@ either a human-readable table form like 1+q or the JSON wire form.
 
 The Kazhdan-Lusztig memo table can persist to an append-only JSON-lines
 file given by --cache or the KLFORGE_CACHE environment variable; --no-cache
-bypasses persistence.
+bypasses persistence.  Each subcommand takes only the flags it reads:
+--format on kl, pkl, sigma0 and mseg, --cache and --no-cache on the ones
+that open a memo table (kl, pkl, expand and verify).
 """
 
 from __future__ import annotations
@@ -123,9 +125,11 @@ def cmd_expand(args) -> int:
     if args.m > 1:
         A = replicate(A, args.m)
     matrix = transition_matrix(_table(args), A, args.direction)
+    if args.w is not None and args.w not in matrix.index:
+        raise ValueError(f"--w {','.join(map(str, args.w))} is not in the matrix index")
     entries = []
     for (row, col), coeff in sorted(matrix.entries.items()):
-        if args.w is not None and col != tuple(args.w):
+        if args.w is not None and col != args.w:
             continue
         entries.append({"row": list(row), "col": list(col),
                         "coeff": coeff.to_json("v")})
@@ -149,10 +153,13 @@ def cmd_verify(args) -> int:
     return 1 if counts["fail"] else 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_cache(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", help="path of the persistent memo file")
     p.add_argument("--no-cache", action="store_true",
                    help="never read or write a memo file")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "json"), default="table")
 
 
@@ -165,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kl", help="ordinary polynomial of a pair")
     p.add_argument("--s", type=_parse_perm, required=True)
     p.add_argument("--w", type=_parse_perm, required=True)
-    _add_common(p)
+    _add_cache(p)
+    _add_format(p)
     p.set_defaults(func=cmd_kl)
 
     p = sub.add_parser("pkl", help="parabolic polynomial of a coset pair")
@@ -173,20 +181,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_parse_perm, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--variant", choices=("q", "neg1"), default="q")
-    _add_common(p)
+    _add_cache(p)
+    _add_format(p)
     p.set_defaults(func=cmd_pkl)
 
     p = sub.add_parser("sigma0", help="minimal permutation of a bi-sequence")
     p.add_argument("--a", type=_parse_ints, required=True)
     p.add_argument("--b", type=_parse_ints, required=True)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_sigma0)
 
     p = sub.add_parser("mseg", help="family member at a permutation")
     p.add_argument("--a", type=_parse_ints, required=True)
     p.add_argument("--b", type=_parse_ints, required=True)
     p.add_argument("--perm", type=_parse_perm, required=True)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_mseg)
 
     p = sub.add_parser("expand", help="transition matrix of a family")
@@ -198,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("e2g", "g2e"), required=True)
     p.add_argument("--w", type=_parse_perm,
                    help="emit only the expansion of this element")
-    _add_common(p)
+    _add_cache(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="run the verification sweep")
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--mmax", type=int, default=3)
-    _add_common(p)
+    _add_cache(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -14,17 +14,17 @@ adjacent pairs:
                     + (v**-1 - v) T_{D1 cap D2} T_{D1 cup D2}   (linked)
 
 for D1 < D2 in general position.  These are the only exchange rules the
-engine knows.  strict straightening raises NonGeneralPositionExchange as
-soon as a word has out-of-order pairs but none of them is exchangeable.
-That error is a feature: a strict run that completes certifies it stayed
-inside the proven regime.
+engine knows.  Every product goes through the guarded routes below
+(product_expansion_guarded and word_coefficient): a word stuck on
+inversions the rules do not cover never yields a guessed coefficient,
+only tainted multisegments.
 
 Pairs sharing a left or a right end are out of scope for the rules, and
 they do arise in products of distinct members of a strongly regular
 family.  Such a pair only reorders: two segments with a common end are
 never linked, their product is a single basis element, so the exchange is
 a plain transposition times an undetermined power of v and cannot create
-new multisegments.  The guarded product below exploits exactly this: a
+new multisegments.  The guarded product exploits exactly this: a
 word whose remaining inversions all share an end is dropped, and every
 multisegment any continuation of it could still reach (explored by a
 depth-first search over reorderings and exchanges, at most
@@ -49,8 +49,9 @@ can neither finish at the target nor taint it.
 Rewriting repeatedly picks the leftmost exchangeable pair of some pending
 word; words are keyed in a map so duplicates merge eagerly.  An exchange
 either removes an inversion or splits endpoints into a strictly more
-nested pair, so the process terminates; confluence is asserted by test
-(rightmost picking must give the same normal form), not assumed.
+nested pair, so the process terminates.  Confluence is checked by test,
+not assumed: the Segment-object oracle picking the rightmost pair must
+reach the same normal form.
 
 The rewriting runs on packed words.  A segment [a, b] is the int
 ((b + 2**31) << 32) | (a + 2**31), whose int order is the segment order
@@ -65,7 +66,6 @@ search it replaced are the test oracle in tests/helpers.py.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import groupby
 from math import comb
 from operator import gt
@@ -84,32 +84,12 @@ _EXCHANGE = _V(-1) - _V(1)  # v**-1 - v
 
 
 class NonGeneralPositionExchange(ValueError):
-    """An out-of-order adjacent pair outside general position was reached;
-    the known exchange rules do not cover it."""
-
-
-@dataclass(frozen=True)
-class TWord:
-    """A product of segment generators, read left to right, with a scalar
-    prefix so basis prefactors compose without early normalization."""
-
-    prefix: LaurentPoly
-    segments: tuple[Segment, ...]
-
-    def __mul__(self, other: "TWord") -> "TWord":
-        if not isinstance(other, TWord):
-            return NotImplemented
-        return TWord(self.prefix * other.prefix, self.segments + other.segments)
+    """The words a stuck word could still reach, where the exchange rules
+    do not cover its inversions, outgrew the search's state cap."""
 
 
 def e_star_prefactor_exponent(m: Multisegment) -> int:
     return sum(comb(c, 2) for _, c in m.items())
-
-
-def e_star(m: Multisegment) -> TWord:
-    """The defining word of the basis element E(M): sorted segments with a
-    v-power prefix."""
-    return TWord(_V(e_star_prefactor_exponent(m)), tuple(m.segments()))
 
 
 def _accumulate(target: dict, key, coeff: LaurentPoly) -> None:
@@ -131,10 +111,6 @@ class PBWElement:
         self._terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
-    def unit(cls) -> "PBWElement":
-        return cls({Multisegment.empty(): LaurentPoly.one()})
-
-    @classmethod
     def basis(cls, m: Multisegment) -> "PBWElement":
         return cls({m: LaurentPoly.one()})
 
@@ -152,24 +128,6 @@ class PBWElement:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __add__(self, other: "PBWElement") -> "PBWElement":
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            _accumulate(out, m, c)
-        return PBWElement(out)
-
-    def scale(self, c: LaurentPoly | int) -> "PBWElement":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        return PBWElement({m: x * c for m, x in self._terms.items()})
-
-    def __mul__(self, other: "PBWElement") -> "PBWElement":
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return multiply(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PBWElement):
@@ -252,8 +210,8 @@ def _cap_cup(x: int, y: int) -> tuple[int, int] | None:
     return None
 
 
-def _rewrite(word: Word, prefix: LaurentPoly, from_right: bool):
-    """Shared straightening loop.
+def _rewrite(word: Word, prefix: LaurentPoly):
+    """The straightening loop, exchanging the leftmost admissible pair.
 
     Returns (finished, stuck): coefficient maps keyed by packed word, where
     stuck words are those whose every inversion is outside general position.
@@ -263,21 +221,17 @@ def _rewrite(word: Word, prefix: LaurentPoly, from_right: bool):
     stuck: dict[Word, LaurentPoly] = {}
     while pending:
         w, c = pending.popitem()
-        pick = -1
         inverted = False
         for i in range(len(w) - 1):
             x, y = w[i], w[i + 1]
             if x > y:
                 inverted = True
                 if _general_position(x, y):
-                    pick = i
-                    if not from_right:
-                        break
-        if pick < 0:
+                    break
+        else:
             _accumulate(stuck if inverted else finished, w, c)
             continue
-        x, y = w[pick], w[pick + 1]
-        head, tail = w[:pick], w[pick + 2:]
+        head, tail = w[:i], w[i + 2:]
         _accumulate(pending, head + (y, x) + tail, c)
         pair = _cap_cup(x, y)
         if pair:
@@ -293,35 +247,6 @@ def _collect(finished: dict[Word, LaurentPoly],
         m = decode.multisegment(w)
         out[m] = c * _V(-e_star_prefactor_exponent(m))
     return out
-
-
-def straighten(word: TWord, _pick: str = "leftmost") -> PBWElement:
-    """Normal form of a generator word as a combination of basis elements.
-
-    The scalar prefix multiplies every resulting coefficient; the basis
-    prefactor of each sorted word is divided back out at the end.  Raises
-    NonGeneralPositionExchange when a word gets stuck on inversions the
-    rules do not cover.
-    """
-    finished, stuck = _rewrite(_pack_word(word.segments), word.prefix,
-                               _pick == "rightmost")
-    if stuck:
-        w = next(iter(stuck))
-        i = next(i for i in range(len(w) - 1) if w[i] > w[i + 1])
-        raise NonGeneralPositionExchange(
-            f"cannot exchange T{_unpack(w[i])} T{_unpack(w[i + 1])}: "
-            f"pair not in general position")
-    return PBWElement(_collect(finished, _Decoder()))
-
-
-def multiply(x: PBWElement, y: PBWElement, _pick: str = "leftmost") -> PBWElement:
-    """Bilinear extension of word concatenation followed by straightening."""
-    result = PBWElement()
-    for m1, c1 in x.terms().items():
-        for m2, c2 in y.terms().items():
-            word = e_star(m1) * e_star(m2)
-            result = result + straighten(word, _pick=_pick).scale(c1 * c2)
-    return result
 
 
 _REACH_STATE_CAP = 200_000
@@ -410,7 +335,7 @@ def product_expansion_guarded(
     exact: dict[Word, LaurentPoly] = {}
     tainted: set[Word] = set()
     for w, coeff in _product_words(factors).items():
-        finished, stuck = _rewrite(w, coeff, from_right=False)
+        finished, stuck = _rewrite(w, coeff)
         for fw, c in finished.items():
             _accumulate(exact, fw, c)
         for sw in stuck:
@@ -432,7 +357,7 @@ def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
     for w, coeff in words.items():
         if _cannot_reach(w, target):
             continue
-        finished, stuck = _rewrite(w, coeff, from_right=False)
+        finished, stuck = _rewrite(w, coeff)
         if any(target in _reachable(sw) for sw in stuck):
             return None
         total = total + finished.get(target, LaurentPoly.zero())

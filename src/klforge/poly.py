@@ -57,10 +57,6 @@ class LaurentPoly:
         return cls({exponent: coefficient})
 
     @classmethod
-    def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
-
-    @classmethod
     def from_q_coeffs(cls, qcoeffs: Mapping[int, int]) -> "LaurentPoly":
         """Embed a polynomial in q, given as {q-exponent: coefficient}."""
         return cls({-2 * int(j): c for j, c in qcoeffs.items()})

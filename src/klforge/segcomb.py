@@ -214,6 +214,11 @@ class BiSequence:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BiSequence":
+        if not (isinstance(data, Mapping) and all(
+                isinstance(data.get(key), list) and all(type(x) is int for x in data[key])
+                for key in "ab")):
+            raise ValueError('a bi-sequence is a JSON object {"a": [...], "b": [...]} '
+                             'of two integer lists')
         return cls(tuple(data["a"]), tuple(data["b"]))
 
     def __str__(self) -> str:

@@ -6,10 +6,9 @@ Each verifier computes one identity two ways and reports the comparison:
   sigma <= omega below a 213-avoiding minimal permutation with trivial
   ordinary polynomial must be the single monomial
   q**(C(m,2) (length(omega) - length(sigma))).  It is read from the
-  induced-module row of t_m(omega).
-* verify_corollary_smooth: the special case where the minimal permutation
-  is the identity (trivial P_{e,omega}, the smooth Schubert case), swept
-  over every sigma below omega.
+  induced-module row of t_m(omega).  The smooth Schubert case is the
+  instance with the identity as minimal permutation, and the sweep runs it
+  with the other 213-avoiding ones.
 * verify_prop1: in the straightening engine, the coefficient of the
   replicated basis element E(M_{t_m(sigma)}) inside
   E(M_{t_{m-1}(sigma)}) * E(M_omega) vanishes unless omega == sigma, and
@@ -173,26 +172,6 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
     claimed = LaurentPoly.v(-2 * comb(m, 2) * (length(omega) - length(sigma)))  # q = v**-2
     computed = parabolic_kl_q(table, sigma, omega, m)
     return _finish(check, case, claimed, computed, started)
-
-
-def verify_corollary_smooth(table: KLTable, omega: Perm, m: int) -> list[VerificationReport]:
-    """The identity-bottom case: requires trivial P(e, omega), then checks
-    every sigma below omega."""
-    started = time.perf_counter()
-    k = len(omega)
-    e = identity(k)
-    p0 = kl_poly(table, e, omega)
-    if not p0.is_one():
-        case = {"k": k, "m": m, "omega": list(omega)}
-        return [_skip("corollary-smooth", case,
-                      f"not smooth: P(e, omega) = {p0.format('q')}", started)]
-    reports = []
-    for sigma in permutations_of(k):
-        if bruhat_leq(sigma, omega):
-            rep = verify_main_theorem(table, e, sigma, omega, m)
-            rep.check = "corollary-smooth"
-            reports.append(rep)
-    return reports
 
 
 def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> VerificationReport:

@@ -10,7 +10,10 @@ translated by the longest element of W_m, and Deodhar's recursion on
 permutation tuples.  The straightening engine's packed-int kernel is
 checked against the Segment-object rewriting and reachability search it
 replaced, and verify_prop1's packed words against the Multisegment and
-PBWElement route they replaced.  The transition expansions are compared
+PBWElement route they replaced.  The oracle rewriting takes a Segment
+word and a scalar prefix of its own, and can exchange the rightmost
+admissible pair where the kernel always takes the leftmost: agreement is
+the confluence check.  The transition expansions are compared
 with the closed parabolic forms of coeff_parab.  The memo table normalizes
 its keys on packed permutation keys; canonical_pair_oracle is the same
 normalization on tuples.  Helpers that only tests call live here too.
@@ -26,9 +29,7 @@ from klforge.kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from klforge.pbw import (
     NonGeneralPositionExchange,
     PBWElement,
-    TWord,
     _accumulate,
-    e_star,
     e_star_prefactor_exponent,
     product_coefficient_guarded,
 )
@@ -506,9 +507,10 @@ def _inversions(word: Word) -> list[int]:
             if seg_sort_key(word[i]) > seg_sort_key(word[i + 1])]
 
 
-def rewrite_oracle(word: TWord, from_right: bool):
-    """(finished, stuck) coefficient maps keyed by Segment words."""
-    pending: dict[Word, LaurentPoly] = {word.segments: word.prefix}
+def rewrite_oracle(word: Word, prefix: LaurentPoly, from_right: bool = False):
+    """(finished, stuck) coefficient maps keyed by Segment words, exchanging
+    the leftmost or the rightmost admissible pair."""
+    pending: dict[Word, LaurentPoly] = {word: prefix}
     finished: dict[Word, LaurentPoly] = {}
     stuck: dict[Word, LaurentPoly] = {}
     while pending:
@@ -536,11 +538,26 @@ def _collect_oracle(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, Lau
     return out
 
 
-def straighten_oracle(word: TWord, from_right: bool = False) -> PBWElement:
-    finished, stuck = rewrite_oracle(word, from_right)
+def straighten_oracle(word: Word, prefix: LaurentPoly,
+                      from_right: bool = False) -> PBWElement:
+    """The normal form of prefix * word, the basis prefactors divided out."""
+    finished, stuck = rewrite_oracle(word, prefix, from_right)
     if stuck:
         raise NonGeneralPositionExchange("stuck on a pair not in general position")
     return PBWElement(_collect_oracle(finished))
+
+
+def multiply_oracle(x: PBWElement, y: PBWElement) -> PBWElement:
+    """x * y with every product word straightened by the oracle; raises
+    NonGeneralPositionExchange when one of them sticks."""
+    out: dict[Multisegment, LaurentPoly] = {}
+    for m1, c1 in x.terms().items():
+        for m2, c2 in y.terms().items():
+            prefactor = _V(e_star_prefactor_exponent(m1) + e_star_prefactor_exponent(m2))
+            word = tuple(m1.segments()) + tuple(m2.segments())
+            for m, c in straighten_oracle(word, c1 * c2 * prefactor).terms().items():
+                _accumulate(out, m, c)
+    return PBWElement(out)
 
 
 def reachable_normal_multisegments(word: Word) -> frozenset[Multisegment]:
@@ -575,13 +592,13 @@ def product_expansion_guarded_oracle(factors):
         expanded: dict[Word, LaurentPoly] = {}
         for coeff, w in words:
             for m, c in factor.terms().items():
-                piece = e_star(m)
-                _accumulate(expanded, w + piece.segments, coeff * c * piece.prefix)
+                prefactor = _V(e_star_prefactor_exponent(m))
+                _accumulate(expanded, w + tuple(m.segments()), coeff * c * prefactor)
         words = [(c, w) for w, c in expanded.items()]
     exact: dict[Multisegment, LaurentPoly] = {}
     tainted: set[Multisegment] = set()
     for coeff, w in words:
-        finished, stuck = rewrite_oracle(TWord(coeff, w), from_right=False)
+        finished, stuck = rewrite_oracle(w, coeff)
         for m, c in _collect_oracle(finished).items():
             _accumulate(exact, m, c)
         for sw in stuck:

@@ -14,12 +14,13 @@ def run_cli(argv, capsys):
 
 
 GOLDEN = [
-    (["kl", "--s", "1,2,3,4", "--w", "3,4,1,2"], "1+q\n"),
-    (["kl", "--s", "2,1", "--w", "2,1"], "1\n"),
-    (["kl", "--s", "2,1,3", "--w", "1,2,3"], "0\n"),
-    (["pkl", "--s", "1,2", "--w", "2,1", "--m", "2", "--variant", "q"], "q\n"),
-    (["pkl", "--s", "2,1", "--w", "2,1", "--m", "3", "--variant", "q"], "1\n"),
-    (["pkl", "--s", "1,2", "--w", "2,1", "--m", "1", "--variant", "neg1"], "1\n"),
+    (["kl", "--s", "1,2,3,4", "--w", "3,4,1,2", "--no-cache"], "1+q\n"),
+    (["kl", "--s", "2,1", "--w", "2,1", "--no-cache"], "1\n"),
+    (["kl", "--s", "2,1,3", "--w", "1,2,3", "--no-cache"], "0\n"),
+    (["pkl", "--s", "1,2", "--w", "2,1", "--m", "2", "--variant", "q", "--no-cache"], "q\n"),
+    (["pkl", "--s", "2,1", "--w", "2,1", "--m", "3", "--variant", "q", "--no-cache"], "1\n"),
+    (["pkl", "--s", "1,2", "--w", "2,1", "--m", "1", "--variant", "neg1", "--no-cache"],
+     "1\n"),
     (["sigma0", "--a", "1,2,3", "--b", "8,7,6"], "1,2,3\n"),
     (["mseg", "--a", "1,2,3", "--b", "8,7,6", "--perm", "1,2,3"],
      "[1,8]+[2,7]+[3,6]\n"),
@@ -28,7 +29,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv,expected", GOLDEN)
 def test_golden_outputs(argv, expected, capsys):
-    code, out, _ = run_cli(argv + ["--no-cache"], capsys)
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == expected
 
@@ -51,8 +52,7 @@ def test_pkl_not_comparable(capsys):
 
 def test_mseg_drops_empty_segment(capsys):
     code, out, _ = run_cli(
-        ["mseg", "--a", "1,3", "--b", "2,1", "--perm", "2,1", "--no-cache"],
-        capsys)
+        ["mseg", "--a", "1,3", "--b", "2,1", "--perm", "2,1"], capsys)
     assert code == 0
     assert out == "[1,1]\n"
 
@@ -62,7 +62,7 @@ def test_mseg_json_roundtrip(capsys):
 
     code, out, _ = run_cli(
         ["mseg", "--a", "1,2,3", "--b", "8,7,6", "--perm", "1,2,3",
-         "--format", "json", "--no-cache"], capsys)
+         "--format", "json"], capsys)
     assert code == 0
     assert Multisegment.from_json(json.loads(out)) == Multisegment(
         [Segment(1, 8), Segment(2, 7), Segment(3, 6)])
@@ -153,6 +153,11 @@ def test_bad_cache_directory(tmp_path, capsys):
      "m must be at least 1"),
     (["--a", "1,2", "--b", "8,7", "--m", "-2", "--direction", "g2e"],
      "m must be at least 1"),
+    *((["--family", family, "--direction", "g2e"],
+       'a bi-sequence is a JSON object {"a": [...], "b": [...]} of two integer lists')
+      for family in ('[1,2]', '{"a":[1,2]}', '{"a":1,"b":2}')),
+    (["--a", "1,2", "--b", "8,7", "--w", "2,1,3", "--direction", "g2e"],
+     "--w 2,1,3 is not in the matrix index"),
 ])
 def test_expand_rejects_bad_arguments(argv, message, capsys):
     code, out, err = run_cli(["expand", *argv, "--no-cache"], capsys)
@@ -166,6 +171,19 @@ def test_malformed_permutation_rejected(capsys):
         with pytest.raises(SystemExit):
             main(argv + ["--no-cache"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kmax", "1", "--mmax", "2", "--format", "table"],
+    ["expand", "--a", "1,2", "--b", "8,7", "--direction", "g2e", "--format", "json"],
+    ["sigma0", "--a", "1,2,3", "--b", "8,7,6", "--no-cache"],
+    ["mseg", "--a", "1,2,3", "--b", "8,7,6", "--perm", "1,2,3", "--cache", "memo.jsonl"],
+])
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_python_dash_m_klforge():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import klforge.pbw as pbw
 from helpers import (
     c_strongly_regular,
+    multiply_oracle,
     product_expansion_guarded_oracle,
     reachable_normal_multisegments,
     rewrite_oracle,
@@ -16,12 +17,9 @@ from klforge.poly import LaurentPoly
 from klforge.pbw import (
     NonGeneralPositionExchange,
     PBWElement,
-    TWord,
-    e_star,
-    multiply,
+    e_star_prefactor_exponent,
     product_coefficient_guarded,
     product_expansion_guarded,
-    straighten,
 )
 from klforge.segcomb import Multisegment, Segment
 from klforge.symgroup import NotComparable
@@ -29,6 +27,7 @@ from klforge.symgroup import NotComparable
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
 EXCH = V(-1) - V(1)
+UNIT = PBWElement.basis(Multisegment.empty())
 
 
 def seg(a, b):
@@ -39,8 +38,13 @@ def mseg(*pairs):
     return Multisegment([Segment(a, b) for a, b in pairs])
 
 
-def word(*pairs):
-    return TWord(ONE, tuple(Segment(a, b) for a, b in pairs))
+def single_segment_factors(segments):
+    return [PBWElement.basis(Multisegment([s])) for s in segments]
+
+
+def straighten(*pairs):
+    """The guarded product E([a1, b1]) E([a2, b2]) ... of single segments."""
+    return product_expansion_guarded(single_segment_factors(seg(a, b) for a, b in pairs))
 
 
 def test_segment_less():
@@ -50,53 +54,57 @@ def test_segment_less():
 
 
 def test_e_star():
-    w = e_star(mseg((3, 5)))
-    assert w.prefix == ONE and w.segments == (seg(3, 5),)
-    w = e_star(2 * mseg((1, 2)))
-    assert w.prefix == V(1) and w.segments == (seg(1, 2), seg(1, 2))
-    w = e_star(mseg((5, 5), (1, 7)))
-    assert w.prefix == ONE and w.segments == (seg(5, 5), seg(1, 7))
+    # the defining word of E(M): sorted segments and the v-power prefactor
+    for m, segments, e in ((mseg((3, 5)), [(3, 5)], 0),
+                           (2 * mseg((1, 2)), [(1, 2), (1, 2)], 1),
+                           (mseg((5, 5), (1, 7)), [(5, 5), (1, 7)], 0)):
+        assert e_star_prefactor_exponent(m) == e
+        word = pbw._pack_word(seg(a, b) for a, b in segments)
+        assert pbw._product_words([PBWElement.basis(m)]) == {word: V(e)}
 
 
 def test_straighten_linked_pair():
-    got = straighten(word((2, 4), (1, 3)))
+    got = straighten((2, 4), (1, 3))
     want = PBWElement({mseg((1, 3), (2, 4)): ONE, mseg((2, 3), (1, 4)): EXCH})
-    assert got == want
+    assert got == (want, frozenset())
 
 
 def test_straighten_commuting_pair():
-    got = straighten(word((1, 7), (5, 5)))
-    assert got == PBWElement.basis(mseg((5, 5), (1, 7)))
+    got = straighten((1, 7), (5, 5))
+    assert got == (PBWElement.basis(mseg((5, 5), (1, 7))), frozenset())
 
 
 def test_straighten_sorted_word():
-    got = straighten(word((1, 3), (2, 4)))
-    assert got == PBWElement.basis(mseg((1, 3), (2, 4)))
+    got = straighten((1, 3), (2, 4))
+    assert got == (PBWElement.basis(mseg((1, 3), (2, 4))), frozenset())
 
 
-def test_straighten_stuck_raises():
-    with pytest.raises(NonGeneralPositionExchange):
-        straighten(word((1, 5), (1, 3)))
-    with pytest.raises(NonGeneralPositionExchange):
-        straighten(word((3, 4), (1, 2)))  # adjacent: a2 == b1 + 1
+def test_straighten_stuck_taints():
+    # a stuck word yields no coefficient; what it could reach is tainted
+    assert straighten((1, 5), (1, 3)) == (PBWElement(), frozenset([mseg((1, 3), (1, 5))]))
+    assert straighten((3, 4), (1, 2)) == (  # adjacent: a2 == b1 + 1
+        PBWElement(), frozenset([mseg((1, 2), (3, 4))]))
 
 
 def test_multiply_unit():
     x = PBWElement.basis(mseg((1, 3), (2, 4)))
-    assert multiply(x, PBWElement.unit()) == x
-    assert multiply(PBWElement.unit(), x) == x
+    assert product_expansion_guarded([x, UNIT]) == (x, frozenset())
+    assert product_expansion_guarded([UNIT, x]) == (x, frozenset())
 
 
 def test_multiply_square_collects_prefactor():
     e = PBWElement.basis(mseg((5, 5), (1, 7)))
-    got = multiply(e, e)
-    assert got == PBWElement({mseg((5, 5), (5, 5), (1, 7), (1, 7)): V(-2)})
+    got = product_expansion_guarded([e, e])
+    assert got == (PBWElement({mseg((5, 5), (5, 5), (1, 7), (1, 7)): V(-2)}), frozenset())
 
 
 def test_multiply_single_segments_linked():
-    got = multiply(PBWElement.basis(mseg((2, 4))), PBWElement.basis(mseg((1, 3))))
-    want = PBWElement({mseg((1, 3), (2, 4)): ONE, mseg((2, 3), (1, 4)): EXCH})
-    assert got == want
+    # the factors' coefficients multiply the normal form
+    got = product_expansion_guarded(
+        [PBWElement({mseg((2, 4)): V(1)}), PBWElement({mseg((1, 3)): EXCH})])
+    want = PBWElement({mseg((1, 3), (2, 4)): V(1) * EXCH,
+                       mseg((2, 3), (1, 4)): V(1) * EXCH * EXCH})
+    assert got == (want, frozenset())
 
 
 def _random_collision_free_word(rng, maxlen=6):
@@ -105,28 +113,40 @@ def _random_collision_free_word(rng, maxlen=6):
         avals = rng.sample(range(0, 50), k)
         bvals = [a + rng.randint(0, 10) for a in avals]
         if len(set(bvals)) == k and not (set(avals) & {b + 1 for b in bvals}):
-            return TWord(ONE, tuple(Segment(a, b) for a, b in zip(avals, bvals)))
+            return tuple(Segment(a, b) for a, b in zip(avals, bvals))
 
 
 def test_confluence_on_random_words():
+    # the kernel exchanges the leftmost admissible pair, the oracle here the
+    # rightmost
     rng = random.Random(20240810)
     for _ in range(1000):
         w = _random_collision_free_word(rng)
-        assert straighten(w, _pick="leftmost") == straighten(w, _pick="rightmost")
+        exact, tainted = product_expansion_guarded(single_segment_factors(w))
+        assert not tainted
+        assert exact == straighten_oracle(w, ONE, from_right=True)
+
+
+def _normal_form(rng, maxlen):
+    return straighten_oracle(_random_collision_free_word(rng, maxlen), ONE)
 
 
 def test_multiply_associativity():
     rng = random.Random(99)
     done = 0
     while done < 60:
-        try:
-            x = straighten(_random_collision_free_word(rng, 2))
-            y = straighten(_random_collision_free_word(rng, 2))
-            z = straighten(_random_collision_free_word(rng, 2))
-            assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
-            done += 1
-        except NonGeneralPositionExchange:
+        x, y, z = (_normal_form(rng, 2) for _ in range(3))
+        xy, t1 = product_expansion_guarded([x, y])
+        yz, t2 = product_expansion_guarded([y, z])
+        if t1 or t2:
             continue
+        left, t3 = product_expansion_guarded([xy, z])
+        right, t4 = product_expansion_guarded([x, yz])
+        if t3 or t4:
+            continue
+        assert left == right
+        assert product_expansion_guarded([x, y, z]) == (left, frozenset())
+        done += 1
 
 
 def reachable(word):
@@ -162,10 +182,9 @@ def test_guarded_matches_strict_when_nothing_sticks():
     rng = random.Random(55)
     done = 0
     while done < 50:
+        x, y = _normal_form(rng, 3), _normal_form(rng, 3)
         try:
-            x = straighten(_random_collision_free_word(rng, 3))
-            y = straighten(_random_collision_free_word(rng, 3))
-            strict = multiply(x, y)
+            strict = multiply_oracle(x, y)
         except NonGeneralPositionExchange:
             continue
         exact, tainted = product_expansion_guarded([x, y])
@@ -175,9 +194,15 @@ def test_guarded_matches_strict_when_nothing_sticks():
 
 
 def test_scale_and_add():
+    # scaling is a product with a multiple of E(empty); from_json adds up
+    # repeated records and drops a sum that cancels
     x = PBWElement.basis(mseg((1, 2)))
-    y = x.scale(V(2)) + x.scale(-1 * V(2))
-    assert y.is_zero()
+    for c in (V(2), -1 * V(2)):
+        scaled = product_expansion_guarded([x, PBWElement({Multisegment.empty(): c})])
+        assert scaled == (PBWElement({mseg((1, 2)): c}), frozenset())
+    records = PBWElement({mseg((1, 2)): V(2)}).to_json()
+    records += PBWElement({mseg((1, 2)): -1 * V(2)}).to_json()
+    assert PBWElement.from_json(records).is_zero()
 
 
 def test_pbw_json_roundtrip():
@@ -208,21 +233,23 @@ def _unpacked(words: dict) -> dict:
     return {tuple(map(pbw._unpack, w)): c for w, c in words.items()}
 
 
-def check_straighten(w: TWord):
-    for from_right in (False, True):
-        finished, stuck = pbw._rewrite(pbw._pack_word(w.segments), w.prefix,
-                                       from_right)
-        want_finished, want_stuck = rewrite_oracle(w, from_right)
-        assert _unpacked(finished) == want_finished
-        assert _unpacked(stuck) == want_stuck
-        pick = "rightmost" if from_right else "leftmost"
-        try:
-            want = straighten_oracle(w, from_right)
-        except NonGeneralPositionExchange:
-            with pytest.raises(NonGeneralPositionExchange):
-                straighten(w, _pick=pick)
-        else:
-            assert straighten(w, _pick=pick) == want
+def check_straighten(segments, prefix):
+    """The packed kernel against the oracle, both exchanging the leftmost
+    admissible pair."""
+    finished, stuck = pbw._rewrite(pbw._pack_word(segments), prefix)
+    want_finished, want_stuck = rewrite_oracle(segments, prefix)
+    assert _unpacked(finished) == want_finished
+    assert _unpacked(stuck) == want_stuck
+
+
+def check_single_segment_product(segments):
+    """Tainted exactly when the oracle rewriting sticks, and otherwise the
+    oracle's normal form."""
+    exact, tainted = product_expansion_guarded(single_segment_factors(segments))
+    _, stuck = rewrite_oracle(segments, ONE)
+    assert bool(tainted) == bool(stuck)
+    if not stuck:
+        assert exact == straighten_oracle(segments, ONE)
 
 
 def check_product(factors):
@@ -244,9 +271,9 @@ def _random_element(rng, max_segments):
 def test_packed_kernel_matches_oracle_seeded():
     rng = random.Random(7001)
     for _ in range(400):
-        k = rng.randint(1, 6)
-        check_straighten(TWord(V(rng.randint(-2, 2)),
-                               tuple(_random_segment(rng) for _ in range(k))))
+        segments = tuple(_random_segment(rng) for _ in range(rng.randint(1, 6)))
+        check_straighten(segments, V(rng.randint(-2, 2)))
+        check_single_segment_product(segments)
     for _ in range(150):
         check_product([_random_element(rng, 2) for _ in range(rng.randint(2, 3))])
 
@@ -276,7 +303,13 @@ _elements = st.dictionaries(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_segments, min_size=1, max_size=6), st.integers(-2, 2))
 def test_packed_straighten_matches_oracle(segments, e):
-    check_straighten(TWord(V(e), tuple(segments)))
+    check_straighten(tuple(segments), V(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_segments, min_size=1, max_size=6))
+def test_guarded_single_segment_product_matches_oracle(segments):
+    check_single_segment_product(tuple(segments))
 
 
 @settings(max_examples=80, deadline=None)
@@ -343,17 +376,15 @@ def test_reach_state_cap_raises(monkeypatch):
 @pytest.mark.parametrize("a, b", [(-2**31 - 1, 0), (0, 2**31), (2**40, 2**40)])
 def test_segment_end_out_of_range_raises(a, b):
     with pytest.raises(ValueError):
-        straighten(word((a, b)))
-    with pytest.raises(ValueError):
         product_expansion_guarded([PBWElement.basis(mseg((a, b)))])
 
 
 def test_segment_ends_at_range_limits():
     lo, hi = -2**31, 2**31 - 1
-    got = straighten(word((lo + 1, hi), (lo, hi - 1)))
+    got = straighten((lo + 1, hi), (lo, hi - 1))
     want = PBWElement({mseg((lo, hi - 1), (lo + 1, hi)): ONE,
                        mseg((lo + 1, hi - 1), (lo, hi)): EXCH})
-    assert got == want
+    assert got == (want, frozenset())
 
 
 def test_module_keeps_no_pool():

@@ -21,12 +21,11 @@ from klforge.verify import (
     is_square_irreducible,
     summarize,
     sweep,
-    verify_corollary_smooth,
     verify_main_theorem,
     verify_power_identity,
     verify_prop1,
 )
-from klforge.symgroup import identity, is_pattern_avoiding
+from klforge.symgroup import bruhat_leq, identity, is_pattern_avoiding
 import klforge.pbw as pbw_module
 import klforge.transition as transition_module
 import klforge.verify as verify_module
@@ -83,13 +82,20 @@ def test_main_theorem_skips_what_is_not_a_permutation(tmp_path, s0, sigma, omega
 
 
 def test_corollary_smooth(table):
-    r = verify_corollary_smooth(table, identity(2), 2)
+    # the smooth Schubert case: the main theorem with the identity as sigma0,
+    # over every sigma below omega
+    def smooth(omega, m):
+        k = len(omega)
+        return [verify_main_theorem(table, identity(k), sigma, omega, m)
+                for sigma in all_perms(k) if bruhat_leq(sigma, omega)]
+
+    r = smooth(identity(2), 2)
     assert len(r) == 1 and r[0].passed
-    reports = verify_corollary_smooth(table, (3, 2, 1), 2)
+    reports = smooth((3, 2, 1), 2)
     assert len(reports) == 6 and all(x.passed for x in reports)
-    skipped = verify_corollary_smooth(table, (3, 4, 1, 2), 2)
-    assert len(skipped) == 1 and skipped[0].status == "skipped"
-    assert "not smooth" in skipped[0].reason
+    skipped = smooth((3, 4, 1, 2), 2)
+    assert len(skipped) == 14 and all(x.status == "skipped" for x in skipped)
+    assert all("P(sigma0, omega) = 1+q is not trivial" in x.reason for x in skipped)
 
 
 def test_prop1_examples():
