@@ -23,7 +23,7 @@ from .kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from .poly import LaurentPoly
 from .segcomb import BiSequence, multisegment_of, replicate, sigma0
 from .symgroup import NotComparable, Perm
-from .transition import transition_matrix
+from .transition import expand_E_in_G, expand_G_in_E, transition_index
 from .verify import summarize, sweep
 
 
@@ -124,20 +124,19 @@ def cmd_expand(args) -> int:
     A = _bisequence_from_args(args)
     if args.m > 1:
         A = replicate(A, args.m)
-    matrix = transition_matrix(_table(args), A, args.direction)
-    if args.w is not None and args.w not in matrix.index:
+    table = _table(args)
+    index = transition_index(table, A)
+    if args.w is not None and args.w not in index:
         raise ValueError(f"--w {','.join(map(str, args.w))} is not in the matrix index")
-    entries = []
-    for (row, col), coeff in sorted(matrix.entries.items()):
-        if args.w is not None and col != args.w:
-            continue
-        entries.append({"row": list(row), "col": list(col),
-                        "coeff": coeff.to_json("v")})
+    expander = expand_E_in_G if args.direction == "e2g" else expand_G_in_E
+    entries = {(row, col): c for col in (index if args.w is None else [args.w])
+               for row, c in expander(table, A, col).items()}
     print(json.dumps({
         "family": A.to_json(),
-        "direction": matrix.direction,
-        "index": [list(w) for w in matrix.index],
-        "entries": entries,
+        "direction": args.direction,
+        "index": [list(w) for w in index],
+        "entries": [{"row": list(row), "col": list(col), "coeff": coeff.to_json("v")}
+                    for (row, col), coeff in sorted(entries.items())],
     }, sort_keys=True))
     return 0
 

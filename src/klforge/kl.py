@@ -61,9 +61,9 @@ Inside the row recursion both permutations and polynomials are single ints:
 Keys and polynomials leave the row layer decoded, in _lookup and in
 transition._cosets_below, whose signed sums _add_unpacked adds up field
 by field.  The pools behind the encoding belong to the KLTable: the key
-of each permutation asked about, the interned keys and packed values of
-finished rows, and the inverse and w0-conjugate images of each key,
-memoised as they are needed.
+of each permutation asked about, the row keys, interned by the kernel as it
+creates them, the row values, the inverse and w0-conjugate images of each
+key, and the Bruhat order of each pair of keys compared, memoised as needed.
 
 Conjugation by w0 maps blocks of positions to blocks of the same size,
 hence cosets of W_m to cosets of W_m, and keeps the module polynomials;
@@ -209,7 +209,7 @@ class _Images(dict):
 
     def __missing__(self, key: int) -> int:
         image = self._image(key, self._n)
-        image = self._pool.setdefault(image, image)
+        key, image = self._pool.setdefault(key, key), self._pool.setdefault(image, image)
         self[key] = image
         self[image] = key
         return image
@@ -259,12 +259,12 @@ class KLTable:
     rows with m = 1 and neg1 False.  Loading a memo file skips bad records
     and rewrites the file without them.
 
-    The table owns every pool of the row recursion: rows map permutation
-    keys to packed polynomials, each key and each packed value of a
-    finished row is interned in _keys and _polys, _perm_keys holds the key
-    of each permutation asked about, and _images holds, per n, the inverse
-    and w0-conjugate of each key met so far.  The pools outlive
-    evicted rows and go away with the table.
+    The table owns every pool: rows map keys to packed polynomials, _keys
+    interns each key of a row as the kernel creates it and _polys each value
+    of a finished row, _perm_keys holds the key of each permutation asked
+    about, _images per n the inverse and w0-conjugate of each key, and _order
+    the Bruhat order of each pair of keys compared (_leq; keys of different
+    n >= 1 differ).  The pools outlive evicted rows and go away with the table.
 
     Concurrent use is safe: all writers compute identical values, so the
     last-write-wins inserts are benign, and the persistence writer is
@@ -283,6 +283,7 @@ class KLTable:
         self._perm_keys: dict[Perm, int] = {}
         self._polys: dict[int, int] = {}
         self._images: dict[int, tuple[_Images, _Images]] = {}
+        self._order: dict[tuple[int, int], bool] = {}
         self._lock = threading.Lock()
         self._path = os.fspath(path) if path is not None else None
         if self._path is not None:
@@ -307,7 +308,7 @@ class KLTable:
                         or kind and (m < 2 or rec["v"] not in _VARIANTS)):
                     raise ValueError("inconsistent record")
                 sk, wk = _encode(s), _encode(w)
-                if sk == wk or not bruhat_leq(s, w):  # in S_k: t_m embeds the order
+                if sk == wk or not self._leq(sk, wk, s, w):  # in S_k: t_m embeds the order
                     raise ValueError("not a pair below the diagonal")
                 gap = m * m * ((wk & _LEN_MASK) - (sk & _LEN_MASK))  # in S_{mk}
                 p = _poly_of_record(rec["p"], gap, m == 1)
@@ -344,6 +345,13 @@ class KLTable:
         if key is None:
             key = self._perm_keys[w] = _encode(w)
         return key
+
+    def _leq(self, s: int, w: int, x: Perm, y: Perm) -> bool:
+        """x <= y in Bruhat order, for x, y of one S_n with keys s, w; memoised."""
+        below = self._order.get((s, w))
+        if below is None:
+            below = self._order[s, w] = bruhat_leq(x, y)
+        return below
 
     def _symmetries(self, n: int) -> tuple[_Images, _Images]:
         """The inverse and the w0-conjugate of the keys of S_n."""
@@ -427,7 +435,7 @@ def _left_descent(w: int, n: int) -> int:
 def _compute_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int, int]:
     lw = w & _LEN_MASK
     if lw == 0:
-        return {w: 1}
+        return {table._keys.setdefault(w, w): 1}
     s = _left_descent(w, n)
     prev = _row(table, _s_left(w, s, n)[0], n, m, neg1)
 
@@ -445,7 +453,7 @@ def _compute_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int
     lsw = lw - 1
     cand: dict[int, int] = {}
     corrections: list[tuple[int, int]] = []
-    get = prev.get
+    get, intern = prev.get, table._keys.setdefault
     for z, pz in prev.items():
         a = z >> hi & 15
         b = z >> lo & 15
@@ -455,12 +463,14 @@ def _compute_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int
             cand[z] = pz + (pz << 32)  # eigenvalue q: a factor 1 + q
         elif a < b:
             t = (z ^ ((a ^ b) * 17 << lo)) + 1
+            t = intern(t, t)
             pt = get(t)
             cand[z] = cand[t] = pz if pt is None else pz + (pt << 32)
             continue
         else:
             t = (z ^ ((a ^ b) * 17 << lo)) - 1
             if t not in prev:
+                t = intern(t, t)
                 cand[z] = cand[t] = pz << 32
         d = lsw - (z & _LEN_MASK)
         if d & 1:
@@ -483,13 +493,12 @@ def _compute_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int
 
 
 def _finish_row(table: KLTable, cand: dict[int, int]) -> dict[int, int]:
-    """Intern a finished row in the table's pools; raise if a coefficient
-    reached 2**24 (or went negative), see the module docstring."""
+    """Intern the values of a row whose keys the kernel interned; raise if
+    a coefficient reached 2**24 (or went negative), see the module docstring."""
     values = cand.values()
     if reduce(or_, values, 0) & _OVERFLOW:
         raise OverflowError("a Kazhdan-Lusztig coefficient reached 2**24")
-    keys, polys = table._keys.setdefault, table._polys.setdefault
-    return dict(zip(map(keys, cand, cand), map(polys, values, values)))
+    return dict(zip(cand, map(table._polys.setdefault, values, values)))
 
 
 def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
@@ -508,7 +517,7 @@ def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
     hit = table._final.get((s, w) if m == 1 else (m, variant, s, w))
     if hit is not None:
         return hit
-    if not bruhat_leq(sigma, omega):  # in S_k: t_m embeds the order
+    if not table._leq(s, w, sigma, omega):  # in S_k: t_m embeds the order
         if variant is None:
             return LaurentPoly()
         raise NotComparable(

@@ -233,29 +233,18 @@ class TransitionMatrix:
     index: list[Perm]
     entries: dict[tuple[Perm, Perm], LaurentPoly]
 
-    def is_inverse_of(self, other: "TransitionMatrix") -> bool:
-        """Whether self * other is the identity matrix on the index."""
-        for r in self.index:
-            for c in self.index:
-                acc = LaurentPoly.one() if r == c else LaurentPoly.zero()
-                for mid in self.index:
-                    x, y = self.entries.get((r, mid)), other.entries.get((mid, c))
-                    if x is not None and y is not None:
-                        acc = acc - x * y
-                if not acc.is_zero():
-                    return False
-        return True
+
+def transition_index(table: KLTable, A: BiSequence) -> list[Perm]:
+    """Every index above sigma0(A), by length and then lexicographically."""
+    s0, top = _check_family(A, longest_element(A.k))
+    return sorted((rep for rep in _cosets_below(table, A, top) if bruhat_leq(s0, rep)),
+                  key=lambda w: (length(w), w))
 
 
 def transition_matrix(table: KLTable, A: BiSequence, direction: str) -> TransitionMatrix:
     """The full matrix over all indices above sigma0(A)."""
     d = _canon_direction(direction)
-    s0, top = _check_family(A, longest_element(A.k))
-    index = sorted((rep for rep in _cosets_below(table, A, top) if bruhat_leq(s0, rep)),
-                   key=lambda w: (length(w), w))
+    index = transition_index(table, A)
     expander = expand_E_in_G if d == "e2g" else expand_G_in_E
-    entries: dict[tuple[Perm, Perm], LaurentPoly] = {}
-    for col in index:
-        for row, coeff in expander(table, A, col).items():
-            entries[(row, col)] = coeff
+    entries = {(row, col): c for col in index for row, c in expander(table, A, col).items()}
     return TransitionMatrix(A, d, index, entries)

@@ -22,9 +22,9 @@ Each verifier computes one identity two ways and reports the comparison:
 Hypothesis violations yield skipped reports, so a sweep distinguishes
 "does not apply" from "contradicted", and so do the cases the sweep's
 budget n = m*k <= SWEEP_MAX_N leaves out.  A product coefficient the exchange
-rules leave open, or a product past the straightening engine's state cap,
-yields an undetermined report, so one such case never stops a sweep.  All
-arithmetic is exact; a report passes only on exact equality.
+rules leave open ("Tainted:") or past the straightening engine's state cap
+("NonGeneralPositionExchange:") yields an undetermined report, so one such
+case never stops a sweep.  Arithmetic is exact; only exact equality passes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .kl import KLTable, kl_poly, parabolic_kl_q
+from .kl import _LEN_MASK, _MAX_N, KLTable, kl_poly, parabolic_kl_q
 from .poly import LaurentPoly
 from .segcomb import (
     BelowSigma0,
@@ -56,7 +56,6 @@ from .symgroup import (
     bruhat_leq,
     identity,
     is_pattern_avoiding,
-    length,
     permutations_of,
     replicate_perm,
 )
@@ -126,10 +125,8 @@ def _skip(check: str, case: dict, reason: str, started: float) -> VerificationRe
                               elapsed=time.perf_counter() - started)
 
 
-def _undetermined(check: str, case: dict, reason: str,
-                  started: float) -> VerificationReport:
-    return VerificationReport(check, case, None, None, "undetermined",
-                              f"NonGeneralPositionExchange: {reason}",
+def _undetermined(check: str, case: dict, reason: str, started: float) -> VerificationReport:
+    return VerificationReport(check, case, None, None, "undetermined", reason,
                               elapsed=time.perf_counter() - started)
 
 
@@ -157,11 +154,16 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
     try:
         if m < 2:
             raise HypothesisFailed("m must be greater than 1")
-        if not sorted(sigma0_perm) == sorted(sigma) == sorted(omega) == [*range(1, k + 1)]:
-            raise HypothesisFailed(f"sigma0, sigma and omega must permute 1..{k}")
+        try:
+            s0, s, w = map(table._key, (sigma0_perm, sigma, omega))
+            if not len(sigma) == len(omega) == k:
+                raise ValueError("sizes differ")
+        except ValueError as exc:  # past the keys' width it is no failed hypothesis
+            permutes = HypothesisFailed(f"sigma0, sigma and omega must permute 1..{k}")
+            raise (exc if k > _MAX_N else permutes) from None
         if not is_pattern_avoiding(sigma0_perm, (2, 1, 3)):
             raise HypothesisFailed(f"sigma0 {sigma0_perm} contains the pattern 213")
-        if not (bruhat_leq(sigma0_perm, sigma) and bruhat_leq(sigma, omega)):
+        if not (table._leq(s0, s, sigma0_perm, sigma) and table._leq(s, w, sigma, omega)):
             raise HypothesisFailed("need sigma0 <= sigma <= omega")
         p0 = kl_poly(table, sigma0_perm, omega)
         if not p0.is_one():
@@ -169,7 +171,8 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
                 f"P(sigma0, omega) = {p0.format('q')} is not trivial")
     except HypothesisFailed as exc:
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
-    claimed = LaurentPoly.v(-2 * comb(m, 2) * (length(omega) - length(sigma)))  # q = v**-2
+    gap = (w & _LEN_MASK) - (s & _LEN_MASK)  # length(omega) - length(sigma)
+    claimed = LaurentPoly.v(-2 * comb(m, 2) * gap)  # q = v**-2
     computed = parabolic_kl_q(table, sigma, omega, m)
     return _finish(check, case, claimed, computed, started)
 
@@ -209,11 +212,11 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
         computed = word_coefficient({left + o: LaurentPoly.v(k * comb(m - 1, 2))},
                                     target, k * comb(m, 2))
     except NonGeneralPositionExchange as exc:
-        return _undetermined(check, case, str(exc), started)
+        return _undetermined(check, case, f"NonGeneralPositionExchange: {exc}", started)
     if computed is None:
         named = "+".join(f"[{a},{b}]" for b, a in segs for _ in range(m))
-        return _undetermined(check, case, f"the coefficient at {named} is not "
-                             f"determined by the implemented exchange rules", started)
+        return _undetermined(check, case, f"Tainted: the coefficient at {named} is "
+                             f"not determined by the implemented exchange rules", started)
     if omega == sigma:
         claimed = LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2)))
     else:
@@ -277,12 +280,12 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     try:
         right, tainted = g_star_power_with_taint(table, A, omega, m)
     except NonGeneralPositionExchange as exc:
-        return _undetermined(check, case, str(exc), started)
+        return _undetermined(check, case, f"NonGeneralPositionExchange: {exc}", started)
     top = m * multisegment_of(A, omega)
     if top in tainted:
         return _undetermined(
-            check, case, f"the leading coefficient at {top} is not determined "
-            f"by the implemented exchange rules", started)
+            check, case, f"Tainted: the leading coefficient at {top} is not "
+            f"determined by the implemented exchange rules", started)
     keys = (left.support() | right.support()) - set(tainted)
     try:
         e = _monomial_ratio(right, left,

@@ -60,7 +60,12 @@ from klforge.symgroup import (
     parity,
     replicate_perm,
 )
-from klforge.transition import UnsupportedFamily, _canon_direction, g_star_power_with_taint
+from klforge.transition import (
+    TransitionMatrix,
+    UnsupportedFamily,
+    _canon_direction,
+    g_star_power_with_taint,
+)
 
 QTuple = tuple[int, ...]
 
@@ -325,6 +330,20 @@ def kl_inversion_check(table: KLTable, sigma: Perm, omega: Perm) -> bool:
         p = kl_poly(table, sigma, x) * kl_poly(table, compose(w0, omega), compose(w0, x))
         acc = acc - p if (length(x) - base) % 2 else acc + p
     return acc == (1 if sigma == omega else 0)
+
+
+def is_inverse(a: TransitionMatrix, b: TransitionMatrix) -> bool:
+    """Whether a * b is the identity matrix on the index of a."""
+    for r in a.index:
+        for c in a.index:
+            acc = LaurentPoly.one() if r == c else LaurentPoly.zero()
+            for mid in a.index:
+                x, y = a.entries.get((r, mid)), b.entries.get((mid, c))
+                if x is not None and y is not None:
+                    acc = acc - x * y
+            if not acc.is_zero():
+                return False
+    return True
 
 
 # -- parabolic oracles ---------------------------------------------------

@@ -92,6 +92,33 @@ def test_expand_single_column(capsys):
     assert {tuple(e["col"]) for e in data["entries"]} == {(2, 1)}
 
 
+@pytest.mark.parametrize("family", [["--a", "1,2,3", "--b", "6,5,4"],
+                                    ["--a", "1,2", "--b", "8,7", "--m", "2"]])
+@pytest.mark.parametrize("direction", ["e2g", "g2e"])
+def test_expand_single_column_expands_it_alone(family, direction, capsys, monkeypatch):
+    import klforge.cli as cli_module
+    import klforge.transition as transition_module
+
+    argv = ["expand", *family, "--direction", direction, "--no-cache"]
+    code, full, _ = run_cli(argv, capsys)
+    assert code == 0
+    data = json.loads(full)
+    calls = []
+    for module in (cli_module, transition_module):
+        for name in ("expand_E_in_G", "expand_G_in_E"):
+            def counted(*args, real=getattr(module, name)):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+    for col in data["index"]:
+        calls.clear()
+        code, out, _ = run_cli(argv + ["--w", ",".join(map(str, col))], capsys)
+        assert code == 0 and len(calls) == 1 and calls[0][2] == tuple(col)
+        one = {**data, "entries": [e for e in data["entries"] if e["col"] == col]}
+        assert out == json.dumps(one, sort_keys=True) + "\n"
+    assert len(data["index"]) > 2
+
+
 def test_verify_jsonl_and_exit_code(capsys):
     code, out, err = run_cli(
         ["verify", "--kmax", "2", "--mmax", "2", "--no-cache"], capsys)

@@ -1,6 +1,8 @@
 """The integer encodings under the row recursion: permutation keys,
 packed q-polynomials, and the coset tests of the module recursion."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,14 +94,81 @@ def test_coefficient_of_2_pow_24_raises(degree):
 
 
 def test_finished_rows_share_pooled_keys_and_values():
-    def fresh(x):  # an int object of its own
-        return int(str(x))
+    # rows built by _row, every top passed as an int object of its own, so
+    # canonical rows and rows read through a symmetry are both met
+    for n, m, neg1 in [(4, 1, False), (6, 2, False), (8, 2, True), (6, 3, False)]:
+        t = KLTable()
+        keys: dict[int, int] = {}
+        values: dict[int, int] = {}
+        for w in all_perms(n // m):
+            top = int(str(_encode(replicate_perm(w, m))))
+            for y, p in _row(t, top, n, m, neg1).items():
+                assert keys.setdefault(y, y) is y and values.setdefault(p, p) is p
+        assert len(keys) > n // m and max(values) >> 32  # a value of higher degree
 
+
+def test_order_memo_is_bruhat_order():
+    # one memo serves every n: keys of different n differ
+    keys = [_encode(x) for n in range(1, 8) for x in all_perms(n)]
+    assert len(set(keys)) == len(keys)
     t = KLTable()
-    key, p = _encode((3, 2, 1)), (1 << 32) + 1
-    (ka, pa), = _finish_row(t, {fresh(key): fresh(p)}).items()
-    (kb, pb), = _finish_row(t, {fresh(key): fresh(p)}).items()
-    assert ka is kb and pa is pb
+    for n in range(1, 6):
+        perms = list(all_perms(n))
+        for x in perms:
+            for y in perms:
+                assert t._leq(_encode(x), _encode(y), x, y) == bruhat_leq(x, y), (x, y)
+
+
+def _counting_bruhat(monkeypatch):
+    """Patch the comparison the table memoises; returns the list of the
+    pairs it is called on."""
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return bruhat_leq(x, y)
+
+    monkeypatch.setattr(kl_module, "bruhat_leq", counted)
+    return calls
+
+
+def test_order_memo_compares_each_pair_once(tmp_path, monkeypatch):
+    from klforge.verify import verify_main_theorem
+
+    calls = _counting_bruhat(monkeypatch)
+    path = tmp_path / "memo.jsonl"
+    t = KLTable(path)
+    cases = [(s0, x, y, m) for s0 in [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+             for x in all_perms(3) for y in all_perms(3) for m in (2, 3)]
+    first = [verify_main_theorem(t, *c).to_json() for c in cases]
+    assert calls and len(calls) == len(set(calls))
+    asked = len(calls)
+    again = [verify_main_theorem(t, *c).to_json() for c in cases]
+    assert len(calls) == asked
+    assert [r["status"] for r in again] == [r["status"] for r in first]
+    assert {r["status"] for r in first} == {"pass", "skipped"}
+    kl_module.parabolic_kl_q(t, (1, 2, 3), (2, 1, 3), 4)  # a miss on a pair seen
+    assert len(calls) == asked
+    # the loader compares each record's pair once, in a table of its own
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    pairs = {(tuple(r["s"]), tuple(r["w"])) for r in records}
+    assert len(pairs) < len(records)  # pairs stored at m = 1, 2 and 3
+    loaded = KLTable(path)
+    assert sorted((tuple(x), tuple(y)) for x, y in calls[asked:]) == sorted(pairs)
+    assert loaded._order is not t._order
+
+
+def test_tables_share_no_order_memo(monkeypatch):
+    calls = _counting_bruhat(monkeypatch)
+    a, b = KLTable(), KLTable()
+    x, y = (1, 3, 2), (3, 2, 1)
+    assert kl_module.kl_poly(a, x, y).is_one() and a._leq(_encode(x), _encode(y), x, y)
+    assert len(calls) == 1
+    pools = ("_final", "_rows", "_keys", "_perm_keys", "_polys", "_images", "_order")
+    assert all(getattr(a, name) for name in pools)
+    assert not any(getattr(b, name) for name in pools)
+    assert kl_module.kl_poly(b, x, y).is_one()
+    assert len(calls) == 2 and a._order is not b._order
 
 
 def _shapes():

@@ -81,6 +81,36 @@ def test_main_theorem_skips_what_is_not_a_permutation(tmp_path, s0, sigma, omega
     assert not table._final and not (tmp_path / "memo.jsonl").exists()
 
 
+_PERMUTE_3 = "sigma0, sigma and omega must permute 1..3"
+
+
+@pytest.mark.parametrize("s0, sigma, omega, m, reason", [
+    ((1, 2), (1, 2), (2, 1), 1, "m must be greater than 1"),
+    ((1, 2, 3), (1, 1, 3), (3, 2, 1), 2, _PERMUTE_3),
+    ((1, 2, 3), (0, 2, 3), (3, 2, 1), 2, _PERMUTE_3),
+    ((1, 2, 3), (1, 2, 3), (3, 2, 4), 2, _PERMUTE_3),
+    ((1, 2, 4), (1, 2, 3), (3, 2, 1), 2, _PERMUTE_3),
+    ((1, 2, 3), (1, 2), (2, 1), 2, _PERMUTE_3),
+    ((1, 2, 3), (1, 2, 3), (4, 3, 2, 1), 2, _PERMUTE_3),
+    ((1, 2), (1, 2, 3), (3, 2, 1), 2, "sigma0, sigma and omega must permute 1..2"),
+    ((2, 1, 3), (2, 1, 3), (3, 2, 1), 2, "sigma0 (2, 1, 3) contains the pattern 213"),
+    ((1, 3, 2), (1, 2, 3), (3, 2, 1), 2, "need sigma0 <= sigma <= omega"),
+    ((1, 2, 3), (2, 3, 1), (3, 1, 2), 2, "need sigma0 <= sigma <= omega"),
+])
+def test_main_theorem_skip_reasons(table, s0, sigma, omega, m, reason):
+    r = verify_main_theorem(table, s0, sigma, omega, m)
+    assert r.status == "skipped" and r.reason == f"HypothesisFailed: {reason}"
+
+
+def test_main_theorem_past_the_key_width_is_no_skip(table):
+    # keys hold 16 letters; 17 is an error of the table, not a failed hypothesis
+    w = identity(17)
+    with pytest.raises(ValueError, match="at most 16 letters"):
+        verify_main_theorem(table, w, w, w, 2)
+    with pytest.raises(ValueError, match="at most 16 letters"):
+        verify_main_theorem(table, w, w, (2, 2, *w[2:]), 2)
+
+
 def test_corollary_smooth(table):
     # the smooth Schubert case: the main theorem with the identity as sigma0,
     # over every sigma below omega
@@ -306,7 +336,7 @@ def test_sweep_survives_undetermined_products(table, monkeypatch):
     assert [(r.check, r.case) for r in reports] == [(r.check, r.case) for r in expected]
     prop1 = [r for r in reports if r.check == "product-vanishing"]
     assert prop1 and all(r.status == "undetermined" for r in prop1)
-    assert all(r.reason.startswith("NonGeneralPositionExchange:") for r in prop1)
+    assert all(r.reason.startswith("Tainted:") for r in prop1)
     assert all(r.computed is None for r in prop1)
     assert [r.to_json()["status"] for r in reports if r.check != "product-vanishing"] \
         == [r.to_json()["status"] for r in expected if r.check != "product-vanishing"]
@@ -349,5 +379,5 @@ def test_tainted_leading_coefficient_is_undetermined(table, monkeypatch):
     _undetermined_products(monkeypatch, transition_module)
     reports = [r for r in sweep(table, 2, 2) if r.check == "power-identity"]
     assert reports and all(r.status == "undetermined" for r in reports)
-    assert all(r.reason.startswith("NonGeneralPositionExchange:") for r in reports)
+    assert all(r.reason.startswith("Tainted:") for r in reports)
     assert all(r.computed is None for r in reports)
