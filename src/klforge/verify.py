@@ -62,8 +62,9 @@ from .symgroup import (
 from .transition import expand_G_in_E, expansion_as_pbw, g_star_power_with_taint
 
 
-# The sweep's budget on n = m*k.  The power identity reads ordinary S_n
-# rows, which beyond S_9 cost more time and memory than a sweep can spend.
+# The sweep's budget on n = m*k.  Past n = 9 the power identity's product
+# side costs minutes per (k, m), nearly all of it in the taint search of
+# pbw._reachable: at n = 12, 15 cases of (3, 4) take over a minute.
 SWEEP_MAX_N = 9
 
 
@@ -332,7 +333,8 @@ def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
     The main-theorem check runs for every 213-avoiding minimal permutation,
     every omega with trivial ordinary polynomial, every sigma between them,
     and every 2 <= m <= mmax; the product check additionally requires
-    k <= 3 and m <= 3.  A case with m*k > SWEEP_MAX_N is not run and
+    k <= 3 and m <= 3.  A case with m*k > SWEEP_MAX_N is not run, since
+    the power identity's straightening outgrows a sweep there, and
     reports as skipped with a reason beginning "Budget:", as hypothesis
     failures report as skipped.  Reports come back in deterministic case
     order, and a final constancy report per (k, m) checks that the

@@ -14,7 +14,8 @@ PBWElement route they replaced.  The oracle rewriting takes a Segment
 word and a scalar prefix of its own, and can exchange the rightmost
 admissible pair where the kernel always takes the leftmost: agreement is
 the confluence check.  The transition expansions are compared
-with the closed parabolic forms of coeff_parab.  The memo table normalizes
+with the closed parabolic forms of coeff_parab, and E in G also with the
+ordinary polynomials it is defined by.  The memo table normalizes
 its keys on packed permutation keys; canonical_pair_oracle is the same
 normalization on tuples.  Helpers that only tests call live here too.
 """
@@ -61,10 +62,11 @@ from klforge.symgroup import (
     replicate_perm,
 )
 from klforge.transition import (
-    TransitionMatrix,
     UnsupportedFamily,
-    _canon_direction,
+    expand_E_in_G,
+    expand_G_in_E,
     g_star_power_with_taint,
+    transition_index,
 )
 
 QTuple = tuple[int, ...]
@@ -191,7 +193,8 @@ def coeff_parab(table: KLTable, A: BiSequence, sigma: Perm, omega: Perm,
     the same monomial times the sign eps(sigma omega)**m times the
     alternating-sum parabolic polynomial of (sigma, omega).
     """
-    d = _canon_direction(direction)
+    if direction not in ("e2g", "g2e"):
+        raise ValueError(f"unknown direction {direction!r}")
     if not is_regular(A):
         raise UnsupportedFamily(f"{A} is not regular")
     s0 = sigma0(A)
@@ -202,7 +205,7 @@ def coeff_parab(table: KLTable, A: BiSequence, sigma: Perm, omega: Perm,
     k = A.k
     gap = m * m * (length(omega) - length(sigma))
     mono = LaurentPoly.v(gap)
-    if d == "e2g":
+    if direction == "e2g":
         w0 = longest_element(k)
         p = parabolic_kl_neg1(table, compose(omega, w0), compose(sigma, w0), m)
         return mono * p
@@ -332,13 +335,22 @@ def kl_inversion_check(table: KLTable, sigma: Perm, omega: Perm) -> bool:
     return acc == (1 if sigma == omega else 0)
 
 
-def is_inverse(a: TransitionMatrix, b: TransitionMatrix) -> bool:
-    """Whether a * b is the identity matrix on the index of a."""
-    for r in a.index:
-        for c in a.index:
+def transition_matrix(table: KLTable, A: BiSequence, direction: str):
+    """The matrix of one direction as (index, {(row, col): entry})."""
+    index = transition_index(table, A)
+    expander = expand_E_in_G if direction == "e2g" else expand_G_in_E
+    return index, {(row, col): c for col in index for row, c in expander(table, A, col).items()}
+
+
+def is_inverse(a, b) -> bool:
+    """Whether a * b is the identity matrix on the index of a; each matrix
+    is a pair (index, entries) as transition_matrix returns."""
+    (index, a_entries), (_, b_entries) = a, b
+    for r in index:
+        for c in index:
             acc = LaurentPoly.one() if r == c else LaurentPoly.zero()
-            for mid in a.index:
-                x, y = a.entries.get((r, mid)), b.entries.get((mid, c))
+            for mid in index:
+                x, y = a_entries.get((r, mid)), b_entries.get((mid, c))
                 if x is not None and y is not None:
                     acc = acc - x * y
             if not acc.is_zero():

@@ -143,6 +143,16 @@ def test_cache_file_written_and_reused(tmp_path, capsys):
     assert cache.read_bytes() == first  # warm run adds nothing
 
 
+def test_expand_appends_no_memo_record(tmp_path, capsys):
+    # its entries are read from module rows, which are not memo records
+    cache = tmp_path / "kl.jsonl"
+    for direction in ("e2g", "g2e"):
+        code, _, _ = run_cli(["expand", "--a", "1,2,3", "--b", "6,5,4", "--direction",
+                              direction, "--cache", str(cache)], capsys)
+        assert code == 0
+    assert not cache.exists()
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "env.jsonl"
     monkeypatch.setenv("KLFORGE_CACHE", str(cache))
@@ -190,6 +200,13 @@ def test_expand_rejects_bad_arguments(argv, message, capsys):
     code, out, err = run_cli(["expand", *argv, "--no-cache"], capsys)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_expand_unknown_direction_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--a", "1,2", "--b", "8,7", "--direction", "sideways", "--no-cache"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
 
 
 def test_malformed_permutation_rejected(capsys):

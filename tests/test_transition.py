@@ -1,8 +1,8 @@
 import pytest
 
-from helpers import all_perms, coeff_parab, g_star_power_in_E, is_inverse
+from helpers import all_perms, coeff_parab, g_star_power_in_E, is_inverse, transition_matrix
 from klforge.poly import LaurentPoly
-from klforge.kl import kl_poly
+from klforge.kl import KLTable, kl_poly
 from klforge.segcomb import (
     BelowSigma0,
     BiSequence,
@@ -18,10 +18,11 @@ from klforge.transition import (
     expand_G_in_E,
     expansion_as_pbw,
     family_replication,
-    transition_matrix,
+    transition_index,
 )
 from klforge.symgroup import (
     bruhat_leq,
+    compose,
     identity,
     is_pattern_avoiding,
     length,
@@ -113,11 +114,43 @@ def test_coset_expansion_matches_brute_force(table, k, m):
                 assert set(expand_E_in_G(table, A, omega)) == below, (s0, omega)
 
 
+@pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
+def test_e_in_g_matches_ordinary_polynomials(table, k, m):
+    # every column, t_m pairs and the rest: the -1 module rows against the
+    # definition P_{top w0, rep w0} on ordinary rows of S_{mk}.  At n = 8
+    # the families with sigma0 of length 0 or 1 are left out: their entries
+    # read the largest ordinary rows of S_8 (25 s between them)
+    for s0 in _avoiders(k):
+        if m * k == 8 and length(s0) < 2:
+            continue
+        A = replicate(construct_strongly_regular(s0), m)
+        w0 = longest_element(A.k)
+        for top in transition_index(table, A):
+            got = expand_E_in_G(table, A, top)
+            assert got == {rep: V(length(top) - length(rep))
+                           * kl_poly(table, compose(top, w0), compose(rep, w0))
+                           for rep in got}, (s0, m, top)
+
+
+def test_replicated_families_read_no_ordinary_row():
+    # the module rows of W_m serve the index and both directions
+    table = KLTable()
+    for m in (2, 3):
+        for k in (1, 2, 3):
+            for s0 in _avoiders(k):
+                A = replicate(construct_strongly_regular(s0), m)
+                for col in transition_index(table, A):
+                    expand_E_in_G(table, A, col)
+                    expand_G_in_E(table, A, col)
+    assert table._rows
+    assert not [tag for tag in table._rows if tag[1] == 1]
+
+
 def test_triangularity(table):
     A = construct_strongly_regular((1, 3, 2))
-    M = transition_matrix(table, A, "e2g")
+    _, entries = transition_matrix(table, A, "e2g")
     s0 = sigma0(A)
-    for (row, col), coeff in M.entries.items():
+    for (row, col), coeff in entries.items():
         assert bruhat_leq(s0, row) and bruhat_leq(row, col)
         if row == col:
             assert coeff == ONE
@@ -130,7 +163,7 @@ def test_matrix_inversion_strongly_regular(table):
             m1 = transition_matrix(table, A, "e2g")
             m2 = transition_matrix(table, A, "g2e")
             assert is_inverse(m1, m2) and is_inverse(m2, m1), (k, s0)
-            if len(m1.entries) > len(m1.index):  # unitriangular, not the identity
+            if len(m1[1]) > len(m1[0]):  # unitriangular, not the identity
                 assert not is_inverse(m1, m1) and not is_inverse(m2, m2)
 
 
@@ -162,8 +195,6 @@ def test_coeff_parab_trivial(table):
 def test_unknown_direction_rejected(table):
     A = construct_strongly_regular((1, 2))
     for d in ("E-in-G", "sideways"):
-        with pytest.raises(ValueError):
-            transition_matrix(table, A, d)
         with pytest.raises(ValueError):
             coeff_parab(table, A, (2, 1), (2, 1), 2, d)
 
