@@ -30,9 +30,9 @@ Every other pair {y, sy} gets p_y + q p_{sy} at both members.  Module
 entries can vanish below w, so vanished entries are dropped from a row.
 Rows are cached in memory with a size cap, and the polynomials actually
 asked for are memoized in a KLTable, optionally persisted as an append-only
-JSON-lines file: one record per comparable, off-diagonal pair looked up.
-On load, bad records are skipped and an unterminated tail is truncated, so
-interrupted sweeps restart cleanly.
+JSON-lines file: one record per comparable, off-diagonal pair looked up,
+appended through one handle and flushed.  On load, bad records are skipped
+and an unterminated tail is truncated, so interrupted sweeps restart cleanly.
 
 Conventions.  P_{w,w} = 1, P_{x,w} = 0 when x is not below w in Bruhat
 order, and deg_q P_{x,w} <= (length(w) - length(x) - 1) / 2 for x < w;
@@ -87,6 +87,7 @@ import os
 import shutil
 import tempfile
 import threading
+import weakref
 from collections import OrderedDict
 from functools import reduce
 from operator import or_
@@ -99,6 +100,8 @@ _ONE = LaurentPoly.one()
 
 # The parabolic variants, by the character of W_m the module is induced from.
 _VARIANTS = ("q", "neg1")
+# One memo record as one JSON line, without spaces.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 # -- permutation keys and packed polynomials ---------------------------------
 
@@ -257,14 +260,17 @@ class KLTable:
     capped; least recently used rows are dropped first and recomputed on
     demand.  Every row is keyed (canonical top key, m, neg1), the ordinary
     rows with m = 1 and neg1 False.  Loading a memo file skips bad records
-    and rewrites the file without them.
+    and rewrites the file without them.  Records go through one handle,
+    opened at the first and flushed after each, reopened when the file was
+    replaced (by another table's loader) and closed with the table.
 
     The table owns every pool: rows map keys to packed polynomials, _keys
     interns each key of a row as the kernel creates it and _polys each value
     of a finished row, _perm_keys holds the key of each permutation asked
-    about, _images per n the inverse and w0-conjugate of each key, and _order
+    about, _images per n the inverse and w0-conjugate of each key, _order
     the Bruhat order of each pair of keys compared (_leq; keys of different
-    n >= 1 differ).  The pools outlive evicted rows and go away with the table.
+    n >= 1 differ) and _avoids_213 whether verify_main_theorem's sigma0 keys
+    avoid 213.  The pools outlive evicted rows and go away with the table.
 
     Concurrent use is safe: all writers compute identical values, so the
     last-write-wins inserts are benign, and the persistence writer is
@@ -284,8 +290,10 @@ class KLTable:
         self._polys: dict[int, int] = {}
         self._images: dict[int, tuple[_Images, _Images]] = {}
         self._order: dict[tuple[int, int], bool] = {}
+        self._avoids_213: dict[int, bool] = {}
         self._lock = threading.Lock()
         self._path = os.fspath(path) if path is not None else None
+        self._fh = self._close = None  # the append handle, and its finalizer
         if self._path is not None:
             self._load()
 
@@ -297,7 +305,8 @@ class KLTable:
         with open(self._path, "rb") as fh:
             data = fh.read()
         *lines, tail = data.split(b"\n")  # tail: an unterminated record
-        decode = json.JSONDecoder().decode
+        # int() refuses float literals, whose tuples would hit _key's int twins
+        decode = json.JSONDecoder(parse_float=int).decode
         kept: list[bytes] = []
         for line in lines:
             try:
@@ -307,7 +316,7 @@ class KLTable:
                 if (type(m) is not int or len(w) != len(s) or rec["n"] != m * len(s)
                         or kind and (m < 2 or rec["v"] not in _VARIANTS)):
                     raise ValueError("inconsistent record")
-                sk, wk = _encode(s), _encode(w)
+                sk, wk = self._key(tuple(s)), self._key(tuple(w))
                 if sk == wk or not self._leq(sk, wk, s, w):  # in S_k: t_m embeds the order
                     raise ValueError("not a pair below the diagonal")
                 gap = m * m * ((wk & _LEN_MASK) - (sk & _LEN_MASK))  # in S_{mk}
@@ -332,10 +341,15 @@ class KLTable:
         if self._path is None:
             return
         rec["p"] = p.to_json("q")["coeffs"]
-        line = json.dumps(rec, separators=(",", ":")) + "\n"
+        line = (_ENCODE(rec) + "\n").encode()
         with self._lock:
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+            if self._fh is None or os.fstat(self._fh.fileno()).st_nlink == 0:
+                if self._close is not None:
+                    self._close()
+                self._fh = open(self._path, "ab")
+                self._close = weakref.finalize(self, self._fh.close)
+            self._fh.write(line)
+            self._fh.flush()
 
     # -- key normalization ----------------------------------------------
 

@@ -35,16 +35,15 @@ the search, so a word whose coefficient cancels taints nothing.
 
 word_coefficient reads one coefficient through the same rewriting and
 search, from packed product words its caller builds (verify_prop1 packs
-family members itself; product_coefficient_guarded packs basis-element
-combinations), decodes nothing, and skips unrewritten every word the rank
-lemma rules out.  Let r_ij = #{[a, b] : a <= i, j <= b}.  No step changes
-the multisets of left and of right ends or lowers an r_ij: a transposition
-keeps the multiset, and the exchange of a linked pair a_y < a_x <= b_y < b_x
-gives [a_x, b_y] and [a_y, b_x]; an interval inside both old segments lies
-inside both new ones, and one inside exactly one lies inside [a_y, b_x].
-So a word whose end multisets differ from the target's, or with some r_ij
-above the target's (i a left end and j a right end of the target, i <= j),
-can neither finish at the target nor taint it.
+family members itself), decodes nothing, and skips unrewritten every word
+the rank lemma rules out.  Let r_ij = #{[a, b] : a <= i, j <= b}.  No step
+changes the multisets of left and of right ends or lowers an r_ij: a
+transposition keeps the multiset, and the exchange of a linked pair
+a_y < a_x <= b_y < b_x gives [a_x, b_y] and [a_y, b_x]; an interval inside
+both old segments lies inside both new ones, and one inside exactly one
+lies inside [a_y, b_x].  So a word whose end multisets differ from the
+target's, or with some r_ij above the target's (i a left end and j a right
+end of the target, i <= j), can neither finish at the target nor taint it.
 
 Rewriting repeatedly picks the leftmost exchangeable pair of some pending
 word; words are keyed in a map so duplicates merge eagerly.  An exchange
@@ -140,14 +139,6 @@ class PBWElement:
     def to_json(self) -> list[dict]:
         ordered = sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
         return [{"mseg": m.to_json(), "coeff": c.to_json("v")} for m, c in ordered]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> "PBWElement":
-        out: dict[Multisegment, LaurentPoly] = {}
-        for rec in data:
-            m = Multisegment.from_json(rec["mseg"])
-            _accumulate(out, m, LaurentPoly.from_json(rec["coeff"]))
-        return cls(out)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -362,11 +353,3 @@ def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
             return None
         total = total + finished.get(target, LaurentPoly.zero())
     return total * _V(-exponent)
-
-
-def product_coefficient_guarded(factors: Iterable[PBWElement],
-                                target: Multisegment) -> LaurentPoly | None:
-    """The exact coefficient of E(target) in the product, or None when the
-    target is tainted; word_coefficient on the product words."""
-    return word_coefficient(_product_words(factors), _pack_word(target.segments()),
-                            e_star_prefactor_exponent(target))

@@ -162,7 +162,9 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
         except ValueError as exc:  # past the keys' width it is no failed hypothesis
             permutes = HypothesisFailed(f"sigma0, sigma and omega must permute 1..{k}")
             raise (exc if k > _MAX_N else permutes) from None
-        if not is_pattern_avoiding(sigma0_perm, (2, 1, 3)):
+        if s0 not in table._avoids_213:  # once per sigma0 and table
+            table._avoids_213[s0] = is_pattern_avoiding(sigma0_perm, (2, 1, 3))
+        if not table._avoids_213[s0]:
             raise HypothesisFailed(f"sigma0 {sigma0_perm} contains the pattern 213")
         if not (table._leq(s0, s, sigma0_perm, sigma) and table._leq(s, w, sigma, omega)):
             raise HypothesisFailed("need sigma0 <= sigma <= omega")

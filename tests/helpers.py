@@ -31,8 +31,10 @@ from klforge.pbw import (
     NonGeneralPositionExchange,
     PBWElement,
     _accumulate,
+    _pack_word,
+    _product_words,
     e_star_prefactor_exponent,
-    product_coefficient_guarded,
+    word_coefficient,
 )
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
@@ -637,6 +639,24 @@ def product_expansion_guarded_oracle(factors):
     for m in tainted:
         exact.pop(m, None)
     return PBWElement(exact), frozenset(tainted)
+
+
+def pbw_from_json(data) -> PBWElement:
+    """The PBWElement of the records PBWElement.to_json writes; repeated
+    records add up."""
+    out: dict[Multisegment, LaurentPoly] = {}
+    for rec in data:
+        _accumulate(out, Multisegment.from_json(rec["mseg"]),
+                    LaurentPoly.from_json(rec["coeff"]))
+    return PBWElement(out)
+
+
+def product_coefficient_guarded(factors, target: Multisegment) -> LaurentPoly | None:
+    """The exact coefficient of E(target) in the product of the PBWElements,
+    or None when the target is tainted; pbw.word_coefficient on the product
+    words."""
+    return word_coefficient(_product_words(factors), _pack_word(target.segments()),
+                            e_star_prefactor_exponent(target))
 
 
 def prop1_oracle(A: BiSequence, sigma: Perm, omega: Perm,

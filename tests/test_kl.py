@@ -1,7 +1,10 @@
+import gc
 import json
+import os
 import random
 import sys
 import threading
+import warnings
 
 import pytest
 
@@ -288,6 +291,15 @@ def test_cache_skips_record_with_untrustworthy_values(tmp_path, bad_record):
     assert kl_poly(t2, identity(4), (3, 4, 1, 2)) == Q({0: 1, 1: 1})
 
 
+def test_cache_skips_float_permutation_after_its_int_twin(tmp_path):
+    # (1.0, 2) hashes like (1, 2), whose key the loader has already made
+    path = tmp_path / "cache.jsonl"
+    good = b'{"n":2,"s":[1,2],"w":[2,1],"p":{"0":1}}\n'
+    path.write_bytes(good + b'{"n":2,"s":[1.0,2],"w":[2,1],"p":{"0":1}}\n')
+    KLTable(path)
+    assert path.read_bytes() == good
+
+
 PARABOLIC_CASES = [((2, 1), (2, 1), 2), ((1, 2), (2, 1), 3),
                    ((1, 2, 3), (3, 2, 1), 2), ((2, 1, 3), (3, 1, 2), 2),
                    ((1, 3, 2), (2, 3, 1), 2)]
@@ -433,6 +445,62 @@ def test_cache_record_schema(tmp_path):
         '{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1,"1":1}}',
         '{"m":2,"v":"q","n":8,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"4":1,"5":1,"6":1}}',
     ]
+
+
+def test_memo_file_opened_once_per_table(tmp_path, monkeypatch):
+    # one append handle serves every record of a table
+    path = tmp_path / "cache.jsonl"
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(kl_module, "open", counting_open, raising=False)
+    t = KLTable(path)
+    for w in all_perms(4):
+        for s in all_perms(4):
+            if s != w and bruhat_leq(s, w):
+                kl_poly(t, s, w)
+    for sigma, omega, m in PARABOLIC_CASES:
+        parabolic_kl_q(t, sigma, omega, m)
+    assert opened == [str(path)]
+    assert len(path.read_text().splitlines()) > 50
+
+
+def test_appends_follow_a_replaced_memo_file(tmp_path, monkeypatch):
+    # another table's loader replaces the file; later appends must land in
+    # the file at the path, not in the unlinked one
+    path = tmp_path / "cache.jsonl"
+    a = KLTable(path)
+    pairs = [((1, 2, 3), (3, 2, 1)), ((1, 2, 3, 4), (3, 4, 1, 2))]
+    want = [kl_poly(a, *pairs[0])]
+    with open(path, "ab") as fh:
+        fh.write(b'{"n": 3, "s": [1, 2], "w": [2, 1], "p": {}}\n')
+    inode = path.stat().st_ino
+    KLTable(path)  # drops the bad line and replaces the file
+    assert path.stat().st_ino != inode
+    want.append(kl_poly(a, *pairs[1]))
+
+    def no_rows(*args):
+        raise AssertionError("a warm table computed a row")
+
+    monkeypatch.setattr(kl_module, "_compute_row", no_rows)
+    c = KLTable(path)
+    assert [kl_poly(c, *pair) for pair in pairs] == want == [ONE, Q({0: 1, 1: 1})]
+
+
+def test_dropped_table_leaves_no_open_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t = KLTable(path)
+        kl_poly(t, (1, 2, 3), (3, 2, 1))
+        parabolic_kl_q(t, (1, 2), (2, 1), 2)
+        del t
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_row_cache_eviction():

@@ -111,6 +111,33 @@ def test_main_theorem_past_the_key_width_is_no_skip(table):
         verify_main_theorem(table, w, w, (2, 2, *w[2:]), 2)
 
 
+def test_main_theorem_tests_213_once_per_sigma0_and_table(monkeypatch):
+    # every sigma0 of S_1..S_3, 213-containing ones included, with each
+    # sigma0 <= sigma <= omega at m = 2
+    cases = [(s0, sigma, omega, 2) for k in (1, 2, 3) for s0 in all_perms(k)
+             for omega in all_perms(k) if bruhat_leq(s0, omega)
+             for sigma in all_perms(k) if bruhat_leq(s0, sigma) and bruhat_leq(sigma, omega)]
+
+    def stripped(table):
+        return [{**r.to_json(), "elapsed_s": None}
+                for r in (verify_main_theorem(table, *case) for case in cases)]
+
+    want = stripped(KLTable())
+    calls = []
+
+    def counted(w, pattern):
+        calls.append(w)
+        return is_pattern_avoiding(w, pattern)
+
+    monkeypatch.setattr(verify_module, "is_pattern_avoiding", counted)
+    assert stripped(KLTable()) == want
+    distinct = len({case[0] for case in cases})
+    assert len(calls) == len(set(calls)) == distinct == 9
+    assert any(r["status"] == "skipped" and "213" in r["reason"] for r in want)
+    stripped(KLTable())
+    assert len(calls) == 2 * distinct
+
+
 def test_corollary_smooth(table):
     # the smooth Schubert case: the main theorem with the identity as sigma0,
     # over every sigma below omega
