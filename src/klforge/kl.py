@@ -308,6 +308,7 @@ class KLTable:
         # int() refuses float literals, whose tuples would hit _key's int twins
         decode = json.JSONDecoder(parse_float=int).decode
         kept: list[bytes] = []
+        polys: dict[tuple, LaurentPoly] = {}  # by p, its types (true is not 1), gap, kind
         for line in lines:
             try:
                 rec = decode(line.decode())
@@ -320,7 +321,8 @@ class KLTable:
                 if sk == wk or not self._leq(sk, wk, s, w):  # in S_k: t_m embeds the order
                     raise ValueError("not a pair below the diagonal")
                 gap = m * m * ((wk & _LEN_MASK) - (sk & _LEN_MASK))  # in S_{mk}
-                p = _poly_of_record(rec["p"], gap, m == 1)
+                key = (*rec["p"].items(), *map(type, rec["p"].values()), gap, m == 1)
+                p = polys[key] = polys.get(key) or _poly_of_record(rec["p"], gap, m == 1)
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
             for pair in _pair_class(self, sk, wk, len(s), m):

@@ -22,28 +22,36 @@ only tainted multisegments.
 Pairs sharing a left or a right end are out of scope for the rules, and
 they do arise in products of distinct members of a strongly regular
 family.  Such a pair only reorders: two segments with a common end are
-never linked, their product is a single basis element, so the exchange is
-a plain transposition times an undetermined power of v and cannot create
-new multisegments.  The guarded product exploits exactly this: a
-word whose remaining inversions all share an end is dropped, and every
-multisegment any continuation of it could still reach (explored by a
-depth-first search over reorderings and exchanges, at most
-_REACH_STATE_CAP words) is marked tainted.  Coefficients at untainted
-multisegments are therefore exact; tainted ones are withheld rather than
-guessed.  Product words and the stuck words of each are summed before
+never linked, so their exchange is a transposition times an undetermined
+power of v and creates no multisegment.  The guarded product drops a word
+whose remaining inversions all share an end and marks tainted every
+multisegment any continuation of it could still reach (a depth-first
+search over reorderings and exchanges, at most _REACH_STATE_CAP words).
+Coefficients at untainted multisegments are exact; tainted ones are
+withheld.  Product words and the stuck words of each are summed before
 the search, so a word whose coefficient cancels taints nothing.
 
-word_coefficient reads one coefficient through the same rewriting and
-search, from packed product words its caller builds (verify_prop1 packs
-family members itself), decodes nothing, and skips unrewritten every word
-the rank lemma rules out.  Let r_ij = #{[a, b] : a <= i, j <= b}.  No step
-changes the multisets of left and of right ends or lowers an r_ij: a
-transposition keeps the multiset, and the exchange of a linked pair
-a_y < a_x <= b_y < b_x gives [a_x, b_y] and [a_y, b_x]; an interval inside
-both old segments lies inside both new ones, and one inside exactly one
-lies inside [a_y, b_x].  So a word whose end multisets differ from the
-target's, or with some r_ij above the target's (i a left end and j a right
-end of the target, i <= j), can neither finish at the target nor taint it.
+word_coefficient reads one coefficient from packed product words through
+the same rewriting and search, following only words the rank lemma leaves
+in play.  Let r_ij = #{[a, b] : a <= i, j <= b}.  No step changes the
+multisets of left and of right ends or lowers an r_ij: a transposition
+keeps the multiset, and the exchange of a linked pair a_y < a_x <= b_y < b_x
+gives [a_x, b_y] and [a_y, b_x]; an interval inside both old segments lies
+inside both new ones, and one inside exactly one lies inside [a_y, b_x].
+So a word whose end multisets differ from the target's, or with some r_ij
+above the target's (i in L and j in R, the target's distinct left and right
+ends), can neither finish at the target nor taint it.  _cannot_reach tests
+each product word so.  Past it, the test rides along as a packed slack
+(_Rank, one table per call): each cell (i, j) of L x R has a field of
+len(target).bit_length() + 1 bits whose top bit is a guard, and G holds
+every guard bit.  The rank vector of [a, b] is ROW[a] * COLS[b], with a 1
+in every field of a row i >= a and of a column j <= b, and slack(w) =
+G + sum(target's) - sum(w's); as |r_ij| <= len(target), no field borrows.
+A word stays in play while slack & G == G.  A transposition keeps the
+slack; the exchange (x, y) -> (cap, cup) adds rank(x) + rank(y) -
+rank(cap) - rank(cup) and drops the new word once a guard bit clears.
+Equal words have equal slack, so merging is unchanged.  No table, no
+pruning: the guarded product has no target.
 
 Rewriting repeatedly picks the leftmost exchangeable pair of some pending
 word; words are keyed in a map so duplicates merge eagerly.  An exchange
@@ -136,10 +144,6 @@ class PBWElement:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def to_json(self) -> list[dict]:
-        ordered = sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-        return [{"mseg": m.to_json(), "coeff": c.to_json("v")} for m, c in ordered]
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -201,7 +205,28 @@ def _cap_cup(x: int, y: int) -> tuple[int, int] | None:
     return None
 
 
-def _rewrite(word: Word, prefix: LaurentPoly):
+class _Rank(dict):
+    """Packed segment -> rank vector toward one target, for words with its end
+    multisets; a word's slack is base less its vectors' sum (module docstring)."""
+
+    def __init__(self, target: Word):
+        width = len(target).bit_length() + 1
+        row = 1 << width * len({x >> _BITS for x in target})
+        self.rows, self.cols = {}, {}  # ROW and COLS
+        rows = cols = 0
+        for a in sorted({x & _LO for x in target}, reverse=True):
+            rows = self.rows[a] = rows * row + 1
+        for b in sorted({x >> _BITS for x in target}):
+            cols = self.cols[b] = cols << width | 1
+        self.guard = rows * cols << width - 1
+        self.base = self.guard + sum(map(self.__getitem__, target))
+
+    def __missing__(self, x: int) -> int:
+        r = self[x] = self.rows[x & _LO] * self.cols[x >> _BITS]
+        return r
+
+
+def _rewrite(word: Word, prefix: LaurentPoly, rank: _Rank | None = None):
     """The straightening loop, exchanging the leftmost admissible pair.
 
     Returns (finished, stuck): coefficient maps keyed by packed word, where
@@ -210,6 +235,7 @@ def _rewrite(word: Word, prefix: LaurentPoly):
     pending: dict[Word, LaurentPoly] = {word: prefix}
     finished: dict[Word, LaurentPoly] = {}
     stuck: dict[Word, LaurentPoly] = {}
+    slack = {} if rank is None else {word: rank.base - sum(map(rank.__getitem__, word))}
     while pending:
         w, c = pending.popitem()
         inverted = False
@@ -223,8 +249,16 @@ def _rewrite(word: Word, prefix: LaurentPoly):
             _accumulate(stuck if inverted else finished, w, c)
             continue
         head, tail = w[:i], w[i + 2:]
-        _accumulate(pending, head + (y, x) + tail, c)
+        moved = head + (y, x) + tail
+        _accumulate(pending, moved, c)
         pair = _cap_cup(x, y)
+        if rank is not None:
+            s = slack[moved] = slack[w]
+            if pair:
+                s += rank[x] + rank[y] - rank[pair[0]] - rank[pair[1]]
+                if s & rank.guard != rank.guard:
+                    continue  # out of play: it cannot reach the target
+                slack[head + pair + tail] = s
         if pair:
             _accumulate(pending, head + pair + tail, c * _EXCHANGE)
     return finished, stuck
@@ -243,38 +277,42 @@ def _collect(finished: dict[Word, LaurentPoly],
 _REACH_STATE_CAP = 200_000
 
 
-def _reachable(word: Word) -> set[Word]:
+def _reachable(word: Word, rank: _Rank | None = None) -> set[Word]:
     """Every sorted word some complete normalization of the word can reach.
 
     Explores every rewriting order, treating an inversion that shares an
     end as a plain transposition (its true exchange is a transposition up
-    to a v-power and contributes no new multisegments).  Raises
-    NonGeneralPositionExchange past _REACH_STATE_CAP words.
+    to a v-power and creates no multisegment); a rank table prunes as in
+    _rewrite.  Raises NonGeneralPositionExchange past _REACH_STATE_CAP words.
     """
     seen: set[Word] = {word}
-    frontier = [word]
+    guard = 0 if rank is None else rank.guard
+    frontier = [(word, 0 if rank is None else rank.base - sum(map(rank.__getitem__, word)))]
     out: set[Word] = set()
     while frontier:
-        w = frontier.pop()
+        w, s = frontier.pop()  # a word and its slack
         nxt = []
         for i in range(len(w) - 1):
             x, y = w[i], w[i + 1]
             if x > y:
                 head, tail = w[:i], w[i + 2:]
-                nxt.append(head + (y, x) + tail)
+                nxt.append((head + (y, x) + tail, s))
                 pair = _cap_cup(x, y)
                 if pair:
-                    nxt.append(head + pair + tail)
+                    e = s if rank is None else (
+                        s + rank[x] + rank[y] - rank[pair[0]] - rank[pair[1]])
+                    if e & guard == guard:
+                        nxt.append((head + pair + tail, e))
         if not nxt:
             out.add(w)
             continue
-        for t in nxt:
-            if t not in seen:
+        for child in nxt:
+            if child[0] not in seen:
                 if len(seen) >= _REACH_STATE_CAP:
                     raise NonGeneralPositionExchange(
                         "reachability search exceeded the state cap")
-                seen.add(t)
-                frontier.append(t)
+                seen.add(child[0])
+                frontier.append(child)
     return out
 
 
@@ -294,13 +332,23 @@ def _product_words(factors: Iterable[PBWElement]) -> dict[Word, LaurentPoly]:
 
 
 def _cannot_reach(w: Word, target: Word) -> bool:
-    """Whether the rank lemma rules out reaching the target from w.  At the
-    last segment with left end i, bw and bt hold the sorted right ends of the
-    segments with a <= i; some r_ij(w) > r_ij(target) exactly when an entry
-    of bw exceeds the entry of bt in its place (for j <= i, r_ij is
-    #{a <= i} - #{b < j}, fixed by the end multisets)."""
-    ws = sorted((x & _LO, x >> _BITS) for x in w)
-    ts = sorted((x & _LO, x >> _BITS) for x in target)
+    """Whether the rank lemma rules out reaching the target from w.  Shared
+    segments cancel first (one merge pass).  Then at the last segment with left
+    end i, bw and bt hold the sorted right ends of the segments with a <= i;
+    some r_ij(w) > r_ij(target) exactly when an entry of bw exceeds the one of
+    bt in its place (for j <= i, r_ij is fixed by the end multisets)."""
+    w, ws, ts = sorted(w), [], []
+    i = j = 0
+    while i < len(w) and j < len(target):
+        x, t = w[i], target[j]
+        if x < t:
+            ws.append(x)
+        elif x > t:
+            ts.append(t)
+        i += x <= t
+        j += x >= t
+    ws = sorted((x & _LO, x >> _BITS) for x in ws + w[i:])
+    ts = sorted((x & _LO, x >> _BITS) for x in ts + list(target[j:]))
     if [a for a, _ in ws] != [a for a, _ in ts]:
         return True
     bw, bt = [], []
@@ -343,13 +391,16 @@ def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
     """The exact coefficient of E(target) in the sum of the product words,
     or None when the target is tainted.  Each word's coefficient carries
     its basis prefactors; target is a sorted word, exponent the exponent of
-    its own prefactor.  Words the rank lemma rules out are not rewritten."""
-    total = LaurentPoly.zero()
+    its own prefactor.  Rewriting and search prune by the rank lemma."""
+    total, rank = LaurentPoly.zero(), None
     for w, coeff in words.items():
         if _cannot_reach(w, target):
             continue
-        finished, stuck = _rewrite(w, coeff)
-        if any(target in _reachable(sw) for sw in stuck):
+        if rank is None:  # built once, for the first word in play
+            rank = _Rank(target)
+        finished, stuck = _rewrite(w, coeff, rank)
+        if any(target in _reachable(sw, rank) for sw in stuck):
             return None
-        total = total + finished.get(target, LaurentPoly.zero())
-    return total * _V(-exponent)
+        if target in finished:
+            total = total + finished[target]
+    return total if total.is_zero() else total * _V(-exponent)

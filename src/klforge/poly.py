@@ -45,7 +45,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls.v(0, 0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -54,7 +54,9 @@ class LaurentPoly:
     @classmethod
     def v(cls, exponent: int = 1, coefficient: int = 1) -> "LaurentPoly":
         """The monomial coefficient * v**exponent."""
-        return cls({exponent: coefficient})
+        res = cls.__new__(cls)
+        res._coeffs = {int(exponent): int(coefficient)} if coefficient else {}
+        return res
 
     @classmethod
     def from_q_coeffs(cls, qcoeffs: Mapping[int, int]) -> "LaurentPoly":
@@ -124,18 +126,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -158,13 +148,6 @@ class LaurentPoly:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no exponents")
         return min(self._coeffs)
-
-    def monomial(self) -> tuple[int, int] | None:
-        """(exponent, coefficient) if this is a single monomial, else None."""
-        if len(self._coeffs) != 1:
-            return None
-        [(e, c)] = self._coeffs.items()
-        return e, c
 
     def as_q_polynomial(self) -> dict[int, int]:
         """The unique preimage under q -> v**-2, as {q-exponent: coefficient}.

@@ -120,18 +120,9 @@ class Multisegment:
             for _ in range(c):
                 yield s
 
-    def multiplicity(self, s: Segment) -> int:
-        for seg, c in self._items:
-            if seg == s:
-                return c
-        return 0
-
     def sort_key(self) -> tuple:
         """Deterministic ordering key (segment order, then multiplicities)."""
         return tuple((s.b, s.a, c) for s, c in self._items)
-
-    def total(self) -> int:
-        return sum(c for _, c in self._items)
 
     def __len__(self) -> int:
         return len(self._items)

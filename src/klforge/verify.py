@@ -206,9 +206,8 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
 
     # Strong regularity makes the k segments [a_i, b_sigma(i)] of M_sigma
     # nonempty and distinct; t_j(sigma) repeats each of them j times.
-    segs = sorted((A.b[j - 1], a) for a, j in zip(A.a, sigma))  # segment order
-    s = [pack_segment(a, b) for b, a in segs]
-    o = tuple(sorted(pack_segment(a, A.b[j - 1]) for a, j in zip(A.a, omega)))
+    s = sorted([pack_segment(a, A.b[j - 1]) for a, j in zip(A.a, sigma)])
+    o = tuple(sorted([pack_segment(a, A.b[j - 1]) for a, j in zip(A.a, omega)]))
     left = tuple(x for x in s for _ in range(m - 1))
     target = tuple(x for x in s for _ in range(m))
     try:
@@ -217,6 +216,7 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     except NonGeneralPositionExchange as exc:
         return _undetermined(check, case, f"NonGeneralPositionExchange: {exc}", started)
     if computed is None:
+        segs = sorted((A.b[j - 1], a) for a, j in zip(A.a, sigma))  # segment order
         named = "+".join(f"[{a},{b}]" for b, a in segs for _ in range(m))
         return _undetermined(check, case, f"Tainted: the coefficient at {named} is "
                              f"not determined by the implemented exchange rules", started)

@@ -485,6 +485,31 @@ class NotLinked(ValueError):
     """union/intersection requested for a pair that is not linked in order."""
 
 
+def power(p: LaurentPoly, n: int) -> LaurentPoly:
+    """p**n for n >= 0, by repeated squaring."""
+    result = LaurentPoly.one()
+    while n:
+        if n & 1:
+            result = result * p
+        p, n = p * p, n >> 1
+    return result
+
+
+def monomial(p: LaurentPoly) -> tuple[int, int] | None:
+    """(exponent, coefficient) if p is a single monomial, else None."""
+    terms = list(p.items())
+    return terms[0] if len(terms) == 1 else None
+
+
+def mseg_total(m: Multisegment) -> int:
+    """The number of segments of m, counted with multiplicity."""
+    return sum(c for _, c in m.items())
+
+
+def multiplicity(m: Multisegment, s: Segment) -> int:
+    return dict(m.items()).get(s, 0)
+
+
 def segment_less(d1: Segment, d2: Segment) -> bool:
     """The total order: earlier right end first, ties by earlier left end."""
     return seg_sort_key(d1) < seg_sort_key(d2)
@@ -641,9 +666,15 @@ def product_expansion_guarded_oracle(factors):
     return PBWElement(exact), frozenset(tainted)
 
 
+def pbw_to_json(x: PBWElement) -> list[dict]:
+    """One record per term of x, in segment order."""
+    ordered = sorted(x.terms().items(), key=lambda kv: kv[0].sort_key())
+    return [{"mseg": m.to_json(), "coeff": c.to_json("v")} for m, c in ordered]
+
+
 def pbw_from_json(data) -> PBWElement:
-    """The PBWElement of the records PBWElement.to_json writes; repeated
-    records add up."""
+    """The PBWElement of the records pbw_to_json writes; repeated records
+    add up."""
     out: dict[Multisegment, LaurentPoly] = {}
     for rec in data:
         _accumulate(out, Multisegment.from_json(rec["mseg"]),

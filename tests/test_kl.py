@@ -305,6 +305,45 @@ PARABOLIC_CASES = [((2, 1), (2, 1), 2), ((1, 2), (2, 1), 3),
                    ((1, 3, 2), (2, 3, 1), 2)]
 
 
+def test_loader_builds_each_distinct_polynomial_once(tmp_path, monkeypatch):
+    # the records above the identity of S_4 share a few polynomials
+    path = tmp_path / "cache.jsonl"
+    t1 = KLTable(path)
+    for w in all_perms(4):
+        kl_poly(t1, identity(4), w)
+    for sigma, omega, m in PARABOLIC_CASES:
+        parabolic_kl_q(t1, sigma, omega, m)
+    lines = path.read_bytes().splitlines()
+    built = []
+    build = kl_module._poly_of_record
+
+    def counted(data, gap, ordinary):
+        built.append((tuple(data.items()), gap, ordinary))
+        return build(data, gap, ordinary)
+
+    monkeypatch.setattr(kl_module, "_poly_of_record", counted)
+    t2 = KLTable(path)
+    assert t2._final == t1._final
+    assert path.read_bytes().splitlines() == lines
+    assert len(built) == len(set(built)) < len(lines)
+
+
+@pytest.mark.parametrize("good, bad", [
+    (b'{"n":2,"s":[1,2],"w":[2,1],"p":{"0":1}}',
+     b'{"n":3,"s":[1,2,3],"w":[2,1,3],"p":{"0":true}}'),
+    (b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":1,"1":1}}',
+     b'{"n":4,"s":[1,2,3,4],"w":[2,1,3,4],"p":{"0":1,"1":1}}'),
+    (b'{"m":2,"v":"q","n":4,"s":[1,2],"w":[2,1],"p":{"0":2}}',
+     b'{"n":4,"s":[1,2,3,4],"w":[3,4,1,2],"p":{"0":2}}'),
+], ids=["true-for-1", "degree-above-a-smaller-gap", "parabolic-constant-in-an-ordinary-record"])
+def test_cache_skips_bad_twin_of_a_good_polynomial(tmp_path, good, bad):
+    # the bad record's "p" equals the good one's; only its type, gap or kind differs
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(good + b"\n" + bad + b"\n")
+    KLTable(path)
+    assert path.read_bytes() == good + b"\n"
+
+
 def test_parabolic_answers_persist_one_record_each(tmp_path):
     path = tmp_path / "cache.jsonl"
     t = KLTable(path)

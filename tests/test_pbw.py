@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 import klforge.pbw as pbw
 from helpers import (
     c_strongly_regular,
+    mseg_total,
     multiply_oracle,
     pbw_from_json,
+    pbw_to_json,
     product_coefficient_guarded,
     product_expansion_guarded_oracle,
     reachable_normal_multisegments,
@@ -201,14 +203,14 @@ def test_scale_and_add():
     for c in (V(2), -1 * V(2)):
         scaled = product_expansion_guarded([x, PBWElement({Multisegment.empty(): c})])
         assert scaled == (PBWElement({mseg((1, 2)): c}), frozenset())
-    records = PBWElement({mseg((1, 2)): V(2)}).to_json()
-    records += PBWElement({mseg((1, 2)): -1 * V(2)}).to_json()
+    records = pbw_to_json(PBWElement({mseg((1, 2)): V(2)}))
+    records += pbw_to_json(PBWElement({mseg((1, 2)): -1 * V(2)}))
     assert pbw_from_json(records).is_zero()
 
 
 def test_pbw_json_roundtrip():
     x = PBWElement({mseg((1, 3), (2, 4)): ONE, mseg((2, 3), (1, 4)): EXCH})
-    assert pbw_from_json(x.to_json()) == x
+    assert pbw_from_json(pbw_to_json(x)) == x
 
 
 def test_c_strongly_regular():
@@ -411,7 +413,7 @@ _combinations = st.dictionaries(
 def test_coefficient_reader_matches_expansion(factors, rnd):
     exact, tainted = product_expansion_guarded(factors)
     concat = sum((next(iter(f.terms())) for f in factors), Multisegment.empty())
-    starts = [rnd.randint(0, 9) for _ in range(concat.total())]
+    starts = [rnd.randint(0, 9) for _ in range(mseg_total(concat))]
     other = Multisegment(Segment(a, rnd.randint(a, 9)) for a in starts)
     for target in exact.support() | tainted | {concat, other}:
         got = product_coefficient_guarded(factors, target)
@@ -439,23 +441,57 @@ def cut_by_definition(word, target):
                for i in lefts for j in rights if i <= j)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_segments09, min_size=1, max_size=7), st.randoms(use_true_random=False))
-def test_rank_cut_matches_its_definition(segments, rnd):
-    # the same end multisets, paired again, and a target with other ends
+def _paired_again(segments, rnd):
+    """Segments with the same end multisets, the right ends shuffled."""
     rights = [s.b for s in segments]
     rnd.shuffle(rights)
     if any(s.a > b for s, b in zip(segments, rights)):
         rights.sort()  # with the lefts sorted too, every pair is a segment
-        lefts = sorted(s.a for s in segments)
-    else:
-        lefts = [s.a for s in segments]
-    others = [Segment(a, rnd.randint(a, 9)) for a in lefts]
+        return list(map(Segment, sorted(s.a for s in segments), rights))
+    return [Segment(s.a, b) for s, b in zip(segments, rights)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_segments09, min_size=1, max_size=7), st.randoms(use_true_random=False))
+def test_rank_cut_matches_its_definition(segments, rnd):
+    # the same end multisets, paired again; a target with other ends; one
+    # that keeps some of the word's segments and pairs the rest again
+    paired = _paired_again(segments, rnd)
+    others = [Segment(s.a, rnd.randint(s.a, 9)) for s in paired]
+    k = rnd.randint(0, len(segments))
+    shared = segments[:k] + _paired_again(segments[k:], rnd)
     w = pbw._pack_word(segments)
-    for target in (list(map(Segment, lefts, rights)), others, segments):
+    for target in (paired, others, segments, shared):
         t = _sorted_word(target)
         assert pbw._cannot_reach(w, t) == cut_by_definition(segments, target)
     assert not pbw._cannot_reach(w, _sorted_word(segments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_segments09, min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_rank_pruning_keeps_what_reaches_the_target(segments, rnd):
+    # targets with the word's end multisets, as the reader builds its tables
+    w = pbw._pack_word(segments)
+    k = rnd.randint(0, len(segments))
+    for target in (_paired_again(segments, rnd), segments,
+                   segments[:k] + _paired_again(segments[k:], rnd)):
+        t = _sorted_word(target)
+        rank = pbw._Rank(t)
+        in_play = (rank.base - sum(rank[x] for x in w)) & rank.guard == rank.guard
+        assert in_play == (not cut_by_definition(segments, target))
+        pruned, full = pbw._reachable(w, rank), pbw._reachable(w)
+        assert (t in pruned) == (t in full)
+        finished, stuck = pbw._rewrite(w, EXCH, rank)
+        want_finished, want_stuck = pbw._rewrite(w, EXCH)
+        assert finished.get(t) == want_finished.get(t)
+        for got, want in ((dict.fromkeys(pruned), dict.fromkeys(full)),
+                          (finished, want_finished), (stuck, want_stuck)):
+            # a subset with the same coefficients; from a word in play,
+            # exactly the words the rank lemma leaves in play
+            assert got.items() <= want.items()
+            if in_play:
+                assert got == {u: c for u, c in want.items() if not cut_by_definition(
+                    list(map(pbw._unpack, u)), target)}
 
 
 @pytest.mark.parametrize("word, target, cut", [

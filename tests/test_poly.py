@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import monomial, power
 from klforge.poly import LaurentPoly, NotAQPolynomial
 
 V = LaurentPoly.v
@@ -38,8 +39,9 @@ def test_mul_examples():
 
 
 def test_pow():
-    assert (V(1) + ONE) ** 2 == V(2) + 2 * V(1) + ONE
-    assert (V(1)) ** 0 == ONE
+    assert power(V(1) + ONE, 2) == V(2) + 2 * V(1) + ONE
+    assert power(V(1) + ONE, 3) == V(3) + 3 * V(2) + 3 * V(1) + ONE
+    assert power(V(1), 0) == ONE
 
 
 def test_ring_axioms_random():
@@ -88,10 +90,22 @@ def test_as_q_polynomial_examples():
         V(2).as_q_polynomial()
 
 
+def test_monomial_constructors():
+    assert V(5, 0) == LaurentPoly.zero() == LaurentPoly({})
+    for p in (V(5, 0), LaurentPoly.zero(), V(-1, 3)):
+        assert 0 not in p._coeffs.values()
+    assert V(5, 0)._coeffs == LaurentPoly.zero()._coeffs == {}
+    # an int subclass is stored as a plain int, key and value
+    p = V(True, True)
+    assert p == V(1) and p._coeffs == {1: 1}
+    assert all(type(e) is int and type(c) is int for e, c in p._coeffs.items())
+    assert list(V(-2, -3).items()) == [(-2, -3)]
+
+
 def test_monomial_inspection():
-    assert V(-2, 3).monomial() == (-2, 3)
-    assert (V(1) + ONE).monomial() is None
-    assert ZERO.monomial() is None
+    assert monomial(V(-2, 3)) == (-2, 3)
+    assert monomial(V(1) + ONE) is None
+    assert monomial(ZERO) is None
     with pytest.raises(ValueError):
         ZERO.min_exponent()
 

@@ -8,6 +8,8 @@ from helpers import (
     all_perms,
     bisequences,
     double_multiplication_holds,
+    mseg_total,
+    multiplicity,
     union_intersection,
 )
 from klforge.segcomb import (
@@ -60,8 +62,9 @@ def test_union_intersection():
 
 def test_multisegment_basics():
     m = Multisegment([Segment(1, 2), Segment(1, 2), Segment(0, 4), Segment(5, 5)])
-    assert m.total() == 4
-    assert m.multiplicity(Segment(1, 2)) == 2
+    assert mseg_total(m) == 4
+    assert multiplicity(m, Segment(1, 2)) == 2
+    assert multiplicity(m, Segment(1, 3)) == 0
     assert 2 * Multisegment([Segment(1, 2)]) == Multisegment(
         [Segment(1, 2), Segment(1, 2)])
     assert m + Multisegment.empty() == m
