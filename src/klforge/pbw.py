@@ -25,8 +25,16 @@ family.  Such a pair only reorders: two segments with a common end are
 never linked, so their exchange is a transposition times an undetermined
 power of v and creates no multisegment.  The guarded product drops a word
 whose remaining inversions all share an end and marks tainted every
-multisegment any continuation of it could still reach (a depth-first
-search over reorderings and exchanges, at most _REACH_STATE_CAP words).
+multisegment any continuation of it could still reach (_reachable, a
+depth-first search over reorderings and exchanges).  The search carries
+with each word its count of exchanges ahead: the inverted pairs, adjacent
+or not, that are linked in general position and, given a rank table
+(below), whose exchange keeps the word in play.  A transposition removes
+one inversion and keeps the multiset and the slack, so a word with none
+ahead only reorders, to its sorted word, and is not expanded.  A
+transposed word's count is its parent's, less 1 when the swapped pair was
+exchangeable; only an exchanged word is counted again, in O(len**2).  A
+search meets at most _REACH_STATE_CAP words with an exchange ahead.
 Coefficients at untainted multisegments are exact; tainted ones are
 withheld.  Product words and the stuck words of each are summed before
 the search, so a word whose coefficient cancels taints nothing.
@@ -226,6 +234,20 @@ class _Rank(dict):
         return r
 
 
+def _exchanged(x: int, y: int, s: int, rank: _Rank | None):
+    """For an inversion x > y of a word with slack s: the pair it exchanges
+    to and the slack after, or None when the pair is not linked in general
+    position or, given a rank table, its exchange leaves play."""
+    pair = _cap_cup(x, y)
+    if pair is None:
+        return None
+    if rank is not None:
+        s += rank[x] + rank[y] - rank[pair[0]] - rank[pair[1]]
+        if s & rank.guard != rank.guard:
+            return None
+    return pair, s
+
+
 def _rewrite(word: Word, prefix: LaurentPoly, rank: _Rank | None = None):
     """The straightening loop, exchanging the leftmost admissible pair.
 
@@ -235,7 +257,7 @@ def _rewrite(word: Word, prefix: LaurentPoly, rank: _Rank | None = None):
     pending: dict[Word, LaurentPoly] = {word: prefix}
     finished: dict[Word, LaurentPoly] = {}
     stuck: dict[Word, LaurentPoly] = {}
-    slack = {} if rank is None else {word: rank.base - sum(map(rank.__getitem__, word))}
+    slack = {word: 0 if rank is None else rank.base - sum(map(rank.__getitem__, word))}
     while pending:
         w, c = pending.popitem()
         inverted = False
@@ -251,16 +273,12 @@ def _rewrite(word: Word, prefix: LaurentPoly, rank: _Rank | None = None):
         head, tail = w[:i], w[i + 2:]
         moved = head + (y, x) + tail
         _accumulate(pending, moved, c)
-        pair = _cap_cup(x, y)
-        if rank is not None:
-            s = slack[moved] = slack[w]
-            if pair:
-                s += rank[x] + rank[y] - rank[pair[0]] - rank[pair[1]]
-                if s & rank.guard != rank.guard:
-                    continue  # out of play: it cannot reach the target
-                slack[head + pair + tail] = s
-        if pair:
-            _accumulate(pending, head + pair + tail, c * _EXCHANGE)
+        s = slack[moved] = slack[w]
+        ex = _exchanged(x, y, s, rank)
+        if ex:  # else not linked, or out of play: it cannot reach the target
+            u = head + ex[0] + tail
+            slack[u] = ex[1]
+            _accumulate(pending, u, c * _EXCHANGE)
     return finished, stuck
 
 
@@ -277,42 +295,53 @@ def _collect(finished: dict[Word, LaurentPoly],
 _REACH_STATE_CAP = 200_000
 
 
+def _ahead(w: Word, s: int, rank: _Rank | None) -> int:
+    """The word's count of exchanges ahead: its inverted pairs, adjacent or
+    not, that _exchanged admits."""
+    return sum(1 for j, y in enumerate(w) for x in w[:j]
+               if x > y and _exchanged(x, y, s, rank))
+
+
 def _reachable(word: Word, rank: _Rank | None = None) -> set[Word]:
     """Every sorted word some complete normalization of the word can reach.
 
     Explores every rewriting order, treating an inversion that shares an
     end as a plain transposition (its true exchange is a transposition up
     to a v-power and creates no multisegment); a rank table prunes as in
-    _rewrite.  Raises NonGeneralPositionExchange past _REACH_STATE_CAP words.
+    _rewrite.  A word with no exchange ahead is not expanded (module
+    docstring).  Raises NonGeneralPositionExchange past _REACH_STATE_CAP
+    words with an exchange ahead.
     """
-    seen: set[Word] = {word}
-    guard = 0 if rank is None else rank.guard
-    frontier = [(word, 0 if rank is None else rank.base - sum(map(rank.__getitem__, word)))]
+    s = 0 if rank is None else rank.base - sum(map(rank.__getitem__, word))
+    n = _ahead(word, s, rank)
+    if not n:
+        return {tuple(sorted(word))}
+    seen: set[Word] = {word}  # the words with an exchange ahead
+    frontier = [(word, s, n)]  # each with its slack and that count
     out: set[Word] = set()
     while frontier:
-        w, s = frontier.pop()  # a word and its slack
-        nxt = []
+        w, s, n = frontier.pop()
         for i in range(len(w) - 1):
             x, y = w[i], w[i + 1]
-            if x > y:
-                head, tail = w[:i], w[i + 2:]
-                nxt.append((head + (y, x) + tail, s))
-                pair = _cap_cup(x, y)
-                if pair:
-                    e = s if rank is None else (
-                        s + rank[x] + rank[y] - rank[pair[0]] - rank[pair[1]])
-                    if e & guard == guard:
-                        nxt.append((head + pair + tail, e))
-        if not nxt:
-            out.add(w)
-            continue
-        for child in nxt:
-            if child[0] not in seen:
-                if len(seen) >= _REACH_STATE_CAP:
-                    raise NonGeneralPositionExchange(
-                        "reachability search exceeded the state cap")
-                seen.add(child[0])
-                frontier.append(child)
+            if x <= y:
+                continue
+            head, tail = w[:i], w[i + 2:]
+            ex = _exchanged(x, y, s, rank)
+            nxt = [(head + (y, x) + tail, s, n - 1 if ex else n)]
+            if ex:
+                u = head + ex[0] + tail
+                if u not in seen:
+                    nxt.append((u, ex[1], _ahead(u, ex[1], rank)))
+            for child in nxt:
+                u = child[0]
+                if not child[2]:
+                    out.add(tuple(sorted(u)))
+                elif u not in seen:
+                    if len(seen) >= _REACH_STATE_CAP:
+                        raise NonGeneralPositionExchange(
+                            "reachability search exceeded the state cap")
+                    seen.add(u)
+                    frontier.append(child)
     return out
 
 

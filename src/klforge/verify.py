@@ -199,25 +199,25 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
             raise HypothesisFailed(f"{A} is not strongly regular")
         if any(tuple(sorted(p)) != identity(k) for p in (sigma, omega)):
             raise HypothesisFailed(f"sigma and omega must permute 1..{k}")
-        if not (dominates_sigma0(A, sigma) and dominates_sigma0(A, omega)):
+        bs = [A.b[j - 1] for j in sigma]  # b_sigma(i), the right ends of M_sigma
+        bo = [A.b[j - 1] for j in omega]
+        if not all(a <= b + 1 for a, b in zip(A.a * 2, bs + bo)):  # as dominates_sigma0
             raise HypothesisFailed("sigma and omega must dominate sigma0")
     except HypothesisFailed as exc:
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
 
     # Strong regularity makes the k segments [a_i, b_sigma(i)] of M_sigma
     # nonempty and distinct; t_j(sigma) repeats each of them j times.
-    s = sorted([pack_segment(a, A.b[j - 1]) for a, j in zip(A.a, sigma)])
-    o = tuple(sorted([pack_segment(a, A.b[j - 1]) for a, j in zip(A.a, omega)]))
-    left = tuple(x for x in s for _ in range(m - 1))
-    target = tuple(x for x in s for _ in range(m))
+    s = list(map(pack_segment, A.a, bs))
+    o = tuple(sorted(map(pack_segment, A.a, bo)))
+    left, target = tuple(sorted(s * (m - 1))), tuple(sorted(s * m))
     try:
         computed = word_coefficient({left + o: LaurentPoly.v(k * comb(m - 1, 2))},
                                     target, k * comb(m, 2))
     except NonGeneralPositionExchange as exc:
         return _undetermined(check, case, f"NonGeneralPositionExchange: {exc}", started)
     if computed is None:
-        segs = sorted((A.b[j - 1], a) for a, j in zip(A.a, sigma))  # segment order
-        named = "+".join(f"[{a},{b}]" for b, a in segs for _ in range(m))
+        named = "+".join(f"[{a},{b}]" for b, a in sorted(zip(bs, A.a)) for _ in range(m))
         return _undetermined(check, case, f"Tainted: the coefficient at {named} is "
                              f"not determined by the implemented exchange rules", started)
     if omega == sigma:

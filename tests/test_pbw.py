@@ -366,12 +366,12 @@ def test_decoded_keys_find_constructed_keys():
 
 
 def test_reach_state_cap_raises(monkeypatch):
-    # the one stuck word of this product reaches 3 words in all
-    factors = [PBWElement.basis(mseg((5, 5), (1, 7))),
-               PBWElement.basis(mseg((1, 5), (5, 7)))]
-    monkeypatch.setattr(pbw, "_REACH_STATE_CAP", 3)
-    product_expansion_guarded(factors)
+    # the one stuck word of this product, [2,7] [2,4] [1,5], and its
+    # transposition [2,4] [2,7] [1,5] each have one exchange ahead
+    factors = single_segment_factors([seg(2, 7), seg(2, 4), seg(1, 5)])
     monkeypatch.setattr(pbw, "_REACH_STATE_CAP", 2)
+    product_expansion_guarded(factors)
+    monkeypatch.setattr(pbw, "_REACH_STATE_CAP", 1)
     with pytest.raises(NonGeneralPositionExchange):
         product_expansion_guarded(factors)
 
@@ -534,3 +534,58 @@ def test_reachable_keeps_ends_and_never_lowers_a_rank(segments):
         got = list(map(pbw._unpack, w))
         assert _ends(got) == _ends(start)
         assert all(_rank(got, i, j) >= _rank(start, i, j) for i, j in points)
+
+
+# -- the taint search against the exhaustive oracle --------------------------
+#
+# The oracle expands every word; the search stops at words with no exchange
+# ahead (pbw._ahead == 0), which can only reorder to their sorted word.
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_segments09, min_size=1, max_size=7))
+def test_reachable_matches_the_oracle(segments):
+    assert reachable(segments) == reachable_normal_multisegments(tuple(segments))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_segments09, min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_ranked_reachable_matches_the_oracle(segments, rnd):
+    # the oracle's words less those the rank lemma rules out; from a word out
+    # of play no exchange is admitted, so it reaches its sorted word alone
+    w = pbw._pack_word(segments)
+    k = rnd.randint(0, len(segments))
+    for target in (_paired_again(segments, rnd),
+                   segments[:k] + _paired_again(segments[k:], rnd)):
+        got = pbw._reachable(w, pbw._Rank(_sorted_word(target)))
+        got = set(map(pbw._Decoder().multisegment, got))
+        if cut_by_definition(segments, target):
+            assert got == {Multisegment(segments)}
+        else:
+            assert got == {m for m in reachable_normal_multisegments(tuple(segments))
+                           if not cut_by_definition(list(m.segments()), target)}
+
+
+def test_one_transposition_leaves_no_exchange_ahead(monkeypatch):
+    # [2,7] before [1,5] is the one exchangeable inversion of [2,7] [2,4] [1,5]
+    # and of [2,4] [2,7] [1,5]; swapping it in the second leaves [2,4] [1,5]
+    # [2,7], which only reorders, so under a cap of 1 the search expands the
+    # second word alone
+    word = [seg(2, 4), seg(2, 7), seg(1, 5)]
+    w = pbw._pack_word(word)
+    moved = (w[0], w[2], w[1])
+    assert pbw._ahead(pbw._pack_word([seg(2, 7), seg(2, 4), seg(1, 5)]), 0, None) == 1
+    assert pbw._ahead(w, 0, None) == 1 and pbw._ahead(moved, 0, None) == 0
+    assert pbw._reachable(moved) == {tuple(sorted(moved))}
+    monkeypatch.setattr(pbw, "_REACH_STATE_CAP", 1)
+    assert reachable(word) == reachable_normal_multisegments(tuple(word)) \
+        == {mseg((2, 4), (1, 5), (2, 7)), mseg((2, 4), (2, 5), (1, 7))}
+
+
+def test_ranked_count_leaves_out_an_exchange_out_of_play():
+    # toward [1,3] [2,4], exchanging [2,4] > [1,3] gives r_14 = 1 > 0
+    w = pbw._pack_word([seg(2, 4), seg(1, 3)])
+    rank = pbw._Rank(tuple(sorted(w)))
+    s = rank.base - rank[w[0]] - rank[w[1]]
+    assert pbw._ahead(w, 0, None) == 1 and pbw._ahead(w, s, rank) == 0
+    assert pbw._reachable(w, rank) == {tuple(sorted(w))}
+    assert len(pbw._reachable(w)) == 2

@@ -181,6 +181,21 @@ def test_prop1_skips_what_is_not_a_permutation_of_the_family(sigma, omega):
     assert r.reason.startswith("HypothesisFailed:") and "permute 1..2" in r.reason
 
 
+@pytest.mark.parametrize("A, sigma, omega, m, reason", [
+    (BiSequence((6, 12), (13, 12)), (1, 2), (2, 1), 1, "m must be greater than 1"),
+    (BiSequence((1, 5), (7, 4)), (1, 2), (2, 1), 2,    # a_2 = b_2 + 1
+     "(1,5 / 7,4) is not strongly regular"),
+    (BiSequence((6, 12), (13, 12)), (1, 1), (2, 1), 2, "sigma and omega must permute 1..2"),
+    (BiSequence((6, 12), (12, 6)), (1, 2), (2, 1), 2,  # sigma0 = 21
+     "sigma and omega must dominate sigma0"),
+    (BiSequence((6, 12), (12, 6)), (2, 1), (1, 2), 2, "sigma and omega must dominate sigma0"),
+])
+def test_prop1_skip_reasons(A, sigma, omega, m, reason):
+    r = verify_prop1(A, sigma, omega, m)
+    assert (r.status, r.reason) == ("skipped", f"HypothesisFailed: {reason}")
+    assert r.claimed is None and r.computed is None
+
+
 # (family, sigma, omega) for every strongly regular family with k <= 3 and
 # every sigma, omega above its minimal permutation
 _PROP1_CASES = [
@@ -223,6 +238,12 @@ def test_prop1_rejects_ends_past_32_bits(edge):
         verify_prop1(_shifted(A, d), (1, 3, 2), (3, 2, 1), 2)
 
 
+# A k = 3 family whose product at sigma = 123, omega = 312, m = 2 has a taint
+# search that expands more than its first word.  No product-vanishing search
+# with k <= 2 does, and under a cap of 1 sweep(table, 2, 2) is all pass.
+_CAPPED = BiSequence((8, 16, 24), (26, 25, 24))
+
+
 def test_prop1_builds_no_segment_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Segment, Multisegment or PBWElement was built")
@@ -235,8 +256,8 @@ def test_prop1_builds_no_segment_objects(monkeypatch):
     reports = [verify_prop1(B, sigma, omega, m)
                for B, sigma, omega in _PROP1_CASES[::7] for m in (2, 3)]
     assert {r.status for r in reports} == {"pass"}
-    monkeypatch.setattr(pbw_module, "_REACH_STATE_CAP", 2)
-    assert verify_prop1(A, (1, 2), (2, 1), 2).status == "undetermined"
+    monkeypatch.setattr(pbw_module, "_REACH_STATE_CAP", 1)
+    assert verify_prop1(_CAPPED, (1, 2, 3), (3, 1, 2), 2).status == "undetermined"
     monkeypatch.setattr(verify_module, "word_coefficient", lambda *args: None)
     r = verify_prop1(A, (1, 2), (2, 1), 2)
     assert r.status == "undetermined" and f"coefficient at {target} is not" in r.reason
@@ -388,17 +409,17 @@ def test_cli_counts_undetermined(monkeypatch, capsys):
 def test_sweep_survives_the_straightening_state_cap(table, monkeypatch, capsys):
     from klforge.cli import main
 
-    monkeypatch.setattr(pbw_module, "_REACH_STATE_CAP", 2)
-    r = verify_prop1(construct_strongly_regular((1, 2)), (1, 2), (2, 1), 2)
+    monkeypatch.setattr(pbw_module, "_REACH_STATE_CAP", 1)
+    r = verify_prop1(_CAPPED, (1, 2, 3), (3, 1, 2), 2)
     assert r.status == "undetermined" and r.computed is None
     assert r.reason.startswith("NonGeneralPositionExchange:")
-    reports = sweep(table, 2, 2)
+    reports = sweep(table, 3, 2)
     counts = summarize(reports)
     assert counts["fail"] == 0
     capped = [r for r in reports if r.status == "undetermined"]
     assert {r.check for r in capped} == {"product-vanishing", "power-identity"}
     assert all(r.reason.startswith("NonGeneralPositionExchange:") for r in capped)
-    assert main(["verify", "--kmax", "2", "--mmax", "2", "--no-cache"]) == 0
+    assert main(["verify", "--kmax", "3", "--mmax", "2", "--no-cache"]) == 0
     assert "fail=0" in capsys.readouterr().err
 
 
