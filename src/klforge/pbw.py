@@ -7,75 +7,72 @@ Delta_1 < ... < Delta_k and multiplicities m_1, ..., m_k is the product
 
 of one generator T per segment, taken in increasing segment order.  A word
 of generators in arbitrary order is normalized by exchanging out-of-order
-adjacent pairs:
+adjacent pairs, T_x T_y with x > y:
 
-    T_{D2} T_{D1} = T_{D1} T_{D2}                          (not linked)
-    T_{D2} T_{D1} = T_{D1} T_{D2}
-                    + (v**-1 - v) T_{D1 cap D2} T_{D1 cup D2}   (linked)
+    T_x T_y = T_y T_x                     (general position, not linked)
+    T_x T_y = T_y T_x + (v**-1 - v) T_{x cap y} T_{x cup y}
+                                     (general position, y precedes x: linked)
+    T_x T_y = v**-1 T_y T_x             (a common left or a common right end)
 
-for D1 < D2 in general position.  These are the only exchange rules the
-engine knows.  Every product goes through the guarded routes below
-(product_expansion_guarded and word_coefficient): a word stuck on
-inversions the rules do not cover never yields a guessed coefficient,
-only tainted multisegments.
+These are the Levendorskii-Soibelman q-commutations v**-(alpha, beta) of
+PBW root vectors, on the dual PBW basis of segments (Leclerc, Nazarov and
+Thibon, "Induced representations of affine Hecke algebras and canonical
+bases of quantum groups", 2003): the roots of two segments in general
+position pair to (alpha, beta) = 0, and those of two segments with a common
+end to 1.  Among swaps v**eL (common left end) and v**eR (common right end)
+with eL, eR in {-1, 0, 1}, only eL = eR = -1 is confluent; the tests show
+each of the other eight pairs failing on some word.  A juxtaposed pair
+[a, b], [b+1, c] is not decided by confluence, and the rewriting raises
+ValueError on one it meets inverted.  The verifiers never meet one: no step
+changes the multisets of left and of right ends (below), and their words
+carry the ends of a strongly regular family, where no a_i = b_j + 1.
 
-Pairs sharing a left or a right end are out of scope for the rules, and
-they do arise in products of distinct members of a strongly regular
-family.  Such a pair only reorders: two segments with a common end are
-never linked, so their exchange is a transposition times an undetermined
-power of v and creates no multisegment.  The guarded product drops a word
-whose remaining inversions all share an end and marks tainted every
-multisegment any continuation of it could still reach (_reachable, a
-depth-first search over reorderings and exchanges).  The search carries
-with each word its count of exchanges ahead: the inverted pairs, adjacent
-or not, that are linked in general position and, given a rank table
-(below), whose exchange keeps the word in play.  A transposition removes
-one inversion and keeps the multiset and the slack, so a word with none
-ahead only reorders, to its sorted word, and is not expanded.  A
-transposed word's count is its parent's, less 1 when the swapped pair was
-exchangeable; only an exchanged word is counted again, in O(len**2).  A
-search meets at most _REACH_STATE_CAP words with an exchange ahead.
-Coefficients at untainted multisegments are exact; tainted ones are
-withheld.  Product words and the stuck words of each are summed before
-the search, so a word whose coefficient cancels taints nothing.
+An exchange ahead of a word is an inverted pair, adjacent or not, that is
+linked in general position and, given a rank table (below), whose exchange
+keeps the word in play.  A transposition removes one inversion and keeps
+the multiset and the slack, so it never creates an exchange ahead.  A word
+with none therefore only reorders, and on the way to its sorted word each
+of its inverted pairs is transposed exactly once, in whatever order: by
+confluence it finishes in one step, with v**-(its inverted pairs that share
+an end).
 
 word_coefficient reads one coefficient from packed product words through
-the same rewriting and search, following only words the rank lemma leaves
-in play.  Let r_ij = #{[a, b] : a <= i, j <= b}.  No step changes the
-multisets of left and of right ends or lowers an r_ij: a transposition
-keeps the multiset, and the exchange of a linked pair a_y < a_x <= b_y < b_x
-gives [a_x, b_y] and [a_y, b_x]; an interval inside both old segments lies
-inside both new ones, and one inside exactly one lies inside [a_y, b_x].
-So a word whose end multisets differ from the target's, or with some r_ij
-above the target's (i in L and j in R, the target's distinct left and right
-ends), can neither finish at the target nor taint it.  _cannot_reach tests
-each product word so.  Past it, the test rides along as a packed slack
-(_Rank, one table per call): each cell (i, j) of L x R has a field of
-len(target).bit_length() + 1 bits whose top bit is a guard, and G holds
-every guard bit.  The rank vector of [a, b] is ROW[a] * COLS[b], with a 1
-in every field of a row i >= a and of a column j <= b, and slack(w) =
-G + sum(target's) - sum(w's); as |r_ij| <= len(target), no field borrows.
-A word stays in play while slack & G == G.  A transposition keeps the
-slack; the exchange (x, y) -> (cap, cup) adds rank(x) + rank(y) -
-rank(cap) - rank(cup) and drops the new word once a guard bit clears.
-Equal words have equal slack, so merging is unchanged.  No table, no
-pruning: the guarded product has no target.
+the same rewriting, following only words the rank lemma leaves in play.
+Let r_ij = #{[a, b] : a <= i, j <= b}.  No step changes the multisets of
+left and of right ends or lowers an r_ij: a transposition keeps the
+multiset, and the exchange of a linked pair a_y < a_x <= b_y < b_x gives
+[a_x, b_y] and [a_y, b_x]; an interval inside both old segments lies inside
+both new ones, and one inside exactly one lies inside [a_y, b_x].  So a
+word whose end multisets differ from the target's, or with some r_ij above
+the target's (i in L and j in R, the target's distinct left and right
+ends), cannot finish at the target.  _cannot_reach tests each product word
+so.  Past it, the test rides along as a packed slack (_Rank, one table per
+call): each cell (i, j) of L x R has a field of len(target).bit_length() + 1
+bits whose top bit is a guard, and G holds every guard bit.  The rank
+vector of [a, b] is ROW[a] * COLS[b], with a 1 in every field of a row
+i >= a and of a column j <= b, and slack(w) = G + sum(target's) - sum(w's);
+as |r_ij| <= len(target), no field borrows.  A word stays in play while
+slack & G == G.  A transposition keeps the slack; the exchange
+(x, y) -> (cap, cup) adds rank(x) + rank(y) - rank(cap) - rank(cup) and
+drops the new word once a guard bit clears.  Equal words have equal slack,
+so merging is unchanged.  No table, no pruning: the product has no target.
 
-Rewriting repeatedly picks the leftmost exchangeable pair of some pending
-word; words are keyed in a map so duplicates merge eagerly.  An exchange
-either removes an inversion or splits endpoints into a strictly more
-nested pair, so the process terminates.  Confluence is checked by test,
-not assumed: the Segment-object oracle picking the rightmost pair must
-reach the same normal form.
+Rewriting repeatedly takes a pending word and rewrites its leftmost
+inversion, unless the word finishes in one step; words are keyed in a map
+so duplicates merge eagerly.  An exchange either removes an inversion or
+splits endpoints into a strictly more nested pair, so the process
+terminates.  Confluence is checked by test, not assumed: the Segment-object
+oracle, rewriting one inversion at a time and picking the leftmost, the
+rightmost or a random one, must reach the same normal form.
 
 The rewriting runs on packed words.  A segment [a, b] is the int
 ((b + 2**31) << 32) | (a + 2**31), whose int order is the segment order
 (b, a); ends outside [-2**31, 2**31) raise ValueError.  A word is a tuple
-of these ints, an inversion is w[i] > w[i + 1], and the general-position,
-linked and cap/cup tests read the two 32-bit fields.  Multisegments are
-built only from finished or reachable sorted words, by run length.  The
-module keeps no pool between calls.  The Segment-object rewriting and
-search it replaced are the test oracle in tests/helpers.py.
+of these ints, an inversion is w[i] > w[j] for i < j, and the end, linked
+and cap/cup tests read the two 32-bit fields.  Multisegments are built only
+from finished sorted words, by run length.  The module keeps no pool
+between calls.  The Segment-object rewriting it replaced is the test oracle
+in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -96,11 +93,7 @@ from .symgroup import bruhat_leq  # noqa: F401
 
 _V = LaurentPoly.v
 _EXCHANGE = _V(-1) - _V(1)  # v**-1 - v
-
-
-class NonGeneralPositionExchange(ValueError):
-    """The words a stuck word could still reach, where the exchange rules
-    do not cover its inversions, outgrew the search's state cap."""
+_SWAP = _V(-1)  # the transposition of a pair that shares an end
 
 
 def e_star_prefactor_exponent(m: Multisegment) -> int:
@@ -198,10 +191,18 @@ class _Decoder(dict):
             tuple((self[x], len(list(run))) for x, run in groupby(w)))
 
 
-def _general_position(x: int, y: int) -> bool:
-    """No common end, and neither segment starts just after the other ends."""
-    ax, bx, ay, by = x & _LO, x >> _BITS, y & _LO, y >> _BITS
-    return ax != ay and bx != by and ax != by + 1 and ay != bx + 1
+def _shares_end(x: int, y: int) -> bool:
+    """For an inversion x > y: whether the two share an end, so that their
+    transposition carries v**-1.  Raises ValueError when they are
+    juxtaposed, a_x = b_y + 1, which the rules leave undecided (for x > y,
+    a_y = b_x + 1 cannot hold)."""
+    ax, ay = x & _LO, y & _LO
+    if ax == ay or x >> _BITS == y >> _BITS:
+        return True
+    if ax == (y >> _BITS) + 1:
+        raise ValueError(f"juxtaposed segments {_unpack(y)} and {_unpack(x)}: "
+                         "the exchange rules do not decide their order")
+    return False
 
 
 def _cap_cup(x: int, y: int) -> tuple[int, int] | None:
@@ -248,100 +249,58 @@ def _exchanged(x: int, y: int, s: int, rank: _Rank | None):
     return pair, s
 
 
-def _rewrite(word: Word, prefix: LaurentPoly, rank: _Rank | None = None):
-    """The straightening loop, exchanging the leftmost admissible pair.
+def _finish_exponent(w: Word, s: int, rank: _Rank | None) -> int | None:
+    """None when the word has an exchange ahead, else the v-exponent of its
+    one-step finish: minus its count of inverted pairs that share an end.
+    Raises ValueError on a juxtaposed inverted pair met before an exchange."""
+    e = 0
+    for j, y in enumerate(w):
+        for x in w[:j]:
+            if x > y:
+                if _exchanged(x, y, s, rank):
+                    return None
+                e -= _shares_end(x, y)
+    return e
 
-    Returns (finished, stuck): coefficient maps keyed by packed word, where
-    stuck words are those whose every inversion is outside general position.
-    """
+
+def _rewrite(word: Word, prefix: LaurentPoly,
+             rank: _Rank | None = None) -> dict[Word, LaurentPoly]:
+    """The straightening loop: the sorted words the word reaches, with their
+    coefficients.  A word with no exchange ahead finishes in one step; any
+    other has its leftmost inversion rewritten."""
     pending: dict[Word, LaurentPoly] = {word: prefix}
     finished: dict[Word, LaurentPoly] = {}
-    stuck: dict[Word, LaurentPoly] = {}
     slack = {word: 0 if rank is None else rank.base - sum(map(rank.__getitem__, word))}
     while pending:
         w, c = pending.popitem()
-        inverted = False
-        for i in range(len(w) - 1):
-            x, y = w[i], w[i + 1]
-            if x > y:
-                inverted = True
-                if _general_position(x, y):
-                    break
-        else:
-            _accumulate(stuck if inverted else finished, w, c)
+        s = slack[w]
+        e = _finish_exponent(w, s, rank)
+        if e is not None:
+            _accumulate(finished, tuple(sorted(w)), c * _V(e) if e else c)
             continue
+        i = 0
+        while w[i] <= w[i + 1]:
+            i += 1
+        x, y = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
         moved = head + (y, x) + tail
-        _accumulate(pending, moved, c)
-        s = slack[moved] = slack[w]
+        slack[moved] = s
+        _accumulate(pending, moved, c * _SWAP if _shares_end(x, y) else c)
         ex = _exchanged(x, y, s, rank)
         if ex:  # else not linked, or out of play: it cannot reach the target
             u = head + ex[0] + tail
             slack[u] = ex[1]
             _accumulate(pending, u, c * _EXCHANGE)
-    return finished, stuck
+    return finished
 
 
-def _collect(finished: dict[Word, LaurentPoly],
-             decode: _Decoder) -> dict[Multisegment, LaurentPoly]:
+def _collect(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPoly]:
     """Sorted words to basis elements, the basis prefactor divided out."""
     out: dict[Multisegment, LaurentPoly] = {}
+    decode = _Decoder()
     for w, c in finished.items():
         m = decode.multisegment(w)
         out[m] = c * _V(-e_star_prefactor_exponent(m))
-    return out
-
-
-_REACH_STATE_CAP = 200_000
-
-
-def _ahead(w: Word, s: int, rank: _Rank | None) -> int:
-    """The word's count of exchanges ahead: its inverted pairs, adjacent or
-    not, that _exchanged admits."""
-    return sum(1 for j, y in enumerate(w) for x in w[:j]
-               if x > y and _exchanged(x, y, s, rank))
-
-
-def _reachable(word: Word, rank: _Rank | None = None) -> set[Word]:
-    """Every sorted word some complete normalization of the word can reach.
-
-    Explores every rewriting order, treating an inversion that shares an
-    end as a plain transposition (its true exchange is a transposition up
-    to a v-power and creates no multisegment); a rank table prunes as in
-    _rewrite.  A word with no exchange ahead is not expanded (module
-    docstring).  Raises NonGeneralPositionExchange past _REACH_STATE_CAP
-    words with an exchange ahead.
-    """
-    s = 0 if rank is None else rank.base - sum(map(rank.__getitem__, word))
-    n = _ahead(word, s, rank)
-    if not n:
-        return {tuple(sorted(word))}
-    seen: set[Word] = {word}  # the words with an exchange ahead
-    frontier = [(word, s, n)]  # each with its slack and that count
-    out: set[Word] = set()
-    while frontier:
-        w, s, n = frontier.pop()
-        for i in range(len(w) - 1):
-            x, y = w[i], w[i + 1]
-            if x <= y:
-                continue
-            head, tail = w[:i], w[i + 2:]
-            ex = _exchanged(x, y, s, rank)
-            nxt = [(head + (y, x) + tail, s, n - 1 if ex else n)]
-            if ex:
-                u = head + ex[0] + tail
-                if u not in seen:
-                    nxt.append((u, ex[1], _ahead(u, ex[1], rank)))
-            for child in nxt:
-                u = child[0]
-                if not child[2]:
-                    out.add(tuple(sorted(u)))
-                elif u not in seen:
-                    if len(seen) >= _REACH_STATE_CAP:
-                        raise NonGeneralPositionExchange(
-                            "reachability search exceeded the state cap")
-                    seen.add(u)
-                    frontier.append(child)
     return out
 
 
@@ -392,44 +351,32 @@ def _cannot_reach(w: Word, target: Word) -> bool:
 def product_expansion_guarded(
     factors: Iterable[PBWElement],
 ) -> tuple[PBWElement, frozenset[Multisegment]]:
-    """Product of basis-element combinations, with exact untainted part.
+    """Product of basis-element combinations, exactly, and an empty set.
 
-    Every choice of one monomial per factor is concatenated and rewritten
-    in one pass.  Words stuck on shared-end inversions are dropped and the
-    multisegments they could still have reached are reported as tainted;
-    coefficients are returned only at untainted multisegments, where they
-    are exact.
+    Every choice of one monomial per factor is concatenated, equal words are
+    summed, and each is rewritten.  The empty second half keeps the pair that
+    perfbench/spans.py unpacks.
     """
     exact: dict[Word, LaurentPoly] = {}
-    tainted: set[Word] = set()
     for w, coeff in _product_words(factors).items():
-        finished, stuck = _rewrite(w, coeff)
-        for fw, c in finished.items():
+        for fw, c in _rewrite(w, coeff).items():
             _accumulate(exact, fw, c)
-        for sw in stuck:
-            tainted |= _reachable(sw)
-    for w in tainted:
-        exact.pop(w, None)
-    decode = _Decoder()
-    return (PBWElement(_collect(exact, decode)),
-            frozenset(map(decode.multisegment, tainted)))
+    return PBWElement(_collect(exact)), frozenset()
 
 
 def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
-                     exponent: int) -> LaurentPoly | None:
-    """The exact coefficient of E(target) in the sum of the product words,
-    or None when the target is tainted.  Each word's coefficient carries
-    its basis prefactors; target is a sorted word, exponent the exponent of
-    its own prefactor.  Rewriting and search prune by the rank lemma."""
+                     exponent: int) -> LaurentPoly:
+    """The exact coefficient of E(target) in the sum of the product words.
+    Each word's coefficient carries its basis prefactors; target is a sorted
+    word, exponent the exponent of its own prefactor.  Rewriting prunes by
+    the rank lemma."""
     total, rank = LaurentPoly.zero(), None
     for w, coeff in words.items():
         if _cannot_reach(w, target):
             continue
         if rank is None:  # built once, for the first word in play
             rank = _Rank(target)
-        finished, stuck = _rewrite(w, coeff, rank)
-        if any(target in _reachable(sw, rank) for sw in stuck):
-            return None
+        finished = _rewrite(w, coeff, rank)
         if target in finished:
             total = total + finished[target]
     return total if total.is_zero() else total * _V(-exponent)

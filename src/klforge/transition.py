@@ -209,9 +209,9 @@ def expansion_as_pbw(A: BiSequence, coeffs: dict[Perm, LaurentPoly]) -> PBWEleme
 
 def g_star_power_with_taint(table: KLTable, A: BiSequence, omega: Perm,
                             m: int) -> tuple[PBWElement, frozenset[Multisegment]]:
-    """E-basis expansion of the m-th power of G(M_omega(A)) together with
-    the set of multisegments whose coefficients the exchange rules cannot
-    determine (dropped from the expansion)."""
+    """E-basis expansion of the m-th power of G(M_omega(A)), exactly, and an
+    empty set: the pair of product_expansion_guarded, which
+    perfbench/spans.py unpacks."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if not is_strongly_regular(A):

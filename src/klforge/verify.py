@@ -21,10 +21,9 @@ Each verifier computes one identity two ways and reports the comparison:
 
 Hypothesis violations yield skipped reports, so a sweep distinguishes
 "does not apply" from "contradicted", and so do the cases the sweep's
-budget n = m*k <= SWEEP_MAX_N leaves out.  A product coefficient the exchange
-rules leave open ("Tainted:") or past the straightening engine's state cap
-("NonGeneralPositionExchange:") yields an undetermined report, so one such
-case never stops a sweep.  Arithmetic is exact; only exact equality passes.
+budget n = m*k <= SWEEP_MAX_N leaves out.  The straightening engine's
+exchange rules decide every product coefficient, so a report is pass, fail
+or skipped.  Arithmetic is exact; only exact equality passes.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ from .segcomb import (
     dominates_sigma0,
     is_regular,
     is_strongly_regular,
-    multisegment_of,
+    multisegment_of,  # noqa: F401  (perfbench/spans.py patches it)
     replicate,
     sigma0,
 )
-from .pbw import NonGeneralPositionExchange, PBWElement, pack_segment, word_coefficient
+from .pbw import PBWElement, pack_segment, word_coefficient
 from .pbw import product_expansion_guarded  # noqa: F401  (perfbench/spans.py patches it)
 from .symgroup import (
     Perm,
@@ -63,8 +62,9 @@ from .transition import expand_G_in_E, expansion_as_pbw, g_star_power_with_taint
 
 
 # The sweep's budget on n = m*k.  Past n = 9 the power identity's product
-# side costs minutes per (k, m), nearly all of it in the taint search of
-# pbw._reachable: at n = 12, 15 cases of (3, 4) take over a minute.
+# side costs minutes per (k, m), nearly all of it in pbw._rewrite, which
+# straightens the product words one by one: about 55,000 of them at
+# (k, m) = (4, 3).
 SWEEP_MAX_N = 9
 
 
@@ -86,7 +86,7 @@ class VerificationReport:
     case: dict
     claimed: LaurentPoly | None
     computed: LaurentPoly | None
-    status: str  # "pass" | "fail" | "skipped" | "undetermined"
+    status: str  # "pass" | "fail" | "skipped"
     reason: str = ""
     elapsed: float = 0.0
     measured_exponent: int | None = None
@@ -123,11 +123,6 @@ def _finish(check: str, case: dict, claimed: LaurentPoly, computed: LaurentPoly,
 
 def _skip(check: str, case: dict, reason: str, started: float) -> VerificationReport:
     return VerificationReport(check, case, None, None, "skipped", reason,
-                              elapsed=time.perf_counter() - started)
-
-
-def _undetermined(check: str, case: dict, reason: str, started: float) -> VerificationReport:
-    return VerificationReport(check, case, None, None, "undetermined", reason,
                               elapsed=time.perf_counter() - started)
 
 
@@ -184,8 +179,7 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     """Vanishing and the monomial constant for one straightened product.
 
     Multiplies E(M at t_{m-1}(sigma) in the (m-1)-replication) by
-    E(M_omega) and reads off the coefficient of the m-replicated element;
-    the report is undetermined when the exchange rules leave it open.
+    E(M_omega) and reads off the coefficient of the m-replicated element.
     """
     started = time.perf_counter()
     k = A.k
@@ -211,15 +205,8 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     s = list(map(pack_segment, A.a, bs))
     o = tuple(sorted(map(pack_segment, A.a, bo)))
     left, target = tuple(sorted(s * (m - 1))), tuple(sorted(s * m))
-    try:
-        computed = word_coefficient({left + o: LaurentPoly.v(k * comb(m - 1, 2))},
-                                    target, k * comb(m, 2))
-    except NonGeneralPositionExchange as exc:
-        return _undetermined(check, case, f"NonGeneralPositionExchange: {exc}", started)
-    if computed is None:
-        named = "+".join(f"[{a},{b}]" for b, a in sorted(zip(bs, A.a)) for _ in range(m))
-        return _undetermined(check, case, f"Tainted: the coefficient at {named} is "
-                             f"not determined by the implemented exchange rules", started)
+    computed = word_coefficient({left + o: LaurentPoly.v(k * comb(m - 1, 2))},
+                                target, k * comb(m, 2))
     if omega == sigma:
         claimed = LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2)))
     else:
@@ -253,11 +240,8 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     """Measure the monomial relating the expansions of the two sides of the
     power identity; fails hard when the ratio is not a single monomial.
 
-    The comparison runs over every multisegment whose coefficient the
-    straightening engine determines exactly on the product side; tainted
-    coefficients are excluded from both sides.  The report is undetermined
-    when the top element is tainted or the product outgrows the engine's
-    search.
+    The comparison runs over every multisegment in the support of either
+    side.
     """
     started = time.perf_counter()
     case = {"k": A.k, "m": m, "family": A.to_json(), "omega": list(omega)}
@@ -280,16 +264,8 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     replicated = replicate(A, m)
     left = expansion_as_pbw(
         replicated, expand_G_in_E(table, replicated, replicate_perm(omega, m)))
-    try:
-        right, tainted = g_star_power_with_taint(table, A, omega, m)
-    except NonGeneralPositionExchange as exc:
-        return _undetermined(check, case, f"NonGeneralPositionExchange: {exc}", started)
-    top = m * multisegment_of(A, omega)
-    if top in tainted:
-        return _undetermined(
-            check, case, f"Tainted: the leading coefficient at {top} is not "
-            f"determined by the implemented exchange rules", started)
-    keys = (left.support() | right.support()) - set(tainted)
+    right = g_star_power_with_taint(table, A, omega, m)[0]
+    keys = left.support() | right.support()
     try:
         e = _monomial_ratio(right, left,
                             sorted(keys, key=Multisegment.sort_key))
@@ -387,7 +363,7 @@ def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
 
 
 def summarize(reports: Iterable[VerificationReport]) -> dict[str, int]:
-    out = {"pass": 0, "fail": 0, "skipped": 0, "undetermined": 0}
+    out = {"pass": 0, "fail": 0, "skipped": 0}
     for r in reports:
         out[r.status] = out.get(r.status, 0) + 1
     return out

@@ -8,12 +8,14 @@ oracles beside the packed module rows of klforge.kl: the alternating sum of
 ordinary polynomials over W_m, the ordinary polynomial of the cosets
 translated by the longest element of W_m, and Deodhar's recursion on
 permutation tuples.  The straightening engine's packed-int kernel is
-checked against the Segment-object rewriting and reachability search it
-replaced, and verify_prop1's packed words against the Multisegment and
-PBWElement route they replaced.  The oracle rewriting takes a Segment
-word and a scalar prefix of its own, and can exchange the rightmost
-admissible pair where the kernel always takes the leftmost: agreement is
-the confluence check.  The transition expansions are compared
+checked against the Segment-object rewriting it replaced, and
+verify_prop1's packed words against the Multisegment and PBWElement route
+they replaced.  The oracle rewriting takes a Segment word and a scalar
+prefix of its own, rewrites one inversion at a time, and can pick the
+rightmost or any inversion where the kernel takes the leftmost: agreement
+is the confluence check.  It also takes the exponents of the shared-end
+swaps, so a test can show that no other choice is confluent.  The
+transition expansions are compared
 with the closed parabolic forms of coeff_parab, and E in G also with the
 ordinary polynomials it is defined by.  The memo table normalizes
 its keys on packed permutation keys; canonical_pair_oracle is the same
@@ -28,7 +30,6 @@ from math import comb
 
 from klforge.kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from klforge.pbw import (
-    NonGeneralPositionExchange,
     PBWElement,
     _accumulate,
     _pack_word,
@@ -565,27 +566,43 @@ def _inversions(word: Word) -> list[int]:
             if seg_sort_key(word[i]) > seg_sort_key(word[i + 1])]
 
 
-def rewrite_oracle(word: Word, prefix: LaurentPoly, from_right: bool = False):
-    """(finished, stuck) coefficient maps keyed by Segment words, exchanging
-    the leftmost or the rightmost admissible pair."""
+def has_juxtaposed_ends(segments) -> bool:
+    """Whether a left end is a right end plus one, as in [a, b], [b+1, c].
+    Straightening keeps the end multisets, so a word without such ends never
+    meets the juxtaposed pair the exchange rules leave undecided."""
+    segments = list(segments)
+    return bool({s.a for s in segments} & {s.b + 1 for s in segments})
+
+
+def rewrite_oracle(word: Word, prefix: LaurentPoly, pick=min,
+                   e_left: int = -1, e_right: int = -1) -> dict[Word, LaurentPoly]:
+    """The sorted Segment words the word reaches, with their coefficients,
+    rewriting one inversion at a time: pick chooses among the positions of
+    the adjacent inversions (min, the leftmost; max, the rightmost).  A pair
+    with a common left end transposes with v**e_left, one with a common
+    right end with v**e_right; a juxtaposed pair raises ValueError."""
     pending: dict[Word, LaurentPoly] = {word: prefix}
     finished: dict[Word, LaurentPoly] = {}
-    stuck: dict[Word, LaurentPoly] = {}
     while pending:
         w, c = pending.popitem()
         inv = _inversions(w)
-        admissible = [i for i in inv if general_position(w[i + 1], w[i])]
-        if not admissible:
-            _accumulate(stuck if inv else finished, w, c)
+        if not inv:
+            _accumulate(finished, w, c)
             continue
-        i = admissible[-1] if from_right else admissible[0]
+        i = pick(inv)
         d2, d1 = w[i], w[i + 1]  # d1 < d2 out of order
-        _accumulate(pending, w[:i] + (d1, d2) + w[i + 2:], c)
+        moved = w[:i] + (d1, d2) + w[i + 2:]
+        if d1.a == d2.a or d1.b == d2.b:
+            _accumulate(pending, moved, c * _V(e_left if d1.a == d2.a else e_right))
+            continue
+        if not general_position(d1, d2):
+            raise ValueError(f"juxtaposed segments {d1} and {d2}")
+        _accumulate(pending, moved, c)
         if precedes(d1, d2):
             cap = Segment(d2.a, d1.b)
             cup = Segment(d1.a, d2.b)
             _accumulate(pending, w[:i] + (cap, cup) + w[i + 2:], c * _EXCHANGE)
-    return finished, stuck
+    return finished
 
 
 def _collect_oracle(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPoly]:
@@ -596,18 +613,13 @@ def _collect_oracle(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, Lau
     return out
 
 
-def straighten_oracle(word: Word, prefix: LaurentPoly,
-                      from_right: bool = False) -> PBWElement:
+def straighten_oracle(word: Word, prefix: LaurentPoly, pick=min) -> PBWElement:
     """The normal form of prefix * word, the basis prefactors divided out."""
-    finished, stuck = rewrite_oracle(word, prefix, from_right)
-    if stuck:
-        raise NonGeneralPositionExchange("stuck on a pair not in general position")
-    return PBWElement(_collect_oracle(finished))
+    return PBWElement(_collect_oracle(rewrite_oracle(word, prefix, pick)))
 
 
 def multiply_oracle(x: PBWElement, y: PBWElement) -> PBWElement:
-    """x * y with every product word straightened by the oracle; raises
-    NonGeneralPositionExchange when one of them sticks."""
+    """x * y with every product word straightened by the oracle."""
     out: dict[Multisegment, LaurentPoly] = {}
     for m1, c1 in x.terms().items():
         for m2, c2 in y.terms().items():
@@ -618,33 +630,8 @@ def multiply_oracle(x: PBWElement, y: PBWElement) -> PBWElement:
     return PBWElement(out)
 
 
-def reachable_normal_multisegments(word: Word) -> frozenset[Multisegment]:
-    """All multisegments any complete normalization of the word can reach,
-    a shared-end inversion taken as a plain transposition."""
-    seen: set[Word] = {word}
-    frontier = [word]
-    out: set[Multisegment] = set()
-    while frontier:
-        w = frontier.pop()
-        inv = _inversions(w)
-        if not inv:
-            out.add(Multisegment(w))
-            continue
-        for i in inv:
-            d2, d1 = w[i], w[i + 1]
-            nxt = [w[:i] + (d1, d2) + w[i + 2:]]
-            if general_position(d1, d2) and precedes(d1, d2):
-                nxt.append(w[:i] + (Segment(d2.a, d1.b), Segment(d1.a, d2.b))
-                           + w[i + 2:])
-            for t in nxt:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return frozenset(out)
-
-
-def product_expansion_guarded_oracle(factors):
-    """The guarded product on Segment words: (exact part, tainted set)."""
+def product_expansion_guarded_oracle(factors) -> PBWElement:
+    """The guarded product's expansion on Segment words."""
     words: list[tuple[LaurentPoly, Word]] = [(LaurentPoly.one(), ())]
     for factor in factors:
         expanded: dict[Word, LaurentPoly] = {}
@@ -654,16 +641,10 @@ def product_expansion_guarded_oracle(factors):
                 _accumulate(expanded, w + tuple(m.segments()), coeff * c * prefactor)
         words = [(c, w) for w, c in expanded.items()]
     exact: dict[Multisegment, LaurentPoly] = {}
-    tainted: set[Multisegment] = set()
     for coeff, w in words:
-        finished, stuck = rewrite_oracle(w, coeff)
-        for m, c in _collect_oracle(finished).items():
+        for m, c in _collect_oracle(rewrite_oracle(w, coeff)).items():
             _accumulate(exact, m, c)
-        for sw in stuck:
-            tainted.update(reachable_normal_multisegments(sw))
-    for m in tainted:
-        exact.pop(m, None)
-    return PBWElement(exact), frozenset(tainted)
+    return PBWElement(exact)
 
 
 def pbw_to_json(x: PBWElement) -> list[dict]:
@@ -682,28 +663,22 @@ def pbw_from_json(data) -> PBWElement:
     return PBWElement(out)
 
 
-def product_coefficient_guarded(factors, target: Multisegment) -> LaurentPoly | None:
-    """The exact coefficient of E(target) in the product of the PBWElements,
-    or None when the target is tainted; pbw.word_coefficient on the product
-    words."""
+def product_coefficient_guarded(factors, target: Multisegment) -> LaurentPoly:
+    """The exact coefficient of E(target) in the product of the PBWElements:
+    pbw.word_coefficient on the product words."""
     return word_coefficient(_product_words(factors), _pack_word(target.segments()),
                             e_star_prefactor_exponent(target))
 
 
 def prop1_oracle(A: BiSequence, sigma: Perm, omega: Perm,
-                 m: int) -> tuple[str, LaurentPoly | None]:
+                 m: int) -> tuple[str, LaurentPoly]:
     """(status, computed) of verify_prop1 on a case that meets its
     hypotheses, through Multisegments and PBWElements: E((m-1) M_sigma)
     times E(M_omega), read at m M_sigma."""
     m_sigma = multisegment_of(A, sigma)
     left = PBWElement.basis((m - 1) * m_sigma)
     right = PBWElement.basis(multisegment_of(A, omega))
-    try:
-        computed = product_coefficient_guarded([left, right], m * m_sigma)
-    except NonGeneralPositionExchange:
-        return "undetermined", None
-    if computed is None:
-        return "undetermined", None
+    computed = product_coefficient_guarded([left, right], m * m_sigma)
     if omega == sigma:
         claimed = LaurentPoly.v(A.k * (comb(m - 1, 2) - comb(m, 2)))
     else:

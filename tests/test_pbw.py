@@ -6,20 +6,19 @@ from hypothesis import given, settings, strategies as st
 import klforge.pbw as pbw
 from helpers import (
     c_strongly_regular,
+    has_juxtaposed_ends,
     mseg_total,
     multiply_oracle,
     pbw_from_json,
     pbw_to_json,
     product_coefficient_guarded,
     product_expansion_guarded_oracle,
-    reachable_normal_multisegments,
     rewrite_oracle,
     segment_less,
     straighten_oracle,
 )
 from klforge.poly import LaurentPoly
 from klforge.pbw import (
-    NonGeneralPositionExchange,
     PBWElement,
     e_star_prefactor_exponent,
     product_expansion_guarded,
@@ -82,11 +81,14 @@ def test_straighten_sorted_word():
     assert got == (PBWElement.basis(mseg((1, 3), (2, 4))), frozenset())
 
 
-def test_straighten_stuck_taints():
-    # a stuck word yields no coefficient; what it could reach is tainted
-    assert straighten((1, 5), (1, 3)) == (PBWElement(), frozenset([mseg((1, 3), (1, 5))]))
-    assert straighten((3, 4), (1, 2)) == (  # adjacent: a2 == b1 + 1
-        PBWElement(), frozenset([mseg((1, 2), (3, 4))]))
+def test_straighten_shared_end_and_juxtaposed_pairs():
+    # a common left or right end transposes with v**-1; a juxtaposed pair
+    # (a2 == b1 + 1) is left undecided unless it is already in order
+    assert straighten((1, 5), (1, 3)) == (PBWElement({mseg((1, 3), (1, 5)): V(-1)}), frozenset())
+    assert straighten((3, 5), (1, 5)) == (PBWElement({mseg((1, 5), (3, 5)): V(-1)}), frozenset())
+    assert straighten((1, 2), (3, 4)) == (PBWElement.basis(mseg((1, 2), (3, 4))), frozenset())
+    with pytest.raises(ValueError, match="juxtaposed"):
+        straighten((3, 4), (1, 2))
 
 
 def test_multiply_unit():
@@ -125,74 +127,64 @@ def test_confluence_on_random_words():
     rng = random.Random(20240810)
     for _ in range(1000):
         w = _random_collision_free_word(rng)
-        exact, tainted = product_expansion_guarded(single_segment_factors(w))
-        assert not tainted
-        assert exact == straighten_oracle(w, ONE, from_right=True)
+        assert product_expansion_guarded(single_segment_factors(w)) == (
+            straighten_oracle(w, ONE, pick=max), frozenset())
 
 
 def _normal_form(rng, maxlen):
     return straighten_oracle(_random_collision_free_word(rng, maxlen), ONE)
 
 
+def _segments_of(*elements):
+    return [s for x in elements for m in x.support() for s in m.segments()]
+
+
 def test_multiply_associativity():
+    # factors whose ends hold no juxtaposed pair, which the rules leave open
     rng = random.Random(99)
     done = 0
     while done < 60:
         x, y, z = (_normal_form(rng, 2) for _ in range(3))
+        if has_juxtaposed_ends(_segments_of(x, y, z)):
+            continue
         xy, t1 = product_expansion_guarded([x, y])
         yz, t2 = product_expansion_guarded([y, z])
-        if t1 or t2:
-            continue
         left, t3 = product_expansion_guarded([xy, z])
         right, t4 = product_expansion_guarded([x, yz])
-        if t3 or t4:
-            continue
+        assert not (t1 or t2 or t3 or t4)
         assert left == right
         assert product_expansion_guarded([x, y, z]) == (left, frozenset())
         done += 1
 
 
-def reachable(word):
-    """The packed search of the engine, read back as multisegments."""
-    return set(map(pbw._Decoder().multisegment, pbw._reachable(pbw._pack_word(word))))
-
-
 def test_reachable_normal_multisegments():
-    for search in (reachable, reachable_normal_multisegments):
-        # a stuck word reorders without creating new multisegments here
-        w = (seg(5, 5), seg(1, 7), seg(1, 5), seg(5, 7))
-        reach = search(w)
-        assert reach == {mseg((5, 5), (1, 7), (1, 5), (5, 7))}
-        # a linked pair reachable behind a shared-end swap adds its exchange
-        w2 = (seg(2, 7), seg(2, 4), seg(1, 5))
-        reach2 = search(w2)
-        assert mseg((2, 7), (2, 4), (1, 5)) in reach2
-        assert mseg((2, 4), (2, 5), (1, 7)) in reach2
+    # a word whose inversions all share an end reorders to its own
+    # multisegment; a linked pair behind a shared-end swap adds its exchange
+    assert straighten((5, 5), (1, 7), (1, 5), (5, 7))[0].support() == {
+        mseg((5, 5), (1, 7), (1, 5), (5, 7))}
+    assert straighten((2, 7), (2, 4), (1, 5)) == (PBWElement({
+        mseg((2, 7), (2, 4), (1, 5)): V(-1),
+        mseg((2, 4), (2, 5), (1, 7)): V(-1) * EXCH}), frozenset())
 
 
 def test_product_expansion_guarded_exact_part():
-    # cross product of two family members: the replicated elements stay exact
+    # cross product of two family members: [5,5] [1,7] [1,5] [5,7] only
+    # reorders, past two inverted pairs that share an end
     me = mseg((5, 5), (1, 7))
     m21 = mseg((1, 5), (5, 7))
-    exact, tainted = product_expansion_guarded(
-        [PBWElement.basis(me), PBWElement.basis(m21)])
-    assert me + m21 in tainted
-    assert exact.coefficient(2 * me).is_zero()
-    assert exact.coefficient(2 * m21).is_zero()
+    assert product_expansion_guarded([PBWElement.basis(me), PBWElement.basis(m21)]) \
+        == (PBWElement({me + m21: V(-2)}), frozenset())
 
 
 def test_guarded_matches_strict_when_nothing_sticks():
+    # factors with juxtaposed ends, which the rules leave open, are passed over
     rng = random.Random(55)
     done = 0
     while done < 50:
         x, y = _normal_form(rng, 3), _normal_form(rng, 3)
-        try:
-            strict = multiply_oracle(x, y)
-        except NonGeneralPositionExchange:
+        if has_juxtaposed_ends(_segments_of(x, y)):
             continue
-        exact, tainted = product_expansion_guarded([x, y])
-        assert not tainted
-        assert exact == strict
+        assert product_expansion_guarded([x, y]) == (multiply_oracle(x, y), frozenset())
         done += 1
 
 
@@ -223,13 +215,13 @@ def test_c_strongly_regular():
 
 # -- the packed kernel against the Segment-object oracle -------------------
 #
-# Ends are drawn from a narrow range so that shared ends (stuck pairs),
-# adjacent segments (a2 == b1 + 1) and linked pairs are all common.
+# Ends are even and drawn from a narrow range, so that shared ends and linked
+# pairs are common and no pair is juxtaposed (a2 == b1 + 1).
 
 
 def _random_segment(rng):
-    a = rng.randint(0, 6)
-    return Segment(a, a + rng.randint(0, 3))
+    a = 2 * rng.randint(0, 6)
+    return Segment(a, a + 2 * rng.randint(0, 3))
 
 
 def _unpacked(words: dict) -> dict:
@@ -237,29 +229,20 @@ def _unpacked(words: dict) -> dict:
 
 
 def check_straighten(segments, prefix):
-    """The packed kernel against the oracle, both exchanging the leftmost
-    admissible pair."""
-    finished, stuck = pbw._rewrite(pbw._pack_word(segments), prefix)
-    want_finished, want_stuck = rewrite_oracle(segments, prefix)
-    assert _unpacked(finished) == want_finished
-    assert _unpacked(stuck) == want_stuck
+    """The packed kernel, finishing a word with no exchange ahead in one
+    step, against the oracle rewriting the leftmost inversion each time."""
+    got = pbw._rewrite(pbw._pack_word(segments), prefix)
+    assert _unpacked(got) == rewrite_oracle(segments, prefix)
 
 
 def check_single_segment_product(segments):
-    """Tainted exactly when the oracle rewriting sticks, and otherwise the
-    oracle's normal form."""
-    exact, tainted = product_expansion_guarded(single_segment_factors(segments))
-    _, stuck = rewrite_oracle(segments, ONE)
-    assert bool(tainted) == bool(stuck)
-    if not stuck:
-        assert exact == straighten_oracle(segments, ONE)
+    assert product_expansion_guarded(single_segment_factors(segments)) == (
+        straighten_oracle(segments, ONE), frozenset())
 
 
 def check_product(factors):
-    exact, tainted = product_expansion_guarded(factors)
-    want_exact, want_tainted = product_expansion_guarded_oracle(factors)
-    assert tainted == want_tainted
-    assert exact == want_exact
+    assert product_expansion_guarded(factors) == (
+        product_expansion_guarded_oracle(factors), frozenset())
 
 
 def _random_element(rng, max_segments):
@@ -281,21 +264,29 @@ def test_packed_kernel_matches_oracle_seeded():
         check_product([_random_element(rng, 2) for _ in range(rng.randint(2, 3))])
 
 
-def test_guarded_product_drops_cancelled_words():
-    # (D, A, B, C) arises from D.A.(B+C) and D.(A+B).C with opposite signs;
-    # it is stuck (D and A share a left end), and {A, B, C, D} is reachable
-    # from no other product word, so it must not be tainted.
+def test_guarded_product_drops_cancelled_words(monkeypatch):
+    # (D, A, B, C) arises from D.A.(B+C) and D.(A+B).C with opposite signs,
+    # so it cancels before any word is rewritten; (D, A, C) transposes D and
+    # A, which share a left end, and D and C, which commute
     A, B, C, D = (1, 2), (4, 5), (7, 8), (1, 10)
     x = PBWElement.basis(mseg(D))
     y = PBWElement({mseg(A): ONE, mseg(A, B): ONE})
     z = PBWElement({mseg(B, C): ONE, mseg(C): -ONE})
     check_product([x, y, z])
-    _, tainted = product_expansion_guarded([x, y, z])
-    assert mseg(A, B, C, D) not in tainted
-    assert mseg(A, C, D) in tainted
+    rewritten, rewrite = [], pbw._rewrite
+
+    def recorded(w, *args):
+        rewritten.append(w)
+        return rewrite(w, *args)
+
+    monkeypatch.setattr(pbw, "_rewrite", recorded)
+    exact, _ = product_expansion_guarded([x, y, z])
+    assert pbw._pack_word(seg(*p) for p in (D, A, B, C)) not in rewritten
+    assert exact.coefficient(mseg(A, B, C, D)).is_zero()
+    assert exact.coefficient(mseg(A, C, D)) == -V(-1)
 
 
-_segments = st.builds(lambda a, d: Segment(a, a + d),
+_segments = st.builds(lambda a, d: Segment(2 * a, 2 * (a + d)),
                       st.integers(0, 6), st.integers(0, 3))
 _multisegments = st.lists(_segments, min_size=1, max_size=2).map(Multisegment)
 _elements = st.dictionaries(
@@ -319,6 +310,20 @@ def test_guarded_single_segment_product_matches_oracle(segments):
 @given(st.lists(_elements, min_size=2, max_size=3))
 def test_packed_guarded_product_matches_oracle(factors):
     check_product(factors)
+
+
+@pytest.mark.parametrize("word", [
+    (seg(3, 4), seg(1, 2)),              # adjacent
+    (seg(3, 4), seg(7, 8), seg(1, 2)),   # in a word with no exchange ahead
+])
+def test_juxtaposed_inversion_raises(word):
+    w = pbw._pack_word(word)
+    with pytest.raises(ValueError, match="juxtaposed"):
+        pbw._rewrite(w, ONE)
+    with pytest.raises(ValueError, match="juxtaposed"):
+        rewrite_oracle(word, ONE)
+    with pytest.raises(ValueError, match="juxtaposed"):
+        pbw.word_coefficient({w: ONE}, tuple(sorted(w)), 0)
 
 
 # -- decoding sorted packed words by run length ------------------------------
@@ -365,17 +370,6 @@ def test_decoded_keys_find_constructed_keys():
     assert built in frozenset([decoded]) and decoded in frozenset([built])
 
 
-def test_reach_state_cap_raises(monkeypatch):
-    # the one stuck word of this product, [2,7] [2,4] [1,5], and its
-    # transposition [2,4] [2,7] [1,5] each have one exchange ahead
-    factors = single_segment_factors([seg(2, 7), seg(2, 4), seg(1, 5)])
-    monkeypatch.setattr(pbw, "_REACH_STATE_CAP", 2)
-    product_expansion_guarded(factors)
-    monkeypatch.setattr(pbw, "_REACH_STATE_CAP", 1)
-    with pytest.raises(NonGeneralPositionExchange):
-        product_expansion_guarded(factors)
-
-
 @pytest.mark.parametrize("a, b", [(-2**31 - 1, 0), (0, 2**31), (2**40, 2**40)])
 def test_segment_end_out_of_range_raises(a, b):
     with pytest.raises(ValueError):
@@ -399,12 +393,14 @@ def test_module_keeps_no_pool():
 # -- the one-coefficient reader and the rank cut -----------------------------
 #
 # Ends in 0..9 with short segments, so shared ends, adjacent segments and
-# linked pairs are all common.
+# linked pairs are all common.  The words that are rewritten have even ends
+# in 0..18 instead, so that none holds a juxtaposed pair.
 
 _segments09 = st.builds(lambda a, d: Segment(a, min(a + d, 9)),
                         st.integers(0, 9), st.integers(0, 4))
+_even09 = _segments09.map(lambda s: Segment(2 * s.a, 2 * s.b))
 _combinations = st.dictionaries(
-    st.lists(_segments09, min_size=1, max_size=3).map(Multisegment),
+    st.lists(_even09, min_size=1, max_size=3).map(Multisegment),
     st.sampled_from([ONE, -ONE, V(1), EXCH]), min_size=1, max_size=2).map(PBWElement)
 
 
@@ -412,15 +408,12 @@ _combinations = st.dictionaries(
 @given(st.lists(_combinations, min_size=2, max_size=3), st.randoms(use_true_random=False))
 def test_coefficient_reader_matches_expansion(factors, rnd):
     exact, tainted = product_expansion_guarded(factors)
+    assert not tainted
     concat = sum((next(iter(f.terms())) for f in factors), Multisegment.empty())
-    starts = [rnd.randint(0, 9) for _ in range(mseg_total(concat))]
-    other = Multisegment(Segment(a, rnd.randint(a, 9)) for a in starts)
-    for target in exact.support() | tainted | {concat, other}:
-        got = product_coefficient_guarded(factors, target)
-        if target in tainted:
-            assert got is None, target
-        else:
-            assert got == exact.coefficient(target), target
+    starts = [2 * rnd.randint(0, 9) for _ in range(mseg_total(concat))]
+    other = Multisegment(Segment(a, 2 * rnd.randint(a // 2, 9)) for a in starts)
+    for target in exact.support() | {concat, other}:
+        assert product_coefficient_guarded(factors, target) == exact.coefficient(target), target
 
 
 def _ends(segments):
@@ -467,8 +460,14 @@ def test_rank_cut_matches_its_definition(segments, rnd):
     assert not pbw._cannot_reach(w, _sorted_word(segments))
 
 
+def _in_play(finished, target):
+    """The finished Segment words the rank lemma leaves in play toward the
+    target."""
+    return {u: c for u, c in finished.items() if not cut_by_definition(u, target)}
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_segments09, min_size=1, max_size=6), st.randoms(use_true_random=False))
+@given(st.lists(_even09, min_size=1, max_size=6), st.randoms(use_true_random=False))
 def test_rank_pruning_keeps_what_reaches_the_target(segments, rnd):
     # targets with the word's end multisets, as the reader builds its tables
     w = pbw._pack_word(segments)
@@ -479,19 +478,13 @@ def test_rank_pruning_keeps_what_reaches_the_target(segments, rnd):
         rank = pbw._Rank(t)
         in_play = (rank.base - sum(rank[x] for x in w)) & rank.guard == rank.guard
         assert in_play == (not cut_by_definition(segments, target))
-        pruned, full = pbw._reachable(w, rank), pbw._reachable(w)
-        assert (t in pruned) == (t in full)
-        finished, stuck = pbw._rewrite(w, EXCH, rank)
-        want_finished, want_stuck = pbw._rewrite(w, EXCH)
-        assert finished.get(t) == want_finished.get(t)
-        for got, want in ((dict.fromkeys(pruned), dict.fromkeys(full)),
-                          (finished, want_finished), (stuck, want_stuck)):
-            # a subset with the same coefficients; from a word in play,
-            # exactly the words the rank lemma leaves in play
-            assert got.items() <= want.items()
-            if in_play:
-                assert got == {u: c for u, c in want.items() if not cut_by_definition(
-                    list(map(pbw._unpack, u)), target)}
+        got, want = pbw._rewrite(w, EXCH, rank), pbw._rewrite(w, EXCH)
+        assert got.get(t) == want.get(t)
+        # a subset with the same coefficients; from a word in play, exactly
+        # the words the rank lemma leaves in play
+        assert got.items() <= want.items()
+        if in_play:
+            assert _unpacked(got) == _in_play(_unpacked(want), target)
 
 
 @pytest.mark.parametrize("word, target, cut", [
@@ -520,72 +513,119 @@ def test_reader_on_a_linked_pair():
     factors = [PBWElement.basis(mseg((2, 4))), PBWElement.basis(mseg((1, 3)))]
     assert product_coefficient_guarded(factors, mseg((1, 3), (2, 4))) == ONE
     assert product_coefficient_guarded(factors, mseg((2, 3), (1, 4))) == EXCH
-    stuck = [PBWElement.basis(mseg((5, 5), (1, 7))), PBWElement.basis(mseg((1, 5), (5, 7)))]
-    assert product_coefficient_guarded(stuck, mseg((5, 5), (1, 7), (1, 5), (5, 7))) is None
-    assert product_coefficient_guarded(stuck, 2 * mseg((5, 5), (1, 7))) == LaurentPoly.zero()
+    # [5,5] [1,7] [1,5] [5,7] only reorders, past two pairs that share an end
+    shared = [PBWElement.basis(mseg((5, 5), (1, 7))), PBWElement.basis(mseg((1, 5), (5, 7)))]
+    assert product_coefficient_guarded(shared, mseg((5, 5), (1, 7), (1, 5), (5, 7))) == V(-2)
+    assert product_coefficient_guarded(shared, 2 * mseg((5, 5), (1, 7))) == LaurentPoly.zero()
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_segments09, min_size=1, max_size=6))
+@given(st.lists(_even09, min_size=1, max_size=6))
 def test_reachable_keeps_ends_and_never_lowers_a_rank(segments):
+    # every sorted word the rewriting reaches
     start = list(segments)
-    points = [(i, j) for i in range(10) for j in range(i, 10)]
-    for w in pbw._reachable(pbw._pack_word(segments)):
+    points = [(i, j) for i in range(19) for j in range(i, 19)]
+    for w in pbw._rewrite(pbw._pack_word(segments), ONE):
         got = list(map(pbw._unpack, w))
         assert _ends(got) == _ends(start)
         assert all(_rank(got, i, j) >= _rank(start, i, j) for i, j in points)
 
 
-# -- the taint search against the exhaustive oracle --------------------------
+# -- confluence and the one-step finish against the oracle ---------------------
 #
-# The oracle expands every word; the search stops at words with no exchange
-# ahead (pbw._ahead == 0), which can only reorder to their sorted word.
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_segments09, min_size=1, max_size=7))
-def test_reachable_matches_the_oracle(segments):
-    assert reachable(segments) == reachable_normal_multisegments(tuple(segments))
+# The oracle rewrites one inversion at a time, picking the leftmost, the
+# rightmost or a random one; the kernel finishes a word with no exchange
+# ahead in one step.
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_segments09, min_size=1, max_size=6), st.randoms(use_true_random=False))
+@given(st.lists(_even09, min_size=1, max_size=6), st.integers(-2, 2),
+       st.randoms(use_true_random=False))
+def test_rewriting_is_confluent(segments, e, rnd):
+    word, prefix = tuple(segments), V(e)
+    want = rewrite_oracle(word, prefix)
+    assert rewrite_oracle(word, prefix, max) == want
+    assert rewrite_oracle(word, prefix, rnd.choice) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_even09, min_size=1, max_size=7))
+def test_reachable_matches_the_oracle(segments):
+    # the one-step finish against one swap at a time
+    got = pbw._rewrite(pbw._pack_word(segments), ONE)
+    assert _unpacked(got) == rewrite_oracle(tuple(segments), ONE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_even09, min_size=1, max_size=6), st.randoms(use_true_random=False))
 def test_ranked_reachable_matches_the_oracle(segments, rnd):
-    # the oracle's words less those the rank lemma rules out; from a word out
-    # of play no exchange is admitted, so it reaches its sorted word alone
-    w = pbw._pack_word(segments)
+    # the same under a rank table: the oracle's words less those the rank
+    # lemma rules out
+    w, want = pbw._pack_word(segments), rewrite_oracle(tuple(segments), ONE)
     k = rnd.randint(0, len(segments))
     for target in (_paired_again(segments, rnd),
                    segments[:k] + _paired_again(segments[k:], rnd)):
-        got = pbw._reachable(w, pbw._Rank(_sorted_word(target)))
-        got = set(map(pbw._Decoder().multisegment, got))
-        if cut_by_definition(segments, target):
-            assert got == {Multisegment(segments)}
-        else:
-            assert got == {m for m in reachable_normal_multisegments(tuple(segments))
-                           if not cut_by_definition(list(m.segments()), target)}
+        if not cut_by_definition(segments, target):
+            got = pbw._rewrite(w, ONE, pbw._Rank(_sorted_word(target)))
+            assert _unpacked(got) == _in_play(want, target)
+
+
+def _probe_words(rng, count):
+    """Words of 3 to 6 segments whose left ends come from {0, 3, ..., 12} and
+    right ends from {4, 7, ..., 16}, so that no pair is juxtaposed."""
+    words = []
+    while len(words) < count:
+        pairs = [(rng.choice(range(0, 13, 3)), rng.choice(range(4, 17, 3)))
+                 for _ in range(rng.randint(3, 6))]
+        if all(a <= b for a, b in pairs):
+            words.append(tuple(Segment(a, b) for a, b in pairs))
+    return words
+
+
+@pytest.mark.parametrize("e_left, e_right", [(e, f) for e in (-1, 0, 1) for f in (-1, 0, 1)])
+def test_only_v_inverse_swaps_are_confluent(e_left, e_right):
+    # shared-end swaps v**e_left (a common left end) and v**e_right (a common
+    # right end): the leftmost, the rightmost and a random pick agree on every
+    # probe word for (-1, -1) alone
+    picks = (min, max, random.Random(7).choice)
+
+    def confluent(word):
+        forms = [rewrite_oracle(word, ONE, pick, e_left, e_right) for pick in picks]
+        return all(f == forms[0] for f in forms)
+
+    words = _probe_words(random.Random(2003), 300)
+    assert all(map(confluent, words)) == ((e_left, e_right) == (-1, -1))
+
+
+# -- the one-step finish -------------------------------------------------------
 
 
 def test_one_transposition_leaves_no_exchange_ahead(monkeypatch):
-    # [2,7] before [1,5] is the one exchangeable inversion of [2,7] [2,4] [1,5]
-    # and of [2,4] [2,7] [1,5]; swapping it in the second leaves [2,4] [1,5]
-    # [2,7], which only reorders, so under a cap of 1 the search expands the
-    # second word alone
-    word = [seg(2, 4), seg(2, 7), seg(1, 5)]
+    # [2,7] before [1,5] is the one exchange ahead of [2,7] [2,4] [1,5];
+    # [1,9] [1,7] [1,5] [1,3] has none, and finishes in one step with v**-6,
+    # one factor for each of its inverted pairs, which all share an end
+    w = pbw._pack_word([seg(2, 7), seg(2, 4), seg(1, 5)])
+    assert pbw._finish_exponent(w, 0, None) is None
+    word = (seg(1, 9), seg(1, 7), seg(1, 5), seg(1, 3))
     w = pbw._pack_word(word)
-    moved = (w[0], w[2], w[1])
-    assert pbw._ahead(pbw._pack_word([seg(2, 7), seg(2, 4), seg(1, 5)]), 0, None) == 1
-    assert pbw._ahead(w, 0, None) == 1 and pbw._ahead(moved, 0, None) == 0
-    assert pbw._reachable(moved) == {tuple(sorted(moved))}
-    monkeypatch.setattr(pbw, "_REACH_STATE_CAP", 1)
-    assert reachable(word) == reachable_normal_multisegments(tuple(word)) \
-        == {mseg((2, 4), (1, 5), (2, 7)), mseg((2, 4), (2, 5), (1, 7))}
+    calls, finish = [], pbw._finish_exponent
+
+    def recorded(*args):
+        calls.append(args)
+        return finish(*args)
+
+    monkeypatch.setattr(pbw, "_finish_exponent", recorded)
+    assert pbw._rewrite(w, ONE) == {tuple(sorted(w)): V(-6)}
+    assert len(calls) == 1
+    assert _unpacked(pbw._rewrite(w, ONE)) == rewrite_oracle(word, ONE)
 
 
 def test_ranked_count_leaves_out_an_exchange_out_of_play():
-    # toward [1,3] [2,4], exchanging [2,4] > [1,3] gives r_14 = 1 > 0
+    # toward [1,3] [2,4], exchanging [2,4] > [1,3] gives r_14 = 1 > 0, so
+    # under the rank table the word has no exchange ahead
     w = pbw._pack_word([seg(2, 4), seg(1, 3)])
     rank = pbw._Rank(tuple(sorted(w)))
     s = rank.base - rank[w[0]] - rank[w[1]]
-    assert pbw._ahead(w, 0, None) == 1 and pbw._ahead(w, s, rank) == 0
-    assert pbw._reachable(w, rank) == {tuple(sorted(w))}
-    assert len(pbw._reachable(w)) == 2
+    assert pbw._finish_exponent(w, 0, None) is None and pbw._finish_exponent(w, s, rank) == 0
+    assert pbw._rewrite(w, ONE, rank) == {tuple(sorted(w)): ONE}
+    assert len(pbw._rewrite(w, ONE)) == 2

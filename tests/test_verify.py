@@ -14,7 +14,6 @@ from klforge.segcomb import (
     Segment,
     construct_strongly_regular,
     dominates_sigma0,
-    multisegment_of,
 )
 from klforge.verify import (
     VerificationReport,
@@ -26,8 +25,6 @@ from klforge.verify import (
     verify_prop1,
 )
 from klforge.symgroup import bruhat_leq, identity, is_pattern_avoiding
-import klforge.pbw as pbw_module
-import klforge.transition as transition_module
 import klforge.verify as verify_module
 
 V = LaurentPoly.v
@@ -238,29 +235,16 @@ def test_prop1_rejects_ends_past_32_bits(edge):
         verify_prop1(_shifted(A, d), (1, 3, 2), (3, 2, 1), 2)
 
 
-# A k = 3 family whose product at sigma = 123, omega = 312, m = 2 has a taint
-# search that expands more than its first word.  No product-vanishing search
-# with k <= 2 does, and under a cap of 1 sweep(table, 2, 2) is all pass.
-_CAPPED = BiSequence((8, 16, 24), (26, 25, 24))
-
-
 def test_prop1_builds_no_segment_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Segment, Multisegment or PBWElement was built")
 
-    A = construct_strongly_regular((1, 2))
-    target = str(2 * multisegment_of(A, (1, 2)))
     for cls in (Multisegment, Segment, PBWElement):
         monkeypatch.setattr(cls, "__init__", refuse)
     monkeypatch.setattr(Multisegment, "from_sorted_items", refuse)
     reports = [verify_prop1(B, sigma, omega, m)
                for B, sigma, omega in _PROP1_CASES[::7] for m in (2, 3)]
     assert {r.status for r in reports} == {"pass"}
-    monkeypatch.setattr(pbw_module, "_REACH_STATE_CAP", 1)
-    assert verify_prop1(_CAPPED, (1, 2, 3), (3, 1, 2), 2).status == "undetermined"
-    monkeypatch.setattr(verify_module, "word_coefficient", lambda *args: None)
-    r = verify_prop1(A, (1, 2), (2, 1), 2)
-    assert r.status == "undetermined" and f"coefficient at {target} is not" in r.reason
 
 
 def test_power_identity_skips_what_is_not_a_permutation_of_the_family(table):
@@ -283,6 +267,28 @@ def test_power_identity_gate(table):
     A4 = construct_strongly_regular(identity(4))
     r = verify_power_identity(table, A4, (3, 4, 1, 2), 2)
     assert r.status == "skipped" and "NotSquareIrreducible" in r.reason
+
+
+def test_power_identity_compares_every_coefficient(table, monkeypatch):
+    # the 38 cases with n <= 9 (k <= 3, m <= 3): the product side decides
+    # every coefficient, so the comparison reads all 231 keys of the supports
+    products, compared = [], []
+    power, ratio = verify_module.g_star_power_with_taint, verify_module._monomial_ratio
+
+    def recorded_power(*args):
+        products.append(power(*args))
+        return products[-1]
+
+    def recorded_ratio(numer, denom, keys):
+        compared.append(keys)
+        return ratio(numer, denom, keys)
+
+    monkeypatch.setattr(verify_module, "g_star_power_with_taint", recorded_power)
+    monkeypatch.setattr(verify_module, "_monomial_ratio", recorded_ratio)
+    reports = [r for r in sweep(table, 3, 3) if r.check == "power-identity"]
+    assert len(reports) == len(products) == 38 and all(r.passed for r in reports)
+    assert all(tainted == frozenset() for _, tainted in products)
+    assert sum(map(len, compared)) == 231
 
 
 def test_report_shape(table):
@@ -347,8 +353,7 @@ def test_sweep_reports_every_case_past_the_budget(table, monkeypatch):
     assert len(ran) + len(budget) == len(reports)
     # k = 4, m = 3: the 548 main-theorem and 105 power-identity cases of
     # the 14 bottoms, one report each
-    assert summarize(budget) == {"pass": 0, "fail": 0, "skipped": 653,
-                                 "undetermined": 0}
+    assert summarize(budget) == {"pass": 0, "fail": 0, "skipped": 653}
     assert {r.check: sum(b.check == r.check for b in budget) for r in budget} == {
         "main-theorem": 548, "power-identity": 105}
     for r in budget:
@@ -357,75 +362,3 @@ def test_sweep_reports_every_case_past_the_budget(table, monkeypatch):
         assert set(r.case) == ({"k", "m", "sigma0", "sigma", "omega"}
                                if r.check == "main-theorem"
                                else {"k", "m", "family", "omega"})
-
-
-class _TaintsEverything(frozenset):
-    def __contains__(self, item):
-        return True
-
-
-def _undetermined_products(monkeypatch, module=verify_module):
-    real = module.product_expansion_guarded
-
-    def tainted(factors):
-        exact, _ = real(factors)
-        return exact, _TaintsEverything()
-
-    monkeypatch.setattr(module, "product_expansion_guarded", tainted)
-    if hasattr(module, "word_coefficient"):
-        monkeypatch.setattr(module, "word_coefficient",
-                            lambda words, target, exponent: None)
-
-
-def test_sweep_survives_undetermined_products(table, monkeypatch):
-    expected = sweep(table, 2, 2)
-    _undetermined_products(monkeypatch)
-    reports = sweep(table, 2, 2)
-    assert [(r.check, r.case) for r in reports] == [(r.check, r.case) for r in expected]
-    prop1 = [r for r in reports if r.check == "product-vanishing"]
-    assert prop1 and all(r.status == "undetermined" for r in prop1)
-    assert all(r.reason.startswith("Tainted:") for r in prop1)
-    assert all(r.computed is None for r in prop1)
-    assert [r.to_json()["status"] for r in reports if r.check != "product-vanishing"] \
-        == [r.to_json()["status"] for r in expected if r.check != "product-vanishing"]
-    counts = summarize(reports)
-    assert counts["undetermined"] == len(prop1)
-    assert counts["fail"] == 0
-    assert sum(counts.values()) == len(reports)
-
-
-def test_cli_counts_undetermined(monkeypatch, capsys):
-    from klforge.cli import main
-
-    _undetermined_products(monkeypatch)
-    code = main(["verify", "--kmax", "2", "--mmax", "2", "--no-cache"])
-    out, err = capsys.readouterr()
-    statuses = [json.loads(line)["status"] for line in out.splitlines()]
-    assert code == 0
-    assert f"undetermined={statuses.count('undetermined')}" in err
-    assert statuses.count("undetermined") > 0
-
-
-def test_sweep_survives_the_straightening_state_cap(table, monkeypatch, capsys):
-    from klforge.cli import main
-
-    monkeypatch.setattr(pbw_module, "_REACH_STATE_CAP", 1)
-    r = verify_prop1(_CAPPED, (1, 2, 3), (3, 1, 2), 2)
-    assert r.status == "undetermined" and r.computed is None
-    assert r.reason.startswith("NonGeneralPositionExchange:")
-    reports = sweep(table, 3, 2)
-    counts = summarize(reports)
-    assert counts["fail"] == 0
-    capped = [r for r in reports if r.status == "undetermined"]
-    assert {r.check for r in capped} == {"product-vanishing", "power-identity"}
-    assert all(r.reason.startswith("NonGeneralPositionExchange:") for r in capped)
-    assert main(["verify", "--kmax", "3", "--mmax", "2", "--no-cache"]) == 0
-    assert "fail=0" in capsys.readouterr().err
-
-
-def test_tainted_leading_coefficient_is_undetermined(table, monkeypatch):
-    _undetermined_products(monkeypatch, transition_module)
-    reports = [r for r in sweep(table, 2, 2) if r.check == "power-identity"]
-    assert reports and all(r.status == "undetermined" for r in reports)
-    assert all(r.reason.startswith("Tainted:") for r in reports)
-    assert all(r.computed is None for r in reports)
