@@ -27,15 +27,6 @@ ValueError on one it meets inverted.  The verifiers never meet one: no step
 changes the multisets of left and of right ends (below), and their words
 carry the ends of a strongly regular family, where no a_i = b_j + 1.
 
-An exchange ahead of a word is an inverted pair, adjacent or not, that is
-linked in general position and, given a rank table (below), whose exchange
-keeps the word in play.  A transposition removes one inversion and keeps
-the multiset and the slack, so it never creates an exchange ahead.  A word
-with none therefore only reorders, and on the way to its sorted word each
-of its inverted pairs is transposed exactly once, in whatever order: by
-confluence it finishes in one step, with v**-(its inverted pairs that share
-an end).
-
 word_coefficient reads one coefficient from packed product words through
 the same rewriting, following only words the rank lemma leaves in play.
 Let r_ij = #{[a, b] : a <= i, j <= b}.  No step changes the multisets of
@@ -57,13 +48,20 @@ slack & G == G.  A transposition keeps the slack; the exchange
 drops the new word once a guard bit clears.  Equal words have equal slack,
 so merging is unchanged.  No table, no pruning: the product has no target.
 
-Rewriting repeatedly takes a pending word and rewrites its leftmost
-inversion, unless the word finishes in one step; words are keyed in a map
-so duplicates merge eagerly.  An exchange either removes an inversion or
-splits endpoints into a strictly more nested pair, so the process
-terminates.  Confluence is checked by test, not assumed: the Segment-object
-oracle, rewriting one inversion at a time and picking the leftmost, the
-rightmost or a random one, must reach the same normal form.
+Rewriting pops one pending word at a time and insertion-sorts it in one
+pass.  The pass transposes each adjacent inversion (p, z) it meets, and one
+that shares an end adds -1 to a running exponent e.  When p, z are linked
+in general position and, given a rank table, their exchange stays in play,
+the partial word with (cap, cup) in place of (p, z) is set pending with
+c * v**e * (v**-1 - v), c the popped word's coefficient; the sorted word
+finishes with c * v**e.  Words are keyed in a map, so duplicates merge
+eagerly, and a word with no exchange to meet is popped once and sets none
+pending.  An exchange either removes an inversion or splits endpoints into
+a strictly more nested pair, so the process terminates.  Confluence is
+checked by test, not assumed: the Segment-object oracle, rewriting one
+inversion at a time and picking the leftmost, the rightmost or a random
+one, must reach the same normal form, so the order in which the pass meets
+the pairs does not change the result.
 
 The rewriting runs on packed words.  A segment [a, b] is the int
 ((b + 2**31) << 32) | (a + 2**31), whose int order is the segment order
@@ -93,7 +91,6 @@ from .symgroup import bruhat_leq  # noqa: F401
 
 _V = LaurentPoly.v
 _EXCHANGE = _V(-1) - _V(1)  # v**-1 - v
-_SWAP = _V(-1)  # the transposition of a pair that shares an end
 
 
 def e_star_prefactor_exponent(m: Multisegment) -> int:
@@ -249,49 +246,41 @@ def _exchanged(x: int, y: int, s: int, rank: _Rank | None):
     return pair, s
 
 
-def _finish_exponent(w: Word, s: int, rank: _Rank | None) -> int | None:
-    """None when the word has an exchange ahead, else the v-exponent of its
-    one-step finish: minus its count of inverted pairs that share an end.
-    Raises ValueError on a juxtaposed inverted pair met before an exchange."""
-    e = 0
-    for j, y in enumerate(w):
-        for x in w[:j]:
-            if x > y:
-                if _exchanged(x, y, s, rank):
-                    return None
-                e -= _shares_end(x, y)
-    return e
-
-
 def _rewrite(word: Word, prefix: LaurentPoly,
              rank: _Rank | None = None) -> dict[Word, LaurentPoly]:
     """The straightening loop: the sorted words the word reaches, with their
-    coefficients.  A word with no exchange ahead finishes in one step; any
-    other has its leftmost inversion rewritten."""
+    coefficients.  Each pending word is sorted in one pass (_insertion_pass)."""
     pending: dict[Word, LaurentPoly] = {word: prefix}
     finished: dict[Word, LaurentPoly] = {}
     slack = {word: 0 if rank is None else rank.base - sum(map(rank.__getitem__, word))}
     while pending:
         w, c = pending.popitem()
-        s = slack[w]
-        e = _finish_exponent(w, s, rank)
-        if e is not None:
-            _accumulate(finished, tuple(sorted(w)), c * _V(e) if e else c)
-            continue
-        i = 0
-        while w[i] <= w[i + 1]:
-            i += 1
-        x, y = w[i], w[i + 1]
-        head, tail = w[:i], w[i + 2:]
-        moved = head + (y, x) + tail
-        slack[moved] = s
-        _accumulate(pending, moved, c * _SWAP if _shares_end(x, y) else c)
-        ex = _exchanged(x, y, s, rank)
-        if ex:  # else not linked, or out of play: it cannot reach the target
-            u = head + ex[0] + tail
-            slack[u] = ex[1]
-            _accumulate(pending, u, c * _EXCHANGE)
+        u, e = _insertion_pass(w, c, slack[w], rank, pending, slack)
+        _accumulate(finished, u, c * _V(e) if e else c)
     return finished
+
+
+def _insertion_pass(w: Word, c: LaurentPoly, s: int, rank: _Rank | None,
+                    pending: dict[Word, LaurentPoly], slack: dict[Word, int]):
+    """Insertion-sorts a pending word (coefficient c, slack s): its sorted
+    word and the v-exponent e of its transpositions.  At each exchange met,
+    the partial word with (cap, cup) in place of the pair is set pending
+    with c v**e (v**-1 - v), e as it stands then."""
+    u, e = list(w), 0
+    for j in range(1, len(u)):
+        z, i = u[j], j
+        while i and u[i - 1] > z:  # z belongs at u[i], u[i + 1:] is shifted
+            p = u[i - 1]
+            ex = _exchanged(p, z, s, rank)
+            if ex:  # else not linked, or out of play: it cannot reach the target
+                n = tuple(u[:i - 1]) + ex[0] + tuple(u[i + 1:])
+                slack[n] = ex[1]
+                _accumulate(pending, n, c * _V(e) * _EXCHANGE if e else c * _EXCHANGE)
+            e -= _shares_end(p, z)
+            u[i] = p
+            i -= 1
+        u[i] = z
+    return tuple(u), e
 
 
 def _collect(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPoly]:
@@ -327,7 +316,8 @@ def _cannot_reach(w: Word, target: Word) -> bool:
     bt in its place (for j <= i, r_ij is fixed by the end multisets)."""
     w, ws, ts = sorted(w), [], []
     i = j = 0
-    while i < len(w) and j < len(target):
+    n, nt = len(w), len(target)
+    while i < n and j < nt:
         x, t = w[i], target[j]
         if x < t:
             ws.append(x)
@@ -335,17 +325,28 @@ def _cannot_reach(w: Word, target: Word) -> bool:
             ts.append(t)
         i += x <= t
         j += x >= t
-    ws = sorted((x & _LO, x >> _BITS) for x in ws + w[i:])
-    ts = sorted((x & _LO, x >> _BITS) for x in ts + list(target[j:]))
-    if [a for a, _ in ws] != [a for a, _ in ts]:
+    ws += w[i:]
+    ts += target[j:]
+    n = len(ws)
+    if n != len(ts):
         return True
+    ws.sort(key=_left_first)
+    ts.sort(key=_left_first)
     bw, bt = [], []
-    for k, ((i, p), (_, q)) in enumerate(zip(ws, ts)):
-        insort(bw, p)
-        insort(bt, q)
-        if (k + 1 == len(ws) or ws[k + 1][0] != i) and any(map(gt, bw, bt)):
+    for k, (x, t) in enumerate(zip(ws, ts)):
+        i = x & _LO
+        if i != t & _LO:
+            return True
+        insort(bw, x >> _BITS)
+        insort(bt, t >> _BITS)
+        if (k + 1 == n or ws[k + 1] & _LO != i) and any(map(gt, bw, bt)):
             return True
     return bw != bt
+
+
+def _left_first(x: int) -> tuple[int, int]:
+    """Sort key of a packed segment [a, b]: by a, then by b."""
+    return x & _LO, x
 
 
 def product_expansion_guarded(

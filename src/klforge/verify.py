@@ -62,9 +62,8 @@ from .transition import expand_G_in_E, expansion_as_pbw, g_star_power_with_taint
 
 
 # The sweep's budget on n = m*k.  Past n = 9 the power identity's product
-# side costs minutes per (k, m), nearly all of it in pbw._rewrite, which
-# straightens the product words one by one: about 55,000 of them at
-# (k, m) = (4, 3).
+# side costs about a minute at (k, m) = (4, 3), most of it in pbw._rewrite,
+# which straightens its about 55,000 product words one by one.
 SWEEP_MAX_N = 9
 
 

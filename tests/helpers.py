@@ -12,11 +12,11 @@ checked against the Segment-object rewriting it replaced, and
 verify_prop1's packed words against the Multisegment and PBWElement route
 they replaced.  The oracle rewriting takes a Segment word and a scalar
 prefix of its own, rewrites one inversion at a time, and can pick the
-rightmost or any inversion where the kernel takes the leftmost: agreement
-is the confluence check.  It also takes the exponents of the shared-end
-swaps, so a test can show that no other choice is confluent.  The
-transition expansions are compared
-with the closed parabolic forms of coeff_parab, and E in G also with the
+leftmost, the rightmost or any inversion where the kernel insertion-sorts
+each pending word in one pass: agreement is the confluence check.  It also
+takes the exponents of the shared-end swaps, so a test can show that no
+other choice is confluent.  The transition expansions are compared with
+the closed parabolic forms of coeff_parab, and E in G also with the
 ordinary polynomials it is defined by.  The memo table normalizes
 its keys on packed permutation keys; canonical_pair_oracle is the same
 normalization on tuples.  Helpers that only tests call live here too.

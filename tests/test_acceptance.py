@@ -195,7 +195,7 @@ def test_criterion_6_oracle_suites(table):
             bruhat_checked += 1
 
     # straightening confluence on 1000 random admissible words: the kernel's
-    # leftmost normal form against the oracle exchanging the rightmost pair
+    # insertion-pass normal form against the oracle exchanging the rightmost pair
     rng = random.Random(1234)
     confluent = 0
     while confluent < 1000:

@@ -122,8 +122,8 @@ def _random_collision_free_word(rng, maxlen=6):
 
 
 def test_confluence_on_random_words():
-    # the kernel exchanges the leftmost admissible pair, the oracle here the
-    # rightmost
+    # the kernel insertion-sorts each pending word, the oracle here exchanges
+    # the rightmost pair
     rng = random.Random(20240810)
     for _ in range(1000):
         w = _random_collision_free_word(rng)
@@ -229,8 +229,8 @@ def _unpacked(words: dict) -> dict:
 
 
 def check_straighten(segments, prefix):
-    """The packed kernel, finishing a word with no exchange ahead in one
-    step, against the oracle rewriting the leftmost inversion each time."""
+    """The packed kernel, insertion-sorting each pending word in one pass,
+    against the oracle rewriting the leftmost inversion each time."""
     got = pbw._rewrite(pbw._pack_word(segments), prefix)
     assert _unpacked(got) == rewrite_oracle(segments, prefix)
 
@@ -314,7 +314,7 @@ def test_packed_guarded_product_matches_oracle(factors):
 
 @pytest.mark.parametrize("word", [
     (seg(3, 4), seg(1, 2)),              # adjacent
-    (seg(3, 4), seg(7, 8), seg(1, 2)),   # in a word with no exchange ahead
+    (seg(3, 4), seg(7, 8), seg(1, 2)),   # adjacent only once the pass moves [1,2]
 ])
 def test_juxtaposed_inversion_raises(word):
     w = pbw._pack_word(word)
@@ -531,11 +531,11 @@ def test_reachable_keeps_ends_and_never_lowers_a_rank(segments):
         assert all(_rank(got, i, j) >= _rank(start, i, j) for i, j in points)
 
 
-# -- confluence and the one-step finish against the oracle ---------------------
+# -- confluence and the insertion pass against the oracle ----------------------
 #
 # The oracle rewrites one inversion at a time, picking the leftmost, the
-# rightmost or a random one; the kernel finishes a word with no exchange
-# ahead in one step.
+# rightmost or a random one; the kernel insertion-sorts each pending word in
+# one pass.
 
 
 @settings(max_examples=150, deadline=None)
@@ -551,7 +551,7 @@ def test_rewriting_is_confluent(segments, e, rnd):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_even09, min_size=1, max_size=7))
 def test_reachable_matches_the_oracle(segments):
-    # the one-step finish against one swap at a time
+    # the insertion pass against one swap at a time
     got = pbw._rewrite(pbw._pack_word(segments), ONE)
     assert _unpacked(got) == rewrite_oracle(tuple(segments), ONE)
 
@@ -597,35 +597,60 @@ def test_only_v_inverse_swaps_are_confluent(e_left, e_right):
     assert all(map(confluent, words)) == ((e_left, e_right) == (-1, -1))
 
 
-# -- the one-step finish -------------------------------------------------------
+# -- the insertion pass --------------------------------------------------------
+
+
+def _record_passes(monkeypatch):
+    """Each popped word, with the words pending after its insertion pass."""
+    passes, insertion_pass = [], pbw._insertion_pass
+
+    def recorded(w, c, s, rank, pending, slack):
+        out = insertion_pass(w, c, s, rank, pending, slack)
+        passes.append((w, sorted(pending)))
+        return out
+
+    monkeypatch.setattr(pbw, "_insertion_pass", recorded)
+    return passes
 
 
 def test_one_transposition_leaves_no_exchange_ahead(monkeypatch):
-    # [2,7] before [1,5] is the one exchange ahead of [2,7] [2,4] [1,5];
-    # [1,9] [1,7] [1,5] [1,3] has none, and finishes in one step with v**-6,
-    # one factor for each of its inverted pairs, which all share an end
-    w = pbw._pack_word([seg(2, 7), seg(2, 4), seg(1, 5)])
-    assert pbw._finish_exponent(w, 0, None) is None
+    # the six inverted pairs of [1,9] [1,7] [1,5] [1,3] all share a left end:
+    # one pass sorts it with v**-6 and sets nothing pending
     word = (seg(1, 9), seg(1, 7), seg(1, 5), seg(1, 3))
     w = pbw._pack_word(word)
-    calls, finish = [], pbw._finish_exponent
-
-    def recorded(*args):
-        calls.append(args)
-        return finish(*args)
-
-    monkeypatch.setattr(pbw, "_finish_exponent", recorded)
+    passes = _record_passes(monkeypatch)
     assert pbw._rewrite(w, ONE) == {tuple(sorted(w)): V(-6)}
-    assert len(calls) == 1
+    assert passes == [(w, [])]
     assert _unpacked(pbw._rewrite(w, ONE)) == rewrite_oracle(word, ONE)
 
 
-def test_ranked_count_leaves_out_an_exchange_out_of_play():
-    # toward [1,3] [2,4], exchanging [2,4] > [1,3] gives r_14 = 1 > 0, so
-    # under the rank table the word has no exchange ahead
+def test_ranked_count_leaves_out_an_exchange_out_of_play(monkeypatch):
+    # toward [1,3] [2,4], exchanging [2,4] > [1,3] gives r_14 = 1 > 0: under
+    # the rank table the pass sets no exchanged word pending, without it one
     w = pbw._pack_word([seg(2, 4), seg(1, 3)])
-    rank = pbw._Rank(tuple(sorted(w)))
-    s = rank.base - rank[w[0]] - rank[w[1]]
-    assert pbw._finish_exponent(w, 0, None) is None and pbw._finish_exponent(w, s, rank) == 0
-    assert pbw._rewrite(w, ONE, rank) == {tuple(sorted(w)): ONE}
-    assert len(pbw._rewrite(w, ONE)) == 2
+    target = tuple(sorted(w))
+    passes = _record_passes(monkeypatch)
+    assert pbw._rewrite(w, ONE, pbw._Rank(target)) == {target: ONE}
+    assert passes == [(w, [])]
+    passes.clear()
+    exchanged = pbw._pack_word([seg(2, 3), seg(1, 4)])
+    assert pbw._rewrite(w, ONE) == {target: ONE, exchanged: EXCH}
+    assert passes == [(w, [exchanged]), (exchanged, [])]
+
+
+def test_heaviest_product_word_pops_at_most_four(monkeypatch):
+    # the heaviest product-vanishing word with n <= 8: the family
+    # (10,20,30,40 / 43,42,41,40) at sigma = 1324, omega = 3421 and m = 2,
+    # M_sigma followed by M_omega; the leftmost-inversion rewriting popped 14
+    left = (seg(40, 40), seg(20, 41), seg(30, 42), seg(10, 43))
+    word = left + (seg(20, 40), seg(10, 41), seg(30, 42), seg(40, 43))
+    target = 2 * list(left)
+    w, want = pbw._pack_word(word), rewrite_oracle(word, ONE)
+    assert not cut_by_definition(word, target)
+    passes = _record_passes(monkeypatch)
+    assert _unpacked(pbw._rewrite(w, ONE)) == want
+    assert len(passes) <= 4
+    passes.clear()
+    ranked = pbw._rewrite(w, ONE, pbw._Rank(_sorted_word(target)))
+    assert _unpacked(ranked) == _in_play(want, target)
+    assert len(passes) <= 4

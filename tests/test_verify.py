@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,6 +262,16 @@ def test_power_identity_examples(table):
     assert r.passed and r.measured_exponent == -2
     r1 = verify_power_identity(table, construct_strongly_regular((1,)), (1,), 3)
     assert r1.passed and r1.measured_exponent == -3
+
+
+@pytest.mark.parametrize("m, exponent", [(4, -12), (5, -20), (6, -30)])
+def test_power_exponent_past_the_sweep_at_k_2(table, m, exponent):
+    # the measured exponent is -k*C(m, 2) at n = 8, 10 and 12, on all three
+    # cases of k = 2: omega = 12 and 21 over sigma0 = 12, and 21 over 21
+    cases = [((1, 2), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (2, 1))]
+    for s0, omega in cases:
+        r = verify_power_identity(table, construct_strongly_regular(s0), omega, m)
+        assert r.passed and r.measured_exponent == exponent == -2 * comb(m, 2)
 
 
 def test_power_identity_gate(table):
