@@ -36,17 +36,19 @@ multiset, and the exchange of a linked pair a_y < a_x <= b_y < b_x gives
 both new ones, and one inside exactly one lies inside [a_y, b_x].  So a
 word whose end multisets differ from the target's, or with some r_ij above
 the target's (i in L and j in R, the target's distinct left and right
-ends), cannot finish at the target.  _cannot_reach tests each product word
-so.  Past it, the test rides along as a packed slack (_Rank, one table per
-call): each cell (i, j) of L x R has a field of len(target).bit_length() + 1
-bits whose top bit is a guard, and G holds every guard bit.  The rank
-vector of [a, b] is ROW[a] * COLS[b], with a 1 in every field of a row
-i >= a and of a column j <= b, and slack(w) = G + sum(target's) - sum(w's);
-as |r_ij| <= len(target), no field borrows.  A word stays in play while
-slack & G == G.  A transposition keeps the slack; the exchange
-(x, y) -> (cap, cup) adds rank(x) + rank(y) - rank(cap) - rank(cup) and
-drops the new word once a guard bit clears.  Equal words have equal slack,
-so merging is unchanged.  No table, no pruning: the product has no target.
+ends), cannot finish at the target.  The test is a packed slack (_Rank,
+one table per target, which a caller may keep): a field of
+len(target).bit_length() + 1 bits, whose top bit is a guard, per cell
+(i, j) of L x R and, above the cells, a count per end in L and in R; G
+holds every guard bit.  The vector of [a, b] has a 1 in each cell with
+i >= a and j <= b (ROW[a] * COLS[b]) and in the counts of a and of b, and
+slack(w) = G + sum(target's) - sum(w's); no field borrows, as no difference
+exceeds len(target).  A word is in play when it has the target's length, no
+end outside L and R, and slack & G == G, so no count above the target's and
+equal end multisets.  Steps keep the counts; the exchange (x, y) ->
+(cap, cup) adds rank(x) + rank(y) - rank(cap) - rank(cup) and drops the new
+word once a guard bit clears.  Equal words have equal slack, so merging is
+unchanged.  No table, no pruning: the product has no target.
 
 Rewriting pops one pending word at a time and insertion-sorts it in one
 pass.  The pass transposes each adjacent inversion (p, z) it meets, and one
@@ -75,10 +77,8 @@ in tests/helpers.py.
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import groupby
 from math import comb
-from operator import gt
 from typing import Iterable, Mapping
 
 from .poly import LaurentPoly
@@ -212,24 +212,41 @@ def _cap_cup(x: int, y: int) -> tuple[int, int] | None:
 
 
 class _Rank(dict):
-    """Packed segment -> rank vector toward one target, for words with its end
-    multisets; a word's slack is base less its vectors' sum (module docstring)."""
+    """Packed segment -> rank vector toward one target; a word's slack is base
+    less its vectors' sum (module docstring)."""
 
     def __init__(self, target: Word):
         width = len(target).bit_length() + 1
-        row = 1 << width * len({x >> _BITS for x in target})
+        lefts = sorted({x & _LO for x in target}, reverse=True)
+        rights = sorted({x >> _BITS for x in target})
+        row = 1 << width * len(rights)
         self.rows, self.cols = {}, {}  # ROW and COLS
         rows = cols = 0
-        for a in sorted({x & _LO for x in target}, reverse=True):
+        for a in lefts:
             rows = self.rows[a] = rows * row + 1
-        for b in sorted({x >> _BITS for x in target}):
+        for b in rights:
             cols = self.cols[b] = cols << width | 1
-        self.guard = rows * cols << width - 1
+        count = row ** len(lefts)  # the count fields sit above the cells
+        self.lefts = {a: count << width * n for n, a in enumerate(lefts, len(rights))}
+        self.rights = {b: count << width * n for n, b in enumerate(rights)}
+        ones = rows * cols + sum(self.lefts.values()) + sum(self.rights.values())
+        self.size, self.guard = len(target), ones << width - 1
         self.base = self.guard + sum(map(self.__getitem__, target))
 
     def __missing__(self, x: int) -> int:
-        r = self[x] = self.rows[x & _LO] * self.cols[x >> _BITS]
+        a, b = x & _LO, x >> _BITS
+        r = self[x] = self.rows[a] * self.cols[b] + self.lefts[a] + self.rights[b]
         return r
+
+    def slack(self, w: Word) -> int | None:
+        """The word's slack, or None when the rank lemma rules out the target."""
+        if len(w) != self.size:
+            return None
+        try:
+            s = self.base - sum(map(self.__getitem__, w))
+        except KeyError:  # an end the target lacks
+            return None
+        return s if s & self.guard == self.guard else None
 
 
 def _exchanged(x: int, y: int, s: int, rank: _Rank | None):
@@ -246,13 +263,14 @@ def _exchanged(x: int, y: int, s: int, rank: _Rank | None):
     return pair, s
 
 
-def _rewrite(word: Word, prefix: LaurentPoly,
-             rank: _Rank | None = None) -> dict[Word, LaurentPoly]:
+def _rewrite(word: Word, prefix: LaurentPoly, rank: _Rank | None = None,
+             s: int = 0) -> dict[Word, LaurentPoly]:
     """The straightening loop: the sorted words the word reaches, with their
-    coefficients.  Each pending word is sorted in one pass (_insertion_pass)."""
+    coefficients; s is the word's slack under the rank table.  Each pending
+    word is sorted in one pass (_insertion_pass)."""
     pending: dict[Word, LaurentPoly] = {word: prefix}
     finished: dict[Word, LaurentPoly] = {}
-    slack = {word: 0 if rank is None else rank.base - sum(map(rank.__getitem__, word))}
+    slack = {word: s}
     while pending:
         w, c = pending.popitem()
         u, e = _insertion_pass(w, c, slack[w], rank, pending, slack)
@@ -308,47 +326,6 @@ def _product_words(factors: Iterable[PBWElement]) -> dict[Word, LaurentPoly]:
     return words
 
 
-def _cannot_reach(w: Word, target: Word) -> bool:
-    """Whether the rank lemma rules out reaching the target from w.  Shared
-    segments cancel first (one merge pass).  Then at the last segment with left
-    end i, bw and bt hold the sorted right ends of the segments with a <= i;
-    some r_ij(w) > r_ij(target) exactly when an entry of bw exceeds the one of
-    bt in its place (for j <= i, r_ij is fixed by the end multisets)."""
-    w, ws, ts = sorted(w), [], []
-    i = j = 0
-    n, nt = len(w), len(target)
-    while i < n and j < nt:
-        x, t = w[i], target[j]
-        if x < t:
-            ws.append(x)
-        elif x > t:
-            ts.append(t)
-        i += x <= t
-        j += x >= t
-    ws += w[i:]
-    ts += target[j:]
-    n = len(ws)
-    if n != len(ts):
-        return True
-    ws.sort(key=_left_first)
-    ts.sort(key=_left_first)
-    bw, bt = [], []
-    for k, (x, t) in enumerate(zip(ws, ts)):
-        i = x & _LO
-        if i != t & _LO:
-            return True
-        insort(bw, x >> _BITS)
-        insort(bt, t >> _BITS)
-        if (k + 1 == n or ws[k + 1] & _LO != i) and any(map(gt, bw, bt)):
-            return True
-    return bw != bt
-
-
-def _left_first(x: int) -> tuple[int, int]:
-    """Sort key of a packed segment [a, b]: by a, then by b."""
-    return x & _LO, x
-
-
 def product_expansion_guarded(
     factors: Iterable[PBWElement],
 ) -> tuple[PBWElement, frozenset[Multisegment]]:
@@ -366,18 +343,20 @@ def product_expansion_guarded(
 
 
 def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
-                     exponent: int) -> LaurentPoly:
+                     exponent: int, rank: _Rank | None = None) -> LaurentPoly:
     """The exact coefficient of E(target) in the sum of the product words.
     Each word's coefficient carries its basis prefactors; target is a sorted
-    word, exponent the exponent of its own prefactor.  Rewriting prunes by
-    the rank lemma."""
-    total, rank = LaurentPoly.zero(), None
+    word, exponent the exponent of its own prefactor, and rank its table,
+    built here when the caller keeps none.  Rewriting prunes by the rank
+    lemma."""
+    total = LaurentPoly.zero()
+    if rank is None:
+        rank = _Rank(target)
     for w, coeff in words.items():
-        if _cannot_reach(w, target):
+        s = rank.slack(w)
+        if s is None:
             continue
-        if rank is None:  # built once, for the first word in play
-            rank = _Rank(target)
-        finished = _rewrite(w, coeff, rank)
+        finished = _rewrite(w, coeff, rank, s)
         if target in finished:
             total = total + finished[target]
     return total if total.is_zero() else total * _V(-exponent)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .symgroup import (
@@ -199,6 +200,11 @@ class BiSequence:
     @property
     def k(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def derived(self) -> dict:
+        """What callers derive from the frozen fields, outside eq, hash and repr."""
+        return {}
 
     def to_json(self) -> dict:
         return {"a": list(self.a), "b": list(self.b)}

@@ -14,10 +14,12 @@ Each verifier computes one identity two ways and reports the comparison:
   E(M_{t_{m-1}(sigma)}) * E(M_omega) vanishes unless omega == sigma, and
   then equals v**(k (C(m-1,2) - C(m,2))).  The members are packed straight
   from the family's ends and only that coefficient is read, by
-  pbw.word_coefficient; no Multisegment or PBWElement is built.
+  pbw.word_coefficient; no Multisegment or PBWElement is built.  What
+  checks share, down to each (sigma, m)'s rank table, stays with the family.
 * verify_power_identity: the E-basis expansions of G(M_omega)**m and of
-  G(M at the replicated coset) agree up to one monomial v**e, with e
-  depending only on (k, m).  The exponent is measured, not asserted.
+  G(M at the replicated coset) agree up to one monomial v**e.  The claim is
+  e = -k C(m,2), the product-vanishing constants telescoped over the m
+  factors; e is measured and reported either way.
 
 Hypothesis violations yield skipped reports, so a sweep distinguishes
 "does not apply" from "contradicted", and so do the cases the sweep's
@@ -48,7 +50,7 @@ from .segcomb import (
     replicate,
     sigma0,
 )
-from .pbw import PBWElement, pack_segment, word_coefficient
+from .pbw import PBWElement, _Rank, pack_segment, word_coefficient
 from .pbw import product_expansion_guarded  # noqa: F401  (perfbench/spans.py patches it)
 from .symgroup import (
     Perm,
@@ -174,42 +176,55 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
     return _finish(check, case, claimed, computed, started)
 
 
+def _keep_members(A: BiSequence, *perms: Perm) -> None:
+    """Keeps the packed member of each permutation in A.derived, sorted, once
+    all of them permute 1..k and dominate sigma0; else HypothesisFailed."""
+    if any(tuple(sorted(p)) != identity(A.k) for p in perms):
+        raise HypothesisFailed(f"sigma and omega must permute 1..{A.k}")
+    ends = [[A.b[j - 1] for j in p] for p in perms]  # b_p(i), the right ends of M_p
+    if not all(a <= b + 1 for bs in ends for a, b in zip(A.a, bs)):  # as dominates_sigma0
+        raise HypothesisFailed("sigma and omega must dominate sigma0")
+    # Strong regularity makes the k segments [a_i, b_p(i)] nonempty and distinct.
+    for p, bs in zip(perms, ends):
+        A.derived["member", p] = tuple(sorted(map(pack_segment, A.a, bs)))
+
+
 def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> VerificationReport:
     """Vanishing and the monomial constant for one straightened product.
 
     Multiplies E(M at t_{m-1}(sigma) in the (m-1)-replication) by
     E(M_omega) and reads off the coefficient of the m-replicated element.
+    A.derived keeps its strong regularity, the packed members that passed
+    and per (sigma, m) the left word, target and rank table (none on a skip).
     """
     started = time.perf_counter()
-    k = A.k
+    sigma, omega, k = tuple(sigma), tuple(omega), A.k
     case = {"k": k, "m": m, "family": A.to_json(),
             "sigma": list(sigma), "omega": list(omega)}
     check = "product-vanishing"
+    derived = A.derived
     try:
         if m < 2:
             raise HypothesisFailed("m must be greater than 1")
-        if not is_strongly_regular(A):
+        if "strongly regular" not in derived:
+            derived["strongly regular"] = is_strongly_regular(A)
+        if not derived["strongly regular"]:
             raise HypothesisFailed(f"{A} is not strongly regular")
-        if any(tuple(sorted(p)) != identity(k) for p in (sigma, omega)):
-            raise HypothesisFailed(f"sigma and omega must permute 1..{k}")
-        bs = [A.b[j - 1] for j in sigma]  # b_sigma(i), the right ends of M_sigma
-        bo = [A.b[j - 1] for j in omega]
-        if not all(a <= b + 1 for a, b in zip(A.a * 2, bs + bo)):  # as dominates_sigma0
-            raise HypothesisFailed("sigma and omega must dominate sigma0")
+        if ("member", sigma) not in derived or ("member", omega) not in derived:
+            _keep_members(A, sigma, omega)
     except HypothesisFailed as exc:
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
 
-    # Strong regularity makes the k segments [a_i, b_sigma(i)] of M_sigma
-    # nonempty and distinct; t_j(sigma) repeats each of them j times.
-    s = list(map(pack_segment, A.a, bs))
-    o = tuple(sorted(map(pack_segment, A.a, bo)))
-    left, target = tuple(sorted(s * (m - 1))), tuple(sorted(s * m))
-    computed = word_coefficient({left + o: LaurentPoly.v(k * comb(m - 1, 2))},
-                                target, k * comb(m, 2))
-    if omega == sigma:
-        claimed = LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2)))
-    else:
-        claimed = LaurentPoly.zero()
+    if ("target", sigma, m) not in derived:
+        s = derived["member", sigma]  # t_j(sigma) repeats each of its segments j times
+        target = tuple(sorted(s * m))
+        derived["target", sigma, m] = tuple(sorted(s * (m - 1))), target, _Rank(target)
+    left, target, rank = derived["target", sigma, m]
+    word = left + derived["member", omega]
+    computed = word_coefficient({word: LaurentPoly.v(k * comb(m - 1, 2))},
+                                target, k * comb(m, 2), rank)
+    claimed = (LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2))) if omega == sigma
+               else LaurentPoly.zero())
     return _finish(check, case, claimed, computed, started)
 
 
@@ -273,8 +288,8 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
                                   LaurentPoly.one(), "fail",
                                   f"NotMonomialRatio: {exc}",
                                   elapsed=time.perf_counter() - started)
-    mono = LaurentPoly.v(e)
-    return _finish(check, case, mono, mono, started, measured_exponent=e)
+    claimed = LaurentPoly.v(-A.k * comb(m, 2))  # product-vanishing constants, telescoped
+    return _finish(check, case, claimed, LaurentPoly.v(e), started, measured_exponent=e)
 
 
 def _sweep_cases(kmax: int, mmax: int) -> list[tuple]:

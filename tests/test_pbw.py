@@ -424,6 +424,11 @@ def _rank(segments, i, j):
     return sum(1 for s in segments if s.a <= i and j <= s.b)
 
 
+def _cut(w, t):
+    """Whether the rank table of the sorted word t rules out reaching it from w."""
+    return pbw._Rank(t).slack(w) is None
+
+
 def cut_by_definition(word, target):
     """Whether the end multisets differ, or some r_ij of the word exceeds the
     target's, i a left end and j a right end of the target with i <= j."""
@@ -456,8 +461,8 @@ def test_rank_cut_matches_its_definition(segments, rnd):
     w = pbw._pack_word(segments)
     for target in (paired, others, segments, shared):
         t = _sorted_word(target)
-        assert pbw._cannot_reach(w, t) == cut_by_definition(segments, target)
-    assert not pbw._cannot_reach(w, _sorted_word(segments))
+        assert _cut(w, t) == cut_by_definition(segments, target)
+    assert not _cut(w, _sorted_word(segments))
 
 
 def _in_play(finished, target):
@@ -476,9 +481,10 @@ def test_rank_pruning_keeps_what_reaches_the_target(segments, rnd):
                    segments[:k] + _paired_again(segments[k:], rnd)):
         t = _sorted_word(target)
         rank = pbw._Rank(t)
-        in_play = (rank.base - sum(rank[x] for x in w)) & rank.guard == rank.guard
+        s = rank.base - sum(rank[x] for x in w)
+        in_play = s & rank.guard == rank.guard
         assert in_play == (not cut_by_definition(segments, target))
-        got, want = pbw._rewrite(w, EXCH, rank), pbw._rewrite(w, EXCH)
+        got, want = pbw._rewrite(w, EXCH, rank, s), pbw._rewrite(w, EXCH)
         assert got.get(t) == want.get(t)
         # a subset with the same coefficients; from a word in play, exactly
         # the words the rank lemma leaves in play
@@ -493,10 +499,11 @@ def test_rank_pruning_keeps_what_reaches_the_target(segments, rnd):
     (((2, 3), (1, 4)), ((1, 3), (2, 4)), True),      # r_14 = 1 > 0
     (((2, 4), (1, 3)), ((2, 3), (1, 4)), False),     # the exchange reaches it
     (((2, 4), (1, 3)), ((1, 3), (2, 4)), False),     # the transposition does
+    (((2, 3), (2, 4)), ((1, 3), (2, 4)), True),      # left ends differ, no r_ij above
 ])
 def test_rank_cut_examples(word, target, cut):
     t = _sorted_word(Segment(a, b) for a, b in target)
-    assert pbw._cannot_reach(pbw._pack_word(Segment(a, b) for a, b in word), t) == cut
+    assert _cut(pbw._pack_word(Segment(a, b) for a, b in word), t) == cut
 
 
 def test_reader_rewrites_no_cut_word(monkeypatch):
@@ -566,7 +573,8 @@ def test_ranked_reachable_matches_the_oracle(segments, rnd):
     for target in (_paired_again(segments, rnd),
                    segments[:k] + _paired_again(segments[k:], rnd)):
         if not cut_by_definition(segments, target):
-            got = pbw._rewrite(w, ONE, pbw._Rank(_sorted_word(target)))
+            rank = pbw._Rank(_sorted_word(target))
+            got = pbw._rewrite(w, ONE, rank, rank.slack(w))
             assert _unpacked(got) == _in_play(want, target)
 
 
@@ -630,7 +638,8 @@ def test_ranked_count_leaves_out_an_exchange_out_of_play(monkeypatch):
     w = pbw._pack_word([seg(2, 4), seg(1, 3)])
     target = tuple(sorted(w))
     passes = _record_passes(monkeypatch)
-    assert pbw._rewrite(w, ONE, pbw._Rank(target)) == {target: ONE}
+    rank = pbw._Rank(target)
+    assert pbw._rewrite(w, ONE, rank, rank.slack(w)) == {target: ONE}
     assert passes == [(w, [])]
     passes.clear()
     exchanged = pbw._pack_word([seg(2, 3), seg(1, 4)])
@@ -651,6 +660,7 @@ def test_heaviest_product_word_pops_at_most_four(monkeypatch):
     assert _unpacked(pbw._rewrite(w, ONE)) == want
     assert len(passes) <= 4
     passes.clear()
-    ranked = pbw._rewrite(w, ONE, pbw._Rank(_sorted_word(target)))
+    rank = pbw._Rank(_sorted_word(target))
+    ranked = pbw._rewrite(w, ONE, rank, rank.slack(w))
     assert _unpacked(ranked) == _in_play(want, target)
     assert len(passes) <= 4

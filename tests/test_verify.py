@@ -1,4 +1,5 @@
 import json
+import random
 from math import comb
 
 import pytest
@@ -163,6 +164,13 @@ def test_prop1_examples():
     assert r.passed and r.computed == V(-1)
 
 
+@pytest.mark.parametrize("sigma, omega", [([1, 2], (1, 2)), ((2, 1), [2, 1])])
+def test_prop1_takes_sigma_and_omega_as_any_sequence(sigma, omega):
+    # a list and a tuple of the same permutation are the same case
+    r = verify_prop1(BiSequence((1, 5), (7, 5)), sigma, omega, 2)
+    assert r.passed and r.claimed == r.computed == V(-2)
+
+
 def test_prop1_constant_shape():
     # f(k, m) = k (C(m-1,2) - C(m,2)) on diagonal cases
     for k, m, f in ((1, 2, -1), (2, 2, -2), (2, 3, -4), (3, 2, -3)):
@@ -232,8 +240,49 @@ def test_packed_prop1_matches_the_multisegment_route_on_shifted_families(case, m
 def test_prop1_rejects_ends_past_32_bits(edge):
     A = construct_strongly_regular((1, 3, 2))
     d = -2**31 - min(A.a) - 1 if edge == "low" else 2**31 - max(A.b)
-    with pytest.raises(ValueError, match="outside"):
-        verify_prop1(_shifted(A, d), (1, 3, 2), (3, 2, 1), 2)
+    B = _shifted(A, d)
+    for _ in range(2):  # the family keeps nothing of the first call
+        with pytest.raises(ValueError, match="outside"):
+            verify_prop1(B, (1, 3, 2), (3, 2, 1), 2)
+
+
+def _outputs(r):
+    return r.status, r.reason, r.claimed, r.computed
+
+
+def test_prop1_on_shared_families_matches_fresh_ones(monkeypatch):
+    # every sigma, omega in S_k of each family, so with the skips below
+    # sigma0 and one that is no permutation, at m = 2 and 3 in a shuffled
+    # order on shared family objects: the reports of fresh families, and
+    # one rank table per (family, sigma, m) that passes
+    tables, rank = [], verify_module._Rank
+
+    def counted(target):
+        tables.append(target)
+        return rank(target)
+
+    shared = {A: BiSequence(A.a, A.b) for A, _, _ in _PROP1_CASES}
+    runs = [(B, sigma, omega, m) for A, B in shared.items()
+            for sigma in all_perms(A.k) for omega in [*all_perms(A.k), (1,) * (A.k + 1)]
+            for m in (2, 3)]
+    random.Random(23).shuffle(runs)
+    fresh = [_outputs(verify_prop1(BiSequence(B.a, B.b), *case)) for B, *case in runs]
+    monkeypatch.setattr(verify_module, "_Rank", counted)
+    assert [_outputs(verify_prop1(*run)) for run in runs] == fresh
+    assert {r[0] for r in fresh} == {"pass", "skipped"}
+    built = {(B, sigma, m) for (B, sigma, _, m), r in zip(runs, fresh) if r[0] == "pass"}
+    assert len(tables) == len(built)
+
+
+def test_prop1_on_a_warm_family_skips_as_on_a_fresh_one():
+    A = BiSequence((6, 12), (12, 6))  # sigma0 = 21
+    assert verify_prop1(A, (2, 1), (2, 1), 2).passed
+    for sigma, omega, reason in [((2, 1), (1, 1), "sigma and omega must permute 1..2"),
+                                 ((2, 1), (1, 2), "sigma and omega must dominate sigma0"),
+                                 ((1, 2), (2, 1), "sigma and omega must dominate sigma0")]:
+        for B in (A, A, BiSequence(A.a, A.b)):
+            r = verify_prop1(B, sigma, omega, 2)
+            assert (r.status, r.reason) == ("skipped", f"HypothesisFailed: {reason}")
 
 
 def test_prop1_builds_no_segment_objects(monkeypatch):
@@ -272,6 +321,22 @@ def test_power_exponent_past_the_sweep_at_k_2(table, m, exponent):
     for s0, omega in cases:
         r = verify_power_identity(table, construct_strongly_regular(s0), omega, m)
         assert r.passed and r.measured_exponent == exponent == -2 * comb(m, 2)
+
+
+def test_power_identity_claims_the_telescoped_exponent(table, monkeypatch):
+    # the claim is -k C(m, 2); a product side scaled by v measures one more
+    A = BiSequence((1, 5), (7, 5))
+    r = verify_power_identity(table, A, (1, 2), 3)
+    assert r.passed and r.claimed == r.computed == V(-6)
+    power = verify_module.g_star_power_with_taint
+
+    def scaled(*args):
+        product, tainted = power(*args)
+        return PBWElement({mseg: c * V(1) for mseg, c in product.terms().items()}), tainted
+
+    monkeypatch.setattr(verify_module, "g_star_power_with_taint", scaled)
+    r = verify_power_identity(table, A, (1, 2), 3)
+    assert (r.status, r.claimed, r.computed, r.measured_exponent) == ("fail", V(-6), V(-5), -5)
 
 
 def test_power_identity_gate(table):
