@@ -26,8 +26,10 @@ top coefficients of every entry of that row anyway.  The swapped fields
 a, b of s lie in one block of positions, a // m == b // m, exactly when
 s y leaves the minimal representatives, which never happens for m = 1;
 there the q-variant gets nothing and the -1-variant gets (1 + q) p_y.
-Every other pair {y, sy} gets p_y + q p_{sy} at both members.  Module
-entries can vanish below w, so vanished entries are dropped from a row.
+Every other pair {y, sy} gets p_y + q p_{sy} at both members.  The kernel
+reads which case a pair is, and the mask that swaps its fields, from one
+table per m (_pair_table).  Module entries can vanish below w, so vanished
+entries are dropped from a row.
 Rows are cached in memory with a size cap, and the polynomials actually
 asked for are memoized in a KLTable, optionally persisted as an append-only
 JSON-lines file: one record per comparable, off-diagonal pair looked up,
@@ -58,12 +60,15 @@ Inside the row recursion both permutations and polynomials are single ints:
   Kazhdan-Lusztig basis, nonnegative in every variant.  Python ints are
   exact in between, so no field can carry into the next unnoticed.
 
-Keys and polynomials leave the row layer decoded, in _lookup and in
+A miss replicates the keys of its pair in key space (_replicate_key), and
+polynomials leave the row layer decoded, in _lookup and in
 transition._cosets_below, whose signed sums _add_unpacked adds up field
 by field.  The pools behind the encoding belong to the KLTable: the key
 of each permutation asked about, the row keys, interned by the kernel as it
-creates them, the row values, the inverse and w0-conjugate images of each
-key, and the Bruhat order of each pair of keys compared, memoised as needed.
+creates them, the row values, pooled by the kernel where it makes a new
+value (a value copied from the row before is pooled already), the pair
+table of each m, the inverse and w0-conjugate images of each key, and the
+Bruhat order of each pair of keys compared, memoised as needed.
 
 Conjugation by w0 maps blocks of positions to blocks of the same size,
 hence cosets of W_m to cosets of W_m, and keeps the module polynomials;
@@ -94,7 +99,7 @@ from operator import or_
 from typing import Callable, Mapping
 
 from .poly import LaurentPoly
-from .symgroup import NotComparable, Perm, bruhat_leq, replicate_perm
+from .symgroup import NotComparable, Perm, bruhat_leq
 
 _ONE = LaurentPoly.one()
 
@@ -130,7 +135,7 @@ def _encode(w: Perm) -> int:
             key |= i << 4 * (n - v)
             inversions += (seen >> v).bit_count()
             seen |= 1 << v
-    except ValueError:  # a value above n or below 0: a negative shift
+    except (ValueError, TypeError):  # a value above n or below 0, or no int
         seen = 0
     if seen != (2 << n) - 2:
         raise ValueError(f"{w} is not a permutation of 1..{n}")
@@ -162,6 +167,29 @@ def _conj_key(key: int, n: int) -> int:
         out = out << 4 | (n - 1 - (fields & 15))
         fields >>= 4
     return out << 7 | key & _LEN_MASK
+
+
+def _replicate_key(key: int, k: int, m: int) -> int:
+    """The key of t_m(w) from the key of w in S_k: the value v of w at
+    position p becomes the values (v - 1) m + 1..v m at positions
+    p m..p m + m - 1, and the length is multiplied by m**2."""
+    if k * m > _MAX_N:
+        raise ValueError(f"keys hold at most {_MAX_N} letters, not {k * m}")
+    out = 0
+    for shift in range(_shift(1, k), 6, -4):
+        p = (key >> shift & 15) * m
+        for field in range(p, p + m):
+            out = out << 4 | field
+    return out << 7 | m * m * (key & _LEN_MASK)
+
+
+def _pair_table(m: int) -> list[int]:
+    """The pair table of W_m, indexed by a << 4 | b for the 4-bit fields a
+    of s and b of s + 1 in a key: 0 when a and b lie in one block of m
+    positions, else the mask (a ^ b) * 17 that swaps the two fields, with
+    the sign of b - a, positive exactly when s is a left ascent."""
+    return [0 if a // m == b // m else (a ^ b) * 17 if a < b else -(a ^ b) * 17
+            for a in range(16) for b in range(16)]
 
 
 def _s_left(key: int, s: int, n: int) -> tuple[int, bool]:
@@ -265,12 +293,20 @@ class KLTable:
     replaced (by another table's loader) and closed with the table.
 
     The table owns every pool: rows map keys to packed polynomials, _keys
-    interns each key of a row as the kernel creates it and _polys each value
-    of a finished row, _perm_keys holds the key of each permutation asked
-    about, _images per n the inverse and w0-conjugate of each key, _order
-    the Bruhat order of each pair of keys compared (_leq; keys of different
-    n >= 1 differ) and _avoids_213 whether verify_main_theorem's sigma0 keys
-    avoid 213.  The pools outlive evicted rows and go away with the table.
+    interns each key of a row as the kernel creates it and _polys each
+    value as the kernel makes it (in the main loop and in the corrections;
+    a value copied from the row before is pooled already), _pairs holds the
+    pair table of each m (_pair_table, built at the first row of that m),
+    _perm_keys the key of each permutation asked about, _images per n the
+    inverse and w0-conjugate of each key, _order the Bruhat order of each
+    pair of keys compared (_leq; keys of different n >= 1 differ) and
+    _avoids_213 whether verify_main_theorem's sigma0 keys avoid 213.  The
+    pools outlive evicted rows and go away with the table.
+
+    A permutation is checked when the table first keys it (_encode) and
+    found by equality after that, so once (1, 2) is keyed its equal twin
+    (1.0, 2) gets the same answers; a type check per hit would slow every
+    warm lookup.
 
     Concurrent use is safe: all writers compute identical values, so the
     last-write-wins inserts are benign, and the persistence writer is
@@ -291,6 +327,7 @@ class KLTable:
         self._images: dict[int, tuple[_Images, _Images]] = {}
         self._order: dict[tuple[int, int], bool] = {}
         self._avoids_213: dict[int, bool] = {}
+        self._pairs: dict[int, list[int]] = {}  # m -> _pair_table(m)
         self._lock = threading.Lock()
         self._path = os.fspath(path) if path is not None else None
         self._fh = self._close = None  # the append handle, and its finalizer
@@ -465,29 +502,28 @@ def _compute_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int
     # read at the descents, and in the -1-variant also off (1 + q) p_z,
     # whose top coefficient is that of p_z.
     lo = _shift(s + 1, n)
-    hi = lo + 4
     lsw = lw - 1
+    pairs = table._pairs.get(m) or table._pairs.setdefault(m, _pair_table(m))
     cand: dict[int, int] = {}
     corrections: list[tuple[int, int]] = []
-    get, intern = prev.get, table._keys.setdefault
+    get, intern, pool = prev.get, table._keys.setdefault, table._polys.setdefault
     for z, pz in prev.items():
-        a = z >> hi & 15
-        b = z >> lo & 15
-        if a // m == b // m:
-            if not neg1:
-                continue  # eigenvalue -1: the two contributions cancel
-            cand[z] = pz + (pz << 32)  # eigenvalue q: a factor 1 + q
-        elif a < b:
-            t = (z ^ ((a ^ b) * 17 << lo)) + 1
+        x = pairs[z >> lo & 255]
+        if x > 0:  # an ascent
+            t = (z ^ (x << lo)) + 1
             t = intern(t, t)
             pt = get(t)
-            cand[z] = cand[t] = pz if pt is None else pz + (pt << 32)
+            cand[z] = cand[t] = pz if pt is None else pool(p := pz + (pt << 32), p)
             continue
-        else:
-            t = (z ^ ((a ^ b) * 17 << lo)) - 1
+        if x:  # a descent
+            t = (z ^ (-x << lo)) - 1
             if t not in prev:
                 t = intern(t, t)
-                cand[z] = cand[t] = pz << 32
+                cand[z] = cand[t] = pool(p := pz << 32, p)
+        elif neg1:
+            cand[z] = pool(p := pz + (pz << 32), p)  # eigenvalue q: a factor 1 + q
+        else:
+            continue  # eigenvalue -1: the two contributions cancel
         d = lsw - (z & _LEN_MASK)
         if d & 1:
             # the coefficient of q**((d - 1) / 2), nonzero only at the
@@ -496,25 +532,28 @@ def _compute_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int
             if mu:
                 corrections.append((z, mu))
 
+    vanished = False
     for z, mu in corrections:
         shift = (lw - (z & _LEN_MASK)) >> 1 << 5
         for x, px in _row(table, z, n, m, neg1).items():
             p = cand.get(x, 0) - (mu * px << shift)
             if p:
-                cand[x] = p
+                cand[x] = pool(p, p)
             else:
                 del cand[x]
+                vanished = True
 
-    return _finish_row(table, cand)
+    # a dict keeps the slots of deleted entries, which a copy sheds
+    return _finish_row(dict(cand) if vanished else cand)
 
 
-def _finish_row(table: KLTable, cand: dict[int, int]) -> dict[int, int]:
-    """Intern the values of a row whose keys the kernel interned; raise if
-    a coefficient reached 2**24 (or went negative), see the module docstring."""
-    values = cand.values()
-    if reduce(or_, values, 0) & _OVERFLOW:
+def _finish_row(cand: dict[int, int]) -> dict[int, int]:
+    """The finished row cand, whose keys and values the kernel pooled;
+    raise if a coefficient reached 2**24 (or went negative), see the
+    module docstring."""
+    if reduce(or_, cand.values(), 0) & _OVERFLOW:
         raise OverflowError("a Kazhdan-Lusztig coefficient reached 2**24")
-    return dict(zip(cand, map(table._polys.setdefault, values, values)))
+    return cand
 
 
 def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
@@ -540,15 +579,15 @@ def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
             f"t_{m}({sigma}) is not below t_{m}({omega}) in Bruhat order")
     k = len(omega)
     members = _pair_class(table, s, w, k, m)
-    bottom, top = _decode(members[0][0], k), _decode(members[0][1], k)
-    ts, tw = replicate_perm(bottom, m), replicate_perm(top, m)
-    row = _row(table, _encode(tw), len(tw), m, m > 1 and variant == "neg1")
-    p = _unpack(row.get(_encode(ts), 0))
+    bottom, top = members[0]
+    row = _row(table, _replicate_key(top, k, m), k * m, m, m > 1 and variant == "neg1")
+    p = _unpack(row.get(_replicate_key(bottom, k, m), 0))
     kind = (m, variant) if m > 1 else ()
     for pair in members:
         table._final[(*kind, *pair)] = p
     rec = {"m": m, "v": variant} if m > 1 else {}
-    table._persist({**rec, "n": len(tw), "s": list(bottom), "w": list(top)}, p)
+    table._persist({**rec, "n": k * m, "s": list(_decode(bottom, k)),
+                    "w": list(_decode(top, k))}, p)
     return p
 
 

@@ -568,14 +568,38 @@ def test_mismatched_sizes(table):
     ((1, 2, 3), (3, 2, 4)),
     ((0, 1, 2), (1, 2, 3)),
     ((-1, 2, 1), (3, 2, 1)),
+    ((1.0, 2), (2, 1)),
+    ((1, 2, 3), (3, None, 1)),
 ], ids=["s-repeats", "w-repeats", "sizes-differ", "value-above-n", "value-zero",
-        "value-negative"])
+        "value-negative", "value-float", "value-none"])
 def test_non_permutations_raise_and_write_no_record(tmp_path, fn, s, w):
     path = tmp_path / "cache.jsonl"
     t = KLTable(path)
     with pytest.raises(ValueError):
         fn(t, s, w)
     assert not t._final and not path.exists()
+
+
+def test_a_warm_table_answers_an_equal_twin():
+    # a lookup finds keys by equality, so (1.0, 2) raises only where (1, 2)
+    # was never keyed
+    t = KLTable()
+    with pytest.raises(ValueError, match="not a permutation"):
+        kl_poly(t, (1.0, 2), (2, 1))
+    assert kl_poly(t, (1, 2), (2, 1)).is_one()
+    assert kl_poly(t, (1.0, 2), (2, 1)).is_one()
+
+
+@pytest.mark.parametrize("fn, at_16", [(parabolic_kl_q, {6: 1}), (parabolic_kl_neg1, {0: 1})],
+                         ids=["q", "neg1"])
+def test_parabolic_past_the_key_width_raises(tmp_path, fn, at_16):
+    # t_4 of S_5 has 20 letters; keys hold 16
+    path = tmp_path / "cache.jsonl"
+    t = KLTable(path)
+    with pytest.raises(ValueError, match="at most 16 letters"):
+        fn(t, identity(5), (2, 1, 3, 4, 5), 4)
+    assert not t._final and not path.exists()
+    assert fn(t, identity(4), (2, 1, 3, 4), 4) == Q(at_16)  # t_4 of S_4: 16 letters
 
 
 # Pairs asked in the memo file tests: every comparable pair of S_4, and

@@ -27,6 +27,8 @@ from klforge.kl import (
     _left_descent,
     _LEN_MASK,
     _pair_class,
+    _pair_table,
+    _replicate_key,
     _row,
     _s_left,
     _unpack,
@@ -76,6 +78,27 @@ def test_more_than_16_letters_rejected():
         _encode(tuple(range(1, 18)))
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_replicated_keys_are_keys_of_replicated_permutations(k):
+    for m in range(1, 16 // k + 1):
+        for w in all_perms(k):
+            assert _replicate_key(_encode(w), k, m) == _encode(replicate_perm(w, m)), (w, m)
+    with pytest.raises(ValueError, match="at most 16 letters"):
+        _replicate_key(_encode(tuple(range(k, 0, -1))), k, 16 // k + 1)
+
+
+def test_pair_table_against_its_definition():
+    for m in range(1, 17):
+        table = _pair_table(m)
+        assert len(table) == 256
+        for a in range(16):
+            for b in range(16):
+                x = table[a << 4 | b]
+                assert (x == 0) == (a // m == b // m), (m, a, b)
+                if x:
+                    assert (x > 0) == (a < b) and abs(x) == (a ^ b) * 17, (m, a, b)
+
+
 def test_unpack():
     assert _unpack(0).as_q_polynomial() == {}
     assert _unpack(1).as_q_polynomial() == {0: 1}
@@ -85,12 +108,12 @@ def test_unpack():
 @pytest.mark.parametrize("degree", [0, 1, 7])
 def test_coefficient_of_2_pow_24_raises(degree):
     key = _encode((2, 1))
-    row = _finish_row(KLTable(), {key: ((1 << 24) - 1) << 32 * degree})
+    row = _finish_row({key: ((1 << 24) - 1) << 32 * degree})
     assert _unpack(row[key]).as_q_polynomial() == {degree: (1 << 24) - 1}
     with pytest.raises(OverflowError):
-        _finish_row(KLTable(), {key: 1 << 24 << 32 * degree})
+        _finish_row({key: 1 << 24 << 32 * degree})
     with pytest.raises(OverflowError):
-        _finish_row(KLTable(), {_encode((1, 2)): 1, key: -1})
+        _finish_row({_encode((1, 2)): 1, key: -1})
 
 
 def test_finished_rows_share_pooled_keys_and_values():
@@ -164,7 +187,8 @@ def test_tables_share_no_order_memo(monkeypatch):
     x, y = (1, 3, 2), (3, 2, 1)
     assert kl_module.kl_poly(a, x, y).is_one() and a._leq(_encode(x), _encode(y), x, y)
     assert len(calls) == 1
-    pools = ("_final", "_rows", "_keys", "_perm_keys", "_polys", "_images", "_order")
+    pools = ("_final", "_rows", "_keys", "_perm_keys", "_polys", "_images", "_order",
+             "_pairs")
     assert all(getattr(a, name) for name in pools)
     assert not any(getattr(b, name) for name in pools)
     assert kl_module.kl_poly(b, x, y).is_one()

@@ -71,7 +71,9 @@ def test_main_theorem_hypothesis_filter(table):
     ((1, 2), (1, 2, 3), (3, 2, 1)),
     ((1, 2, 3), (1, 2, 3), (3, 2, 2)),
     ((1, 2, 3), (1, 1, 3), (3, 2, 1)),
-], ids=["sizes-differ", "omega-repeats-a-value", "sigma-repeats-a-value"])
+    ((1.0, 2), (1, 2), (2, 1)),  # keyed first: later twins find (1, 2)'s key
+], ids=["sizes-differ", "omega-repeats-a-value", "sigma-repeats-a-value",
+        "sigma0-holds-a-float"])
 def test_main_theorem_skips_what_is_not_a_permutation(tmp_path, s0, sigma, omega):
     table = KLTable(tmp_path / "memo.jsonl")
     r = verify_main_theorem(table, s0, sigma, omega, 2)
@@ -108,6 +110,15 @@ def test_main_theorem_past_the_key_width_is_no_skip(table):
         verify_main_theorem(table, w, w, w, 2)
     with pytest.raises(ValueError, match="at most 16 letters"):
         verify_main_theorem(table, w, w, (2, 2, *w[2:]), 2)
+
+
+def test_main_theorem_past_the_replicated_key_width_is_no_skip(table):
+    # S_5 keys fit, but t_4 of S_5 has 20 letters
+    e = identity(5)
+    with pytest.raises(ValueError, match="at most 16 letters"):
+        verify_main_theorem(table, e, e, (2, 1, 3, 4, 5), 4)
+    r = verify_main_theorem(table, e[:4], e[:4], (2, 1, 3, 4), 4)
+    assert r.status == "pass" and r.computed == V(-12)  # q^6 at 16 letters
 
 
 def test_main_theorem_tests_213_once_per_sigma0_and_table(monkeypatch):
