@@ -50,20 +50,24 @@ equal end multisets.  Steps keep the counts; the exchange (x, y) ->
 word once a guard bit clears.  Equal words have equal slack, so merging is
 unchanged.  No table, no pruning: the product has no target.
 
-Rewriting pops one pending word at a time and insertion-sorts it in one
-pass.  The pass transposes each adjacent inversion (p, z) it meets, and one
-that shares an end adds -1 to a running exponent e.  When p, z are linked
-in general position and, given a rank table, their exchange stays in play,
-the partial word with (cap, cup) in place of (p, z) is set pending with
-c * v**e * (v**-1 - v), c the popped word's coefficient; the sorted word
-finishes with c * v**e.  Words are keyed in a map, so duplicates merge
-eagerly, and a word with no exchange to meet is popped once and sets none
-pending.  An exchange either removes an inversion or splits endpoints into
-a strictly more nested pair, so the process terminates.  Confluence is
-checked by test, not assumed: the Segment-object oracle, rewriting one
-inversion at a time and picking the leftmost, the rightmost or a random
-one, must reach the same normal form, so the order in which the pass meets
-the pairs does not change the result.
+Rewriting takes one map of pending words, pops one word at a time and
+insertion-sorts it in one pass.  The pass transposes each adjacent
+inversion (p, z) it meets, and one that shares an end adds -1 to a running
+exponent e.  When p, z are linked in general position and, given a rank
+table, their exchange stays in play, the partial word with (cap, cup) in
+place of (p, z) is set pending with c * v**e * (v**-1 - v), c the popped
+word's coefficient; the sorted word finishes with c * v**e.  Words are
+keyed in a map, so duplicates merge eagerly, and a word with no exchange to
+meet is popped once and sets none pending.  An exchange either removes an
+inversion or splits endpoints into a strictly more nested pair, so the
+process terminates.  Confluence is checked by test, not assumed: the
+Segment-object oracle, rewriting one inversion at a time and picking the
+leftmost, the rightmost or a random one, must reach the same normal form,
+so the order in which the pass meets the pairs does not change the result.
+It also lets a product straighten factor by factor: product_expansion_guarded
+follows each sorted word of the normal form so far by each monomial of the
+next factor and rewrites all of these words in one map, so equal partial
+products merge.  word_coefficient puts every word in play into one map.
 
 The rewriting runs on packed words.  A segment [a, b] is the int
 ((b + 2**31) << 32) | (a + 2**31), whose int order is the segment order
@@ -263,14 +267,15 @@ def _exchanged(x: int, y: int, s: int, rank: _Rank | None):
     return pair, s
 
 
-def _rewrite(word: Word, prefix: LaurentPoly, rank: _Rank | None = None,
-             s: int = 0) -> dict[Word, LaurentPoly]:
-    """The straightening loop: the sorted words the word reaches, with their
-    coefficients; s is the word's slack under the rank table.  Each pending
-    word is sorted in one pass (_insertion_pass)."""
-    pending: dict[Word, LaurentPoly] = {word: prefix}
+def _rewrite(pending: dict[Word, LaurentPoly], rank: _Rank | None = None,
+             slack: dict[Word, int] | None = None) -> dict[Word, LaurentPoly]:
+    """The straightening loop: the sorted words the pending words reach, with
+    their coefficients.  It consumes pending; slack maps each pending word to
+    its slack under the rank table (0 without one).  Each pending word is
+    sorted in one pass (_insertion_pass)."""
     finished: dict[Word, LaurentPoly] = {}
-    slack = {word: s}
+    if slack is None:
+        slack = dict.fromkeys(pending, 0)
     while pending:
         w, c = pending.popitem()
         u, e = _insertion_pass(w, c, slack[w], rank, pending, slack)
@@ -311,35 +316,26 @@ def _collect(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPol
     return out
 
 
-def _product_words(factors: Iterable[PBWElement]) -> dict[Word, LaurentPoly]:
-    """Every choice of one monomial per factor, concatenated, with the basis
-    prefactors multiplied in and equal words summed."""
-    words: dict[Word, LaurentPoly] = {(): LaurentPoly.one()}
-    for factor in factors:
-        pieces = [(_pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m)))
-                  for m, c in factor.terms().items()]
-        expanded: dict[Word, LaurentPoly] = {}
-        for w, coeff in words.items():
-            for piece, c in pieces:
-                _accumulate(expanded, w + piece, coeff * c)
-        words = expanded
-    return words
-
-
 def product_expansion_guarded(
     factors: Iterable[PBWElement],
 ) -> tuple[PBWElement, frozenset[Multisegment]]:
     """Product of basis-element combinations, exactly, and an empty set.
 
-    Every choice of one monomial per factor is concatenated, equal words are
-    summed, and each is rewritten.  The empty second half keeps the pair that
-    perfbench/spans.py unpacks.
+    Factor by factor, each sorted word of the normal form so far is followed
+    by each monomial of the factor, its basis prefactor multiplied in, and
+    all of these words are rewritten together, so equal partial products
+    merge.  The empty second half keeps the pair that perfbench/spans.py
+    unpacks.
     """
-    exact: dict[Word, LaurentPoly] = {}
-    for w, coeff in _product_words(factors).items():
-        for fw, c in _rewrite(w, coeff).items():
-            _accumulate(exact, fw, c)
-    return PBWElement(_collect(exact)), frozenset()
+    normal: dict[Word, LaurentPoly] = {(): LaurentPoly.one()}
+    for factor in factors:
+        pending: dict[Word, LaurentPoly] = {}
+        for m, c in factor.terms().items():
+            piece, c = _pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m))
+            for w, coeff in normal.items():
+                _accumulate(pending, w + piece, coeff * c)
+        normal = _rewrite(pending)
+    return PBWElement(_collect(normal)), frozenset()
 
 
 def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
@@ -347,16 +343,15 @@ def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
     """The exact coefficient of E(target) in the sum of the product words.
     Each word's coefficient carries its basis prefactors; target is a sorted
     word, exponent the exponent of its own prefactor, and rank its table,
-    built here when the caller keeps none.  Rewriting prunes by the rank
-    lemma."""
-    total = LaurentPoly.zero()
+    built here when the caller keeps none.  The words in play are rewritten
+    together, pruned by the rank lemma; none in play, none is rewritten."""
     if rank is None:
         rank = _Rank(target)
+    pending: dict[Word, LaurentPoly] = {}
+    slack: dict[Word, int] = {}
     for w, coeff in words.items():
         s = rank.slack(w)
-        if s is None:
-            continue
-        finished = _rewrite(w, coeff, rank, s)
-        if target in finished:
-            total = total + finished[target]
-    return total if total.is_zero() else total * _V(-exponent)
+        if s is not None:
+            pending[w], slack[w] = coeff, s
+    c = _rewrite(pending, rank, slack).get(target) if pending else None
+    return LaurentPoly.zero() if c is None else c * _V(-exponent)

@@ -33,7 +33,6 @@ from klforge.pbw import (
     PBWElement,
     _accumulate,
     _pack_word,
-    _product_words,
     e_star_prefactor_exponent,
     word_coefficient,
 )
@@ -663,10 +662,25 @@ def pbw_from_json(data) -> PBWElement:
     return PBWElement(out)
 
 
+def product_words(factors) -> dict[tuple[int, ...], LaurentPoly]:
+    """Every choice of one monomial per factor, concatenated as packed words,
+    with the basis prefactors multiplied in and equal words summed."""
+    words: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one()}
+    for factor in factors:
+        pieces = [(_pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m)))
+                  for m, c in factor.terms().items()]
+        expanded: dict[tuple[int, ...], LaurentPoly] = {}
+        for w, coeff in words.items():
+            for piece, c in pieces:
+                _accumulate(expanded, w + piece, coeff * c)
+        words = expanded
+    return words
+
+
 def product_coefficient_guarded(factors, target: Multisegment) -> LaurentPoly:
     """The exact coefficient of E(target) in the product of the PBWElements:
     pbw.word_coefficient on the product words."""
-    return word_coefficient(_product_words(factors), _pack_word(target.segments()),
+    return word_coefficient(product_words(factors), _pack_word(target.segments()),
                             e_star_prefactor_exponent(target))
 
 

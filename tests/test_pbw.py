@@ -13,6 +13,7 @@ from helpers import (
     pbw_to_json,
     product_coefficient_guarded,
     product_expansion_guarded_oracle,
+    product_words,
     rewrite_oracle,
     segment_less,
     straighten_oracle,
@@ -49,20 +50,38 @@ def straighten(*pairs):
     return product_expansion_guarded(single_segment_factors(seg(a, b) for a, b in pairs))
 
 
+def _record_rewrites(monkeypatch):
+    """Each pending map pbw._rewrite is called with, copied before the call
+    consumes it."""
+    calls, rewrite = [], pbw._rewrite
+
+    def recorded(pending, *args):
+        calls.append(dict(pending))
+        return rewrite(pending, *args)
+
+    monkeypatch.setattr(pbw, "_rewrite", recorded)
+    return calls
+
+
 def test_segment_less():
     assert segment_less(seg(5, 5), seg(1, 7))
     assert segment_less(seg(1, 4), seg(2, 4))
     assert not segment_less(seg(2, 4), seg(2, 4))
 
 
-def test_e_star():
-    # the defining word of E(M): sorted segments and the v-power prefactor
+def test_e_star(monkeypatch):
+    # the defining word of E(M): sorted segments and the v-power prefactor,
+    # the one word the product of E(M) alone rewrites
+    pending = _record_rewrites(monkeypatch)
     for m, segments, e in ((mseg((3, 5)), [(3, 5)], 0),
                            (2 * mseg((1, 2)), [(1, 2), (1, 2)], 1),
                            (mseg((5, 5), (1, 7)), [(5, 5), (1, 7)], 0)):
         assert e_star_prefactor_exponent(m) == e
         word = pbw._pack_word(seg(a, b) for a, b in segments)
-        assert pbw._product_words([PBWElement.basis(m)]) == {word: V(e)}
+        pending.clear()
+        assert product_expansion_guarded([PBWElement.basis(m)]) == (
+            PBWElement.basis(m), frozenset())
+        assert pending == [{word: V(e)}]
 
 
 def test_straighten_linked_pair():
@@ -231,7 +250,7 @@ def _unpacked(words: dict) -> dict:
 def check_straighten(segments, prefix):
     """The packed kernel, insertion-sorting each pending word in one pass,
     against the oracle rewriting the leftmost inversion each time."""
-    got = pbw._rewrite(pbw._pack_word(segments), prefix)
+    got = pbw._rewrite({pbw._pack_word(segments): prefix})
     assert _unpacked(got) == rewrite_oracle(segments, prefix)
 
 
@@ -265,23 +284,28 @@ def test_packed_kernel_matches_oracle_seeded():
 
 
 def test_guarded_product_drops_cancelled_words(monkeypatch):
-    # (D, A, B, C) arises from D.A.(B+C) and D.(A+B).C with opposite signs,
-    # so it cancels before any word is rewritten; (D, A, C) transposes D and
-    # A, which share a left end, and D and C, which commute
+    # one rewrite per factor.  In y z, (A, B, C) arises from A.(B C) and
+    # (A B).(-C), so it cancels in the pending map before it is rewritten.
+    # In x y z, D moves behind A, with which it shares a left end, and
+    # behind B and C, with which it commutes, so (A, D, B, C) and
+    # (A, B, D, C) cancel as they finish
     A, B, C, D = (1, 2), (4, 5), (7, 8), (1, 10)
     x = PBWElement.basis(mseg(D))
     y = PBWElement({mseg(A): ONE, mseg(A, B): ONE})
     z = PBWElement({mseg(B, C): ONE, mseg(C): -ONE})
     check_product([x, y, z])
-    rewritten, rewrite = [], pbw._rewrite
-
-    def recorded(w, *args):
-        rewritten.append(w)
-        return rewrite(w, *args)
-
-    monkeypatch.setattr(pbw, "_rewrite", recorded)
+    check_product([y, z, x])
+    pending = _record_rewrites(monkeypatch)
+    exact, _ = product_expansion_guarded([y, z, x])
+    abc, ac = (pbw._pack_word(seg(*p) for p in w) for w in ((A, B, C), (A, C)))
+    assert len(pending) == 3
+    assert abc not in pending[1] and pending[1][ac] == -ONE
+    assert exact.coefficient(mseg(A, B, C, D)).is_zero()
+    assert exact.coefficient(mseg(A, C, D)) == -ONE
+    pending.clear()
     exact, _ = product_expansion_guarded([x, y, z])
-    assert pbw._pack_word(seg(*p) for p in (D, A, B, C)) not in rewritten
+    dabc = pbw._pack_word(seg(*p) for p in (D, A, B, C))
+    assert len(pending) == 3 and not any(dabc in words for words in pending)
     assert exact.coefficient(mseg(A, B, C, D)).is_zero()
     assert exact.coefficient(mseg(A, C, D)) == -V(-1)
 
@@ -319,7 +343,7 @@ def test_packed_guarded_product_matches_oracle(factors):
 def test_juxtaposed_inversion_raises(word):
     w = pbw._pack_word(word)
     with pytest.raises(ValueError, match="juxtaposed"):
-        pbw._rewrite(w, ONE)
+        pbw._rewrite({w: ONE})
     with pytest.raises(ValueError, match="juxtaposed"):
         rewrite_oracle(word, ONE)
     with pytest.raises(ValueError, match="juxtaposed"):
@@ -412,8 +436,14 @@ def test_coefficient_reader_matches_expansion(factors, rnd):
     concat = sum((next(iter(f.terms())) for f in factors), Multisegment.empty())
     starts = [2 * rnd.randint(0, 9) for _ in range(mseg_total(concat))]
     other = Multisegment(Segment(a, 2 * rnd.randint(a // 2, 9)) for a in starts)
+    words = product_words(factors)
     for target in exact.support() | {concat, other}:
         assert product_coefficient_guarded(factors, target) == exact.coefficient(target), target
+        # one map of words reads the sum of what each word reads alone
+        t, e = pbw._pack_word(target.segments()), e_star_prefactor_exponent(target)
+        for rank in (None, pbw._Rank(t)):
+            alone = [pbw.word_coefficient({w: c}, t, e, rank) for w, c in words.items()]
+            assert pbw.word_coefficient(words, t, e, rank) == sum(alone, LaurentPoly.zero())
 
 
 def _ends(segments):
@@ -484,7 +514,7 @@ def test_rank_pruning_keeps_what_reaches_the_target(segments, rnd):
         s = rank.base - sum(rank[x] for x in w)
         in_play = s & rank.guard == rank.guard
         assert in_play == (not cut_by_definition(segments, target))
-        got, want = pbw._rewrite(w, EXCH, rank, s), pbw._rewrite(w, EXCH)
+        got, want = pbw._rewrite({w: EXCH}, rank, {w: s}), pbw._rewrite({w: EXCH})
         assert got.get(t) == want.get(t)
         # a subset with the same coefficients; from a word in play, exactly
         # the words the rank lemma leaves in play
@@ -516,6 +546,16 @@ def test_reader_rewrites_no_cut_word(monkeypatch):
     assert product_coefficient_guarded(factors, mseg((1, 4))) == LaurentPoly.zero()
 
 
+def test_reader_rewrites_the_words_in_play_together(monkeypatch):
+    # toward [1,3] [2,4], the words [2,4] [1,3] and [1,3] [2,4] are in play,
+    # the squares are not: one call rewrites both
+    pending = _record_rewrites(monkeypatch)
+    factors = [PBWElement({mseg((2, 4)): ONE, mseg((1, 3)): V(1)}),
+               PBWElement({mseg((1, 3)): ONE, mseg((2, 4)): ONE})]
+    assert product_coefficient_guarded(factors, mseg((1, 3), (2, 4))) == ONE + V(1)
+    assert [len(words) for words in pending] == [2]
+
+
 def test_reader_on_a_linked_pair():
     factors = [PBWElement.basis(mseg((2, 4))), PBWElement.basis(mseg((1, 3)))]
     assert product_coefficient_guarded(factors, mseg((1, 3), (2, 4))) == ONE
@@ -532,7 +572,7 @@ def test_reachable_keeps_ends_and_never_lowers_a_rank(segments):
     # every sorted word the rewriting reaches
     start = list(segments)
     points = [(i, j) for i in range(19) for j in range(i, 19)]
-    for w in pbw._rewrite(pbw._pack_word(segments), ONE):
+    for w in pbw._rewrite({pbw._pack_word(segments): ONE}):
         got = list(map(pbw._unpack, w))
         assert _ends(got) == _ends(start)
         assert all(_rank(got, i, j) >= _rank(start, i, j) for i, j in points)
@@ -559,7 +599,7 @@ def test_rewriting_is_confluent(segments, e, rnd):
 @given(st.lists(_even09, min_size=1, max_size=7))
 def test_reachable_matches_the_oracle(segments):
     # the insertion pass against one swap at a time
-    got = pbw._rewrite(pbw._pack_word(segments), ONE)
+    got = pbw._rewrite({pbw._pack_word(segments): ONE})
     assert _unpacked(got) == rewrite_oracle(tuple(segments), ONE)
 
 
@@ -574,7 +614,7 @@ def test_ranked_reachable_matches_the_oracle(segments, rnd):
                    segments[:k] + _paired_again(segments[k:], rnd)):
         if not cut_by_definition(segments, target):
             rank = pbw._Rank(_sorted_word(target))
-            got = pbw._rewrite(w, ONE, rank, rank.slack(w))
+            got = pbw._rewrite({w: ONE}, rank, {w: rank.slack(w)})
             assert _unpacked(got) == _in_play(want, target)
 
 
@@ -627,9 +667,9 @@ def test_one_transposition_leaves_no_exchange_ahead(monkeypatch):
     word = (seg(1, 9), seg(1, 7), seg(1, 5), seg(1, 3))
     w = pbw._pack_word(word)
     passes = _record_passes(monkeypatch)
-    assert pbw._rewrite(w, ONE) == {tuple(sorted(w)): V(-6)}
+    assert pbw._rewrite({w: ONE}) == {tuple(sorted(w)): V(-6)}
     assert passes == [(w, [])]
-    assert _unpacked(pbw._rewrite(w, ONE)) == rewrite_oracle(word, ONE)
+    assert _unpacked(pbw._rewrite({w: ONE})) == rewrite_oracle(word, ONE)
 
 
 def test_ranked_count_leaves_out_an_exchange_out_of_play(monkeypatch):
@@ -639,11 +679,11 @@ def test_ranked_count_leaves_out_an_exchange_out_of_play(monkeypatch):
     target = tuple(sorted(w))
     passes = _record_passes(monkeypatch)
     rank = pbw._Rank(target)
-    assert pbw._rewrite(w, ONE, rank, rank.slack(w)) == {target: ONE}
+    assert pbw._rewrite({w: ONE}, rank, {w: rank.slack(w)}) == {target: ONE}
     assert passes == [(w, [])]
     passes.clear()
     exchanged = pbw._pack_word([seg(2, 3), seg(1, 4)])
-    assert pbw._rewrite(w, ONE) == {target: ONE, exchanged: EXCH}
+    assert pbw._rewrite({w: ONE}) == {target: ONE, exchanged: EXCH}
     assert passes == [(w, [exchanged]), (exchanged, [])]
 
 
@@ -657,10 +697,10 @@ def test_heaviest_product_word_pops_at_most_four(monkeypatch):
     w, want = pbw._pack_word(word), rewrite_oracle(word, ONE)
     assert not cut_by_definition(word, target)
     passes = _record_passes(monkeypatch)
-    assert _unpacked(pbw._rewrite(w, ONE)) == want
+    assert _unpacked(pbw._rewrite({w: ONE})) == want
     assert len(passes) <= 4
     passes.clear()
     rank = pbw._Rank(_sorted_word(target))
-    ranked = pbw._rewrite(w, ONE, rank, rank.slack(w))
+    ranked = pbw._rewrite({w: ONE}, rank, {w: rank.slack(w)})
     assert _unpacked(ranked) == _in_play(want, target)
     assert len(passes) <= 4
