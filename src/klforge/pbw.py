@@ -73,10 +73,13 @@ The rewriting runs on packed words.  A segment [a, b] is the int
 ((b + 2**31) << 32) | (a + 2**31), whose int order is the segment order
 (b, a); ends outside [-2**31, 2**31) raise ValueError.  A word is a tuple
 of these ints, an inversion is w[i] > w[j] for i < j, and the end, linked
-and cap/cup tests read the two 32-bit fields.  Multisegments are built only
-from finished sorted words, by run length.  The module keeps no pool
-between calls.  The Segment-object rewriting it replaced is the test oracle
-in tests/helpers.py.
+and cap/cup tests read the two 32-bit fields.  A sorted word names its
+multisegment, so an expansion in the basis is a map {sorted word:
+coefficient of E}, and the prefactor of E is read off the word by run
+length; member_word packs a family member straight from the family's ends.
+No Segment or Multisegment is built.  The module keeps no pool between
+calls.  The Segment-object rewriting it replaced is the test oracle in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .poly import LaurentPoly
-from .segcomb import Multisegment, Segment
+from .segcomb import BiSequence
+from .symgroup import Perm
 
 # Unused here since the kernel reads packed ints; perfbench/spans.py patches
 # these names on this module, so they stay importable from it.
@@ -97,10 +101,6 @@ _V = LaurentPoly.v
 _EXCHANGE = _V(-1) - _V(1)  # v**-1 - v
 
 
-def e_star_prefactor_exponent(m: Multisegment) -> int:
-    return sum(comb(c, 2) for _, c in m.items())
-
-
 def _accumulate(target: dict, key, coeff: LaurentPoly) -> None:
     """Add coeff to the entry at key, dropping the key when the sum is zero."""
     cur = target.get(key)
@@ -109,51 +109,6 @@ def _accumulate(target: dict, key, coeff: LaurentPoly) -> None:
         target.pop(key, None)
     else:
         target[key] = cur
-
-
-class PBWElement:
-    """A finitely supported linear combination of basis elements E(M)."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Multisegment, LaurentPoly] | None = None):
-        self._terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def basis(cls, m: Multisegment) -> "PBWElement":
-        return cls({m: LaurentPoly.one()})
-
-    def coefficient(self, m: Multisegment) -> LaurentPoly:
-        return self._terms.get(m, LaurentPoly.zero())
-
-    def terms(self) -> dict[Multisegment, LaurentPoly]:
-        return dict(self._terms)
-
-    def support(self) -> set[Multisegment]:
-        return set(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        ordered = sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-        return " + ".join(f"({c})*E({m})" for m, c in ordered)
-
-    def __repr__(self) -> str:
-        return f"PBWElement({self._terms!r})"
 
 
 _BITS = 32
@@ -171,25 +126,22 @@ def pack_segment(a: int, b: int) -> int:
     return ((b + _BIAS) << _BITS) | (a + _BIAS)
 
 
-def _unpack(x: int) -> Segment:
-    return Segment((x & _LO) - _BIAS, (x >> _BITS) - _BIAS)
+def member_word(A: BiSequence, p: Perm) -> Word:
+    """The sorted word of the family member [a_1, b_p(1)] + ... + [a_k, b_p(k)],
+    empty segments [b+1, b] dropped as segcomb.multisegment_of drops them."""
+    ends = zip(A.a, (A.b[j - 1] for j in p))
+    return tuple(sorted(pack_segment(a, b) for a, b in ends if a <= b))
 
 
-def _pack_word(segments: Iterable[Segment]) -> Word:
-    return tuple(pack_segment(s.a, s.b) for s in segments)
+def e_star_prefactor_exponent(w: Word) -> int:
+    """The exponent sum of C(m_i, 2) of E's prefactor, read off the sorted
+    word w by run length."""
+    return sum(comb(len(list(run)), 2) for _, run in groupby(w))
 
 
-class _Decoder(dict):
-    """Packed segments back to Segment objects, each decoded once per call."""
-
-    def __missing__(self, x: int) -> Segment:
-        s = self[x] = _unpack(x)
-        return s
-
-    def multisegment(self, w: Word) -> Multisegment:
-        """The multisegment of a sorted word, read off by run length."""
-        return Multisegment.from_sorted_items(
-            tuple((self[x], len(list(run))) for x, run in groupby(w)))
+def word_str(w: Word) -> str:
+    """The segments of a word as [a,b]+[c,d]+..."""
+    return "+".join(f"[{(x & _LO) - _BIAS},{(x >> _BITS) - _BIAS}]" for x in w)
 
 
 def _shares_end(x: int, y: int) -> bool:
@@ -201,7 +153,7 @@ def _shares_end(x: int, y: int) -> bool:
     if ax == ay or x >> _BITS == y >> _BITS:
         return True
     if ax == (y >> _BITS) + 1:
-        raise ValueError(f"juxtaposed segments {_unpack(y)} and {_unpack(x)}: "
+        raise ValueError(f"juxtaposed segments {word_str((y,))} and {word_str((x,))}: "
                          "the exchange rules do not decide their order")
     return False
 
@@ -306,36 +258,27 @@ def _insertion_pass(w: Word, c: LaurentPoly, s: int, rank: _Rank | None,
     return tuple(u), e
 
 
-def _collect(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPoly]:
-    """Sorted words to basis elements, the basis prefactor divided out."""
-    out: dict[Multisegment, LaurentPoly] = {}
-    decode = _Decoder()
-    for w, c in finished.items():
-        m = decode.multisegment(w)
-        out[m] = c * _V(-e_star_prefactor_exponent(m))
-    return out
-
-
 def product_expansion_guarded(
-    factors: Iterable[PBWElement],
-) -> tuple[PBWElement, frozenset[Multisegment]]:
+    factors: Iterable[Mapping[Word, LaurentPoly]],
+) -> tuple[dict[Word, LaurentPoly], frozenset]:
     """Product of basis-element combinations, exactly, and an empty set.
 
+    Each factor and the product map sorted words to coefficients of E.
     Factor by factor, each sorted word of the normal form so far is followed
-    by each monomial of the factor, its basis prefactor multiplied in, and
-    all of these words are rewritten together, so equal partial products
-    merge.  The empty second half keeps the pair that perfbench/spans.py
-    unpacks.
+    by each word of the factor, its basis prefactor multiplied in, and all
+    of these words are rewritten together, so equal partial products merge.
+    The empty second half keeps the pair that perfbench/spans.py unpacks.
     """
     normal: dict[Word, LaurentPoly] = {(): LaurentPoly.one()}
     for factor in factors:
         pending: dict[Word, LaurentPoly] = {}
-        for m, c in factor.terms().items():
-            piece, c = _pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m))
+        for u, c in factor.items():
+            c *= _V(e_star_prefactor_exponent(u))
             for w, coeff in normal.items():
-                _accumulate(pending, w + piece, coeff * c)
+                _accumulate(pending, w + u, coeff * c)
         normal = _rewrite(pending)
-    return PBWElement(_collect(normal)), frozenset()
+    exact = {w: c * _V(-e_star_prefactor_exponent(w)) for w, c in normal.items()}
+    return exact, frozenset()
 
 
 def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,

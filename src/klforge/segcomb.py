@@ -83,8 +83,8 @@ def general_position(d1: Segment, d2: Segment) -> bool:
 
 class Multisegment:
     """A finite multiset of segments, canonically sorted by seg_sort_key.
-    The constructor counts and sorts; from_sorted_items (pbw's run-length
-    decoder, n * M) takes (segment, multiplicity) pairs already in order."""
+    The constructor counts and sorts; from_sorted_items (from_counts and
+    n * M) takes (segment, multiplicity) pairs already in order."""
 
     __slots__ = ("_items",)
 
@@ -120,10 +120,6 @@ class Multisegment:
         for s, c in self._items:
             for _ in range(c):
                 yield s
-
-    def sort_key(self) -> tuple:
-        """Deterministic ordering key (segment order, then multiplicities)."""
-        return tuple((s.b, s.a, c) for s, c in self._items)
 
     def __len__(self) -> int:
         return len(self._items)

@@ -70,16 +70,15 @@ from .poly import LaurentPoly
 from .segcomb import (
     BelowSigma0,
     BiSequence,
-    Multisegment,
     is_regular,  # noqa: F401  (perfbench/spans.py patches it)
     is_strongly_regular,
-    multisegment_of,
+    multisegment_of,  # noqa: F401  (perfbench/spans.py patches it)
     p1_shape,
     p2_shape,
     replicate,  # noqa: F401  (perfbench/spans.py patches it)
     sigma0,
 )
-from .pbw import PBWElement, product_expansion_guarded
+from .pbw import Word, member_word, product_expansion_guarded
 from .symgroup import (
     Perm,
     bruhat_leq,
@@ -202,21 +201,16 @@ def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
             if not acc.is_zero()}
 
 
-def expansion_as_pbw(A: BiSequence, coeffs: dict[Perm, LaurentPoly]) -> PBWElement:
-    """Reindex an expansion from coset representatives to multisegments."""
-    return PBWElement({multisegment_of(A, rep): c for rep, c in coeffs.items()})
-
-
 def g_star_power_with_taint(table: KLTable, A: BiSequence, omega: Perm,
-                            m: int) -> tuple[PBWElement, frozenset[Multisegment]]:
-    """E-basis expansion of the m-th power of G(M_omega(A)), exactly, and an
-    empty set: the pair of product_expansion_guarded, which
-    perfbench/spans.py unpacks."""
+                            m: int) -> tuple[dict[Word, LaurentPoly], frozenset]:
+    """E-basis expansion of the m-th power of G(M_omega(A)), keyed by sorted
+    words, exactly, and an empty set: the pair of product_expansion_guarded,
+    which perfbench/spans.py unpacks."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if not is_strongly_regular(A):
         raise UnsupportedFamily(f"{A} is not strongly regular")
-    one_copy = expansion_as_pbw(A, expand_G_in_E(table, A, omega))
+    one_copy = {member_word(A, rep): c for rep, c in expand_G_in_E(table, A, omega).items()}
     return product_expansion_guarded([one_copy] * m)
 
 

@@ -13,21 +13,26 @@ Each verifier computes one identity two ways and reports the comparison:
   replicated basis element E(M_{t_m(sigma)}) inside
   E(M_{t_{m-1}(sigma)}) * E(M_omega) vanishes unless omega == sigma, and
   then equals v**(k (C(m-1,2) - C(m,2))).  The members are packed straight
-  from the family's ends and only that coefficient is read, by
-  pbw.word_coefficient; no Multisegment or PBWElement is built.  What
-  checks share, down to each (sigma, m)'s rank table, stays with the family.
+  from the family's ends (pbw.member_word) and only that coefficient is
+  read, by pbw.word_coefficient.  What checks share, down to each
+  (sigma, m)'s rank table, stays with the family.
 * verify_power_identity: the E-basis expansions of G(M_omega)**m and of
-  G(M at the replicated coset) agree up to one monomial v**e.  The claim is
+  G(M at the replicated coset) agree up to one monomial v**e.  Both are
+  maps {sorted word: coefficient}, the words packed by pbw.member_word and
+  straightened by pbw.product_expansion_guarded, and they are compared word
+  by word; a word is spelled out as [a,b]+... only in a failure's reason.
+  Neither check builds a Segment or Multisegment.  The claim is
   e = -k C(m,2), the product-vanishing constants telescoped over the m
   factors; e is measured and reported either way, and a case passes only
   when it equals the claim, so no separate report checks that e is the
   same for every omega at a fixed (k, m).
 
 Hypothesis violations yield skipped reports, so a sweep distinguishes
-"does not apply" from "contradicted", and so do the cases the sweep's
-budget n = m*k <= SWEEP_MAX_N leaves out.  The straightening engine's
-exchange rules decide every product coefficient, so a report is pass, fail
-or skipped.  Arithmetic is exact; only exact equality passes.
+"does not apply" from "contradicted", and so do the main-theorem and
+power-identity cases the sweep's budget n = m*k <= SWEEP_MAX_N leaves
+out.  The straightening engine's exchange rules decide every product
+coefficient, so a report is pass, fail or skipped.  Arithmetic is exact;
+only exact equality passes.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .poly import LaurentPoly
 from .segcomb import (
     BelowSigma0,
     BiSequence,
-    Multisegment,
     construct_strongly_regular,
     dominates_sigma0,
     is_regular,
@@ -52,7 +56,7 @@ from .segcomb import (
     replicate,
     sigma0,
 )
-from .pbw import PBWElement, _Rank, pack_segment, word_coefficient
+from .pbw import Word, _Rank, member_word, word_coefficient, word_str
 from .pbw import product_expansion_guarded  # noqa: F401  (perfbench/spans.py patches it)
 from .symgroup import (
     Perm,
@@ -62,7 +66,7 @@ from .symgroup import (
     permutations_of,
     replicate_perm,
 )
-from .transition import expand_G_in_E, expansion_as_pbw, g_star_power_with_taint
+from .transition import expand_G_in_E, g_star_power_with_taint
 
 
 # The sweep's budget on n = m*k.  n alone does not bound the cost: the 945
@@ -147,6 +151,7 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
     t_m(omega), with the claimed monomial
     q**(C(m,2) (length(omega) - length(sigma)))."""
     started = time.perf_counter()
+    sigma0_perm, sigma, omega = tuple(sigma0_perm), tuple(sigma), tuple(omega)
     k = len(sigma0_perm)
     case = {"k": k, "m": m, "sigma0": list(sigma0_perm),
             "sigma": list(sigma), "omega": list(omega)}
@@ -180,16 +185,14 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
 
 
 def _keep_members(A: BiSequence, *perms: Perm) -> None:
-    """Keeps the packed member of each permutation in A.derived, sorted, once
-    all of them permute 1..k and dominate sigma0; else HypothesisFailed."""
+    """Keeps the member word of each permutation in A.derived once all of
+    them permute 1..k and dominate sigma0; else HypothesisFailed."""
     if any(tuple(sorted(p)) != identity(A.k) for p in perms):
         raise HypothesisFailed(f"sigma and omega must permute 1..{A.k}")
-    ends = [[A.b[j - 1] for j in p] for p in perms]  # b_p(i), the right ends of M_p
-    if not all(a <= b + 1 for bs in ends for a, b in zip(A.a, bs)):  # as dominates_sigma0
+    if not all(dominates_sigma0(A, p) for p in perms):
         raise HypothesisFailed("sigma and omega must dominate sigma0")
-    # Strong regularity makes the k segments [a_i, b_p(i)] nonempty and distinct.
-    for p, bs in zip(perms, ends):
-        A.derived["member", p] = tuple(sorted(map(pack_segment, A.a, bs)))
+    for p in perms:  # strong regularity: k nonempty, distinct segments
+        A.derived["member", p] = member_word(A, p)
 
 
 def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> VerificationReport:
@@ -231,22 +234,19 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     return _finish(check, case, claimed, computed, started)
 
 
-def _monomial_ratio(numer: PBWElement, denom: PBWElement,
-                    keys: Iterable[Multisegment]) -> int:
-    """The v-exponent e with numer == v**e * denom at the given keys."""
+def _monomial_ratio(numer: dict[Word, LaurentPoly], denom: dict[Word, LaurentPoly]) -> int:
+    """The v-exponent e with numer == v**e * denom, compared word by word
+    over both supports in word order."""
     e: int | None = None
-    for m in keys:
-        nc = numer.coefficient(m)
-        dc = denom.coefficient(m)
-        if nc.is_zero() != dc.is_zero():
-            raise NotMonomialRatio(f"supports differ at {m}")
-        if dc.is_zero():
-            continue
+    for w in sorted(numer.keys() | denom.keys()):
+        nc, dc = numer.get(w), denom.get(w)
+        if nc is None or dc is None:
+            raise NotMonomialRatio(f"supports differ at {word_str(w)}")
         if e is None:
             e = nc.min_exponent() - dc.min_exponent()
         if nc != dc * LaurentPoly.v(e):
             raise NotMonomialRatio(
-                f"coefficient at {m} is not v^{e} times the other side")
+                f"coefficient at {word_str(w)} is not v^{e} times the other side")
     if e is None:
         raise NotMonomialRatio("no comparable coefficients")
     return e
@@ -257,10 +257,11 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     """Measure the monomial relating the expansions of the two sides of the
     power identity; fails hard when the ratio is not a single monomial.
 
-    The comparison runs over every multisegment in the support of either
-    side.
+    Both sides stay keyed by sorted words, and the comparison runs over
+    every word in the support of either side.
     """
     started = time.perf_counter()
+    omega = tuple(omega)
     case = {"k": A.k, "m": m, "family": A.to_json(), "omega": list(omega)}
     check = "power-identity"
     try:
@@ -279,13 +280,11 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
         return _skip(check, case, f"{type(exc).__name__}: {exc}", started)
 
     replicated = replicate(A, m)
-    left = expansion_as_pbw(
-        replicated, expand_G_in_E(table, replicated, replicate_perm(omega, m)))
+    left = {member_word(replicated, rep): c for rep, c in
+            expand_G_in_E(table, replicated, replicate_perm(omega, m)).items()}
     right = g_star_power_with_taint(table, A, omega, m)[0]
-    keys = left.support() | right.support()
     try:
-        e = _monomial_ratio(right, left,
-                            sorted(keys, key=Multisegment.sort_key))
+        e = _monomial_ratio(right, left)
     except NotMonomialRatio as exc:
         return VerificationReport(check, case, LaurentPoly.zero(),
                                   LaurentPoly.one(), "fail",
@@ -304,14 +303,12 @@ def _sweep_cases(kmax: int, mmax: int) -> list[tuple]:
             if not is_pattern_avoiding(s0, (2, 1, 3)):
                 continue
             for m in range(2, mmax + 1):
-                quantum = k <= 3 and m <= 3
-                if quantum:
-                    for sigma in permutations_of(k):
-                        if not bruhat_leq(s0, sigma):
-                            continue
-                        for omega in permutations_of(k):
-                            if bruhat_leq(s0, omega):
-                                cases.append(("prop1", k, m, s0, sigma, omega))
+                for sigma in permutations_of(k):
+                    if not bruhat_leq(s0, sigma):
+                        continue
+                    for omega in permutations_of(k):
+                        if bruhat_leq(s0, omega):
+                            cases.append(("prop1", k, m, s0, sigma, omega))
                 for omega in permutations_of(k):
                     if not bruhat_leq(s0, omega):
                         continue
@@ -327,14 +324,15 @@ def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
 
     The main-theorem check runs for every 213-avoiding minimal permutation,
     every omega with trivial ordinary polynomial, every sigma between them,
-    and every 2 <= m <= mmax; the product check additionally requires
-    k <= 3 and m <= 3.  A case with m*k > SWEEP_MAX_N is not run, since
-    the power identity's straightening outgrows a sweep there, and
-    reports as skipped with a reason beginning "Budget:", as hypothesis
-    failures report as skipped.  Reports come back in deterministic case
-    order.  A power case passes only at the claimed exponent -k C(m,2), so
-    the passing exponents at a fixed (k, m) agree without a report of
-    their own.
+    and every 2 <= m <= mmax.  The product check runs for every sigma and
+    omega above each minimal permutation and every such m: it reads no KL
+    row, so no budget applies.  A main-theorem or power-identity case with
+    m*k > SWEEP_MAX_N is not run, since its rows and straightening outgrow
+    a sweep there, and reports as skipped with a reason beginning
+    "Budget:", as hypothesis failures report as skipped.  Reports come
+    back in deterministic case order.  A power case passes only at the
+    claimed exponent -k C(m,2), so the passing exponents at a fixed (k, m)
+    agree without a report of their own.
     """
     families = {s0: construct_strongly_regular(s0)
                 for k in range(1, kmax + 1)
@@ -343,7 +341,7 @@ def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
 
     def run(case: tuple) -> VerificationReport:
         kind, k, m, s0, *rest = case
-        if kind == "prop1":  # k <= 3 and m <= 3: within the budget
+        if kind == "prop1":  # reads no KL row, so no budget
             return verify_prop1(families[s0], *rest, m)
         if m * k <= SWEEP_MAX_N:
             if kind == "main":

@@ -9,11 +9,14 @@ ordinary polynomials over W_m, the ordinary polynomial of the cosets
 translated by the longest element of W_m, and Deodhar's recursion on
 permutation tuples.  The straightening engine's packed-int kernel is
 checked against the Segment-object rewriting it replaced, and
-verify_prop1's packed words against the Multisegment and PBWElement route
-they replaced.  The oracle rewriting takes a Segment word and a scalar
-prefix of its own, rewrites one inversion at a time, and can pick the
-leftmost, the rightmost or any inversion where the kernel insertion-sorts
-each pending word in one pass: agreement is the confluence check.  It also
+verify_prop1's packed words against the Multisegment route they replaced.
+The engine keys an expansion by sorted packed words; words_of packs an
+oracle's Multisegment-keyed expansion and decoded spells one out again,
+so the two compare on Segment objects.  The oracle rewriting takes a
+Segment word and a scalar prefix of its own, rewrites one inversion at a
+time, and can pick the leftmost, the rightmost or any inversion where the
+kernel insertion-sorts each pending word in one pass: agreement is the
+confluence check.  It also
 takes the exponents of the shared-end swaps, so a test can show that no
 other choice is confluent.  The transition expansions are compared with
 the closed parabolic forms of coeff_parab, and E in G also with the
@@ -29,13 +32,7 @@ from functools import lru_cache
 from math import comb
 
 from klforge.kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
-from klforge.pbw import (
-    PBWElement,
-    _accumulate,
-    _pack_word,
-    e_star_prefactor_exponent,
-    word_coefficient,
-)
+from klforge.pbw import _accumulate, pack_segment, word_coefficient
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
     BelowSigma0,
@@ -215,10 +212,10 @@ def coeff_parab(table: KLTable, A: BiSequence, sigma: Perm, omega: Perm,
     return mono * parabolic_kl_q(table, sigma, omega, m) * sign
 
 
-def g_star_power_in_E(table: KLTable, A: BiSequence, omega: Perm, m: int) -> PBWElement:
-    """E-basis expansion of the m-th power of G(M_omega(A)), without the
-    coefficients the exchange rules leave open."""
-    return g_star_power_with_taint(table, A, omega, m)[0]
+def g_star_power_in_E(table: KLTable, A: BiSequence, omega: Perm,
+                      m: int) -> dict[Multisegment, LaurentPoly]:
+    """E-basis expansion of the m-th power of G(M_omega(A)), decoded."""
+    return decoded(g_star_power_with_taint(table, A, omega, m)[0])
 
 
 def bruhat_leq_subword(x: Perm, y: Perm) -> bool:
@@ -553,6 +550,36 @@ def c_strongly_regular(sigma: Perm, omega: Perm, m: int) -> int:
     return m * m * (length(omega) - length(sigma))
 
 
+# -- expansions keyed by sorted packed words -----------------------------
+
+Expansion = dict[Multisegment, LaurentPoly]
+
+
+def pack_word(segments) -> tuple[int, ...]:
+    """The packed segments, in the given order."""
+    return tuple(pack_segment(s.a, s.b) for s in segments)
+
+
+def unpack_segment(x: int) -> Segment:
+    return Segment((x & 0xFFFFFFFF) - 2**31, (x >> 32) - 2**31)
+
+
+def prefactor_exponent(m: Multisegment) -> int:
+    """The exponent sum of C(m_i, 2) of E(m)'s prefactor."""
+    return sum(comb(c, 2) for _, c in m.items())
+
+
+def words_of(x: Expansion) -> dict[tuple[int, ...], LaurentPoly]:
+    """The expansion keyed by sorted packed words, as the engine keys it; a
+    Multisegment lists its segments in word order."""
+    return {pack_word(m.segments()): c for m, c in x.items()}
+
+
+def decoded(words) -> Expansion:
+    """The expansion keyed by the Multisegments the sorted words spell."""
+    return {Multisegment(map(unpack_segment, w)): c for w, c in words.items()}
+
+
 # -- straightening oracle on Segment objects -----------------------------
 
 Word = tuple[Segment, ...]
@@ -604,62 +631,62 @@ def rewrite_oracle(word: Word, prefix: LaurentPoly, pick=min,
     return finished
 
 
-def _collect_oracle(finished: dict[Word, LaurentPoly]) -> dict[Multisegment, LaurentPoly]:
-    out: dict[Multisegment, LaurentPoly] = {}
+def _collect_oracle(finished: dict[Word, LaurentPoly]) -> Expansion:
+    out: Expansion = {}
     for w, c in finished.items():
         m = Multisegment(w)
-        _accumulate(out, m, c * _V(-e_star_prefactor_exponent(m)))
+        _accumulate(out, m, c * _V(-prefactor_exponent(m)))
     return out
 
 
-def straighten_oracle(word: Word, prefix: LaurentPoly, pick=min) -> PBWElement:
+def straighten_oracle(word: Word, prefix: LaurentPoly, pick=min) -> Expansion:
     """The normal form of prefix * word, the basis prefactors divided out."""
-    return PBWElement(_collect_oracle(rewrite_oracle(word, prefix, pick)))
+    return _collect_oracle(rewrite_oracle(word, prefix, pick))
 
 
-def multiply_oracle(x: PBWElement, y: PBWElement) -> PBWElement:
+def multiply_oracle(x: Expansion, y: Expansion) -> Expansion:
     """x * y with every product word straightened by the oracle."""
-    out: dict[Multisegment, LaurentPoly] = {}
-    for m1, c1 in x.terms().items():
-        for m2, c2 in y.terms().items():
-            prefactor = _V(e_star_prefactor_exponent(m1) + e_star_prefactor_exponent(m2))
+    out: Expansion = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            prefactor = _V(prefactor_exponent(m1) + prefactor_exponent(m2))
             word = tuple(m1.segments()) + tuple(m2.segments())
-            for m, c in straighten_oracle(word, c1 * c2 * prefactor).terms().items():
+            for m, c in straighten_oracle(word, c1 * c2 * prefactor).items():
                 _accumulate(out, m, c)
-    return PBWElement(out)
+    return out
 
 
-def product_expansion_guarded_oracle(factors) -> PBWElement:
+def product_expansion_guarded_oracle(factors) -> Expansion:
     """The guarded product's expansion on Segment words."""
     words: list[tuple[LaurentPoly, Word]] = [(LaurentPoly.one(), ())]
     for factor in factors:
         expanded: dict[Word, LaurentPoly] = {}
         for coeff, w in words:
-            for m, c in factor.terms().items():
-                prefactor = _V(e_star_prefactor_exponent(m))
+            for m, c in factor.items():
+                prefactor = _V(prefactor_exponent(m))
                 _accumulate(expanded, w + tuple(m.segments()), coeff * c * prefactor)
         words = [(c, w) for w, c in expanded.items()]
-    exact: dict[Multisegment, LaurentPoly] = {}
+    exact: Expansion = {}
     for coeff, w in words:
         for m, c in _collect_oracle(rewrite_oracle(w, coeff)).items():
             _accumulate(exact, m, c)
-    return PBWElement(exact)
+    return exact
 
 
-def pbw_to_json(x: PBWElement) -> list[dict]:
-    """One record per term of x, in segment order."""
-    ordered = sorted(x.terms().items(), key=lambda kv: kv[0].sort_key())
+def pbw_to_json(x: Expansion) -> list[dict]:
+    """One record per term of x, in word order."""
+    ordered = sorted(x.items(), key=lambda kv: pack_word(kv[0].segments()))
     return [{"mseg": m.to_json(), "coeff": c.to_json("v")} for m, c in ordered]
 
 
-def pbw_from_json(data) -> PBWElement:
-    """The PBWElement of the records pbw_to_json writes; repeated records
+def pbw_from_json(data) -> Expansion:
+    """The expansion of the records pbw_to_json writes; repeated records
     add up."""
-    out: dict[Multisegment, LaurentPoly] = {}
+    out: Expansion = {}
     for rec in data:
         _accumulate(out, Multisegment.from_json(rec["mseg"]),
                     LaurentPoly.from_json(rec["coeff"]))
-    return PBWElement(out)
+    return out
 
 
 def product_words(factors) -> dict[tuple[int, ...], LaurentPoly]:
@@ -667,8 +694,8 @@ def product_words(factors) -> dict[tuple[int, ...], LaurentPoly]:
     with the basis prefactors multiplied in and equal words summed."""
     words: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one()}
     for factor in factors:
-        pieces = [(_pack_word(m.segments()), c * _V(e_star_prefactor_exponent(m)))
-                  for m, c in factor.terms().items()]
+        pieces = [(pack_word(m.segments()), c * _V(prefactor_exponent(m)))
+                  for m, c in factor.items()]
         expanded: dict[tuple[int, ...], LaurentPoly] = {}
         for w, coeff in words.items():
             for piece, c in pieces:
@@ -678,20 +705,20 @@ def product_words(factors) -> dict[tuple[int, ...], LaurentPoly]:
 
 
 def product_coefficient_guarded(factors, target: Multisegment) -> LaurentPoly:
-    """The exact coefficient of E(target) in the product of the PBWElements:
+    """The exact coefficient of E(target) in the product of the expansions:
     pbw.word_coefficient on the product words."""
-    return word_coefficient(product_words(factors), _pack_word(target.segments()),
-                            e_star_prefactor_exponent(target))
+    return word_coefficient(product_words(factors), pack_word(target.segments()),
+                            prefactor_exponent(target))
 
 
 def prop1_oracle(A: BiSequence, sigma: Perm, omega: Perm,
                  m: int) -> tuple[str, LaurentPoly]:
     """(status, computed) of verify_prop1 on a case that meets its
-    hypotheses, through Multisegments and PBWElements: E((m-1) M_sigma)
-    times E(M_omega), read at m M_sigma."""
+    hypotheses, through Multisegments: E((m-1) M_sigma) times E(M_omega),
+    read at m M_sigma."""
     m_sigma = multisegment_of(A, sigma)
-    left = PBWElement.basis((m - 1) * m_sigma)
-    right = PBWElement.basis(multisegment_of(A, omega))
+    left = {(m - 1) * m_sigma: LaurentPoly.one()}
+    right = {multisegment_of(A, omega): LaurentPoly.one()}
     computed = product_coefficient_guarded([left, right], m * m_sigma)
     if omega == sigma:
         claimed = LaurentPoly.v(A.k * (comb(m - 1, 2) - comb(m, 2)))

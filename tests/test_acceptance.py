@@ -14,17 +14,18 @@ from helpers import (
     all_perms,
     bruhat_leq_subword,
     coeff_parab,
+    decoded,
     is_inverse,
     kl_inversion_check,
+    pack_word,
     parabolic_kl_deodhar,
     straighten_oracle,
     transition_matrix,
 )
 from klforge.kl import kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from klforge.poly import LaurentPoly
-from klforge.pbw import PBWElement, product_expansion_guarded
+from klforge.pbw import product_expansion_guarded
 from klforge.segcomb import (
-    Multisegment,
     Segment,
     construct_strongly_regular,
     is_strongly_regular,
@@ -205,8 +206,9 @@ def test_criterion_6_oracle_suites(table):
         if len(set(bvals)) != k or (set(avals) & {b + 1 for b in bvals}):
             continue
         w = tuple(Segment(a, b) for a, b in zip(avals, bvals))
-        assert product_expansion_guarded(
-            [PBWElement.basis(Multisegment([s])) for s in w]) == (
+        exact, tainted = product_expansion_guarded(
+            [{pack_word([s]): LaurentPoly.one()} for s in w])
+        assert (decoded(exact), tainted) == (
             straighten_oracle(w, LaurentPoly.one(), pick=max), frozenset())
         confluent += 1
 

@@ -1,8 +1,16 @@
 import pytest
 
-from helpers import all_perms, coeff_parab, g_star_power_in_E, is_inverse, transition_matrix
+from helpers import (
+    all_perms,
+    coeff_parab,
+    decoded,
+    g_star_power_in_E,
+    is_inverse,
+    transition_matrix,
+)
 from klforge.poly import LaurentPoly
 from klforge.kl import KLTable, kl_poly
+from klforge.pbw import member_word
 from klforge.segcomb import (
     BelowSigma0,
     BiSequence,
@@ -16,7 +24,6 @@ from klforge.transition import (
     UnsupportedFamily,
     expand_E_in_G,
     expand_G_in_E,
-    expansion_as_pbw,
     family_replication,
     transition_index,
 )
@@ -231,18 +238,25 @@ def test_coeff_parab_matches_expansions(table):
 def test_g_star_power_m1_matches_expansion(table):
     A = construct_strongly_regular((2, 1))
     w = (2, 1)
-    assert g_star_power_in_E(table, A, w, 1) == expansion_as_pbw(
-        A, expand_G_in_E(table, A, w))
+    assert g_star_power_in_E(table, A, w, 1) == {
+        multisegment_of(A, rep): c for rep, c in expand_G_in_E(table, A, w).items()}
 
 
 def test_g_star_power_bottom_square(table):
     A = BiSequence((1, 5), (7, 5))
     got = g_star_power_in_E(table, A, identity(2), 2)
     target = multisegment_of(replicate(A, 2), identity(4))
-    assert got == type(got)({target: V(-2)})
+    assert got == {target: V(-2)}
 
 
-def test_expansion_as_pbw_keys(table):
+def test_member_word_keys(table):
+    # the sorted word of each member spells multisegment_of, empty segments
+    # dropped; the expansion of G keyed by these words finds the member
+    for A in (construct_strongly_regular((1, 3, 2)), BiSequence((1, 3), (2, 1)),
+              replicate(construct_strongly_regular((2, 1)), 2)):
+        for w in all_perms(A.k):
+            if dominates_sigma0(A, w):
+                assert decoded({member_word(A, w): 1}) == {multisegment_of(A, w): 1}
     A = construct_strongly_regular((1, 2))
-    pb = expansion_as_pbw(A, expand_G_in_E(table, A, (2, 1)))
-    assert pb.coefficient(multisegment_of(A, (1, 2))) == -1 * V(1)
+    keyed = {member_word(A, rep): c for rep, c in expand_G_in_E(table, A, (2, 1)).items()}
+    assert keyed[member_word(A, (1, 2))] == -1 * V(1)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import all_perms, prop1_oracle
 from klforge.kl import KLTable
-from klforge.pbw import PBWElement
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
     BelowSigma0,
@@ -296,16 +295,20 @@ def test_prop1_on_a_warm_family_skips_as_on_a_fresh_one():
             assert (r.status, r.reason) == ("skipped", f"HypothesisFailed: {reason}")
 
 
-def test_prop1_builds_no_segment_objects(monkeypatch):
+def test_prop1_builds_no_segment_objects(table, monkeypatch):
+    # nor does the power identity, whose two sides stay keyed by sorted words
     def refuse(*args, **kwargs):
-        raise AssertionError("a Segment, Multisegment or PBWElement was built")
+        raise AssertionError("a Segment or Multisegment was built")
 
-    for cls in (Multisegment, Segment, PBWElement):
+    for cls in (Multisegment, Segment):
         monkeypatch.setattr(cls, "__init__", refuse)
     monkeypatch.setattr(Multisegment, "from_sorted_items", refuse)
     reports = [verify_prop1(B, sigma, omega, m)
                for B, sigma, omega in _PROP1_CASES[::7] for m in (2, 3)]
-    assert {r.status for r in reports} == {"pass"}
+    tops = {B: omega for B, _, omega in _PROP1_CASES}  # w0 over each family
+    power = [verify_power_identity(table, B, omega, m)
+             for B, omega in tops.items() for m in (2, 3)]
+    assert {r.status for r in reports + power} == {"pass"} and len(power) == 16
 
 
 def test_power_identity_skips_what_is_not_a_permutation_of_the_family(table):
@@ -343,7 +346,7 @@ def test_power_identity_claims_the_telescoped_exponent(table, monkeypatch):
 
     def scaled(*args):
         product, tainted = power(*args)
-        return PBWElement({mseg: c * V(1) for mseg, c in product.terms().items()}), tainted
+        return {w: c * V(1) for w, c in product.items()}, tainted
 
     monkeypatch.setattr(verify_module, "g_star_power_with_taint", scaled)
     r = verify_power_identity(table, A, (1, 2), 3)
@@ -356,6 +359,27 @@ def test_power_identity_gate(table):
     assert r.status == "skipped" and "NotSquareIrreducible" in r.reason
 
 
+@pytest.mark.parametrize("s0, omega, word", [
+    ((1, 2, 3, 4), (3, 4, 1, 2),
+     "[20,40]+[40,40]+[10,41]+[30,41]+[20,42]+[40,42]+[10,43]+[30,43]"),
+    ((1, 2, 3, 4), (4, 2, 3, 1),
+     "[10,40]+[30,40]+[20,41]+[40,41]+[10,42]+[30,42]+[20,43]+[40,43]"),
+    ((1, 2, 4, 3), (4, 2, 3, 1),
+     "[10,30]+[30,30]+[20,40]+[40,40]+[10,41]+[30,41]+[20,42]+[40,42]"),
+], ids=["1234-3412", "1234-4231", "1243-4231"])
+def test_power_identity_fails_where_not_square_irreducible(table, monkeypatch, s0, omega,
+                                                            word):
+    # the three cases at (4, 2) with P(sigma0, omega) != 1, run past the gate:
+    # G(M_omega)**2 is no monomial multiple of G(2 M_omega), and the reason
+    # spells the first word where they differ as a multisegment
+    A = construct_strongly_regular(s0)
+    assert verify_power_identity(table, A, omega, 2).reason.startswith("NotSquareIrreducible:")
+    monkeypatch.setattr(verify_module, "is_square_irreducible", lambda *args: True)
+    r = verify_power_identity(table, A, omega, 2)
+    assert (r.status, r.reason) == (
+        "fail", f"NotMonomialRatio: coefficient at {word} is not v^-4 times the other side")
+
+
 def test_power_identity_compares_every_coefficient(table, monkeypatch):
     # the 38 cases with n <= 9 (k <= 3, m <= 3): the product side decides
     # every coefficient, so the comparison reads all 231 keys of the supports
@@ -366,9 +390,9 @@ def test_power_identity_compares_every_coefficient(table, monkeypatch):
         products.append(power(*args))
         return products[-1]
 
-    def recorded_ratio(numer, denom, keys):
-        compared.append(keys)
-        return ratio(numer, denom, keys)
+    def recorded_ratio(numer, denom):
+        compared.append(numer.keys() | denom.keys())
+        return ratio(numer, denom)
 
     monkeypatch.setattr(verify_module, "g_star_power_with_taint", recorded_power)
     monkeypatch.setattr(verify_module, "_monomial_ratio", recorded_ratio)
@@ -393,6 +417,32 @@ def test_report_pass_iff_equal():
     assert r.passed
     r = VerificationReport("x", {}, one, LaurentPoly.zero(), "fail")
     assert not r.passed
+
+
+def _stripped(r):
+    out = r.to_json()
+    out.pop("elapsed_s")
+    return out
+
+
+def test_reports_rerun_from_their_case_json(table):
+    # a report's case holds its permutations as lists; every fifth report of
+    # the sweep, run again from its case as JSON gives, reads the same
+    rerun = {
+        "main-theorem": lambda c: verify_main_theorem(
+            table, c["sigma0"], c["sigma"], c["omega"], c["m"]),
+        "product-vanishing": lambda c: verify_prop1(
+            BiSequence.from_json(c["family"]), c["sigma"], c["omega"], c["m"]),
+        "power-identity": lambda c: verify_power_identity(
+            table, BiSequence.from_json(c["family"]), c["omega"], c["m"]),
+    }
+    reports = sweep(table, 3, 3)[::5]
+    assert {r.check for r in reports} == set(rerun)
+    for r in reports:
+        again = rerun[r.check](json.loads(json.dumps(r.case)))
+        assert _stripped(again) == _stripped(r)
+    r = verify_power_identity(table, construct_strongly_regular((1, 2)), [2, 1], 2)
+    assert r.passed and r.measured_exponent == -2
 
 
 def test_sweep_small(table):
