@@ -9,13 +9,7 @@ verification harness over all of it (verify).
 """
 
 from .poly import LaurentPoly, NotAQPolynomial
-from .symgroup import (
-    NotComparable,
-    ParabolicShape,
-    Perm,
-    bruhat_leq,
-    length,
-)
+from .symgroup import NotComparable, Perm, bruhat_leq, length
 from .kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 
 __version__ = "0.1.0"
@@ -24,7 +18,6 @@ __all__ = [
     "LaurentPoly",
     "NotAQPolynomial",
     "NotComparable",
-    "ParabolicShape",
     "Perm",
     "bruhat_leq",
     "length",

@@ -66,11 +66,7 @@ def _table(args) -> KLTable:
 
 
 def cmd_kl(args) -> int:
-    s, w = args.s, args.w
-    if len(s) != len(w):
-        print("error: permutations must have the same size", file=sys.stderr)
-        return 2
-    print(_poly_out(kl_poly(_table(args), s, w), args.format, "q"))
+    print(_poly_out(kl_poly(_table(args), args.s, args.w), args.format, "q"))
     return 0
 
 

@@ -12,28 +12,23 @@ sigma0, which is produced by a greedy recursion.  Degenerate pairs
 [b+1, b] act as empty segments and are dropped; they exist only inside
 that constructor, never as stored Segment values.
 
-Two parabolic subgroups of S_k are attached to a bi-sequence, generated by
-the adjacent transpositions fixing equal consecutive b's (respectively
-a's).  The bi-sequence is regular when both are trivial, and strongly
-regular when moreover no a equals any b + 1; strong regularity forces any
-two distinct segments of any member of the family into general position,
-which is what the straightening engine needs.
+The bi-sequence is regular when its left ends are distinct and its right
+ends are distinct, and strongly regular when moreover no a equals any
+b + 1; strong regularity forces any two distinct segments of any member of
+the family into general position, which is what the straightening engine
+needs.  The m-fold replication of a strongly regular bi-sequence repeats
+every end m times; its members are indexed by the double cosets of the
+block parabolic W_m (see transition).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .symgroup import (
-    ParabolicShape,
-    Perm,
-    inverse,
-    is_pattern_avoiding,
-)
+from .symgroup import Perm, inverse, is_pattern_avoiding
 
 
 class BelowSigma0(ValueError):
@@ -216,21 +211,6 @@ class BiSequence:
 
     def __str__(self) -> str:
         return f"({','.join(map(str, self.a))} / {','.join(map(str, self.b))})"
-
-
-def _run_blocks(values: tuple[int, ...]) -> tuple[int, ...]:
-    """Lengths of maximal runs of equal consecutive values."""
-    return tuple(len(list(run)) for _, run in itertools.groupby(values))
-
-
-def p1_shape(A: BiSequence) -> ParabolicShape:
-    """Parabolic subgroup fixing the b-sequence (runs of equal b's)."""
-    return ParabolicShape(_run_blocks(A.b))
-
-
-def p2_shape(A: BiSequence) -> ParabolicShape:
-    """Parabolic subgroup fixing the a-sequence (runs of equal a's)."""
-    return ParabolicShape(_run_blocks(A.a))
 
 
 def is_regular(A: BiSequence) -> bool:

@@ -5,17 +5,16 @@ compose(u, v) is the function composition u after v.  Multiplying by the
 adjacent transposition s_i on the right swaps positions i, i+1 of the word;
 on the left it swaps the values i, i+1.
 
-Standard parabolic subgroups are block products of smaller symmetric groups
-and are described by a ParabolicShape, the tuple of block sizes.  Cosets
-are represented throughout by their minimal-length representatives, never
-by a separate coset type.
+The one parabolic subgroup in use is the block parabolic W_m of S_n, the
+product of the symmetric groups on the n/m consecutive blocks of m letters;
+it is given by the block size m.  Cosets are represented throughout by
+their minimal-length representatives, never by a separate coset type.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import insort
-from dataclasses import dataclass
 from typing import Iterator
 
 Perm = tuple[int, ...]
@@ -85,51 +84,20 @@ def permutations_of(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class ParabolicShape:
-    """Block sizes of a standard parabolic subgroup of S_n."""
-
-    block_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "block_sizes", tuple(self.block_sizes))
-        if not self.block_sizes or any(b < 1 for b in self.block_sizes):
-            raise ValueError("block sizes must be positive integers")
-
-    @property
-    def n(self) -> int:
-        return sum(self.block_sizes)
-
-    def blocks(self) -> list[tuple[int, int]]:
-        """Half-open 0-based position ranges of the blocks."""
-        out = []
-        start = 0
-        for b in self.block_sizes:
-            out.append((start, start + b))
-            start += b
-        return out
+def min_coset_rep(w: Perm, m: int) -> Perm:
+    """Shortest element of w * W_m: sort the values inside each block of m
+    positions.  ValueError unless m divides len(w)."""
+    if m < 1 or len(w) % m:
+        raise ValueError(f"block size {m} does not divide {len(w)}")
+    return tuple(v for start in range(0, len(w), m) for v in sorted(w[start:start + m]))
 
 
-def min_coset_rep(w: Perm, shape: ParabolicShape) -> Perm:
-    """Shortest element of w * W_shape: sort values inside each block."""
-    if len(w) != shape.n:
-        raise ValueError("shape does not match the permutation")
-    out: list[int] = []
-    for start, stop in shape.blocks():
-        out.extend(sorted(w[start:stop]))
-    return tuple(out)
-
-
-def min_left_coset_rep(w: Perm, shape: ParabolicShape) -> Perm:
-    """Shortest element of W_shape * w."""
-    return inverse(min_coset_rep(inverse(w), shape))
-
-
-def min_double_coset_rep(w: Perm, left: ParabolicShape, right: ParabolicShape) -> Perm:
-    """Shortest element of W_left * w * W_right, by alternating descents."""
+def min_double_coset_rep(w: Perm, m: int) -> Perm:
+    """Shortest element of W_m * w * W_m, by alternating right and left
+    descents; the left step sorts blocks of values, through the inverse."""
     cur = w
     while True:
-        nxt = min_left_coset_rep(min_coset_rep(cur, right), left)
+        nxt = inverse(min_coset_rep(inverse(min_coset_rep(cur, m)), m))
         if nxt == cur:
             return cur
         cur = nxt

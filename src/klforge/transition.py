@@ -8,13 +8,15 @@ regular bi-sequences and their m-fold replications; anything else raises
 UnsupportedFamily, because the dimension parameter entering the
 coefficients is not available in general.
 
-The indices are the double cosets W_b w W_a in S_n, n = A.k, where W_b and
-W_a are the parabolics fixing the runs of equal right and left ends: two
-words give the same member of the family exactly when they lie in one such
-coset.  Each coset is represented by its minimal element.  For a strongly
-regular family both parabolics are trivial and every coset is a singleton;
-for an m-replication they are the block parabolic W_m.  The top index
-omega~ is the minimal representative of omega's coset.  Every entry comes
+The indices are the double cosets W_m w W_m in S_n, n = A.k, of the
+block parabolic W_m, where A is the m-fold replication of a strongly
+regular base (m = 1 for a strongly regular A, whose cosets are
+singletons): the ends of A come in runs of m equal values, and two words
+give the same member of the family exactly when they lie in one such
+coset.  Each coset is represented by its minimal element, and the cosets
+met by a row are told apart by the count matrix of (position block, value
+block) pairs, see _cosets_below.  The top index omega~ is the minimal
+representative of omega's coset.  Every entry comes
 from rows of Deodhar's module induced from W_m (kl._row; for m = 1 the
 ordinary rows), which hold minimal representatives x of right cosets
 x W_m, grouped by double coset and keyed by the minimal element of each
@@ -55,6 +57,8 @@ comparison.
 
 from __future__ import annotations
 
+import itertools
+
 from .kl import (
     KLTable,
     _add_unpacked,
@@ -73,8 +77,6 @@ from .segcomb import (
     is_regular,  # noqa: F401  (perfbench/spans.py patches it)
     is_strongly_regular,
     multisegment_of,  # noqa: F401  (perfbench/spans.py patches it)
-    p1_shape,
-    p2_shape,
     replicate,  # noqa: F401  (perfbench/spans.py patches it)
     sigma0,
 )
@@ -104,7 +106,7 @@ def family_replication(A: BiSequence) -> tuple[BiSequence, int]:
     """
     if is_strongly_regular(A):
         return A, 1
-    lengths = set(p1_shape(A).block_sizes) | set(p2_shape(A).block_sizes)
+    lengths = {len(list(run)) for ends in (A.a, A.b) for _, run in itertools.groupby(ends)}
     if len(lengths) != 1:
         raise UnsupportedFamily(f"{A} is not a uniform replication")
     m = lengths.pop()
@@ -122,32 +124,31 @@ def _check_family(A: BiSequence, omega: Perm) -> tuple[Perm, Perm, int]:
     s0 = sigma0(A)
     if len(omega) != A.k:
         raise ValueError("permutation size does not match the family")
-    top = min_double_coset_rep(omega, p1_shape(A), p2_shape(A))
+    top = min_double_coset_rep(omega, m)
     if not bruhat_leq(s0, top):
         raise BelowSigma0(f"{omega} lies below sigma0({A}) = {s0}")
     return s0, top, m
 
 
-def _cosets_below(table: KLTable, A: BiSequence, s0: Perm, top: Perm, m: int,
+def _cosets_below(table: KLTable, s0: Perm, top: Perm, m: int,
                   neg1: bool) -> dict[Perm, LaurentPoly]:
     """The row of top in the module of W_m (the q row, or the -1 row when
     neg1; for m = 1 the ordinary row), summed with signs (-1)**length(x)
-    over each double coset of the family whose minimal element lies above
-    s0 = sigma0(A).
+    over each double coset W_m x W_m whose minimal element lies above s0.
 
-    x pairs a_i with b_{x(i)}, so two words lie in the same double coset
-    exactly when each run of equal left ends gets the same number of each
-    right end.  That count matrix is read off the row's keys as a sum of
-    powers of n + 1, one unit per value.  Keys of the result are the minimal
-    elements of the double cosets, found from any member of each.
+    Two words lie in the same double coset exactly when, for each block i
+    of m positions and each block j of m values, they place the same number
+    of values of block j in block i.  That count matrix, over the blocks
+    p // m of the position p and (v - 1) // m of the value v, is read off
+    the row's keys as a sum of powers of n + 1, one unit per value.  Keys of
+    the result are the minimal elements of the double cosets, found from any
+    member of each.
     """
-    n = A.k
-    ends = {b: r for r, b in enumerate(sorted(set(A.b)))}
-    run_of = [j for j, (start, stop) in enumerate(p2_shape(A).blocks())
-              for _ in range(start, stop)]
+    n = len(top)
+    k = n // m
     # per value v: the shift of its position field, and its unit by position
-    units = [(_shift(v, n), [(n + 1) ** (j * len(ends) + ends[b]) for j in run_of])
-             for v, b in enumerate(A.b, 1)]
+    units = [(_shift(v, n), [(n + 1) ** (p // m * k + (v - 1) // m) for p in range(n)])
+             for v in range(1, n + 1)]
     buckets: dict[int, tuple] = {}  # count matrix -> (a member's key, {packed: sign sum})
     for y, p in _row(table, _encode(top), n, m, neg1 and m > 1).items():
         coset = 0
@@ -155,10 +156,9 @@ def _cosets_below(table: KLTable, A: BiSequence, s0: Perm, top: Perm, m: int,
             coset += unit[y >> shift & 15]
         signs = buckets.setdefault(coset, (y, {}))[1]
         signs[p] = signs.get(p, 0) + (-1 if y & 1 else 1)  # y & 1: odd length
-    left, right = p1_shape(A), p2_shape(A)
     out: dict[Perm, LaurentPoly] = {}
     for y, signs in buckets.values():
-        rep = min_double_coset_rep(_decode(y, n), left, right)
+        rep = min_double_coset_rep(_decode(y, n), m)
         if bruhat_leq(s0, rep):
             acc: dict[int, int] = {}
             for p, c in signs.items():
@@ -177,11 +177,11 @@ def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
     """
     s0, top, m = _check_family(A, omega)
     n, lt = A.k, length(top)
-    w0, right = longest_element(n), p2_shape(A)
-    x = _encode(min_coset_rep(compose(top, w0), right))
+    w0 = longest_element(n)
+    x = _encode(min_coset_rep(compose(top, w0), m))
     out: dict[Perm, LaurentPoly] = {}
-    for rep in _cosets_below(table, A, s0, top, m, True):
-        z = _encode(min_coset_rep(compose(rep, w0), right))
+    for rep in _cosets_below(table, s0, top, m, True):
+        z = _encode(min_coset_rep(compose(rep, w0), m))
         out[rep] = LaurentPoly.v(lt - length(rep)) * _unpack(_row(table, z, n, m, m > 1)[x])
     return out
 
@@ -197,7 +197,7 @@ def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
     lt = length(top)
     eps_top = parity(top)
     return {rep: LaurentPoly.v(lt - length(rep)) * acc * eps_top
-            for rep, acc in _cosets_below(table, A, s0, top, m, False).items()
+            for rep, acc in _cosets_below(table, s0, top, m, False).items()
             if not acc.is_zero()}
 
 
@@ -217,4 +217,4 @@ def g_star_power_with_taint(table: KLTable, A: BiSequence, omega: Perm,
 def transition_index(table: KLTable, A: BiSequence) -> list[Perm]:
     """Every index above sigma0(A), by length and then lexicographically."""
     s0, top, m = _check_family(A, longest_element(A.k))
-    return sorted(_cosets_below(table, A, s0, top, m, True), key=lambda w: (length(w), w))
+    return sorted(_cosets_below(table, s0, top, m, True), key=lambda w: (length(w), w))

@@ -37,7 +37,6 @@ only exact equality passes.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from math import comb
@@ -102,9 +101,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-    def sort_key(self) -> tuple:
-        return (self.check, json.dumps(self.case, sort_keys=True))
 
     def to_json(self) -> dict:
         out = {

@@ -49,7 +49,6 @@ from klforge.segcomb import (
 )
 from klforge.symgroup import (
     NotComparable,
-    ParabolicShape,
     Perm,
     bruhat_leq,
     compose,
@@ -125,27 +124,21 @@ def enumerate_interval(x: Perm, y: Perm) -> set[Perm]:
     return {z for z in lower if bruhat_leq(x, z)}
 
 
-def is_quotient_minimal(w: Perm, shape: ParabolicShape) -> bool:
-    """Whether w is the minimal representative of w * W_shape."""
-    return all(
-        w[i] < w[i + 1] for start, stop in shape.blocks() for i in range(start, stop - 1)
-    )
+def is_quotient_minimal(w: Perm, m: int) -> bool:
+    """Whether w is the minimal representative of w * W_m: increasing
+    inside each block of m positions."""
+    return all(w[i] < w[i + 1] for i in range(len(w) - 1) if (i + 1) % m)
 
 
-def parabolic_longest(shape: ParabolicShape) -> Perm:
-    """The longest element of W_shape: each block reversed in place."""
-    word: list[int] = []
-    for start, stop in shape.blocks():
-        word.extend(range(stop, start, -1))
-    return tuple(word)
+def parabolic_longest(n: int, m: int) -> Perm:
+    """The longest element of W_m in S_n: each block reversed in place."""
+    return tuple(v for start in range(0, n, m) for v in range(start + m, start, -1))
 
 
-def parabolic_elements(shape: ParabolicShape):
-    """All members of W_shape, as permutations of {1..n}."""
-    per_block = [
-        list(itertools.permutations(range(start + 1, stop + 1)))
-        for start, stop in shape.blocks()
-    ]
+def parabolic_elements(n: int, m: int):
+    """All members of W_m in S_n, as permutations of {1..n}."""
+    per_block = [list(itertools.permutations(range(start + 1, start + m + 1)))
+                 for start in range(0, n, m)]
     for combo in itertools.product(*per_block):
         yield tuple(itertools.chain.from_iterable(combo))
 
@@ -361,22 +354,22 @@ def is_inverse(a, b) -> bool:
 
 
 def _replication(sigma: Perm, omega: Perm, m: int):
-    """t_m(sigma), t_m(omega) and the block parabolic W_m of S_{mk}."""
+    """t_m(sigma) and t_m(omega) in S_{mk}."""
     if len(sigma) != len(omega):
         raise ValueError("permutations must have the same n")
     ts, tw = replicate_perm(sigma, m), replicate_perm(omega, m)
     if not bruhat_leq(ts, tw):
         raise NotComparable(f"t_{m}({sigma}) is not below t_{m}({omega})")
-    return ts, tw, ParabolicShape((m,) * len(sigma))
+    return ts, tw
 
 
 def parabolic_signed_sum(table: KLTable, sigma: Perm, omega: Perm,
                          m: int) -> LaurentPoly:
     """The q-variant: the alternating sum over x in W_m of
     P_{t(sigma) x, t(omega)}."""
-    ts, tw, shape = _replication(sigma, omega, m)
+    ts, tw = _replication(sigma, omega, m)
     acc = LaurentPoly.zero()
-    for x in parabolic_elements(shape):
+    for x in parabolic_elements(len(ts), m):
         p = kl_poly(table, compose(ts, x), tw)
         acc = acc - p if length(x) % 2 else acc + p
     return acc
@@ -386,8 +379,8 @@ def parabolic_translated(table: KLTable, sigma: Perm, omega: Perm,
                          m: int) -> LaurentPoly:
     """The -1-variant: P_{t(sigma) w_m, t(omega) w_m} for the longest
     element w_m of W_m."""
-    ts, tw, shape = _replication(sigma, omega, m)
-    wm = parabolic_longest(shape)
+    ts, tw = _replication(sigma, omega, m)
+    wm = parabolic_longest(len(ts), m)
     return kl_poly(table, compose(ts, wm), compose(tw, wm))
 
 
@@ -405,8 +398,7 @@ def _deodhar_row(n: int, m: int, variant: str, w: Perm,
     if row is not None:
         return row
 
-    shape = ParabolicShape((m,) * (n // m))
-    if not is_quotient_minimal(w, shape):
+    if not is_quotient_minimal(w, m):
         raise ValueError(f"{w} is not a minimal coset representative")
     lw = length(w)
     if lw == 0:
@@ -427,7 +419,7 @@ def _deodhar_row(n: int, m: int, variant: str, w: Perm,
 
     for z, pz in prev.items():
         t = apply_s_left(z, s)
-        if not is_quotient_minimal(t, shape):
+        if not is_quotient_minimal(t, m):
             if variant == "neg1":  # eigenvalue q: picks up a factor q + 1
                 acc(z, _radd(pz, _qshift(pz, 1)))
             # eigenvalue -1: the two contributions cancel
@@ -470,7 +462,7 @@ def parabolic_kl_deodhar(sigma: Perm, omega: Perm, m: int, variant: str = "q",
     one (m, variant, n)."""
     if variant not in ("q", "neg1"):
         raise ValueError("variant must be 'q' or 'neg1'")
-    ts, tw, _ = _replication(sigma, omega, m)
+    ts, tw = _replication(sigma, omega, m)
     row = _deodhar_row(len(ts), m, variant, tw, {} if cache is None else cache)
     return LaurentPoly.from_q_coeffs({d: c for d, c in enumerate(row.get(ts, ())) if c})
 

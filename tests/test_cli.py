@@ -50,6 +50,15 @@ def test_pkl_not_comparable(capsys):
     assert "not comparable" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kl", "--s", "1,2", "--w", "1,2,3", "--no-cache"],
+    ["pkl", "--s", "1,2", "--w", "1,2,3", "--m", "2", "--no-cache"],
+], ids=["kl", "pkl"])
+def test_size_mismatch_is_one_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", "error: permutations must have the same n\n")
+
+
 def test_mseg_drops_empty_segment(capsys):
     code, out, _ = run_cli(
         ["mseg", "--a", "1,3", "--b", "2,1", "--perm", "2,1"], capsys)

@@ -34,7 +34,6 @@ from klforge.kl import (
     _unpack,
 )
 from klforge.symgroup import (
-    ParabolicShape,
     bruhat_leq,
     inverse,
     length,
@@ -195,23 +194,23 @@ def test_tables_share_no_order_memo(monkeypatch):
     assert len(calls) == 2 and a._order is not b._order
 
 
-def _shapes():
+def _block_sizes():
     for n in range(1, 7):
         for m in range(1, n + 1):
             if n % m == 0:
-                yield n, m, ParabolicShape((m,) * (n // m))
+                yield n, m
 
 
 def test_key_quotient_test_matches_is_quotient_minimal():
-    for n, m, shape in _shapes():
+    for n, m in _block_sizes():
         for w in all_perms(n):
-            assert _is_minimal_key(_encode(w), n, m) == is_quotient_minimal(w, shape), (w, m)
+            assert _is_minimal_key(_encode(w), n, m) == is_quotient_minimal(w, m), (w, m)
 
 
 def test_w0_conjugation_keeps_minimal_representatives():
-    for n, m, shape in _shapes():
+    for n, m in _block_sizes():
         for w in all_perms(n):
-            if is_quotient_minimal(w, shape):
+            if is_quotient_minimal(w, m):
                 assert _is_minimal_key(_conj_key(_encode(w), n), n, m), (w, m)
     # t_m(omega) conjugates to t_m(w0 omega w0)
     for k in range(1, 4):

@@ -24,8 +24,6 @@ from klforge.segcomb import (
     is_regular,
     is_strongly_regular,
     multisegment_of,
-    p1_shape,
-    p2_shape,
     precedes,
     replicate,
     sigma0,
@@ -153,8 +151,7 @@ def test_scaling_keeps_order_and_drops_everything_at_zero():
 def test_replicated_parabolics():
     A = BiSequence((1, 2), (8, 7))
     r = replicate(A, 3)
-    assert p1_shape(r).block_sizes == (3, 3)
-    assert p2_shape(r).block_sizes == (3, 3)
+    assert r.a == (1, 1, 1, 2, 2, 2) and r.b == (8, 8, 8, 7, 7, 7)
     assert is_regular(A) and not is_regular(r)
 
 

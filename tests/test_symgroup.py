@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from helpers import (
     reduced_word,
 )
 from klforge.symgroup import (
-    ParabolicShape,
     bruhat_leq,
     compose,
     identity,
@@ -25,7 +25,6 @@ from klforge.symgroup import (
     longest_element,
     min_coset_rep,
     min_double_coset_rep,
-    min_left_coset_rep,
     parity,
     replicate_perm,
 )
@@ -87,46 +86,71 @@ def test_bruhat_matches_subword_oracle(pair):
     assert bruhat_leq(y, x) == bruhat_leq_subword(y, x)
 
 
+def _block_sizes(nmax):
+    """(n, m) for every n <= nmax and every block size m dividing n."""
+    return [(n, m) for n in range(1, nmax + 1) for m in range(1, n + 1) if n % m == 0]
+
+
 def test_min_coset_rep():
-    shape = ParabolicShape((2, 2))
-    assert min_coset_rep(identity(4), shape) == identity(4)
-    assert min_coset_rep((2, 1, 4, 3), shape) == identity(4)
-    assert min_coset_rep((4, 3, 1, 2), shape) == (3, 4, 1, 2)
+    assert min_coset_rep(identity(4), 2) == identity(4)
+    assert min_coset_rep((2, 1, 4, 3), 2) == identity(4)
+    assert min_coset_rep((4, 3, 1, 2), 2) == (3, 4, 1, 2)
+    assert min_coset_rep((4, 3, 1, 2), 1) == (4, 3, 1, 2)
+    assert min_coset_rep((4, 3, 1, 2), 4) == identity(4)
+
+
+@pytest.mark.parametrize("rep", [min_coset_rep, min_double_coset_rep])
+def test_block_size_must_divide_n(rep):
+    for n in range(1, 7):
+        w = longest_element(n)
+        for m in range(0, n + 2):
+            if m == 0 or n % m:
+                with pytest.raises(ValueError, match=f"block size {m} does not divide {n}"):
+                    rep(w, m)
+            else:
+                rep(w, m)
 
 
 def test_min_coset_rep_length_additivity():
-    shape = ParabolicShape((2, 1, 2))
-    for w in all_perms(5):
-        rep = min_coset_rep(w, shape)
-        # w = rep * u with u in the subgroup and lengths adding
-        u = compose(inverse(rep), w)
-        assert compose(rep, u) == w
-        assert length(w) == length(rep) + length(u)
-        assert is_quotient_minimal(rep, shape)
+    for n, m in _block_sizes(6):
+        for w in all_perms(n):
+            rep = min_coset_rep(w, m)
+            # w = rep * u with u in W_m and lengths adding
+            u = compose(inverse(rep), w)
+            assert compose(rep, u) == w
+            assert min_coset_rep(u, m) == identity(n)
+            assert length(w) == length(rep) + length(u)
+            assert is_quotient_minimal(rep, m)
 
 
-def _double_coset(w, left, right):
-    return {compose(u, compose(w, v))
-            for u in parabolic_elements(left) for v in parabolic_elements(right)}
+def test_min_coset_rep_is_minimum():
+    for n, m in _block_sizes(6):
+        block = list(parabolic_elements(n, m))
+        for w in all_perms(n):
+            coset = [compose(w, v) for v in block]
+            assert min_coset_rep(w, m) == min(coset, key=length), (w, m)
 
 
 def test_min_double_coset_rep_examples():
-    s2_1 = ParabolicShape((2, 1))
-    s1_2 = ParabolicShape((1, 2))
-    assert min_double_coset_rep(identity(3), s2_1, s1_2) == identity(3)
-    assert min_double_coset_rep((2, 1, 3), s2_1, s1_2) == identity(3)
-    s22 = ParabolicShape((2, 2))
-    assert min_double_coset_rep((3, 4, 1, 2), s22, s22) == (3, 4, 1, 2)
+    assert min_double_coset_rep((3, 2, 1), 1) == (3, 2, 1)
+    assert min_double_coset_rep((2, 1, 4, 3), 2) == identity(4)
+    assert min_double_coset_rep((1, 3, 2, 4), 2) == (1, 3, 2, 4)
+    assert min_double_coset_rep((3, 4, 1, 2), 2) == (3, 4, 1, 2)
+    assert min_double_coset_rep((4, 2, 3, 1), 2) == (1, 3, 2, 4)
+    assert min_double_coset_rep((6, 5, 4, 3, 2, 1), 3) == (4, 5, 6, 1, 2, 3)
 
 
 def test_min_double_coset_rep_is_minimum():
-    left = ParabolicShape((2, 2))
-    right = ParabolicShape((2, 2))
-    for w in all_perms(4):
-        rep = min_double_coset_rep(w, left, right)
-        coset = _double_coset(w, left, right)
-        assert rep in coset
-        assert length(rep) == min(length(z) for z in coset)
+    # each double coset is built once, from its first member met
+    for n, m in _block_sizes(6):
+        block = list(parabolic_elements(n, m))
+        minimum = {}
+        for w in all_perms(n):
+            if w not in minimum:
+                coset = {compose(u, compose(w, v)) for u in block for v in block}
+                least = min(coset, key=length)
+                minimum.update(dict.fromkeys(coset, least))
+            assert min_double_coset_rep(w, m) == minimum[w], (w, m)
 
 
 def test_replicate_perm():
@@ -158,9 +182,8 @@ def test_replicate_block_compatibilities():
     for k in (2, 3):
         w0 = longest_element(k)
         for m in (2, 3):
-            shape = ParabolicShape((m,) * k)
             t_w0 = replicate_perm(w0, m)
-            assert compose(t_w0, parabolic_longest(shape)) == longest_element(m * k)
+            assert compose(t_w0, parabolic_longest(m * k, m)) == longest_element(m * k)
             for x in all_perms(k):
                 assert replicate_perm(compose(x, w0), m) == compose(
                     replicate_perm(x, m), t_w0)
@@ -227,20 +250,12 @@ def test_parity_and_inverse():
         assert compose(w, inverse(w)) == identity(4)
 
 
-def test_parabolic_shape():
-    shape = ParabolicShape((2, 2))
-    assert shape.n == 4
-    assert parabolic_longest(shape) == (2, 1, 4, 3)
-    assert set(parabolic_elements(shape)) == _double_coset(identity(4), shape,
-                                                           ParabolicShape((1, 1, 1, 1)))
-    with pytest.raises(ValueError):
-        ParabolicShape(())
-
-
-def test_min_left_coset_rep():
-    shape = ParabolicShape((2, 2))
-    for w in all_perms(4):
-        rep = min_left_coset_rep(w, shape)
-        coset = {compose(u, w) for u in parabolic_elements(shape)}
-        assert rep in coset
-        assert length(rep) == min(length(z) for z in coset)
+def test_parabolic_longest_and_elements():
+    assert parabolic_longest(4, 2) == (2, 1, 4, 3)
+    assert set(parabolic_elements(4, 2)) == {
+        (1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3)}
+    for n, m in _block_sizes(6):
+        block = set(parabolic_elements(n, m))
+        assert len(block) == math.factorial(m) ** (n // m)
+        assert parabolic_longest(n, m) == max(block, key=length)
+        assert {min_coset_rep(u, m) for u in block} == {identity(n)}
