@@ -134,12 +134,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._coeffs == {0: 1}
 
-    def coefficient(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
-
-    def support(self) -> Iterator[int]:
-        return iter(sorted(self._coeffs))
-
     def items(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in increasing exponent order."""
         return iter(sorted(self._coeffs.items()))

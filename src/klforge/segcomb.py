@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .symgroup import Perm, inverse, is_pattern_avoiding
+from .symgroup import Perm, identity, inverse, is_pattern_avoiding
 
 
 class BelowSigma0(ValueError):
@@ -251,6 +251,8 @@ def dominates_sigma0(A: BiSequence, sigma: Perm) -> bool:
 
 def multisegment_of(A: BiSequence, sigma: Perm) -> Multisegment:
     """The member [a_1, b_{sigma(1)}] + ... of the family, empty segments dropped."""
+    if tuple(sorted(sigma)) != identity(A.k):
+        raise ValueError(f"{sigma} does not permute 1..{A.k}")
     if not dominates_sigma0(A, sigma):
         raise BelowSigma0(f"{sigma} does not dominate sigma0({A})")
     segs = []

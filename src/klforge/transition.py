@@ -85,6 +85,7 @@ from .symgroup import (
     Perm,
     bruhat_leq,
     compose,
+    identity,
     length,
     longest_element,
     min_coset_rep,
@@ -122,8 +123,8 @@ def _check_family(A: BiSequence, omega: Perm) -> tuple[Perm, Perm, int]:
     """Validate the family and the top permutation; returns (sigma0, omega~, m)."""
     m = family_replication(A)[1]
     s0 = sigma0(A)
-    if len(omega) != A.k:
-        raise ValueError("permutation size does not match the family")
+    if tuple(sorted(omega)) != identity(A.k):
+        raise ValueError(f"{omega} does not permute 1..{A.k}")
     top = min_double_coset_rep(omega, m)
     if not bruhat_leq(s0, top):
         raise BelowSigma0(f"{omega} lies below sigma0({A}) = {s0}")

@@ -27,12 +27,14 @@ Each verifier computes one identity two ways and reports the comparison:
   when it equals the claim, so no separate report checks that e is the
   same for every omega at a fixed (k, m).
 
-Hypothesis violations yield skipped reports, so a sweep distinguishes
-"does not apply" from "contradicted", and so do the main-theorem and
-power-identity cases the sweep's budget n = m*k <= SWEEP_MAX_N leaves
-out.  The straightening engine's exchange rules decide every product
-coefficient, so a report is pass, fail or skipped.  Arithmetic is exact;
-only exact equality passes.
+sweep walks each 213-avoiding sigma0 once: it builds the family, and per
+m runs the product checks, then per omega the power identity and the main
+theorem.  Hypothesis violations yield skipped reports, so a sweep
+distinguishes "does not apply" from "contradicted", and so do the
+main-theorem and power-identity cases that fail the sweep's one budget
+test, n = m*k <= SWEEP_MAX_N.  The straightening engine's exchange rules
+decide every product coefficient, so a report is pass, fail or skipped.
+Arithmetic is exact; only exact equality passes.
 """
 
 from __future__ import annotations
@@ -279,79 +281,58 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     left = {member_word(replicated, rep): c for rep, c in
             expand_G_in_E(table, replicated, replicate_perm(omega, m)).items()}
     right = g_star_power_with_taint(table, A, omega, m)[0]
+    claimed = LaurentPoly.v(-A.k * comb(m, 2))  # product-vanishing constants, telescoped
     try:
         e = _monomial_ratio(right, left)
-    except NotMonomialRatio as exc:
-        return VerificationReport(check, case, LaurentPoly.zero(),
-                                  LaurentPoly.one(), "fail",
+    except NotMonomialRatio as exc:  # no exponent was measured
+        return VerificationReport(check, case, claimed, None, "fail",
                                   f"NotMonomialRatio: {exc}",
                                   elapsed=time.perf_counter() - started)
-    claimed = LaurentPoly.v(-A.k * comb(m, 2))  # product-vanishing constants, telescoped
     return _finish(check, case, claimed, LaurentPoly.v(e), started, measured_exponent=e)
 
 
-def _sweep_cases(kmax: int, mmax: int) -> list[tuple]:
-    """All case tuples, deterministically ordered; those past the budget
-    are kept and reported as skipped by sweep."""
-    cases: list[tuple] = []
+def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
+    """Run every verifier over the admissible grid, one family at a time.
+
+    For each k <= kmax, each 213-avoiding minimal permutation s0 of S_k and
+    each 2 <= m <= mmax, in that order: the product check for every sigma
+    and omega above s0, then per omega above s0 the power identity and the
+    main-theorem check for every sigma between s0 and omega.  The product
+    check reads no KL row, so no budget applies to it.  The budget is one
+    test, m*k <= SWEEP_MAX_N: past it a power or main-theorem case is not
+    run, since its rows and straightening outgrow a sweep there, and
+    reports as skipped with a reason beginning "Budget:", as hypothesis
+    failures report as skipped.  A power case passes only at the claimed
+    exponent -k C(m,2), so the passing exponents at a fixed (k, m) agree
+    without a report of their own.
+    """
+    reports: list[VerificationReport] = []
     for k in range(1, kmax + 1):
         for s0 in permutations_of(k):
             if not is_pattern_avoiding(s0, (2, 1, 3)):
                 continue
+            A = construct_strongly_regular(s0)
+            above = [w for w in permutations_of(k) if bruhat_leq(s0, w)]
             for m in range(2, mmax + 1):
-                for sigma in permutations_of(k):
-                    if not bruhat_leq(s0, sigma):
+                reports += [verify_prop1(A, sigma, omega, m)
+                            for sigma in above for omega in above]
+                for omega in above:
+                    below = [sigma for sigma in above if bruhat_leq(sigma, omega)]
+                    if m * k <= SWEEP_MAX_N:
+                        reports.append(verify_power_identity(table, A, omega, m))
+                        reports += [verify_main_theorem(table, s0, sigma, omega, m)
+                                    for sigma in below]
                         continue
-                    for omega in permutations_of(k):
-                        if bruhat_leq(s0, omega):
-                            cases.append(("prop1", k, m, s0, sigma, omega))
-                for omega in permutations_of(k):
-                    if not bruhat_leq(s0, omega):
-                        continue
-                    cases.append(("power", k, m, s0, omega))
-                    for sigma in permutations_of(k):
-                        if bruhat_leq(s0, sigma) and bruhat_leq(sigma, omega):
-                            cases.append(("main", k, m, s0, sigma, omega))
-    return cases
-
-
-def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
-    """Run every verifier over the admissible grid.
-
-    The main-theorem check runs for every 213-avoiding minimal permutation,
-    every omega with trivial ordinary polynomial, every sigma between them,
-    and every 2 <= m <= mmax.  The product check runs for every sigma and
-    omega above each minimal permutation and every such m: it reads no KL
-    row, so no budget applies.  A main-theorem or power-identity case with
-    m*k > SWEEP_MAX_N is not run, since its rows and straightening outgrow
-    a sweep there, and reports as skipped with a reason beginning
-    "Budget:", as hypothesis failures report as skipped.  Reports come
-    back in deterministic case order.  A power case passes only at the
-    claimed exponent -k C(m,2), so the passing exponents at a fixed (k, m)
-    agree without a report of their own.
-    """
-    families = {s0: construct_strongly_regular(s0)
-                for k in range(1, kmax + 1)
-                for s0 in permutations_of(k)
-                if is_pattern_avoiding(s0, (2, 1, 3))}
-
-    def run(case: tuple) -> VerificationReport:
-        kind, k, m, s0, *rest = case
-        if kind == "prop1":  # reads no KL row, so no budget
-            return verify_prop1(families[s0], *rest, m)
-        if m * k <= SWEEP_MAX_N:
-            if kind == "main":
-                return verify_main_theorem(table, s0, *rest, m)
-            return verify_power_identity(table, families[s0], *rest, m)
-        if kind == "main":
-            check, detail = "main-theorem", {"sigma0": list(s0), "sigma": list(rest[0])}
-        else:
-            check, detail = "power-identity", {"family": families[s0].to_json()}
-        return VerificationReport(
-            check, {"k": k, "m": m, **detail, "omega": list(rest[-1])}, None, None,
-            "skipped", f"Budget: n = m*k = {m * k} > {SWEEP_MAX_N}, the largest n a sweep runs")
-
-    return [run(c) for c in _sweep_cases(kmax, mmax)]
+                    budget = (f"Budget: n = m*k = {m * k} > {SWEEP_MAX_N}, "
+                              "the largest n a sweep runs")
+                    case = {"k": k, "m": m, "family": A.to_json(), "omega": list(omega)}
+                    reports.append(VerificationReport(
+                        "power-identity", case, None, None, "skipped", budget))
+                    reports += [VerificationReport(
+                        "main-theorem", {"k": k, "m": m, "sigma0": list(s0),
+                                         "sigma": list(sigma), "omega": list(omega)},
+                        None, None, "skipped", budget) for sigma in below]
+    return reports
 
 
 def summarize(reports: Iterable[VerificationReport]) -> dict[str, int]:

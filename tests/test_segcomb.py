@@ -113,6 +113,13 @@ def test_multisegment_of():
     assert multisegment_of(B, (2, 1)) == Multisegment([Segment(1, 1)])
     with pytest.raises(BelowSigma0):
         multisegment_of(B, (1, 2))
+    # not a permutation of 1..3: no member, and no dominance test run
+    C = construct_strongly_regular((1, 2, 3))
+    for sigma in ((0, 1, 2), (3, 3, 3), (1, 2, 4)):
+        with pytest.raises(ValueError) as info:
+            multisegment_of(C, sigma)
+        assert str(info.value) == f"{sigma} does not permute 1..3"
+        assert not isinstance(info.value, BelowSigma0)
 
 
 def test_replicate():

@@ -87,6 +87,22 @@ def test_expand_below_sigma0(table):
         expand_E_in_G(table, A, identity(2))
 
 
+@pytest.mark.parametrize("A, omega", [
+    (construct_strongly_regular((1, 2, 3)), (0, 1, 2)),
+    (construct_strongly_regular((1, 2, 3)), (1, 5, 2)),
+    (construct_strongly_regular((1, 2, 3)), (1, 1, 2)),
+    (replicate(construct_strongly_regular((1, 2)), 2), (0, 1, 2, 3)),
+], ids=["012", "152", "112", "replicated-0123"])
+def test_expand_rejects_what_is_not_a_permutation(table, A, omega):
+    # a plain ValueError naming omega, neither another top's expansion, an
+    # IndexError nor BelowSigma0 (itself a ValueError)
+    for expand in (expand_G_in_E, expand_E_in_G):
+        with pytest.raises(ValueError) as info:
+            expand(table, A, omega)
+        assert str(info.value) == f"{omega} does not permute 1..{A.k}"
+        assert not isinstance(info.value, BelowSigma0)
+
+
 def test_expand_unsupported_family(table):
     with pytest.raises(UnsupportedFamily):
         expand_E_in_G(table, BiSequence((1, 1, 2), (8, 7, 7)), identity(3))

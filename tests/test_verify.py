@@ -311,10 +311,19 @@ def test_prop1_builds_no_segment_objects(table, monkeypatch):
     assert {r.status for r in reports + power} == {"pass"} and len(power) == 16
 
 
-def test_power_identity_skips_what_is_not_a_permutation_of_the_family(table):
-    r = verify_power_identity(table, construct_strongly_regular((1, 2)), (2, 1, 3), 2)
-    assert r.status == "skipped"
-    assert r.reason.startswith("HypothesisFailed:") and "permute 1..2" in r.reason
+@pytest.mark.parametrize("A, omega, m, reason", [
+    (BiSequence((6, 12), (13, 12)), (2, 1), 1, "m must be greater than 1"),
+    (BiSequence((1, 5), (7, 4)), (1, 2), 2,    # a_2 = b_2 + 1
+     "(1,5 / 7,4) is not strongly regular"),
+    (BiSequence((6, 12), (12, 6)), (1, 2), 2,  # sigma0 = 21
+     "omega must dominate sigma0"),
+    (BiSequence((6, 12), (13, 12)), (1, 1), 2, "omega must permute 1..2"),
+    (construct_strongly_regular((1, 2)), (2, 1, 3), 2, "omega must permute 1..2"),
+])
+def test_power_identity_skip_reasons(table, A, omega, m, reason):
+    r = verify_power_identity(table, A, omega, m)
+    assert (r.status, r.reason) == ("skipped", f"HypothesisFailed: {reason}")
+    assert r.claimed is None and r.computed is None
 
 
 def test_power_identity_examples(table):
@@ -378,6 +387,7 @@ def test_power_identity_fails_where_not_square_irreducible(table, monkeypatch, s
     r = verify_power_identity(table, A, omega, 2)
     assert (r.status, r.reason) == (
         "fail", f"NotMonomialRatio: coefficient at {word} is not v^-4 times the other side")
+    assert r.claimed == V(-4) and r.computed is None  # no exponent was measured
 
 
 def test_power_identity_compares_every_coefficient(table, monkeypatch):
