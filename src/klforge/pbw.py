@@ -52,11 +52,16 @@ unchanged.  No table, no pruning: the product has no target.
 
 Rewriting takes one map of pending words, pops one word at a time and
 insertion-sorts it in one pass.  The pass transposes each adjacent
-inversion (p, z) it meets, and one that shares an end adds -1 to a running
-exponent e.  When p, z are linked in general position and, given a rank
+inversion (p, z) it meets and reads the ends of the two once: a pair that
+shares an end adds -1 to a running exponent e, and a juxtaposed one
+raises.  When p, z are linked in general position and, given a rank
 table, their exchange stays in play, the partial word with (cap, cup) in
 place of (p, z) is set pending with c * v**e * (v**-1 - v), c the popped
-word's coefficient; the sorted word finishes with c * v**e.  Words are
+word's coefficient; the sorted word finishes with c * v**e.  Each of these
+coefficients is a shift of c (LaurentPoly.shifted), v**e (v**-1 - v) two
+shifts and one merge, and so are the prefactors of E: the only product of
+two general polynomials is product_expansion_guarded's coefficient of the
+normal form so far times a factor's.  Words are
 keyed in a map, so duplicates merge eagerly, and a word with no exchange to
 meet is popped once and sets none pending.  An exchange either removes an
 inversion or splits endpoints into a strictly more nested pair, so the
@@ -97,9 +102,6 @@ from .symgroup import Perm
 from .segcomb import general_position, precedes, seg_sort_key  # noqa: F401
 from .symgroup import bruhat_leq  # noqa: F401
 
-_V = LaurentPoly.v
-_EXCHANGE = _V(-1) - _V(1)  # v**-1 - v
-
 
 def _accumulate(target: dict, key, coeff: LaurentPoly) -> None:
     """Add coeff to the entry at key, dropping the key when the sum is zero."""
@@ -113,7 +115,6 @@ def _accumulate(target: dict, key, coeff: LaurentPoly) -> None:
 
 _BITS = 32
 _LO = (1 << _BITS) - 1  # the left-end field
-_HI = ~_LO  # the right-end field
 _BIAS = 1 << (_BITS - 1)
 
 Word = tuple[int, ...]  # packed segments
@@ -142,29 +143,6 @@ def e_star_prefactor_exponent(w: Word) -> int:
 def word_str(w: Word) -> str:
     """The segments of a word as [a,b]+[c,d]+..."""
     return "+".join(f"[{(x & _LO) - _BIAS},{(x >> _BITS) - _BIAS}]" for x in w)
-
-
-def _shares_end(x: int, y: int) -> bool:
-    """For an inversion x > y: whether the two share an end, so that their
-    transposition carries v**-1.  Raises ValueError when they are
-    juxtaposed, a_x = b_y + 1, which the rules leave undecided (for x > y,
-    a_y = b_x + 1 cannot hold)."""
-    ax, ay = x & _LO, y & _LO
-    if ax == ay or x >> _BITS == y >> _BITS:
-        return True
-    if ax == (y >> _BITS) + 1:
-        raise ValueError(f"juxtaposed segments {word_str((y,))} and {word_str((x,))}: "
-                         "the exchange rules do not decide their order")
-    return False
-
-
-def _cap_cup(x: int, y: int) -> tuple[int, int] | None:
-    """For an inversion x > y: the pair (y cap x, y cup x) when y precedes x
-    in general position, that is a_y < a_x <= b_y < b_x, else None."""
-    ax, ay = x & _LO, y & _LO
-    if ay < ax <= (y >> _BITS) < (x >> _BITS):
-        return (y & _HI) | ax, (x & _HI) | ay
-    return None
 
 
 class _Rank(dict):
@@ -205,20 +183,6 @@ class _Rank(dict):
         return s if s & self.guard == self.guard else None
 
 
-def _exchanged(x: int, y: int, s: int, rank: _Rank | None):
-    """For an inversion x > y of a word with slack s: the pair it exchanges
-    to and the slack after, or None when the pair is not linked in general
-    position or, given a rank table, its exchange leaves play."""
-    pair = _cap_cup(x, y)
-    if pair is None:
-        return None
-    if rank is not None:
-        s += rank[x] + rank[y] - rank[pair[0]] - rank[pair[1]]
-        if s & rank.guard != rank.guard:
-            return None
-    return pair, s
-
-
 def _rewrite(pending: dict[Word, LaurentPoly], rank: _Rank | None = None,
              slack: dict[Word, int] | None = None) -> dict[Word, LaurentPoly]:
     """The straightening loop: the sorted words the pending words reach, with
@@ -231,27 +195,37 @@ def _rewrite(pending: dict[Word, LaurentPoly], rank: _Rank | None = None,
     while pending:
         w, c = pending.popitem()
         u, e = _insertion_pass(w, c, slack[w], rank, pending, slack)
-        _accumulate(finished, u, c * _V(e) if e else c)
+        _accumulate(finished, u, c.shifted(e) if e else c)
     return finished
 
 
 def _insertion_pass(w: Word, c: LaurentPoly, s: int, rank: _Rank | None,
                     pending: dict[Word, LaurentPoly], slack: dict[Word, int]):
     """Insertion-sorts a pending word (coefficient c, slack s): its sorted
-    word and the v-exponent e of its transpositions.  At each exchange met,
-    the partial word with (cap, cup) in place of the pair is set pending
-    with c v**e (v**-1 - v), e as it stands then."""
+    word and the v-exponent e of its transpositions.  Each inverted pair
+    p > z met is read once (module docstring); a juxtaposed one, a_p = b_z + 1,
+    raises ValueError (for p > z, a_z = b_p + 1 cannot hold)."""
     u, e = list(w), 0
+    guard = 0 if rank is None else rank.guard
     for j in range(1, len(u)):
         z, i = u[j], j
+        az, bz = z & _LO, z >> _BITS
         while i and u[i - 1] > z:  # z belongs at u[i], u[i + 1:] is shifted
             p = u[i - 1]
-            ex = _exchanged(p, z, s, rank)
-            if ex:  # else not linked, or out of play: it cannot reach the target
-                n = tuple(u[:i - 1]) + ex[0] + tuple(u[i + 1:])
-                slack[n] = ex[1]
-                _accumulate(pending, n, c * _V(e) * _EXCHANGE if e else c * _EXCHANGE)
-            e -= _shares_end(p, z)
+            ap, bp = p & _LO, p >> _BITS
+            if ap == az or bp == bz:
+                e -= 1
+            elif az < ap <= bz:  # linked, as bz < bp: exchange to (cap, cup)
+                cap, cup = bz << _BITS | ap, bp << _BITS | az
+                t = s + rank[p] + rank[z] - rank[cap] - rank[cup] if guard else s
+                if t & guard == guard:  # else out of play: it cannot reach the target
+                    n = tuple(u[:i - 1]) + (cap, cup) + tuple(u[i + 1:])
+                    slack[n] = t
+                    _accumulate(pending, n, c.shifted(e - 1) - c.shifted(e + 1))
+            elif ap == bz + 1:
+                raise ValueError(f"juxtaposed segments {word_str((z,))} and "
+                                 f"{word_str((p,))}: the exchange rules do not "
+                                 "decide their order")
             u[i] = p
             i -= 1
         u[i] = z
@@ -273,11 +247,11 @@ def product_expansion_guarded(
     for factor in factors:
         pending: dict[Word, LaurentPoly] = {}
         for u, c in factor.items():
-            c *= _V(e_star_prefactor_exponent(u))
+            c = c.shifted(e_star_prefactor_exponent(u))
             for w, coeff in normal.items():
                 _accumulate(pending, w + u, coeff * c)
         normal = _rewrite(pending)
-    exact = {w: c * _V(-e_star_prefactor_exponent(w)) for w, c in normal.items()}
+    exact = {w: c.shifted(-e_star_prefactor_exponent(w)) for w, c in normal.items()}
     return exact, frozenset()
 
 
@@ -297,4 +271,4 @@ def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
         if s is not None:
             pending[w], slack[w] = coeff, s
     c = _rewrite(pending, rank, slack).get(target) if pending else None
-    return LaurentPoly.zero() if c is None else c * _V(-exponent)
+    return LaurentPoly.zero() if c is None else c.shifted(-exponent)

@@ -45,7 +45,8 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls.v(0, 0)
+        """The zero polynomial, one shared value."""
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -125,6 +126,12 @@ class LaurentPoly:
         return res
 
     __rmul__ = __mul__
+
+    def shifted(self, e: int) -> "LaurentPoly":
+        """self * v**e, every exponent moved by e."""
+        res = LaurentPoly.__new__(LaurentPoly)
+        res._coeffs = {d + e: c for d, c in self._coeffs.items()}
+        return res
 
     # -- inspection --------------------------------------------------------
 
@@ -219,3 +226,5 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self._coeffs.items()))!r})"
 
+
+_ZERO = LaurentPoly.v(0, 0)

@@ -243,16 +243,16 @@ def sigma0(A: BiSequence) -> Perm:
 
 
 def dominates_sigma0(A: BiSequence, sigma: Perm) -> bool:
-    """Equivalent to sigma0(A) <= sigma in Bruhat order: a_i <= b_{sigma(i)} + 1."""
-    if len(sigma) != A.k:
-        raise ValueError("permutation size does not match the family")
+    """Equivalent to sigma0(A) <= sigma in Bruhat order: a_i <= b_{sigma(i)} + 1.
+    Raises ValueError unless sigma permutes 1..k."""
+    if tuple(sorted(sigma)) != identity(A.k):
+        raise ValueError(f"{sigma} does not permute 1..{A.k}")
     return all(A.a[i] <= A.b[sigma[i] - 1] + 1 for i in range(A.k))
 
 
 def multisegment_of(A: BiSequence, sigma: Perm) -> Multisegment:
-    """The member [a_1, b_{sigma(1)}] + ... of the family, empty segments dropped."""
-    if tuple(sorted(sigma)) != identity(A.k):
-        raise ValueError(f"{sigma} does not permute 1..{A.k}")
+    """The member [a_1, b_{sigma(1)}] + ... of the family, empty segments
+    dropped; ValueError unless sigma permutes 1..k."""
     if not dominates_sigma0(A, sigma):
         raise BelowSigma0(f"{sigma} does not dominate sigma0({A})")
     segs = []

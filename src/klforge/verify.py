@@ -14,8 +14,8 @@ Each verifier computes one identity two ways and reports the comparison:
   E(M_{t_{m-1}(sigma)}) * E(M_omega) vanishes unless omega == sigma, and
   then equals v**(k (C(m-1,2) - C(m,2))).  The members are packed straight
   from the family's ends (pbw.member_word) and only that coefficient is
-  read, by pbw.word_coefficient.  What checks share, down to each
-  (sigma, m)'s rank table, stays with the family.
+  read, by pbw.word_coefficient.  What checks share stays with the family,
+  from its JSON form to each (sigma, m)'s rank table and constants.
 * verify_power_identity: the E-basis expansions of G(M_omega)**m and of
   G(M at the replicated coset) agree up to one monomial v**e.  Both are
   maps {sorted word: coefficient}, the words packed by pbw.member_word and
@@ -121,10 +121,18 @@ class VerificationReport:
 
 
 def _finish(check: str, case: dict, claimed: LaurentPoly, computed: LaurentPoly,
-            started: float, **extra) -> VerificationReport:
+            started: float, measured: int | None = None) -> VerificationReport:
     status = "pass" if claimed == computed else "fail"
-    return VerificationReport(check, case, claimed, computed, status,
-                              elapsed=time.perf_counter() - started, **extra)
+    return VerificationReport(check, case, claimed, computed, status, "",
+                              time.perf_counter() - started, measured)
+
+
+def _family_json(A: BiSequence) -> dict:
+    """A.to_json(), kept in A.derived at the first check; reports share it read-only."""
+    family = A.derived.get("json")
+    if family is None:
+        family = A.derived["json"] = A.to_json()
+    return family
 
 
 def _skip(check: str, case: dict, reason: str, started: float) -> VerificationReport:
@@ -134,11 +142,12 @@ def _skip(check: str, case: dict, reason: str, started: float) -> VerificationRe
 
 def is_square_irreducible(table: KLTable, A: BiSequence, sigma: Perm) -> bool:
     """Whether the family member at sigma stays irreducible under squaring,
-    tested as triviality of the polynomial of (sigma0(A), sigma)."""
+    tested as triviality of the polynomial of (sigma0(A), sigma).  Raises
+    ValueError unless sigma permutes 1..k, and BelowSigma0 below sigma0."""
     if not is_regular(A):
         raise ValueError(f"{A} is not regular")
     s0 = sigma0(A)
-    if not bruhat_leq(s0, sigma):
+    if not dominates_sigma0(A, sigma):
         raise BelowSigma0(f"{sigma} lies below sigma0({A}) = {s0}")
     return kl_poly(table, s0, sigma).is_one()
 
@@ -198,37 +207,42 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
 
     Multiplies E(M at t_{m-1}(sigma) in the (m-1)-replication) by
     E(M_omega) and reads off the coefficient of the m-replicated element.
-    A.derived keeps its strong regularity, the packed members that passed
-    and per (sigma, m) the left word, target and rank table (none on a skip).
+    A.derived keeps its strong regularity, its JSON, the packed members that
+    passed and per (sigma, m) the left word, target, rank table, input
+    coefficient, target exponent and claimed constant (none on a skip).
     """
     started = time.perf_counter()
     sigma, omega, k = tuple(sigma), tuple(omega), A.k
-    case = {"k": k, "m": m, "family": A.to_json(),
+    case = {"k": k, "m": m, "family": _family_json(A),
             "sigma": list(sigma), "omega": list(omega)}
     check = "product-vanishing"
     derived = A.derived
     try:
         if m < 2:
             raise HypothesisFailed("m must be greater than 1")
-        if "strongly regular" not in derived:
-            derived["strongly regular"] = is_strongly_regular(A)
-        if not derived["strongly regular"]:
+        regular = derived.get("strongly regular")
+        if regular is None:
+            regular = derived["strongly regular"] = is_strongly_regular(A)
+        if not regular:
             raise HypothesisFailed(f"{A} is not strongly regular")
-        if ("member", sigma) not in derived or ("member", omega) not in derived:
+        right = derived.get(("member", omega))
+        if right is None or ("member", sigma) not in derived:
             _keep_members(A, sigma, omega)
+            right = derived["member", omega]
     except HypothesisFailed as exc:
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
 
-    if ("target", sigma, m) not in derived:
+    kept = derived.get(("target", sigma, m))
+    if kept is None:
         s = derived["member", sigma]  # t_j(sigma) repeats each of its segments j times
         target = tuple(sorted(s * m))
-        derived["target", sigma, m] = tuple(sorted(s * (m - 1))), target, _Rank(target)
-    left, target, rank = derived["target", sigma, m]
-    word = left + derived["member", omega]
-    computed = word_coefficient({word: LaurentPoly.v(k * comb(m - 1, 2))},
-                                target, k * comb(m, 2), rank)
-    claimed = (LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2))) if omega == sigma
-               else LaurentPoly.zero())
+        kept = derived["target", sigma, m] = (
+            tuple(sorted(s * (m - 1))), target, _Rank(target),
+            LaurentPoly.v(k * comb(m - 1, 2)), k * comb(m, 2),
+            LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2))))
+    left, target, rank, coeff, exponent, constant = kept
+    computed = word_coefficient({left + right: coeff}, target, exponent, rank)
+    claimed = constant if omega == sigma else LaurentPoly.zero()
     return _finish(check, case, claimed, computed, started)
 
 
@@ -242,7 +256,7 @@ def _monomial_ratio(numer: dict[Word, LaurentPoly], denom: dict[Word, LaurentPol
             raise NotMonomialRatio(f"supports differ at {word_str(w)}")
         if e is None:
             e = nc.min_exponent() - dc.min_exponent()
-        if nc != dc * LaurentPoly.v(e):
+        if nc != dc.shifted(e):
             raise NotMonomialRatio(
                 f"coefficient at {word_str(w)} is not v^{e} times the other side")
     if e is None:
@@ -260,7 +274,7 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
     """
     started = time.perf_counter()
     omega = tuple(omega)
-    case = {"k": A.k, "m": m, "family": A.to_json(), "omega": list(omega)}
+    case = {"k": A.k, "m": m, "family": _family_json(A), "omega": list(omega)}
     check = "power-identity"
     try:
         if m < 2:
@@ -288,7 +302,7 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
         return VerificationReport(check, case, claimed, None, "fail",
                                   f"NotMonomialRatio: {exc}",
                                   elapsed=time.perf_counter() - started)
-    return _finish(check, case, claimed, LaurentPoly.v(e), started, measured_exponent=e)
+    return _finish(check, case, claimed, LaurentPoly.v(e), started, e)
 
 
 def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
@@ -325,7 +339,7 @@ def sweep(table: KLTable, kmax: int, mmax: int) -> list[VerificationReport]:
                         continue
                     budget = (f"Budget: n = m*k = {m * k} > {SWEEP_MAX_N}, "
                               "the largest n a sweep runs")
-                    case = {"k": k, "m": m, "family": A.to_json(), "omega": list(omega)}
+                    case = {"k": k, "m": m, "family": _family_json(A), "omega": list(omega)}
                     reports.append(VerificationReport(
                         "power-identity", case, None, None, "skipped", budget))
                     reports += [VerificationReport(

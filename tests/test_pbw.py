@@ -1,10 +1,12 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import klforge.pbw as pbw
 from helpers import (
+    all_perms,
     c_strongly_regular,
     decoded,
     has_juxtaposed_ends,
@@ -17,6 +19,7 @@ from helpers import (
     product_coefficient_guarded,
     product_expansion_guarded_oracle,
     product_words,
+    prop1_oracle,
     rewrite_oracle,
     segment_less,
     straighten_oracle,
@@ -30,8 +33,14 @@ from klforge.pbw import (
     pack_segment,
     product_expansion_guarded,
 )
-from klforge.segcomb import BiSequence, Multisegment, Segment
-from klforge.symgroup import NotComparable
+from klforge.segcomb import (
+    BiSequence,
+    Multisegment,
+    Segment,
+    construct_strongly_regular,
+    dominates_sigma0,
+)
+from klforge.symgroup import NotComparable, is_pattern_avoiding
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
@@ -280,6 +289,42 @@ def test_packed_kernel_matches_oracle_seeded():
         check_single_segment_product(segments)
     for _ in range(150):
         check_product([_random_element(rng, 2) for _ in range(rng.randint(2, 3))])
+
+
+def test_straightening_multiplies_no_two_polynomials(monkeypatch):
+    # every coefficient step is a shift by a monomial: with multiplication
+    # refused, the product-vanishing coefficients of every strongly regular
+    # family with k <= 3 at m = 2, 3, and the rewriting of the seeded words
+    # above, still match the oracle, which is run first
+    products = []
+    for k in (1, 2, 3):
+        for s0 in all_perms(k):
+            if not is_pattern_avoiding(s0, (2, 1, 3)):
+                continue
+            A = construct_strongly_regular(s0)
+            above = [w for w in all_perms(k) if dominates_sigma0(A, w)]
+            products += [(A, sigma, omega, m) for sigma in above for omega in above
+                         for m in (2, 3)]
+    want = [prop1_oracle(*case)[1] for case in products]
+    rng, words = random.Random(7001), []
+    for _ in range(400):
+        segments = tuple(_random_segment(rng) for _ in range(rng.randint(1, 6)))
+        words.append((segments, V(rng.randint(-2, 2))))
+    rewritten = [rewrite_oracle(*word) for word in words]
+
+    def refuse(*args):
+        raise AssertionError("a general multiplication inside straightening")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+    for (A, sigma, omega, m), c in zip(products, want):
+        s, k = member_word(A, sigma), A.k
+        word = tuple(sorted(s * (m - 1))) + member_word(A, omega)
+        got = pbw.word_coefficient({word: V(k * comb(m - 1, 2))}, tuple(sorted(s * m)),
+                                   k * comb(m, 2))
+        assert got == c, (A, sigma, omega, m)
+    for (segments, prefix), c in zip(words, rewritten):
+        assert _unpacked(pbw._rewrite({pack_word(segments): prefix})) == c
 
 
 def test_guarded_product_drops_cancelled_words(monkeypatch):

@@ -97,6 +97,13 @@ def test_dominates_examples():
         assert dominates_sigma0(B, s)
 
 
+@pytest.mark.parametrize("sigma", [(0, 1, 2), (3, 3, 3), (1, 1, 2), (1, 2, 4)])
+def test_dominates_rejects_what_is_not_a_permutation(sigma):
+    with pytest.raises(ValueError) as info:
+        dominates_sigma0(construct_strongly_regular((1, 2, 3)), sigma)
+    assert str(info.value) == f"{sigma} does not permute 1..3"
+
+
 def test_dominates_iff_bruhat():
     for k, lo, hi in ((2, 0, 4), (3, 0, 3), (4, 0, 2)):
         for A in bisequences(k, lo, hi):

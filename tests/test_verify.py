@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import all_perms, prop1_oracle
 from klforge.kl import KLTable
+from klforge.pbw import member_word
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
     BelowSigma0,
@@ -45,6 +46,14 @@ def test_is_square_irreducible(table):
     assert not is_square_irreducible(table, A4, (4, 2, 3, 1))
     with pytest.raises(BelowSigma0):
         is_square_irreducible(table, BiSequence((1, 3), (2, 1)), (1, 2))
+
+
+@pytest.mark.parametrize("sigma", [(0, 1, 2), (3, 3, 3), (1, 1, 2), (1, 2, 4)])
+def test_is_square_irreducible_rejects_what_is_not_a_permutation(table, sigma):
+    with pytest.raises(ValueError) as info:
+        is_square_irreducible(table, construct_strongly_regular((1, 2, 3)), sigma)
+    assert str(info.value) == f"{sigma} does not permute 1..3"
+    assert not isinstance(info.value, BelowSigma0)
 
 
 def test_main_theorem_diagonal(table):
@@ -282,6 +291,30 @@ def test_prop1_on_shared_families_matches_fresh_ones(monkeypatch):
     assert {r[0] for r in fresh} == {"pass", "skipped"}
     built = {(B, sigma, m) for (B, sigma, _, m), r in zip(runs, fresh) if r[0] == "pass"}
     assert len(tables) == len(built)
+
+
+def test_family_derived_data_is_built_once(table, monkeypatch):
+    # two passes over one family's grid: one rank table per (sigma, m), and
+    # one family JSON, built at the first check and shared by every report
+    targets, rank = [], verify_module._Rank
+
+    def counted(target):
+        targets.append(target)
+        return rank(target)
+
+    monkeypatch.setattr(verify_module, "_Rank", counted)
+    A = construct_strongly_regular((1, 3, 2))
+    assert A.derived == {}  # construction leaves the family's derived data to its checks
+    above = [w for w in all_perms(3) if dominates_sigma0(A, w)]
+    grid = [(sigma, omega, m) for m in (2, 3) for sigma in above for omega in above]
+    reports = [verify_prop1(A, *case) for _ in range(2) for case in grid]
+    reports.append(verify_power_identity(table, A, above[-1], 2))
+    assert {r.status for r in reports} == {"pass"}
+    assert sorted(targets) == sorted(tuple(sorted(member_word(A, sigma) * m))
+                                     for sigma in above for m in (2, 3))
+    family = reports[0].case["family"]
+    assert family == A.to_json()
+    assert all(r.case["family"] is family for r in reports)
 
 
 def test_prop1_on_a_warm_family_skips_as_on_a_fresh_one():
