@@ -36,19 +36,20 @@ multiset, and the exchange of a linked pair a_y < a_x <= b_y < b_x gives
 both new ones, and one inside exactly one lies inside [a_y, b_x].  So a
 word whose end multisets differ from the target's, or with some r_ij above
 the target's (i in L and j in R, the target's distinct left and right
-ends), cannot finish at the target.  The test is a packed slack (_Rank,
-one table per target, which a caller may keep): a field of
-len(target).bit_length() + 1 bits, whose top bit is a guard, per cell
-(i, j) of L x R and, above the cells, a count per end in L and in R; G
-holds every guard bit.  The vector of [a, b] has a 1 in each cell with
-i >= a and j <= b (ROW[a] * COLS[b]) and in the counts of a and of b, and
-slack(w) = G + sum(target's) - sum(w's); no field borrows, as no difference
-exceeds len(target).  A word is in play when it has the target's length, no
-end outside L and R, and slack & G == G, so no count above the target's and
-equal end multisets.  Steps keep the counts; the exchange (x, y) ->
-(cap, cup) adds rank(x) + rank(y) - rank(cap) - rank(cup) and drops the new
-word once a guard bit clears.  Equal words have equal slack, so merging is
-unchanged.  No table, no pruning: the product has no target.
+ends), cannot finish at the target.  The test is a packed slack (_Rank, a
+table laid out by L, R and the length alone, so it serves every target with
+those): a field of len(target).bit_length() + 1 bits, whose top bit is a
+guard, per cell (i, j) of L x R and, above the cells, a count per end in L
+and in R; G holds every guard bit.  The vector of [a, b] has a 1 in each
+cell with i >= a and j <= b (ROW[a] * COLS[b]) and in the counts of a and
+of b, and slack(w) = base - sum(w's), base = G + sum(target's); no field
+borrows, as no difference exceeds len(target).  A word is in play when it
+has the target's length, no end outside L and R, and slack & G == G, so no
+count above the target's and equal end multisets.  Steps keep the counts;
+the exchange (x, y) -> (cap, cup) adds rank(x) + rank(y) - rank(cap) -
+rank(cup) and drops the new word once a guard bit clears.  Equal words have
+equal slack, so merging is unchanged.  No table, no pruning: the product
+has no target.
 
 Rewriting takes one map of pending words, pops one word at a time and
 insertion-sorts it in one pass.  The pass transposes each adjacent
@@ -146,13 +147,13 @@ def word_str(w: Word) -> str:
 
 
 class _Rank(dict):
-    """Packed segment -> rank vector toward one target; a word's slack is base
-    less its vectors' sum (module docstring)."""
+    """Packed segment -> rank vector, for every target with the end sets and
+    length of the word it is built from, whose own base it keeps."""
 
-    def __init__(self, target: Word):
-        width = len(target).bit_length() + 1
-        lefts = sorted({x & _LO for x in target}, reverse=True)
-        rights = sorted({x >> _BITS for x in target})
+    def __init__(self, word: Word):
+        width = len(word).bit_length() + 1
+        lefts = sorted({x & _LO for x in word}, reverse=True)
+        rights = sorted({x >> _BITS for x in word})
         row = 1 << width * len(rights)
         self.rows, self.cols = {}, {}  # ROW and COLS
         rows = cols = 0
@@ -164,23 +165,26 @@ class _Rank(dict):
         self.lefts = {a: count << width * n for n, a in enumerate(lefts, len(rights))}
         self.rights = {b: count << width * n for n, b in enumerate(rights)}
         ones = rows * cols + sum(self.lefts.values()) + sum(self.rights.values())
-        self.size, self.guard = len(target), ones << width - 1
-        self.base = self.guard + sum(map(self.__getitem__, target))
+        self.size, self.guard = len(word), ones << width - 1
+        self.base = self.guard + self.total(word)
 
     def __missing__(self, x: int) -> int:
         a, b = x & _LO, x >> _BITS
         r = self[x] = self.rows[a] * self.cols[b] + self.lefts[a] + self.rights[b]
         return r
 
-    def slack(self, w: Word) -> int | None:
-        """The word's slack, or None when the rank lemma rules out the target."""
-        if len(w) != self.size:
-            return None
+    def total(self, w: Word) -> int:
+        """The sum of the word's rank vectors; KeyError at an end the table lacks."""
+        return sum(map(self.__getitem__, w))
+
+    def slack(self, w: Word, base: int | None = None) -> int | None:
+        """The word's slack toward the target of that base (the table's own by
+        default), or None when the rank lemma rules the target out."""
         try:
-            s = self.base - sum(map(self.__getitem__, w))
+            s = (self.base if base is None else base) - self.total(w)
         except KeyError:  # an end the target lacks
             return None
-        return s if s & self.guard == self.guard else None
+        return s if len(w) == self.size and s & self.guard == self.guard else None
 
 
 def _rewrite(pending: dict[Word, LaurentPoly], rank: _Rank | None = None,
@@ -255,20 +259,20 @@ def product_expansion_guarded(
     return exact, frozenset()
 
 
-def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word,
-                     exponent: int, rank: _Rank | None = None) -> LaurentPoly:
+def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word, exponent: int,
+                     rank: _Rank | None = None, slack: Mapping | None = None) -> LaurentPoly:
     """The exact coefficient of E(target) in the sum of the product words.
     Each word's coefficient carries its basis prefactors; target is a sorted
-    word, exponent the exponent of its own prefactor, and rank its table,
-    built here when the caller keeps none.  The words in play are rewritten
-    together, pruned by the rank lemma; none in play, none is rewritten."""
+    word, exponent the exponent of its own prefactor, rank a table for it and
+    slack each word's slack toward it (the words then of its length and
+    ends), each built here when the caller keeps none.  The words in play
+    are rewritten together, pruned by the rank lemma."""
     if rank is None:
         rank = _Rank(target)
-    pending: dict[Word, LaurentPoly] = {}
-    slack: dict[Word, int] = {}
-    for w, coeff in words.items():
-        s = rank.slack(w)
-        if s is not None:
-            pending[w], slack[w] = coeff, s
-    c = _rewrite(pending, rank, slack).get(target) if pending else None
+    if slack is None:
+        base = rank.guard + rank.total(target)
+        slack = {w: rank.slack(w, base) for w in words}
+    pending = {w: c for w, c in words.items()
+               if (s := slack[w]) is not None and s & rank.guard == rank.guard}
+    c = _rewrite(pending, rank, dict(slack)).get(target) if pending else None
     return LaurentPoly.zero() if c is None else c.shifted(-exponent)

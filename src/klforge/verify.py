@@ -15,7 +15,7 @@ Each verifier computes one identity two ways and reports the comparison:
   then equals v**(k (C(m-1,2) - C(m,2))).  The members are packed straight
   from the family's ends (pbw.member_word) and only that coefficient is
   read, by pbw.word_coefficient.  What checks share stays with the family,
-  from its JSON form to each (sigma, m)'s rank table and constants.
+  from its JSON form to one rank table per m and each member's rank sum.
 * verify_power_identity: the E-basis expansions of G(M_omega)**m and of
   G(M at the replicated coset) agree up to one monomial v**e.  Both are
   maps {sorted word: coefficient}, the words packed by pbw.member_word and
@@ -192,14 +192,15 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
 
 
 def _keep_members(A: BiSequence, *perms: Perm) -> None:
-    """Keeps the member word of each permutation in A.derived once all of
-    them permute 1..k and dominate sigma0; else HypothesisFailed."""
-    if any(tuple(sorted(p)) != identity(A.k) for p in perms):
+    """Keeps in A.derived the member word of each permutation not kept yet,
+    once all of them permute 1..k and dominate sigma0; else HypothesisFailed."""
+    new = [p for p in perms if ("member", p) not in A.derived]
+    if any(tuple(sorted(p)) != identity(A.k) for p in new):
         raise HypothesisFailed(f"sigma and omega must permute 1..{A.k}")
-    if not all(dominates_sigma0(A, p) for p in perms):
+    if not all(dominates_sigma0(A, p) for p in new):
         raise HypothesisFailed("sigma and omega must dominate sigma0")
-    for p in perms:  # strong regularity: k nonempty, distinct segments
-        A.derived["member", p] = member_word(A, p)
+    # strong regularity: k nonempty, distinct segments
+    A.derived.update([(("member", p), member_word(A, p)) for p in new])
 
 
 def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> VerificationReport:
@@ -208,8 +209,9 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     Multiplies E(M at t_{m-1}(sigma) in the (m-1)-replication) by
     E(M_omega) and reads off the coefficient of the m-replicated element.
     A.derived keeps its strong regularity, its JSON, the packed members that
-    passed and per (sigma, m) the left word, target, rank table, input
-    coefficient, target exponent and claimed constant (none on a skip).
+    passed, per m one rank table (each target has the family's ends and
+    length k*m) and constants, per (sigma, m) the left word, target, left's
+    share of the slack and m's entries, and per (omega, m) the member's sum.
     """
     started = time.perf_counter()
     sigma, omega, k = tuple(sigma), tuple(omega), A.k
@@ -235,13 +237,21 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     kept = derived.get(("target", sigma, m))
     if kept is None:
         s = derived["member", sigma]  # t_j(sigma) repeats each of its segments j times
-        target = tuple(sorted(s * m))
+        if ("rank", m) not in derived:
+            derived["rank", m] = (
+                _Rank(tuple(sorted(s * m))), LaurentPoly.v(k * comb(m - 1, 2)),
+                k * comb(m, 2), LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2))))
+        rank = derived["rank", m][0]
+        # base(target) - sum(left) = guard + sum(s): target holds s m times, left m - 1
         kept = derived["target", sigma, m] = (
-            tuple(sorted(s * (m - 1))), target, _Rank(target),
-            LaurentPoly.v(k * comb(m - 1, 2)), k * comb(m, 2),
-            LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2))))
-    left, target, rank, coeff, exponent, constant = kept
-    computed = word_coefficient({left + right: coeff}, target, exponent, rank)
+            tuple(sorted(s * (m - 1))), tuple(sorted(s * m)), rank.guard + rank.total(s),
+            *derived["rank", m])
+    left, target, part, rank, coeff, exponent, constant = kept
+    total = derived.get(("sum", omega, m))
+    if total is None:
+        total = derived["sum", omega, m] = rank.total(right)
+    w = left + right
+    computed = word_coefficient({w: coeff}, target, exponent, rank, {w: part - total})
     claimed = constant if omega == sigma else LaurentPoly.zero()
     return _finish(check, case, claimed, computed, started)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import all_perms, prop1_oracle
 from klforge.kl import KLTable
-from klforge.pbw import member_word
+from klforge.pbw import _Rank, member_word, word_coefficient
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
     BelowSigma0,
@@ -269,40 +269,52 @@ def _outputs(r):
     return r.status, r.reason, r.claimed, r.computed
 
 
+def _counting_rank(monkeypatch):
+    """Patches verify's _Rank to record the word each table is built from
+    and each member a table sums; returns the two lists."""
+    tables, sums = [], []
+
+    class Counted(verify_module._Rank):
+        def __init__(self, word):
+            tables.append(word)
+            super().__init__(word)
+
+        def total(self, w):
+            if len(w) * 2 <= self.size:  # a member: tables are built from targets
+                sums.append(w)
+            return super().total(w)
+
+    monkeypatch.setattr(verify_module, "_Rank", Counted)
+    return tables, sums
+
+
 def test_prop1_on_shared_families_matches_fresh_ones(monkeypatch):
     # every sigma, omega in S_k of each family, so with the skips below
     # sigma0 and one that is no permutation, at m = 2 and 3 in a shuffled
-    # order on shared family objects: the reports of fresh families, and
-    # one rank table per (family, sigma, m) that passes
-    tables, rank = [], verify_module._Rank
-
-    def counted(target):
-        tables.append(target)
-        return rank(target)
-
+    # order on shared family objects: the reports of fresh families, one
+    # rank table per (family, m) that passes, and one member sum per
+    # (family, omega, m) and per (family, sigma, m), for the left's share,
+    # that passes
     shared = {A: BiSequence(A.a, A.b) for A, _, _ in _PROP1_CASES}
     runs = [(B, sigma, omega, m) for A, B in shared.items()
             for sigma in all_perms(A.k) for omega in [*all_perms(A.k), (1,) * (A.k + 1)]
             for m in (2, 3)]
     random.Random(23).shuffle(runs)
     fresh = [_outputs(verify_prop1(BiSequence(B.a, B.b), *case)) for B, *case in runs]
-    monkeypatch.setattr(verify_module, "_Rank", counted)
+    tables, sums = _counting_rank(monkeypatch)
     assert [_outputs(verify_prop1(*run)) for run in runs] == fresh
     assert {r[0] for r in fresh} == {"pass", "skipped"}
-    built = {(B, sigma, m) for (B, sigma, _, m), r in zip(runs, fresh) if r[0] == "pass"}
-    assert len(tables) == len(built)
+    passed = [run for run, r in zip(runs, fresh) if r[0] == "pass"]
+    assert len(tables) == len({(B, m) for B, _, _, m in passed})
+    assert len(sums) == len({(B, omega, m) for B, _, omega, m in passed}) \
+        + len({(B, sigma, m) for B, sigma, _, m in passed})
 
 
 def test_family_derived_data_is_built_once(table, monkeypatch):
-    # two passes over one family's grid: one rank table per (sigma, m), and
-    # one family JSON, built at the first check and shared by every report
-    targets, rank = [], verify_module._Rank
-
-    def counted(target):
-        targets.append(target)
-        return rank(target)
-
-    monkeypatch.setattr(verify_module, "_Rank", counted)
+    # two passes over one family's grid: one rank table per m, one member
+    # sum per (omega, m) and per (sigma, m), and one family JSON, built at
+    # the first check and shared by every report
+    targets, sums = _counting_rank(monkeypatch)
     A = construct_strongly_regular((1, 3, 2))
     assert A.derived == {}  # construction leaves the family's derived data to its checks
     above = [w for w in all_perms(3) if dominates_sigma0(A, w)]
@@ -310,11 +322,50 @@ def test_family_derived_data_is_built_once(table, monkeypatch):
     reports = [verify_prop1(A, *case) for _ in range(2) for case in grid]
     reports.append(verify_power_identity(table, A, above[-1], 2))
     assert {r.status for r in reports} == {"pass"}
-    assert sorted(targets) == sorted(tuple(sorted(member_word(A, sigma) * m))
-                                     for sigma in above for m in (2, 3))
+    assert targets == [tuple(sorted(member_word(A, above[0]) * m)) for m in (2, 3)]
+    assert sorted(sums) == sorted(2 * [member_word(A, p) for p in above for m in (2, 3)])
     family = reports[0].case["family"]
     assert family == A.to_json()
     assert all(r.case["family"] is family for r in reports)
+
+
+def test_a_shared_rank_table_decides_as_one_per_target():
+    # every product case with k <= 4 and m in (2, 3): the kept slack, the
+    # left's share less omega's sum, is the slack under a table built from
+    # the case's own target, and fails the guard exactly where that rules
+    # the target out; the shared table has each target's end sets and length
+    for k in (1, 2, 3, 4):
+        for s0 in all_perms(k):
+            if not is_pattern_avoiding(s0, (2, 1, 3)):
+                continue
+            A = construct_strongly_regular(s0)
+            above = [w for w in all_perms(k) if dominates_sigma0(A, w)]
+            for m, sigma, omega in [(m, s, w) for m in (2, 3) for s in above for w in above]:
+                assert verify_prop1(A, sigma, omega, m).passed
+                left, target, part, rank = A.derived["target", sigma, m][:4]
+                assert rank is A.derived["rank", m][0]
+                assert (set(rank.rows), set(rank.cols), rank.size) == (
+                    {x & 0xFFFFFFFF for x in target}, {x >> 32 for x in target}, len(target))
+                kept = part - A.derived["sum", omega, m]
+                own = _Rank(target).slack(left + A.derived["member", omega])
+                assert (kept & rank.guard == rank.guard) == (own is not None)
+                assert own is None or kept == own, (A, sigma, omega, m)
+
+
+def test_word_coefficient_on_a_shared_table_reads_each_target():
+    # a table built from the target of sigma = 123, and one from that of
+    # 321, each read toward both targets: each coefficient is the oracle's
+    A, m = construct_strongly_regular((1, 2, 3)), 2
+    members = {p: member_word(A, p) for p in all_perms(3)}
+    sigmas = ((1, 2, 3), (3, 2, 1))
+    for shared in [_Rank(tuple(sorted(members[s] * m))) for s in sigmas]:
+        for sigma in sigmas:
+            left = tuple(sorted(members[sigma] * (m - 1)))
+            target = tuple(sorted(members[sigma] * m))
+            for omega in all_perms(3):
+                got = word_coefficient({left + members[omega]: V(3 * comb(m - 1, 2))},
+                                       target, 3 * comb(m, 2), shared)
+                assert got == prop1_oracle(A, sigma, omega, m)[1], (sigma, omega)
 
 
 def test_prop1_on_a_warm_family_skips_as_on_a_fresh_one():
