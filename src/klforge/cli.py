@@ -100,9 +100,9 @@ def cmd_sigma0(args) -> int:
 
 def cmd_mseg(args) -> int:
     A = BiSequence(args.a, args.b)
-    mseg = multisegment_of(A, args.perm)
+    member = multisegment_of(A, args.perm)
     if args.format == "json":
-        print(json.dumps(mseg.to_json(), sort_keys=True))
+        print(json.dumps(member, sort_keys=True))
         return 0
     # construction order a_i, b_{perm(i)}, empty pairs dropped
     parts = []

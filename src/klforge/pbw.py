@@ -83,9 +83,9 @@ and cap/cup tests read the two 32-bit fields.  A sorted word names its
 multisegment, so an expansion in the basis is a map {sorted word:
 coefficient of E}, and the prefactor of E is read off the word by run
 length; member_word packs a family member straight from the family's ends.
-No Segment or Multisegment is built.  The module keeps no pool between
-calls.  The Segment-object rewriting it replaced is the test oracle in
-tests/helpers.py.
+No Segment is built, and src has no multisegment class: Multisegment and
+the Segment-object rewriting this replaced are test oracles in
+tests/helpers.py.  The module keeps no pool between calls.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def pack_segment(a: int, b: int) -> int:
 
 def member_word(A: BiSequence, p: Perm) -> Word:
     """The sorted word of the family member [a_1, b_p(1)] + ... + [a_k, b_p(k)],
-    empty segments [b+1, b] dropped as segcomb.multisegment_of drops them."""
+    empty segments [b+1, b] dropped, as in segcomb.multisegment_of's JSON form."""
     ends = zip(A.a, (A.b[j - 1] for j in p))
     return tuple(sorted(pack_segment(a, b) for a, b in ends if a <= b))
 

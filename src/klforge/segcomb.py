@@ -1,4 +1,4 @@
-"""Segments, multisegments, and bi-sequence families.
+"""Segments, bi-sequence families and their members.
 
 A segment [a, b] is a pair of integers with a <= b.  A multisegment is a
 finite multiset of segments.  A bi-sequence is a pair of integer sequences
@@ -9,8 +9,11 @@ parametrizes the family of multisegments
 
 indexed by the permutations sigma lying above a minimal permutation
 sigma0, which is produced by a greedy recursion.  Degenerate pairs
-[b+1, b] act as empty segments and are dropped; they exist only inside
-that constructor, never as stored Segment values.
+[b+1, b] act as empty segments and are dropped.  No multisegment object is
+built here: multisegment_of gives a member's JSON form, and the
+straightening engine names a member by its sorted packed word
+(pbw.member_word).  The Multisegment class is a test oracle in
+tests/helpers.py.
 
 The bi-sequence is regular when its left ends are distinct and its right
 ends are distinct, and strongly regular when moreover no a equals any
@@ -23,10 +26,10 @@ block parabolic W_m (see transition).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from itertools import groupby
+from typing import Mapping
 
 from .symgroup import Perm, identity, inverse, is_pattern_avoiding
 
@@ -74,95 +77,6 @@ def general_position(d1: Segment, d2: Segment) -> bool:
         and d1.a != d2.b + 1
         and d2.a != d1.b + 1
     )
-
-
-class Multisegment:
-    """A finite multiset of segments, canonically sorted by seg_sort_key.
-    The constructor counts and sorts; from_sorted_items (from_counts and
-    n * M) takes (segment, multiplicity) pairs already in order."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, segments: Iterable[Segment] = ()):
-        self._items = tuple(sorted(Counter(segments).items(),
-                                   key=lambda kv: seg_sort_key(kv[0])))
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[Segment, int]) -> "Multisegment":
-        items = [(s, c) for s, c in counts.items() if c]
-        if any(c < 0 for _, c in items):
-            raise ValueError("multiplicities must be nonnegative")
-        return cls.from_sorted_items(
-            tuple(sorted(items, key=lambda kv: seg_sort_key(kv[0]))))
-
-    @classmethod
-    def from_sorted_items(cls, items: tuple[tuple[Segment, int], ...]) -> "Multisegment":
-        """Positive multiplicities in increasing segment order, unchecked."""
-        m = cls.__new__(cls)
-        m._items = items
-        return m
-
-    @classmethod
-    def empty(cls) -> "Multisegment":
-        return cls(())
-
-    def items(self) -> tuple[tuple[Segment, int], ...]:
-        """(segment, multiplicity) pairs in increasing segment order."""
-        return self._items
-
-    def segments(self) -> Iterator[Segment]:
-        """Each segment repeated with its multiplicity, in order."""
-        for s, c in self._items:
-            for _ in range(c):
-                yield s
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __add__(self, other: "Multisegment") -> "Multisegment":
-        if not isinstance(other, Multisegment):
-            return NotImplemented
-        return Multisegment.from_counts(
-            Counter(dict(self._items)) + Counter(dict(other._items)))
-
-    def __rmul__(self, n: int) -> "Multisegment":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        items = tuple((s, n * c) for s, c in self._items) if n else ()
-        return Multisegment.from_sorted_items(items)
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multisegment):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def to_json(self) -> list[dict]:
-        return [{"a": s.a, "b": s.b, "mult": c} for s, c in self._items]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> "Multisegment":
-        counts: Counter[Segment] = Counter()
-        for rec in data:
-            counts[Segment(int(rec["a"]), int(rec["b"]))] += int(rec.get("mult", 1))
-        return cls.from_counts(counts)
-
-    def __str__(self) -> str:
-        if not self._items:
-            return "0"
-        return "+".join(str(s) for s in self.segments())
-
-    def __repr__(self) -> str:
-        return f"Multisegment({list(self.segments())!r})"
 
 
 @dataclass(frozen=True)
@@ -250,17 +164,14 @@ def dominates_sigma0(A: BiSequence, sigma: Perm) -> bool:
     return all(A.a[i] <= A.b[sigma[i] - 1] + 1 for i in range(A.k))
 
 
-def multisegment_of(A: BiSequence, sigma: Perm) -> Multisegment:
-    """The member [a_1, b_{sigma(1)}] + ... of the family, empty segments
-    dropped; ValueError unless sigma permutes 1..k."""
+def multisegment_of(A: BiSequence, sigma: Perm) -> list[dict]:
+    """The JSON form of the member [a_1, b_{sigma(1)}] + ... of the family:
+    one {"a", "b", "mult"} per distinct segment in (b, a) order, empty
+    segments dropped; ValueError unless sigma permutes 1..k."""
     if not dominates_sigma0(A, sigma):
         raise BelowSigma0(f"{sigma} does not dominate sigma0({A})")
-    segs = []
-    for i in range(A.k):
-        a, b = A.a[i], A.b[sigma[i] - 1]
-        if a <= b:
-            segs.append(Segment(a, b))
-    return Multisegment(segs)
+    ends = sorted((b, a) for a, b in zip(A.a, (A.b[j - 1] for j in sigma)) if a <= b)
+    return [{"a": a, "b": b, "mult": len(list(run))} for (b, a), run in groupby(ends)]
 
 
 def replicate(A: BiSequence, m: int) -> BiSequence:

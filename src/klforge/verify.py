@@ -21,7 +21,7 @@ Each verifier computes one identity two ways and reports the comparison:
   maps {sorted word: coefficient}, the words packed by pbw.member_word and
   straightened by pbw.product_expansion_guarded, and they are compared word
   by word; a word is spelled out as [a,b]+... only in a failure's reason.
-  Neither check builds a Segment or Multisegment.  The claim is
+  Neither check builds a Segment.  The claim is
   e = -k C(m,2), the product-vanishing constants telescoped over the m
   factors; e is measured and reported either way, and a case passes only
   when it equals the claim, so no separate report checks that e is the

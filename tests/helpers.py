@@ -10,6 +10,9 @@ translated by the longest element of W_m, and Deodhar's recursion on
 permutation tuples.  The straightening engine's packed-int kernel is
 checked against the Segment-object rewriting it replaced, and
 verify_prop1's packed words against the Multisegment route they replaced.
+Multisegment lives here only: src names a multisegment by its sorted
+packed word, and multisegment_oracle builds a family member from Segment
+objects, the oracle of segcomb.multisegment_of's JSON form.
 The engine keys an expansion by sorted packed words; words_of packs an
 oracle's Multisegment-keyed expansion and decoded spells one out again,
 so the two compare on Segment objects.  The oracle rewriting takes a
@@ -28,8 +31,10 @@ normalization on tuples.  Helpers that only tests call live here too.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from klforge.kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
 from klforge.pbw import _accumulate, pack_segment, word_coefficient
@@ -37,11 +42,10 @@ from klforge.poly import LaurentPoly
 from klforge.segcomb import (
     BelowSigma0,
     BiSequence,
-    Multisegment,
     Segment,
+    dominates_sigma0,
     general_position,
     is_regular,
-    multisegment_of,
     precedes,
     replicate,
     seg_sort_key,
@@ -490,13 +494,64 @@ def monomial(p: LaurentPoly) -> tuple[int, int] | None:
     return terms[0] if len(terms) == 1 else None
 
 
+class Multisegment:
+    """A finite multiset of segments, (segment, multiplicity) pairs in
+    seg_sort_key order: the oracle's form of what src names by a sorted
+    packed word."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, segments=()):
+        self._items = tuple(sorted(Counter(segments).items(),
+                                   key=lambda kv: seg_sort_key(kv[0])))
+
+    def items(self) -> tuple[tuple[Segment, int], ...]:
+        return self._items
+
+    def segments(self) -> Iterator[Segment]:
+        """Each segment repeated with its multiplicity, in order."""
+        for s, c in self._items:
+            yield from itertools.repeat(s, c)
+
+    def __add__(self, other: "Multisegment") -> "Multisegment":
+        return Multisegment(itertools.chain(self.segments(), other.segments()))
+
+    def __rmul__(self, n: int) -> "Multisegment":
+        return Multisegment(s for s in self.segments() for _ in range(n))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Multisegment) and self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def to_json(self) -> list[dict]:
+        return [{"a": s.a, "b": s.b, "mult": c} for s, c in self._items]
+
+    @classmethod
+    def from_json(cls, data) -> "Multisegment":
+        return cls(Segment(rec["a"], rec["b"]) for rec in data for _ in range(rec["mult"]))
+
+    def __str__(self) -> str:
+        return "+".join(map(str, self.segments()))
+
+    def __repr__(self) -> str:
+        return f"Multisegment({list(self.segments())!r})"
+
+
+def multisegment_oracle(A: BiSequence, sigma: Perm) -> Multisegment:
+    """The member [a_1, b_{sigma(1)}] + ... of the family built from Segment
+    objects, empty segments dropped: the oracle of segcomb.multisegment_of,
+    with its ValueError and BelowSigma0."""
+    if not dominates_sigma0(A, sigma):
+        raise BelowSigma0(f"{sigma} does not dominate sigma0({A})")
+    return Multisegment(Segment(a, A.b[j - 1]) for a, j in zip(A.a, sigma)
+                        if a <= A.b[j - 1])
+
+
 def mseg_total(m: Multisegment) -> int:
     """The number of segments of m, counted with multiplicity."""
     return sum(c for _, c in m.items())
-
-
-def multiplicity(m: Multisegment, s: Segment) -> int:
-    return dict(m.items()).get(s, 0)
 
 
 def segment_less(d1: Segment, d2: Segment) -> bool:
@@ -529,8 +584,8 @@ def bisequences(k: int, lo: int, hi: int):
 def double_multiplication_holds(A: BiSequence, sigma: Perm, m: int) -> bool:
     """m copies of M_sigma(A) equal the replicated-family member at the
     block replication of sigma."""
-    left = m * multisegment_of(A, sigma)
-    right = multisegment_of(replicate(A, m), replicate_perm(sigma, m))
+    left = m * multisegment_oracle(A, sigma)
+    right = multisegment_oracle(replicate(A, m), replicate_perm(sigma, m))
     return left == right
 
 
@@ -708,9 +763,9 @@ def prop1_oracle(A: BiSequence, sigma: Perm, omega: Perm,
     """(status, computed) of verify_prop1 on a case that meets its
     hypotheses, through Multisegments: E((m-1) M_sigma) times E(M_omega),
     read at m M_sigma."""
-    m_sigma = multisegment_of(A, sigma)
+    m_sigma = multisegment_oracle(A, sigma)
     left = {(m - 1) * m_sigma: LaurentPoly.one()}
-    right = {multisegment_of(A, omega): LaurentPoly.one()}
+    right = {multisegment_oracle(A, omega): LaurentPoly.one()}
     computed = product_coefficient_guarded([left, right], m * m_sigma)
     if omega == sigma:
         claimed = LaurentPoly.v(A.k * (comb(m - 1, 2) - comb(m, 2)))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import Multisegment, multisegment_oracle
 from klforge.cli import main
 from klforge.poly import LaurentPoly
 from klforge.segcomb import BiSequence
@@ -67,14 +68,21 @@ def test_mseg_drops_empty_segment(capsys):
 
 
 def test_mseg_json_roundtrip(capsys):
-    from klforge.segcomb import Multisegment, Segment
-
-    code, out, _ = run_cli(
-        ["mseg", "--a", "1,2,3", "--b", "8,7,6", "--perm", "1,2,3",
-         "--format", "json"], capsys)
-    assert code == 0
-    assert Multisegment.from_json(json.loads(out)) == Multisegment(
-        [Segment(1, 8), Segment(2, 7), Segment(3, 6)])
+    # the oracle reads back what mseg prints, multiplicities included
+    for a, b, perm, want in [
+        ((1, 2, 3), (8, 7, 6), (1, 2, 3), '[{"a": 3, "b": 6, "mult": 1}, '
+         '{"a": 2, "b": 7, "mult": 1}, {"a": 1, "b": 8, "mult": 1}]\n'),
+        ((1, 1, 2, 2), (9, 9, 8, 8), (2, 1, 3, 4),
+         '[{"a": 2, "b": 8, "mult": 2}, {"a": 1, "b": 9, "mult": 2}]\n'),
+        ((2, 3), (2, 1), (2, 1), "[]\n"),
+    ]:
+        code, out, _ = run_cli(["mseg", "--a", ",".join(map(str, a)),
+                                "--b", ",".join(map(str, b)),
+                                "--perm", ",".join(map(str, perm)), "--format", "json"],
+                               capsys)
+        assert (code, out) == (0, want)
+        assert Multisegment.from_json(json.loads(out)) == multisegment_oracle(
+            BiSequence(a, b), perm)
 
 
 def test_expand_json(capsys):

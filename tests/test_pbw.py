@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import klforge.pbw as pbw
 from helpers import (
+    Multisegment,
     all_perms,
     c_strongly_regular,
     decoded,
@@ -35,7 +36,6 @@ from klforge.pbw import (
 )
 from klforge.segcomb import (
     BiSequence,
-    Multisegment,
     Segment,
     construct_strongly_regular,
     dominates_sigma0,
@@ -45,7 +45,7 @@ from klforge.symgroup import NotComparable, is_pattern_avoiding
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
 EXCH = V(-1) - V(1)
-UNIT = {Multisegment.empty(): ONE}
+UNIT = {Multisegment(): ONE}
 
 
 def seg(a, b):
@@ -223,7 +223,7 @@ def test_scale_and_add():
     # repeated records and drops a sum that cancels
     x = {mseg((1, 2)): ONE}
     for c in (V(2), -1 * V(2)):
-        assert product(x, {Multisegment.empty(): c}) == {mseg((1, 2)): c}
+        assert product(x, {Multisegment(): c}) == {mseg((1, 2)): c}
     records = pbw_to_json({mseg((1, 2)): V(2)})
     records += pbw_to_json({mseg((1, 2)): -1 * V(2)})
     assert pbw_from_json(records) == {}
@@ -477,7 +477,7 @@ _combinations = st.dictionaries(
 @given(st.lists(_combinations, min_size=2, max_size=3), st.randoms(use_true_random=False))
 def test_coefficient_reader_matches_expansion(factors, rnd):
     exact = product(*factors)
-    concat = sum((next(iter(f)) for f in factors), Multisegment.empty())
+    concat = sum((next(iter(f)) for f in factors), Multisegment())
     starts = [2 * rnd.randint(0, 9) for _ in range(mseg_total(concat))]
     other = Multisegment(Segment(a, 2 * rnd.randint(a // 2, 9)) for a in starts)
     words = product_words(factors)

@@ -8,14 +8,12 @@ from helpers import (
     all_perms,
     bisequences,
     double_multiplication_holds,
-    mseg_total,
-    multiplicity,
+    multisegment_oracle,
     union_intersection,
 )
 from klforge.segcomb import (
     BelowSigma0,
     BiSequence,
-    Multisegment,
     Not213Avoiding,
     Segment,
     construct_strongly_regular,
@@ -56,18 +54,6 @@ def test_union_intersection():
     assert union_intersection(Segment(1, 3), Segment(4, 6)) == (Segment(1, 6), None)
     with pytest.raises(NotLinked):
         union_intersection(Segment(2, 4), Segment(1, 3))
-
-
-def test_multisegment_basics():
-    m = Multisegment([Segment(1, 2), Segment(1, 2), Segment(0, 4), Segment(5, 5)])
-    assert mseg_total(m) == 4
-    assert multiplicity(m, Segment(1, 2)) == 2
-    assert multiplicity(m, Segment(1, 3)) == 0
-    assert 2 * Multisegment([Segment(1, 2)]) == Multisegment(
-        [Segment(1, 2), Segment(1, 2)])
-    assert m + Multisegment.empty() == m
-    data = json.loads(json.dumps(m.to_json()))
-    assert Multisegment.from_json(data) == m
 
 
 def test_bisequence_validation():
@@ -112,12 +98,46 @@ def test_dominates_iff_bruhat():
                 assert dominates_sigma0(A, s) == bruhat_leq(s0, s), (A, s)
 
 
+def _dominating_perm(A: BiSequence, rng: random.Random) -> tuple[int, ...]:
+    """A random sigma with a_i <= b_sigma(i) + 1 for all i.  The admissible
+    columns of row i are a prefix of 1..k that shrinks as i grows, so
+    filling the rows from the last never runs out of columns."""
+    sigma = [0] * A.k
+    free = set(range(1, A.k + 1))
+    for i in reversed(range(A.k)):
+        sigma[i] = rng.choice(sorted(j for j in free if A.a[i] <= A.b[j - 1] + 1))
+        free.remove(sigma[i])
+    return tuple(sigma)
+
+
 def test_multisegment_of():
+    # the JSON form of the Segment-object oracle, on every member of every
+    # strongly regular family with k <= 4 and of its 2-, 3- and 4-fold
+    # replications, at t_m(sigma), where it is m M_sigma, and at a random
+    # dominating permutation
     A = BiSequence((1, 2, 3), (8, 7, 6))
-    assert multisegment_of(A, identity(3)) == Multisegment(
-        [Segment(1, 8), Segment(2, 7), Segment(3, 6)])
+    assert multisegment_of(A, identity(3)) == [
+        {"a": 3, "b": 6, "mult": 1}, {"a": 2, "b": 7, "mult": 1}, {"a": 1, "b": 8, "mult": 1}]
+    rng = random.Random(31)
+    for k in (1, 2, 3, 4):
+        for s0 in all_perms(k):
+            if not is_pattern_avoiding(s0, (2, 1, 3)):
+                continue
+            A = construct_strongly_regular(s0)
+            for sig in all_perms(k):
+                if not bruhat_leq(s0, sig):
+                    continue
+                member = multisegment_oracle(A, sig)
+                assert multisegment_of(A, sig) == member.to_json(), (A, sig)
+                for m in (2, 3, 4):
+                    R = replicate(A, m)
+                    t = replicate_perm(sig, m)
+                    assert multisegment_oracle(R, t) == m * member, (A, sig, m)
+                    for p in (t, _dominating_perm(R, rng)):
+                        assert multisegment_of(R, p) == multisegment_oracle(R, p).to_json()
+    # an empty segment is dropped, and below sigma0 there is no member
     B = BiSequence((1, 3), (2, 1))
-    assert multisegment_of(B, (2, 1)) == Multisegment([Segment(1, 1)])
+    assert multisegment_of(B, (2, 1)) == [{"a": 1, "b": 1, "mult": 1}]
     with pytest.raises(BelowSigma0):
         multisegment_of(B, (1, 2))
     # not a permutation of 1..3: no member, and no dominance test run
@@ -134,32 +154,6 @@ def test_replicate():
     assert replicate(A, 3) == BiSequence(
         (1, 1, 1, 2, 2, 2, 3, 3, 3), (8, 8, 8, 7, 7, 7, 6, 6, 6))
     assert replicate(A, 1) == A
-
-
-def test_replicated_member_is_the_scaled_member():
-    # M at t_m(sigma) in the m-fold replication is m * M_sigma, which
-    # verify_prop1 and verify_power_identity build by scaling
-    for k in (1, 2, 3, 4):
-        for s0 in all_perms(k):
-            if not is_pattern_avoiding(s0, (2, 1, 3)):
-                continue
-            A = construct_strongly_regular(s0)
-            for sig in all_perms(k):
-                if not bruhat_leq(s0, sig):
-                    continue
-                for m in (1, 2, 3, 4):
-                    scaled = m * multisegment_of(A, sig)
-                    built = multisegment_of(replicate(A, m), replicate_perm(sig, m))
-                    assert scaled == built and hash(scaled) == hash(built), (A, sig, m)
-
-
-def test_scaling_keeps_order_and_drops_everything_at_zero():
-    M = Multisegment([Segment(1, 7), Segment(5, 5), Segment(5, 5), Segment(-3, 2)])
-    assert 3 * M == M * 3 == Multisegment(list(M.segments()) * 3)
-    assert [s for s, _ in (3 * M).items()] == [s for s, _ in M.items()]
-    assert 0 * M == Multisegment.empty() and not (0 * M)
-    with pytest.raises(ValueError):
-        -1 * M
 
 
 def test_replicated_parabolics():
@@ -214,7 +208,7 @@ def test_strongly_regular_general_position():
             A = construct_strongly_regular(s0)
             perms = [s for s in all_perms(k) if dominates_sigma0(A, s)]
             for sig in rng.sample(perms, min(4, len(perms))):
-                segs = list(multisegment_of(A, sig).segments())
+                segs = list(multisegment_oracle(A, sig).segments())
                 for i in range(len(segs)):
                     for j in range(i + 1, len(segs)):
                         assert segs[i] == segs[j] or general_position(

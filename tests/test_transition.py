@@ -6,6 +6,7 @@ from helpers import (
     decoded,
     g_star_power_in_E,
     is_inverse,
+    multisegment_oracle,
     transition_matrix,
 )
 from klforge.poly import LaurentPoly
@@ -16,7 +17,6 @@ from klforge.segcomb import (
     BiSequence,
     construct_strongly_regular,
     dominates_sigma0,
-    multisegment_of,
     replicate,
     sigma0,
 )
@@ -119,7 +119,7 @@ def test_coset_expansion_matches_brute_force(table, k, m):
         groups = {}
         for w in all_perms(A.k):
             if dominates_sigma0(A, w):
-                groups.setdefault(multisegment_of(A, w), []).append(w)
+                groups.setdefault(multisegment_oracle(A, w), []).append(w)
         reps = {min(ws, key=length): ws for ws in groups.values()}
         for rep, ws in reps.items():
             assert sum(length(w) == length(rep) for w in ws) == 1
@@ -255,24 +255,24 @@ def test_g_star_power_m1_matches_expansion(table):
     A = construct_strongly_regular((2, 1))
     w = (2, 1)
     assert g_star_power_in_E(table, A, w, 1) == {
-        multisegment_of(A, rep): c for rep, c in expand_G_in_E(table, A, w).items()}
+        multisegment_oracle(A, rep): c for rep, c in expand_G_in_E(table, A, w).items()}
 
 
 def test_g_star_power_bottom_square(table):
     A = BiSequence((1, 5), (7, 5))
     got = g_star_power_in_E(table, A, identity(2), 2)
-    target = multisegment_of(replicate(A, 2), identity(4))
+    target = multisegment_oracle(replicate(A, 2), identity(4))
     assert got == {target: V(-2)}
 
 
 def test_member_word_keys(table):
-    # the sorted word of each member spells multisegment_of, empty segments
+    # the sorted word of each member spells the oracle member, empty segments
     # dropped; the expansion of G keyed by these words finds the member
     for A in (construct_strongly_regular((1, 3, 2)), BiSequence((1, 3), (2, 1)),
               replicate(construct_strongly_regular((2, 1)), 2)):
         for w in all_perms(A.k):
             if dominates_sigma0(A, w):
-                assert decoded({member_word(A, w): 1}) == {multisegment_of(A, w): 1}
+                assert decoded({member_word(A, w): 1}) == {multisegment_oracle(A, w): 1}
     A = construct_strongly_regular((1, 2))
     keyed = {member_word(A, rep): c for rep, c in expand_G_in_E(table, A, (2, 1)).items()}
     assert keyed[member_word(A, (1, 2))] == -1 * V(1)

@@ -12,7 +12,6 @@ from klforge.poly import LaurentPoly
 from klforge.segcomb import (
     BelowSigma0,
     BiSequence,
-    Multisegment,
     Segment,
     construct_strongly_regular,
     dominates_sigma0,
@@ -27,6 +26,7 @@ from klforge.verify import (
     verify_prop1,
 )
 from klforge.symgroup import bruhat_leq, identity, is_pattern_avoiding
+import klforge.cli as cli
 import klforge.verify as verify_module
 
 V = LaurentPoly.v
@@ -379,20 +379,26 @@ def test_prop1_on_a_warm_family_skips_as_on_a_fresh_one():
             assert (r.status, r.reason) == ("skipped", f"HypothesisFailed: {reason}")
 
 
-def test_prop1_builds_no_segment_objects(table, monkeypatch):
-    # nor does the power identity, whose two sides stay keyed by sorted words
+def test_prop1_builds_no_segment_objects(table, monkeypatch, capsys):
+    # nor does the power identity, whose two sides stay keyed by sorted words,
+    # nor any command: src has no multisegment class, and builds no Segment
     def refuse(*args, **kwargs):
-        raise AssertionError("a Segment or Multisegment was built")
+        raise AssertionError("a Segment was built")
 
-    for cls in (Multisegment, Segment):
-        monkeypatch.setattr(cls, "__init__", refuse)
-    monkeypatch.setattr(Multisegment, "from_sorted_items", refuse)
+    monkeypatch.setattr(Segment, "__init__", refuse)
     reports = [verify_prop1(B, sigma, omega, m)
                for B, sigma, omega in _PROP1_CASES[::7] for m in (2, 3)]
     tops = {B: omega for B, _, omega in _PROP1_CASES}  # w0 over each family
     power = [verify_power_identity(table, B, omega, m)
              for B, omega in tops.items() for m in (2, 3)]
     assert {r.status for r in reports + power} == {"pass"} and len(power) == 16
+    mseg = ["mseg", "--a", "1,1,2,2", "--b", "9,9,8,8", "--perm", "2,1,3,4"]
+    for argv in (mseg, mseg + ["--format", "json"],
+                 ["expand", "--a", "1,2", "--b", "8,7", "--m", "2",
+                  "--direction", "g2e", "--no-cache"],
+                 ["verify", "--kmax", "2", "--mmax", "2", "--no-cache"]):
+        assert cli.main(argv) == 0, argv
+    assert "fail=0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("A, omega, m, reason", [
