@@ -113,8 +113,7 @@ def _dominating_perm(A: BiSequence, rng: random.Random) -> tuple[int, ...]:
 def test_multisegment_of():
     # the JSON form of the Segment-object oracle, on every member of every
     # strongly regular family with k <= 4 and of its 2-, 3- and 4-fold
-    # replications, at t_m(sigma), where it is m M_sigma, and at a random
-    # dominating permutation
+    # replications, at t_m(sigma) and at a random dominating permutation
     A = BiSequence((1, 2, 3), (8, 7, 6))
     assert multisegment_of(A, identity(3)) == [
         {"a": 3, "b": 6, "mult": 1}, {"a": 2, "b": 7, "mult": 1}, {"a": 1, "b": 8, "mult": 1}]
@@ -131,9 +130,7 @@ def test_multisegment_of():
                 assert multisegment_of(A, sig) == member.to_json(), (A, sig)
                 for m in (2, 3, 4):
                     R = replicate(A, m)
-                    t = replicate_perm(sig, m)
-                    assert multisegment_oracle(R, t) == m * member, (A, sig, m)
-                    for p in (t, _dominating_perm(R, rng)):
+                    for p in (replicate_perm(sig, m), _dominating_perm(R, rng)):
                         assert multisegment_of(R, p) == multisegment_oracle(R, p).to_json()
     # an empty segment is dropped, and below sigma0 there is no member
     B = BiSequence((1, 3), (2, 1))
@@ -147,6 +144,25 @@ def test_multisegment_of():
             multisegment_of(C, sigma)
         assert str(info.value) == f"{sigma} does not permute 1..3"
         assert not isinstance(info.value, BelowSigma0)
+
+
+def test_replicated_member_is_the_scaled_member():
+    # M at t_m(sigma) in the m-fold replication is m * M_sigma, which
+    # verify_prop1 and verify_power_identity build by scaling
+    for k in (1, 2, 3, 4):
+        for s0 in all_perms(k):
+            if not is_pattern_avoiding(s0, (2, 1, 3)):
+                continue
+            A = construct_strongly_regular(s0)
+            for sig in all_perms(k):
+                if not bruhat_leq(s0, sig):
+                    continue
+                for m in (1, 2, 3, 4):
+                    scaled = m * multisegment_oracle(A, sig)
+                    built = multisegment_oracle(replicate(A, m), replicate_perm(sig, m))
+                    assert scaled == built and hash(scaled) == hash(built), (A, sig, m)
+                    assert multisegment_of(replicate(A, m), replicate_perm(sig, m)) == \
+                        scaled.to_json(), (A, sig, m)
 
 
 def test_replicate():
