@@ -7,8 +7,8 @@ on the left it swaps the values i, i+1.
 
 The one parabolic subgroup in use is the block parabolic W_m of S_n, the
 product of the symmetric groups on the n/m consecutive blocks of m letters;
-it is given by the block size m.  Cosets are represented throughout by
-their minimal-length representatives, never by a separate coset type.
+it is given by the block size m.  A right coset is represented by its
+minimal-length representative; a double coset by its count matrix (transition).
 """
 
 from __future__ import annotations
@@ -90,17 +90,6 @@ def min_coset_rep(w: Perm, m: int) -> Perm:
     if m < 1 or len(w) % m:
         raise ValueError(f"block size {m} does not divide {len(w)}")
     return tuple(v for start in range(0, len(w), m) for v in sorted(w[start:start + m]))
-
-
-def min_double_coset_rep(w: Perm, m: int) -> Perm:
-    """Shortest element of W_m * w * W_m, by alternating right and left
-    descents; the left step sorts blocks of values, through the inverse."""
-    cur = w
-    while True:
-        nxt = inverse(min_coset_rep(inverse(min_coset_rep(cur, m)), m))
-        if nxt == cur:
-            return cur
-        cur = nxt
 
 
 def replicate_perm(x: Perm, m: int) -> Perm:

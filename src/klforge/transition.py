@@ -13,14 +13,14 @@ block parabolic W_m, where A is the m-fold replication of a strongly
 regular base (m = 1 for a strongly regular A, whose cosets are
 singletons): the ends of A come in runs of m equal values, and two words
 give the same member of the family exactly when they lie in one such
-coset.  Each coset is represented by its minimal element, and the cosets
-met by a row are told apart by the count matrix of (position block, value
-block) pairs, see _cosets_below.  The top index omega~ is the minimal
-representative of omega's coset.  Every entry comes
-from rows of Deodhar's module induced from W_m (kl._row; for m = 1 the
-ordinary rows), which hold minimal representatives x of right cosets
-x W_m, grouped by double coset and keyed by the minimal element of each
-double coset, found from any member: the q row can miss that element.
+coset.  A double coset is given by its count matrix of (position block,
+value block) pairs, which also tells whether it lies above sigma0 (see
+_cosets_below), and is represented by its minimal element, which
+_coset_min builds from the matrix; omega~ is the minimal element of
+omega's coset.  Every entry comes from rows of Deodhar's module induced
+from W_m (kl._row; for m = 1 the ordinary rows), which hold minimal
+representatives x of right cosets x W_m, grouped by the count matrix of
+their double coset: the q row can miss the minimal element itself.
 
 * the index below omega~: the double cosets met by the -1 row of omega~,
   which holds every minimal x <= omega~, since p^{-1}_{x,omega~} =
@@ -62,7 +62,6 @@ import itertools
 from .kl import (
     KLTable,
     _add_unpacked,
-    _decode,
     _encode,
     _row,
     _shift,
@@ -78,18 +77,17 @@ from .segcomb import (
     is_strongly_regular,
     multisegment_of,  # noqa: F401  (perfbench/spans.py patches it)
     replicate,  # noqa: F401  (perfbench/spans.py patches it)
-    sigma0,
+    dominates_sigma0,
+    sigma0,  # noqa: F401  (perfbench/spans.py patches it)
 )
 from .pbw import Word, member_word, product_expansion_guarded
 from .symgroup import (
     Perm,
-    bruhat_leq,
+    bruhat_leq,  # noqa: F401  (perfbench/spans.py patches it)
     compose,
-    identity,
     length,
     longest_element,
     min_coset_rep,
-    min_double_coset_rep,
     parity,
 )
 
@@ -119,53 +117,66 @@ def family_replication(A: BiSequence) -> tuple[BiSequence, int]:
     return base, m
 
 
-def _check_family(A: BiSequence, omega: Perm) -> tuple[Perm, Perm, int]:
-    """Validate the family and the top permutation; returns (sigma0, omega~, m)."""
+def _check_family(A: BiSequence, omega: Perm) -> tuple[int, Perm]:
+    """Validate the family and the top permutation; returns (m, omega~)."""
     m = family_replication(A)[1]
-    s0 = sigma0(A)
-    if tuple(sorted(omega)) != identity(A.k):
-        raise ValueError(f"{omega} does not permute 1..{A.k}")
-    top = min_double_coset_rep(omega, m)
-    if not bruhat_leq(s0, top):
-        raise BelowSigma0(f"{omega} lies below sigma0({A}) = {s0}")
-    return s0, top, m
+    if not dominates_sigma0(A, omega):
+        raise BelowSigma0(f"{omega} lies below sigma0({A}) = {sigma0(A)}")
+    n, k = A.k, A.k // m
+    return m, _coset_min(sum((n + 1) ** (p // m * k + (v - 1) // m)
+                             for p, v in enumerate(omega)), n, m)
 
 
-def _cosets_below(table: KLTable, s0: Perm, top: Perm, m: int,
+def _coset_min(counts: int, n: int, m: int) -> Perm:
+    """The minimal element of the double coset with the count matrix counts:
+    position block by position block, from each value block as many of its
+    smallest unused values as the matrix says, in ascending order."""
+    k = n // m
+    unused = list(range(1, n + 1, m))  # per value block, its smallest unused value
+    word: list[int] = []
+    for cell in range(k * k):
+        counts, c = divmod(counts, n + 1)
+        word += range(unused[cell % k], unused[cell % k] + c)
+        unused[cell % k] += c
+    return tuple(word)
+
+
+def _cosets_below(table: KLTable, A: BiSequence, top: Perm, m: int,
                   neg1: bool) -> dict[Perm, LaurentPoly]:
     """The row of top in the module of W_m (the q row, or the -1 row when
     neg1; for m = 1 the ordinary row), summed with signs (-1)**length(x)
-    over each double coset W_m x W_m whose minimal element lies above s0.
+    over each double coset above sigma0(A), keyed by its minimal element.
 
     Two words lie in the same double coset exactly when, for each block i
     of m positions and each block j of m values, they place the same number
     of values of block j in block i.  That count matrix, over the blocks
     p // m of the position p and (v - 1) // m of the value v, is read off
-    the row's keys as a sum of powers of n + 1, one unit per value.  Keys of
-    the result are the minimal elements of the double cosets, found from any
-    member of each.
+    the row's keys as a sum of powers of n + 1, one unit per value.  A word
+    lies above sigma0(A) exactly when no value v sits at a position p with
+    a_p > b_v + 1; such a cell's unit is (n + 1)**(k*k), above every count
+    matrix, and a key whose sum reaches it is dropped.
     """
-    n = len(top)
-    k = n // m
+    n, k = len(top), len(top) // m
+    drop = (n + 1) ** (k * k)
     # per value v: the shift of its position field, and its unit by position
-    units = [(_shift(v, n), [(n + 1) ** (p // m * k + (v - 1) // m) for p in range(n)])
+    units = [(_shift(v, n), [(n + 1) ** (p // m * k + (v - 1) // m)
+                             if A.a[p] <= A.b[v - 1] + 1 else drop for p in range(n)])
              for v in range(1, n + 1)]
-    buckets: dict[int, tuple] = {}  # count matrix -> (a member's key, {packed: sign sum})
+    buckets: dict[int, dict[int, int]] = {}  # count matrix -> {packed: sign sum}
     for y, p in _row(table, _encode(top), n, m, neg1 and m > 1).items():
         coset = 0
         for shift, unit in units:
             coset += unit[y >> shift & 15]
-        signs = buckets.setdefault(coset, (y, {}))[1]
-        signs[p] = signs.get(p, 0) + (-1 if y & 1 else 1)  # y & 1: odd length
+        if coset < drop:
+            signs = buckets.setdefault(coset, {})
+            signs[p] = signs.get(p, 0) + (-1 if y & 1 else 1)  # y & 1: odd length
     out: dict[Perm, LaurentPoly] = {}
-    for y, signs in buckets.values():
-        rep = min_double_coset_rep(_decode(y, n), m)
-        if bruhat_leq(s0, rep):
-            acc: dict[int, int] = {}
-            for p, c in signs.items():
-                if c:
-                    _add_unpacked(acc, p, c)
-            out[rep] = LaurentPoly(acc)
+    for coset, signs in buckets.items():
+        acc: dict[int, int] = {}
+        for p, c in signs.items():
+            if c:
+                _add_unpacked(acc, p, c)
+        out[_coset_min(coset, n, m)] = LaurentPoly(acc)
     return out
 
 
@@ -176,12 +187,12 @@ def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
     sigma0(A) and omega~; the entry at sigma~ is read from the -1 row of
     the minimal representative of sigma~ w0.
     """
-    s0, top, m = _check_family(A, omega)
+    m, top = _check_family(A, omega)
     n, lt = A.k, length(top)
     w0 = longest_element(n)
     x = _encode(min_coset_rep(compose(top, w0), m))
     out: dict[Perm, LaurentPoly] = {}
-    for rep in _cosets_below(table, s0, top, m, True):
+    for rep in _cosets_below(table, A, top, m, True):
         z = _encode(min_coset_rep(compose(rep, w0), m))
         out[rep] = LaurentPoly.v(lt - length(rep)) * _unpack(_row(table, z, n, m, m > 1)[x])
     return out
@@ -194,11 +205,10 @@ def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, Laur
     members of the double coset sigma, read from the q row of omega~, with
     the same monomial prefactor as the other direction.
     """
-    s0, top, m = _check_family(A, omega)
-    lt = length(top)
-    eps_top = parity(top)
+    m, top = _check_family(A, omega)
+    lt, eps_top = length(top), parity(top)
     return {rep: LaurentPoly.v(lt - length(rep)) * acc * eps_top
-            for rep, acc in _cosets_below(table, s0, top, m, False).items()
+            for rep, acc in _cosets_below(table, A, top, m, False).items()
             if not acc.is_zero()}
 
 
@@ -217,5 +227,5 @@ def g_star_power_with_taint(table: KLTable, A: BiSequence, omega: Perm,
 
 def transition_index(table: KLTable, A: BiSequence) -> list[Perm]:
     """Every index above sigma0(A), by length and then lexicographically."""
-    s0, top, m = _check_family(A, longest_element(A.k))
-    return sorted(_cosets_below(table, s0, top, m, True), key=lambda w: (length(w), w))
+    m, top = _check_family(A, longest_element(A.k))
+    return sorted(_cosets_below(table, A, top, m, True), key=lambda w: (length(w), w))

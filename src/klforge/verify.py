@@ -71,9 +71,9 @@ from .transition import expand_G_in_E, g_star_power_with_taint
 
 
 # The sweep's budget on n = m*k.  n alone does not bound the cost: the 945
-# power-identity cases of (k, m) = (5, 2) at n = 10 take about 90 s (2 vCPUs,
-# Python 3.11), and the top row of (6, 2) at n = 12 would hold 12!/2**6 =
-# 7,484,400 coset representatives, while (4, 3) takes about 23 s.
+# power-identity cases of (k, m) = (5, 2) at n = 10 take about 53 s, the 105
+# of (4, 3) at n = 12 12-14 s (2-vCPU Xeon, Python 3.11.7), and the top row
+# of (6, 2) at n = 12 would hold 12!/2**6 = 7,484,400 coset representatives.
 SWEEP_MAX_N = 9
 
 

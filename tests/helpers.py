@@ -23,7 +23,9 @@ confluence check.  It also
 takes the exponents of the shared-end swaps, so a test can show that no
 other choice is confluent.  The transition expansions are compared with
 the closed parabolic forms of coeff_parab, and E in G also with the
-ordinary polynomials it is defined by.  The memo table normalizes
+ordinary polynomials it is defined by; the minimal element of a double
+coset that transition builds from its count matrix is compared with
+min_double_coset_rep, a fixpoint of block sorts.  The memo table normalizes
 its keys on packed permutation keys; canonical_pair_oracle is the same
 normalization on tuples.  Helpers that only tests call live here too.
 """
@@ -43,6 +45,7 @@ from klforge.segcomb import (
     BelowSigma0,
     BiSequence,
     Segment,
+    construct_strongly_regular,
     dominates_sigma0,
     general_position,
     is_regular,
@@ -58,13 +61,16 @@ from klforge.symgroup import (
     compose,
     identity,
     inverse,
+    is_pattern_avoiding,
     length,
     longest_element,
+    min_coset_rep,
     parity,
     replicate_perm,
 )
 from klforge.transition import (
     UnsupportedFamily,
+    _coset_min,
     expand_E_in_G,
     expand_G_in_E,
     g_star_power_with_taint,
@@ -145,6 +151,63 @@ def parabolic_elements(n: int, m: int):
                  for start in range(0, n, m)]
     for combo in itertools.product(*per_block):
         yield tuple(itertools.chain.from_iterable(combo))
+
+
+def min_double_coset_rep(w: Perm, m: int) -> Perm:
+    """Shortest element of W_m * w * W_m, by alternating right and left
+    descents; the left step sorts blocks of values, through the inverse.
+    The oracle of transition._coset_min."""
+    cur = w
+    while True:
+        nxt = inverse(min_coset_rep(inverse(min_coset_rep(cur, m)), m))
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def count_matrix(w: Perm, m: int) -> int:
+    """The count matrix of w's double coset as transition keys it: the
+    digit of (n + 1)**(i*k + j) counts the values of block j that w places
+    in block i of positions (blocks of m letters, k = n/m)."""
+    n = len(w)
+    k = n // m
+    counts = [[0] * k for _ in range(k)]
+    for p, v in enumerate(w):
+        counts[p // m][(v - 1) // m] += 1
+    return sum(c * (n + 1) ** (i * k + j)
+               for i, row in enumerate(counts) for j, c in enumerate(row))
+
+
+def check_coset_min(n: int) -> int:
+    """Assert that transition._coset_min of each word's count matrix is
+    min_double_coset_rep of the word, for every w in S_n and every m
+    dividing n; returns the number of (w, m) pairs."""
+    pairs = 0
+    for m in [m for m in range(1, n + 1) if n % m == 0]:
+        for w in all_perms(n):
+            assert _coset_min(count_matrix(w, m), n, m) == min_double_coset_rep(w, m), (w, m)
+            pairs += 1
+    return pairs
+
+
+def check_dominates_on_replications(n: int) -> int:
+    """Assert, for every 213-avoiding s0 of S_k and every m >= 2 with
+    k*m = n, with base the strongly regular family of s0 and A its m-fold
+    replication, that sigma0(A) = t_m(sigma0(base)) and that
+    dominates_sigma0(A, w) is sigma0(A) <= w in Bruhat order for every w in
+    S_n; returns the number of (A, w) pairs."""
+    pairs = 0
+    for m in [m for m in range(2, n + 1) if n % m == 0]:
+        for s0 in all_perms(n // m):
+            if not is_pattern_avoiding(s0, (2, 1, 3)):
+                continue
+            base = construct_strongly_regular(s0)
+            A, low = replicate(base, m), replicate_perm(sigma0(base), m)
+            assert sigma0(A) == low, (s0, m)
+            for w in all_perms(n):
+                assert dominates_sigma0(A, w) == bruhat_leq(low, w), (s0, m, w)
+                pairs += 1
+    return pairs
 
 
 # -- the memo key on tuples ----------------------------------------------

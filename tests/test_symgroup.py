@@ -11,6 +11,7 @@ from helpers import (
     bruhat_leq_subword,
     enumerate_interval,
     is_quotient_minimal,
+    min_double_coset_rep,
     parabolic_elements,
     parabolic_longest,
     reduced_word,
@@ -24,7 +25,6 @@ from klforge.symgroup import (
     length,
     longest_element,
     min_coset_rep,
-    min_double_coset_rep,
     parity,
     replicate_perm,
 )

@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
 from helpers import (
     all_perms,
+    check_coset_min,
+    check_dominates_on_replications,
     coeff_parab,
     decoded,
     g_star_power_in_E,
@@ -20,6 +24,7 @@ from klforge.segcomb import (
     replicate,
     sigma0,
 )
+import klforge.transition as transition_module
 from klforge.transition import (
     UnsupportedFamily,
     expand_E_in_G,
@@ -135,6 +140,43 @@ def test_coset_expansion_matches_brute_force(table, k, m):
             for omega in members:
                 assert expand_G_in_E(table, A, omega) == want, (s0, omega)
                 assert set(expand_E_in_G(table, A, omega)) == below, (s0, omega)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_coset_min_is_the_minimal_double_coset_rep(n):
+    # every w of S_n and every m dividing n: the minimal element built from
+    # the count matrix against the descent fixpoint
+    assert check_coset_min(n) == math.factorial(n) * sum(n % m == 0 for m in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dominates_sigma0_is_bruhat_above_sigma0_on_replications(n):
+    # every replicated family of S_n: the filter of _check_family and
+    # _cosets_below against Bruhat order above sigma0
+    families = sum(len(_avoiders(n // m)) for m in range(2, n + 1) if n % m == 0)
+    assert check_dominates_on_replications(n) == families * math.factorial(n)
+
+
+def test_expansions_call_no_bruhat_order(monkeypatch):
+    # one route: the count matrix decides "above sigma0", so neither Bruhat
+    # order nor sigma0 is called.  sigma0 of the base is 231, so the filter
+    # drops double cosets that the identity family keeps
+    base = BiSequence((8, 16, 24), (24, 17, 16))
+    assert sigma0(base) == (2, 3, 1)
+
+    def forbidden(*args):
+        raise AssertionError("transition called bruhat_leq or sigma0")
+
+    monkeypatch.setattr(transition_module, "bruhat_leq", forbidden)
+    monkeypatch.setattr(transition_module, "sigma0", forbidden)
+    for m in (2, 3):
+        A, table = replicate(base, m), KLTable()
+        index = transition_index(table, A)
+        for col in index:
+            assert expand_E_in_G(table, A, col)[col] == ONE
+            assert expand_G_in_E(table, A, col)[col] == ONE
+        full = transition_index(table, replicate(construct_strongly_regular((1, 2, 3)), m))
+        assert set(index) < set(full), m
 
 
 @pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
