@@ -67,22 +67,21 @@ by field.  The pools behind the encoding belong to the KLTable: the key
 of each permutation asked about, the row keys, interned by the kernel as it
 creates them, the row values, pooled by the kernel where it makes a new
 value (a value copied from the row before is pooled already), the pair
-table of each m, the inverse and w0-conjugate images of each key, and the
-Bruhat order of each pair of keys compared, memoised as needed.
+table of each m, the w0-conjugate of each key, and the Bruhat order of
+each pair of keys compared, memoised as needed.
 
 Conjugation by w0 maps blocks of positions to blocks of the same size,
-hence cosets of W_m to cosets of W_m, and keeps the module polynomials;
-t_m(omega) conjugates to t_m(w0 omega w0).  Inversion keeps P_{x,w} but
-maps cosets to cosets only for m = 1.  So a row is cached under a
-canonical top: for m >= 2 the least key image under w0-conjugation, and
-for m = 1 the inverse of the least key image under inversion and
-w0-conjugation, which is the image whose tuple is least.  The memo files
-an answer under the key of each image of the pair by the same symmetries,
-its class (_pair_class), so a hit is one dict read on the pair as asked.
-A miss computes, and a record holds, the canonical member, whose top is
-the canonical top of its row, so a miss reads the row as it is cached.
-A parabolic pair is compared and listed in S_k: t_m is an order embedding,
-keeps the order of keys and commutes with w0-conjugation.
+hence cosets of W_m to cosets of W_m, and keeps the module polynomials at
+every m; t_m(omega) conjugates to t_m(w0 omega w0).  It is the one
+symmetry of the table.  A row is cached under a canonical top, the lesser
+key of w and its w0-conjugate.  The memo files an answer under the pair
+and its w0-conjugate, its class (_pair_class), so a hit is one dict read
+on the pair as asked.  A miss computes, and a record holds, the canonical
+member, whose top is the canonical top of its row, so a miss reads the
+row as it is cached.  A parabolic pair is compared and listed in S_k: t_m
+is an order embedding, keeps the order of keys and commutes with
+w0-conjugation.  Inversion keeps P_{x,w} but maps cosets to cosets only
+for m = 1, so an ordinary pair and its inverse are computed apart.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ import weakref
 from collections import OrderedDict
 from functools import reduce
 from operator import or_
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .poly import LaurentPoly
 from .symgroup import NotComparable, Perm, bruhat_leq
@@ -107,6 +106,8 @@ _ONE = LaurentPoly.one()
 _VARIANTS = ("q", "neg1")
 # One memo record as one JSON line, without spaces.
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+# The cap on the entries of all rows a table holds in memory.
+_MAX_ROW_ENTRIES = 4_000_000
 
 # -- permutation keys and packed polynomials ---------------------------------
 
@@ -149,14 +150,6 @@ def _decode(key: int, n: int) -> Perm:
         w[key & 15] = v
         key >>= 4
     return tuple(w)
-
-
-def _inv_key(key: int, n: int) -> int:
-    """The key of w^-1: the positions of w^-1 are the values of w."""
-    out = 0
-    for v in _decode(key, n):
-        out = out << 4 | (v - 1)
-    return out << 7 | key & _LEN_MASK
 
 
 def _conj_key(key: int, n: int) -> int:
@@ -229,17 +222,15 @@ def _unpack(p: int) -> LaurentPoly:
 
 
 class _Images(dict):
-    """One involution of the keys of S_n, memoised in both directions."""
+    """The w0-conjugates of the keys of S_n, memoised in both directions."""
 
-    def __init__(self, image: Callable[[int, int], int], n: int,
-                 pool: dict[int, int]):
+    def __init__(self, n: int, pool: dict[int, int]):
         super().__init__()
-        self._image = image
         self._n = n
         self._pool = pool
 
     def __missing__(self, key: int) -> int:
-        image = self._image(key, self._n)
+        image = _conj_key(key, self._n)
         key, image = self._pool.setdefault(key, key), self._pool.setdefault(image, image)
         self[key] = image
         self[image] = key
@@ -262,19 +253,18 @@ def _poly_of_record(data: Mapping[str, int], gap: int, ordinary: bool) -> Lauren
 class KLTable:
     """Memo table for Kazhdan-Lusztig polynomials.
 
-    Two kinds of finished polynomials are cached in _final, and persisted
-    as one JSON line each:
+    Two kinds of finished polynomials are cached in _final, each under the
+    key of the pair and of its w0-conjugate, its class (_pair_class), and
+    persisted as one JSON line each.  Only comparable, off-diagonal pairs
+    are stored:
 
-    * an ordinary P_{s,w}, under the key (bottom, top) of each member of
-      the pair's class under inversion and w0-conjugation (_pair_class).
-      Only comparable, off-diagonal pairs are stored.  Record:
-      {"n", "s", "w", "p"} with n = len(s).
-    * a parabolic polynomial of the cosets of t_m(s) below t_m(w), under
-      the key (m, variant, bottom, top) of the pair and of its
-      w0-conjugate, as keys in S_k.  Only comparable, off-diagonal pairs
-      with m >= 2 are stored.  Record: {"m", "v", "n", "s", "w", "p"}
-      with n = m * len(s), so a loader that reads only ordinary records
-      finds n != len(s) and skips the line instead of misreading it.
+    * an ordinary P_{s,w}, under (bottom, top).  Record: {"n", "s", "w",
+      "p"} with n = len(s).
+    * a parabolic polynomial of the cosets of t_m(s) below t_m(w), m >= 2,
+      under (m, variant, bottom, top), as keys in S_k.  Record: {"m", "v",
+      "n", "s", "w", "p"} with n = m * len(s), so a loader that reads only
+      ordinary records finds n != len(s) and skips the line instead of
+      misreading it.
 
     A record holds the canonical member of the class as tuples and "p" as
     a map from q-degree to coefficient, in increasing degree.  The loader
@@ -285,12 +275,13 @@ class KLTable:
     immutable, so a hit hands out the stored value itself.
 
     Rows are held in one in-memory cache whose total entry count is
-    capped; least recently used rows are dropped first and recomputed on
-    demand.  Every row is keyed (canonical top key, m, neg1), the ordinary
-    rows with m = 1 and neg1 False.  Loading a memo file skips bad records
-    and rewrites the file without them.  Records go through one handle,
-    opened at the first and flushed after each, reopened when the file was
-    replaced (by another table's loader) and closed with the table.
+    capped at _MAX_ROW_ENTRIES; least recently used rows are dropped first
+    and recomputed on demand.  Every row is keyed (canonical top key, m,
+    neg1), the ordinary rows with m = 1 and neg1 False.  Loading a memo
+    file skips bad records and rewrites the file without them.  Records go
+    through one handle, opened at the first and flushed after each,
+    reopened when the file was replaced (by another table's loader) and
+    closed with the table.
 
     The table owns every pool: rows map keys to packed polynomials, _keys
     interns each key of a row as the kernel creates it and _polys each
@@ -298,8 +289,8 @@ class KLTable:
     a value copied from the row before is pooled already), _pairs holds the
     pair table of each m (_pair_table, built at the first row of that m),
     _perm_keys the key of each permutation asked about, _images per n the
-    inverse and w0-conjugate of each key, _order the Bruhat order of each
-    pair of keys compared (_leq; keys of different n >= 1 differ) and
+    w0-conjugate of each key (_conj), _order the Bruhat order of each pair
+    of keys compared (_leq; keys of different n >= 1 differ) and
     _avoids_213 whether verify_main_theorem's sigma0 keys avoid 213.  The
     pools outlive evicted rows and go away with the table.
 
@@ -313,18 +304,16 @@ class KLTable:
     serialized by a lock.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None,
-                 max_row_entries: int = 4_000_000):
+    def __init__(self, path: str | os.PathLike | None = None):
         # (bottom, top) or (m, variant, bottom, top), as keys -> polynomial
         self._final: dict[tuple, LaurentPoly] = {}
         # row key -> {key: packed polynomial}; LRU, least recent first
         self._rows: OrderedDict[object, dict[int, int]] = OrderedDict()
         self._row_entries = 0
-        self._max_row_entries = max_row_entries
         self._keys: dict[int, int] = {}
         self._perm_keys: dict[Perm, int] = {}
         self._polys: dict[int, int] = {}
-        self._images: dict[int, tuple[_Images, _Images]] = {}
+        self._images: dict[int, _Images] = {}
         self._order: dict[tuple[int, int], bool] = {}
         self._avoids_213: dict[int, bool] = {}
         self._pairs: dict[int, list[int]] = {}  # m -> _pair_table(m)
@@ -362,7 +351,7 @@ class KLTable:
                 p = polys[key] = polys.get(key) or _poly_of_record(rec["p"], gap, m == 1)
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
-            for pair in _pair_class(self, sk, wk, len(s), m):
+            for pair in _pair_class(self, sk, wk, len(s)):
                 self._final[(*kind, *pair)] = p
             kept.append(line)
         if len(kept) < len(lines):
@@ -406,13 +395,12 @@ class KLTable:
             below = self._order[s, w] = bruhat_leq(x, y)
         return below
 
-    def _symmetries(self, n: int) -> tuple[_Images, _Images]:
-        """The inverse and the w0-conjugate of the keys of S_n."""
-        images = self._images.get(n)
-        if images is None:
-            images = self._images.setdefault(n, (
-                _Images(_inv_key, n, self._keys), _Images(_conj_key, n, self._keys)))
-        return images
+    def _conj(self, n: int) -> _Images:
+        """The w0-conjugate of the keys of S_n."""
+        conj = self._images.get(n)
+        if conj is None:
+            conj = self._images.setdefault(n, _Images(n, self._keys))
+        return conj
 
     # -- row cache -------------------------------------------------------
 
@@ -429,38 +417,27 @@ class KLTable:
                 return
             self._rows[w] = row
             self._row_entries += len(row)
-            while self._row_entries > self._max_row_entries and len(self._rows) > 1:
+            while self._row_entries > _MAX_ROW_ENTRIES and len(self._rows) > 1:
                 self._row_entries -= len(self._rows.popitem(last=False)[1])
 
 
-def _top(inv: _Images, conj: _Images, w: int, m: int) -> int:
-    """The canonical top of the row of w, see the module docstring."""
-    if m > 1:
-        return min(w, conj[w])
-    wi = inv[w]
-    return inv[min(w, wi, conj[w], conj[wi])]
-
-
-def _pair_class(table: KLTable, s: int, w: int, n: int, m: int = 1) -> list[tuple[int, int]]:
-    """The symmetry class of the keys s, w of S_n in the module of W_m, as
-    (bottom, top) pairs: the pair and its w0-conjugate, and for m = 1 their
-    inverses too.  The first is the canonical member, the one whose top is
-    the canonical top of its row (of t_m(w) for m >= 2, see _top), with the
-    least bottom when two members share that top."""
-    inv, conj = table._symmetries(n)
-    pairs = [(s, w), (conj[s], conj[w])]
-    if m == 1:
-        pairs += [(inv[b], inv[t]) for b, t in pairs]
-    return sorted(pairs, key=lambda p: (inv[p[1]] if m == 1 else p[1], p[0]))
+def _pair_class(table: KLTable, s: int, w: int, n: int) -> list[tuple[int, int]]:
+    """The symmetry class of the keys s, w of S_n, as (bottom, top) pairs:
+    the pair and its w0-conjugate, sorted by (top, bottom).  The first is
+    the canonical member, whose top is the canonical top of its row (of
+    t_m(w) for m >= 2, see the module docstring)."""
+    conj = table._conj(n)
+    return sorted([(s, w), (conj[s], conj[w])], key=lambda p: (p[1], p[0]))
 
 
 def _row(table: KLTable, w: int, n: int, m: int = 1,
          neg1: bool = False) -> dict[int, int]:
     """The row {y: p_{y,w}} of the minimal representative w over the
     minimal y <= w with a nonzero polynomial, as keys and packed
-    polynomials; read through a symmetry when w is not its canonical top."""
-    inv, conj = table._symmetries(n)
-    canon = _top(inv, conj, w, m)
+    polynomials; read through w0-conjugation when w is not its canonical
+    top."""
+    conj = table._conj(n)
+    canon = min(w, conj[w])
     tag = (canon, m, neg1)
     row = table._row_get(tag)
     if row is None:
@@ -468,13 +445,7 @@ def _row(table: KLTable, w: int, n: int, m: int = 1,
             raise ValueError(f"{_decode(canon, n)} is not a minimal coset representative")
         row = _compute_row(table, canon, n, m, neg1)
         table._row_put(tag, row)
-    if canon == w:
-        return row
-    if canon == conj[w]:
-        return {conj[y]: p for y, p in row.items()}
-    if canon == inv[w]:  # m = 1
-        return {inv[y]: p for y, p in row.items()}
-    return {conj[inv[y]]: p for y, p in row.items()}
+    return row if canon == w else {conj[y]: p for y, p in row.items()}
 
 
 def _left_descent(w: int, n: int) -> int:
@@ -578,7 +549,7 @@ def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
         raise NotComparable(
             f"t_{m}({sigma}) is not below t_{m}({omega}) in Bruhat order")
     k = len(omega)
-    members = _pair_class(table, s, w, k, m)
+    members = _pair_class(table, s, w, k)
     bottom, top = members[0]
     row = _row(table, _replicate_key(top, k, m), k * m, m, m > 1 and variant == "neg1")
     p = _unpack(row.get(_replicate_key(bottom, k, m), 0))

@@ -222,21 +222,16 @@ def _same(w: Perm) -> Perm:
     return w
 
 
-def _conjugate_inverse_by_w0(w: Perm) -> Perm:
-    return conjugate_by_w0(inverse(w))
-
-
-# The classical symmetries P_{x,w} = P_{f(x),f(w)}: x, x^-1, w0 x w0 and
-# w0 x^-1 w0.  Conjugation by w0 alone also keeps the parabolic polynomials.
-SYMMETRIES = (_same, inverse, conjugate_by_w0, _conjugate_inverse_by_w0)
+# Conjugation by w0 keeps the ordinary and the parabolic polynomials,
+# P_{x,w} = P_{w0 x w0, w0 w w0}; it is the one symmetry of the memo table.
 COSET_SYMMETRIES = (_same, conjugate_by_w0)
 
 
-def canonical_pair_oracle(s: Perm, w: Perm, m: int = 1) -> tuple[Perm, Perm]:
+def canonical_pair_oracle(s: Perm, w: Perm) -> tuple[Perm, Perm]:
     """The pair normalized on tuples, as (bottom, top): the least (top,
-    bottom) image under SYMMETRIES for m = 1, under COSET_SYMMETRIES for
-    m >= 2.  Two pairs have one memo key exactly when they have one image."""
-    images = [(f(w), f(s)) for f in (SYMMETRIES if m == 1 else COSET_SYMMETRIES)]
+    bottom) image under COSET_SYMMETRIES.  Two pairs have one memo key
+    exactly when they have one image."""
+    images = [(f(w), f(s)) for f in COSET_SYMMETRIES]
     top, bottom = min(images)
     return bottom, top
 
