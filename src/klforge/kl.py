@@ -33,7 +33,9 @@ entries are dropped from a row.
 Rows are cached in memory with a size cap, and the polynomials actually
 asked for are memoized in a KLTable, optionally persisted as an append-only
 JSON-lines file: one record per comparable, off-diagonal pair looked up,
-appended through one handle and flushed.  On load, bad records are skipped
+appended through one handle and flushed.  A line is one record, read by
+json's decode, so JSON whitespace around it (a CRLF ending too) is fine and
+anything else after it makes the line bad.  On load, bad records are skipped
 and an unterminated tail is truncated, so interrupted sweeps restart cleanly.
 
 Conventions.  P_{w,w} = 1, P_{x,w} = 0 when x is not below w in Bruhat
@@ -61,7 +63,7 @@ Inside the row recursion both permutations and polynomials are single ints:
   exact in between, so no field can carry into the next unnoticed.
 
 A miss replicates the keys of its pair in key space (_replicate_key), and
-polynomials leave the row layer decoded, in _lookup and in
+polynomials leave the row layer decoded, in _entry and in
 transition._cosets_below, whose signed sums _add_unpacked adds up field
 by field.  The pools behind the encoding belong to the KLTable: the key
 of each permutation asked about, the row keys, interned by the kernel as it
@@ -76,7 +78,9 @@ every m; t_m(omega) conjugates to t_m(w0 omega w0).  It is the one
 symmetry of the table.  A row is cached under a canonical top, the lesser
 key of w and its w0-conjugate.  The memo files an answer under the pair
 and its w0-conjugate, its class (_pair_class), so a hit is one dict read
-on the pair as asked.  A miss computes, and a record holds, the canonical
+on the pair as asked.  That read is _entry, on keys: the public functions
+key their permutations and call it, and verify_main_theorem calls it on
+the keys it made.  A miss computes, and a record holds, the canonical
 member, whose top is the canonical top of its row, so a miss reads the
 row as it is cached.  A parabolic pair is compared and listed in S_k: t_m
 is an order embedding, keeps the order of keys and commutes with
@@ -423,11 +427,12 @@ class KLTable:
 
 def _pair_class(table: KLTable, s: int, w: int, n: int) -> list[tuple[int, int]]:
     """The symmetry class of the keys s, w of S_n, as (bottom, top) pairs:
-    the pair and its w0-conjugate, sorted by (top, bottom).  The first is
+    the pair and its w0-conjugate, ordered by (top, bottom).  The first is
     the canonical member, whose top is the canonical top of its row (of
     t_m(w) for m >= 2, see the module docstring)."""
     conj = table._conj(n)
-    return sorted([(s, w), (conj[s], conj[w])], key=lambda p: (p[1], p[0]))
+    cs, cw = conj[s], conj[w]
+    return [(s, w), (cs, cw)] if (w, s) <= (cw, cs) else [(cs, cw), (s, w)]
 
 
 def _row(table: KLTable, w: int, n: int, m: int = 1,
@@ -537,7 +542,13 @@ def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
         raise ValueError("permutations must have the same n")
     if m < 1:
         raise ValueError("m must be at least 1")
-    s, w = table._key(sigma), table._key(omega)
+    return _entry(table, table._key(sigma), table._key(omega), sigma, omega, m, variant)
+
+
+def _entry(table: KLTable, s: int, w: int, sigma: Perm, omega: Perm, m: int,
+           variant: str | None) -> LaurentPoly:
+    """_lookup on the keys s, w of sigma, omega, which the caller has made
+    with table._key and checked to be of one n; a hit reads nothing else."""
     if s == w:
         return _ONE
     hit = table._final.get((s, w) if m == 1 else (m, variant, s, w))

@@ -184,7 +184,12 @@ class _Rank(dict):
             s = (self.base if base is None else base) - self.total(w)
         except KeyError:  # an end the target lacks
             return None
-        return s if len(w) == self.size and s & self.guard == self.guard else None
+        return s if len(w) == self.size and self.in_play(s) else None
+
+    def in_play(self, s: int | None) -> bool:
+        """Whether a word of that slack can still reach the target: the rank
+        lemma rules it out once a guard bit clears (None: ruled out already)."""
+        return s is not None and s & self.guard == self.guard
 
 
 def _rewrite(pending: dict[Word, LaurentPoly], rank: _Rank | None = None,
@@ -222,7 +227,7 @@ def _insertion_pass(w: Word, c: LaurentPoly, s: int, rank: _Rank | None,
             elif az < ap <= bz:  # linked, as bz < bp: exchange to (cap, cup)
                 cap, cup = bz << _BITS | ap, bp << _BITS | az
                 t = s + rank[p] + rank[z] - rank[cap] - rank[cup] if guard else s
-                if t & guard == guard:  # else out of play: it cannot reach the target
+                if t & guard == guard:  # in_play, inline; guard 0 passes every word
                     n = tuple(u[:i - 1]) + (cap, cup) + tuple(u[i + 1:])
                     slack[n] = t
                     _accumulate(pending, n, c.shifted(e - 1) - c.shifted(e + 1))
@@ -272,7 +277,6 @@ def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word, exponent: 
     if slack is None:
         base = rank.guard + rank.total(target)
         slack = {w: rank.slack(w, base) for w in words}
-    pending = {w: c for w, c in words.items()
-               if (s := slack[w]) is not None and s & rank.guard == rank.guard}
+    pending = {w: c for w, c in words.items() if rank.in_play(slack[w])}
     c = _rewrite(pending, rank, dict(slack)).get(target) if pending else None
     return LaurentPoly.zero() if c is None else c.shifted(-exponent)

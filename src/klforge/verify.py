@@ -6,7 +6,8 @@ Each verifier computes one identity two ways and reports the comparison:
   sigma <= omega below a 213-avoiding minimal permutation with trivial
   ordinary polynomial must be the single monomial
   q**(C(m,2) (length(omega) - length(sigma))).  It is read from the
-  induced-module row of t_m(omega).  The smooth Schubert case is the
+  induced-module row of t_m(omega), through kl._entry on the keys the
+  check made, as is P(sigma0, omega).  The smooth Schubert case is the
   instance with the identity as minimal permutation, and the sweep runs it
   with the other 213-avoiding ones.
 * verify_prop1: in the straightening engine, the coefficient of the
@@ -16,6 +17,8 @@ Each verifier computes one identity two ways and reports the comparison:
   from the family's ends (pbw.member_word) and only that coefficient is
   read, by pbw.word_coefficient.  What checks share stays with the family,
   from its JSON form to one rank table per m and each member's rank sum.
+  A word whose slack fails the rank table's guard cannot reach the target
+  (the rank lemma), and its check reports 0 without straightening.
 * verify_power_identity: the E-basis expansions of G(M_omega)**m and of
   G(M at the replicated coset) agree up to one monomial v**e.  Both are
   maps {sorted word: coefficient}, the words packed by pbw.member_word and
@@ -44,7 +47,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .kl import _LEN_MASK, _MAX_N, KLTable, kl_poly, parabolic_kl_q
+from .kl import _LEN_MASK, _MAX_N, KLTable, _entry, kl_poly
+from .kl import parabolic_kl_q  # noqa: F401  (perfbench/spans.py patches it)
 from .poly import LaurentPoly
 from .segcomb import (
     BelowSigma0,
@@ -179,7 +183,7 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
             raise HypothesisFailed(f"sigma0 {sigma0_perm} contains the pattern 213")
         if not (table._leq(s0, s, sigma0_perm, sigma) and table._leq(s, w, sigma, omega)):
             raise HypothesisFailed("need sigma0 <= sigma <= omega")
-        p0 = kl_poly(table, sigma0_perm, omega)
+        p0 = _entry(table, s0, w, sigma0_perm, omega, 1, None)
         if not p0.is_one():
             raise HypothesisFailed(
                 f"P(sigma0, omega) = {p0.format('q')} is not trivial")
@@ -187,7 +191,7 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
     gap = (w & _LEN_MASK) - (s & _LEN_MASK)  # length(omega) - length(sigma)
     claimed = LaurentPoly.v(-2 * comb(m, 2) * gap)  # q = v**-2
-    computed = parabolic_kl_q(table, sigma, omega, m)
+    computed = _entry(table, s, w, sigma, omega, m, "q")
     return _finish(check, case, claimed, computed, started)
 
 
@@ -250,8 +254,10 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
     total = derived.get(("sum", omega, m))
     if total is None:
         total = derived["sum", omega, m] = rank.total(right)
-    w = left + right
-    computed = word_coefficient({w: coeff}, target, exponent, rank, {w: part - total})
+    slack, computed = part - total, LaurentPoly.zero()
+    if rank.in_play(slack):
+        w = left + right
+        computed = word_coefficient({w: coeff}, target, exponent, rank, {w: slack})
     claimed = constant if omega == sigma else LaurentPoly.zero()
     return _finish(check, case, claimed, computed, started)
 

@@ -718,3 +718,75 @@ def test_cold_lookups_read_cached_rows_without_remapping(monkeypatch):
                                      for s in all_perms(4) if s != w and bruhat_leq(s, w)]:
         _ask(t, fn, s, w, m)
     assert len(outer) > 100 and all(outer)
+
+
+@pytest.mark.parametrize("fn, m, record", [
+    (kl_poly, 1, '{"n":4,"s":[1,2,4,3],"w":[4,2,3,1],"p":{"0":1,"1":1}}'),
+    (parabolic_kl_q, 2,
+     '{"m":2,"v":"q","n":8,"s":[1,2,4,3],"w":[4,2,3,1],"p":{"4":1,"5":1,"6":1}}'),
+], ids=["ordinary", "parabolic"])
+def test_a_self_conjugate_top_stores_the_least_bottom(tmp_path, fn, m, record):
+    # 4231 is its own w0-conjugate, so the class of (2134, 4231) is the two
+    # bottoms 2134 and 1243 under one top; the record holds the lesser key,
+    # 1243 (keys compare like the inverses 1243 < 2134), whichever is asked
+    w = (4, 2, 3, 1)
+    assert conjugate_by_w0(w) == w
+    for s in [(2, 1, 3, 4), (1, 2, 4, 3)]:
+        path = tmp_path / f"{s}.jsonl"
+        _ask(KLTable(path), fn, s, w, m)
+        assert path.read_text() == record + "\n"
+
+
+def _memo_lines(path):
+    """The records a cold table writes for MEMO_PAIRS, as lines without ends."""
+    cold = KLTable(path)
+    for case in MEMO_PAIRS:
+        _ask(cold, *case)
+    return path.read_bytes().splitlines()
+
+
+@pytest.mark.parametrize("form", [
+    lambda line: line + b"\r\n",
+    lambda line: b" \t" + line + b" \r\n",
+    lambda line: b"\r" + line + b"\n",
+], ids=["crlf", "spaces-around", "leading-cr"])
+def test_memo_lines_with_json_whitespace_load_and_stay(tmp_path, monkeypatch, form):
+    # the loader accepts a record line exactly as json's decode does, JSON
+    # whitespace around the record included, and rewrites nothing it keeps
+    path = tmp_path / "cache.jsonl"
+    data = b"".join(map(form, _memo_lines(path)))
+    path.write_bytes(data)
+
+    def no_rows(*args):
+        raise AssertionError("a warm table computed a row")
+
+    monkeypatch.setattr(kl_module, "_compute_row", no_rows)
+    warm = KLTable(path)
+    check_records_answer(warm, data.split(b"\n")[:-1])
+    assert not warm._rows
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("extra", [b" x", b"{}", b' {"n":2}', b"]"],
+                         ids=["word", "empty-object", "second-record", "bracket"])
+def test_memo_line_with_data_after_its_record_is_skipped(tmp_path, extra):
+    # json's decode refuses extra data after a record, and so does the loader
+    path = tmp_path / "cache.jsonl"
+    lines = _memo_lines(path)
+    bad = len(lines) // 2
+    path.write_bytes(b"".join(line + b"\n" for line in lines[:bad])
+                     + lines[bad] + extra + b"\n"
+                     + b"".join(line + b"\n" for line in lines[bad:]))
+    t = KLTable(path)
+    assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
+    check_records_answer(t, lines)
+
+
+def test_two_records_on_one_line_are_skipped(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    lines = _memo_lines(path)
+    path.write_bytes(lines[0] + lines[1] + b"\n"
+                     + b"".join(line + b"\n" for line in lines[2:]))
+    t = KLTable(path)
+    assert path.read_bytes() == b"".join(line + b"\n" for line in lines[2:])
+    check_records_answer(t, lines[2:])

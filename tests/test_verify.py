@@ -27,6 +27,7 @@ from klforge.verify import (
 )
 from klforge.symgroup import bruhat_leq, identity, is_pattern_avoiding
 import klforge.cli as cli
+import klforge.kl as kl_module
 import klforge.verify as verify_module
 
 V = LaurentPoly.v
@@ -154,6 +155,40 @@ def test_main_theorem_tests_213_once_per_sigma0_and_table(monkeypatch):
     assert any(r["status"] == "skipped" and "213" in r["reason"] for r in want)
     stripped(KLTable())
     assert len(calls) == 2 * distinct
+
+
+def test_warm_main_theorem_keys_each_permutation_once(tmp_path, monkeypatch):
+    # on a warm table a check keys sigma0, sigma and omega once each and
+    # reads both polynomials on those keys: no row, no record appended
+    cases = [(s0, sigma, omega, m) for k, ms in [(2, (2, 3, 4)), (3, (2,))]
+             for s0 in all_perms(k) for omega in all_perms(k) if bruhat_leq(s0, omega)
+             for sigma in all_perms(k) if bruhat_leq(s0, sigma) and bruhat_leq(sigma, omega)
+             for m in ms]
+    cases += [(identity(4), identity(4), (3, 4, 1, 2), 2),  # P(sigma0, omega) = 1 + q
+              (identity(4), (1, 3, 2, 4), (2, 3, 1, 4), 2)]
+    path = tmp_path / "memo.jsonl"
+    table = KLTable(path)
+    cold = [_stripped(verify_main_theorem(table, *case)) for case in cases]
+    written = path.read_bytes()
+    warm = KLTable(path)
+    keyed = []
+    key = warm._key
+
+    def counted(w):
+        keyed.append(w)
+        return key(w)
+
+    def no_rows(*args):
+        raise AssertionError("a warm check computed a row")
+
+    monkeypatch.setattr(warm, "_key", counted)
+    monkeypatch.setattr(kl_module, "_compute_row", no_rows)
+    for case, want in zip(cases, cold):
+        keyed.clear()
+        assert _stripped(verify_main_theorem(warm, *case)) == want
+        assert keyed == list(case[:3]), case
+    assert {r["status"] for r in cold} == {"pass", "skipped"}
+    assert not warm._rows and path.read_bytes() == written
 
 
 def test_corollary_smooth(table):
@@ -366,6 +401,31 @@ def test_word_coefficient_on_a_shared_table_reads_each_target():
                 got = word_coefficient({left + members[omega]: V(3 * comb(m - 1, 2))},
                                        target, 3 * comb(m, 2), shared)
                 assert got == prop1_oracle(A, sigma, omega, m)[1], (sigma, omega)
+
+
+def test_prop1_straightens_only_words_in_play(monkeypatch):
+    # a product word whose kept slack fails the guard reports 0 without
+    # word_coefficient, and every report is word_coefficient's from scratch
+    called = []
+
+    def counted(words, *args):
+        called.extend(words)
+        return word_coefficient(words, *args)
+
+    monkeypatch.setattr(verify_module, "word_coefficient", counted)
+    in_play = []
+    for A, sigma, omega in _PROP1_CASES:
+        for m in (2, 3):
+            r = verify_prop1(A, sigma, omega, m)
+            s, k = member_word(A, sigma), A.k
+            left, target = tuple(sorted(s * (m - 1))), tuple(sorted(s * m))
+            w = left + member_word(A, omega)
+            assert r.passed and r.computed == word_coefficient(
+                {w: V(k * comb(m - 1, 2))}, target, k * comb(m, 2)), (A, sigma, omega, m)
+            if _Rank(target).slack(w) is not None:
+                in_play.append(w)
+    assert called == in_play
+    assert 0 < len(in_play) < 2 * len(_PROP1_CASES)
 
 
 def test_prop1_on_a_warm_family_skips_as_on_a_fresh_one():
