@@ -33,7 +33,9 @@ entries are dropped from a row.
 Rows are cached in memory with a size cap, and the polynomials actually
 asked for are memoized in a KLTable, optionally persisted as an append-only
 JSON-lines file: one record per comparable, off-diagonal pair looked up,
-appended through one handle and flushed.  A line is one record, read by
+appended through one handle and flushed.  A miss formats its line from the
+keys and the packed entry it holds (_record), byte for byte what json.dumps
+without spaces makes of the record.  A line is one record, read by
 json's decode, so JSON whitespace around it (a CRLF ending too) is fine and
 anything else after it makes the line bad.  On load, bad records are skipped
 and an unterminated tail is truncated, so interrupted sweeps restart cleanly.
@@ -66,11 +68,12 @@ A miss replicates the keys of its pair in key space (_replicate_key), and
 polynomials leave the row layer decoded, in _entry and in
 transition._cosets_below, whose signed sums _add_unpacked adds up field
 by field.  The pools behind the encoding belong to the KLTable: the key
-of each permutation asked about, the row keys, interned by the kernel as it
-creates them, the row values, pooled by the kernel where it makes a new
-value (a value copied from the row before is pooled already), the pair
-table of each m, the w0-conjugate of each key, and the Bruhat order of
-each pair of keys compared, memoised as needed.
+of each permutation asked about, its replicated key at each m a miss
+reads, the row keys, interned by the kernel as it creates them, the row
+values, pooled by the kernel where it makes a new value (a value copied
+from the row before is pooled already), the pair table of each m, the
+w0-conjugate of each key, and the Bruhat order of each pair of keys
+compared, memoised as needed.
 
 Conjugation by w0 maps blocks of positions to blocks of the same size,
 hence cosets of W_m to cosets of W_m, and keeps the module polynomials at
@@ -108,8 +111,6 @@ _ONE = LaurentPoly.one()
 
 # The parabolic variants, by the character of W_m the module is induced from.
 _VARIANTS = ("q", "neg1")
-# One memo record as one JSON line, without spaces.
-_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 # The cap on the entries of all rows a table holds in memory.
 _MAX_ROW_ENTRIES = 4_000_000
 
@@ -222,7 +223,31 @@ def _add_unpacked(out: dict[int, int], p: int, c: int) -> dict[int, int]:
 
 
 def _unpack(p: int) -> LaurentPoly:
-    return LaurentPoly(_add_unpacked({}, p, 1))
+    """The packed p of a finished row, whose fields are nonnegative."""
+    coeffs = {}
+    e = 0
+    while p:
+        if c := p & _DIGIT:
+            coeffs[e] = c
+        p >>= 32
+        e -= 2
+    return LaurentPoly.of_nonzero(coeffs)
+
+
+def _record(m: int, variant: str | None, k: int, s: int, w: int, p: int) -> bytes:
+    """The memo line of the keys s below w in S_k with the packed p of a
+    finished row: what json.dumps without spaces makes of the record."""
+    terms = []
+    d = 0
+    while p:
+        if c := p & _DIGIT:
+            terms.append(f'"{d}":{c}')
+        p >>= 32
+        d += 1
+    head = f'{{"m":{m},"v":"{variant}",' if m > 1 else "{"
+    bottom, top = (",".join(map(str, _decode(x, k))) for x in (s, w))
+    coeffs = ",".join(terms)
+    return f'{head}"n":{k * m},"s":[{bottom}],"w":[{top}],"p":{{{coeffs}}}}}\n'.encode()
 
 
 class _Images(dict):
@@ -270,7 +295,7 @@ class KLTable:
       ordinary records finds n != len(s) and skips the line instead of
       misreading it.
 
-    A record holds the canonical member of the class as tuples and "p" as
+    A record holds the canonical member of the class as lists and "p" as
     a map from q-degree to coefficient, in increasing degree.  The loader
     lists the class of whatever member a record holds, so files that
     store other members load and answer the same.  It skips a pair that
@@ -282,17 +307,19 @@ class KLTable:
     capped at _MAX_ROW_ENTRIES; least recently used rows are dropped first
     and recomputed on demand.  Every row is keyed (canonical top key, m,
     neg1), the ordinary rows with m = 1 and neg1 False.  Loading a memo
-    file skips bad records and rewrites the file without them.  Records go
-    through one handle, opened at the first and flushed after each,
-    reopened when the file was replaced (by another table's loader) and
-    closed with the table.
+    file skips bad records and rewrites the file without them.  A miss
+    hands _persist its finished line (_record).  Records go through one
+    handle, opened at the first and flushed after each, reopened when the
+    file was replaced (by another table's loader) and closed with the
+    table.
 
     The table owns every pool: rows map keys to packed polynomials, _keys
     interns each key of a row as the kernel creates it and _polys each
     value as the kernel makes it (in the main loop and in the corrections;
     a value copied from the row before is pooled already), _pairs holds the
     pair table of each m (_pair_table, built at the first row of that m),
-    _perm_keys the key of each permutation asked about, _images per n the
+    _perm_keys the key of each permutation asked about, _replicas t_m of
+    each key a miss reads, by (key, m) (_replica), _images per n the
     w0-conjugate of each key (_conj), _order the Bruhat order of each pair
     of keys compared (_leq; keys of different n >= 1 differ) and
     _avoids_213 whether verify_main_theorem's sigma0 keys avoid 213.  The
@@ -316,6 +343,7 @@ class KLTable:
         self._row_entries = 0
         self._keys: dict[int, int] = {}
         self._perm_keys: dict[Perm, int] = {}
+        self._replicas: dict[tuple[int, int], int] = {}  # (key, m) -> key of t_m
         self._polys: dict[int, int] = {}
         self._images: dict[int, _Images] = {}
         self._order: dict[tuple[int, int], bool] = {}
@@ -368,12 +396,8 @@ class KLTable:
             with open(self._path, "r+b") as fh:
                 fh.truncate(len(data) - len(tail))
 
-    def _persist(self, rec: dict, p: LaurentPoly) -> None:
-        """Append one record: rec holds every field but "p"."""
-        if self._path is None:
-            return
-        rec["p"] = p.to_json("q")["coeffs"]
-        line = (_ENCODE(rec) + "\n").encode()
+    def _persist(self, line: bytes) -> None:
+        """Append one record line (_record) to the table's file."""
         with self._lock:
             if self._fh is None or os.fstat(self._fh.fileno()).st_nlink == 0:
                 if self._close is not None:
@@ -391,6 +415,13 @@ class KLTable:
         if key is None:
             key = self._perm_keys[w] = _encode(w)
         return key
+
+    def _replica(self, key: int, k: int, m: int) -> int:
+        """The key of t_m(w) from the key of w in S_k, replicated once per table."""
+        t = self._replicas.get((key, m))
+        if t is None:
+            t = self._replicas[key, m] = _replicate_key(key, k, m)
+        return t
 
     def _leq(self, s: int, w: int, x: Perm, y: Perm) -> bool:
         """x <= y in Bruhat order, for x, y of one S_n with keys s, w; memoised."""
@@ -562,14 +593,14 @@ def _entry(table: KLTable, s: int, w: int, sigma: Perm, omega: Perm, m: int,
     k = len(omega)
     members = _pair_class(table, s, w, k)
     bottom, top = members[0]
-    row = _row(table, _replicate_key(top, k, m), k * m, m, m > 1 and variant == "neg1")
-    p = _unpack(row.get(_replicate_key(bottom, k, m), 0))
+    row = _row(table, table._replica(top, k, m), k * m, m, m > 1 and variant == "neg1")
+    packed = row.get(table._replica(bottom, k, m), 0)
+    p = _unpack(packed)
     kind = (m, variant) if m > 1 else ()
     for pair in members:
         table._final[(*kind, *pair)] = p
-    rec = {"m": m, "v": variant} if m > 1 else {}
-    table._persist({**rec, "n": k * m, "s": list(_decode(bottom, k)),
-                    "w": list(_decode(top, k))}, p)
+    if table._path is not None:
+        table._persist(_record(m, variant, k, bottom, top, packed))
     return p
 
 

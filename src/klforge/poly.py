@@ -53,6 +53,14 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
+    def of_nonzero(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        """The polynomial of coeffs, int exponents to nonzero int
+        coefficients, taken as it is: the result owns the dict."""
+        res = cls.__new__(cls)
+        res._coeffs = coeffs
+        return res
+
+    @classmethod
     def v(cls, exponent: int = 1, coefficient: int = 1) -> "LaurentPoly":
         """The monomial coefficient * v**exponent."""
         res = cls.__new__(cls)

@@ -22,6 +22,7 @@ from helpers import (
 import klforge.kl as kl_module
 from klforge.kl import (
     KLTable,
+    _decode,
     _encode,
     _pair_class,
     kl_poly,
@@ -735,6 +736,70 @@ def test_a_self_conjugate_top_stores_the_least_bottom(tmp_path, fn, m, record):
         path = tmp_path / f"{s}.jsonl"
         _ask(KLTable(path), fn, s, w, m)
         assert path.read_text() == record + "\n"
+
+
+def _dumped_record(table, fn, s, w, m, p):
+    """json.dumps without spaces of the record dict of the pair (s, w): its
+    canonical member as lists and p as {q-degree: coefficient}."""
+    k = len(w)
+    bottom, top = _pair_class(table, _encode(s), _encode(w), k)[0]
+    rec = {"m": m, "v": "q" if fn is parabolic_kl_q else "neg1"} if m > 1 else {}
+    rec.update(n=k * m, s=list(_decode(bottom, k)), w=list(_decode(top, k)),
+               p=p.to_json("q")["coeffs"])
+    return json.dumps(rec, separators=(",", ":")) + "\n"
+
+
+def test_record_lines_are_the_json_dump_of_their_record(tmp_path):
+    # a miss formats its line from its keys and packed entry; byte for byte
+    # the dump of the record dict, a two-digit degree included (a zero
+    # entry: test_record_formats_each_nonzero_field_in_increasing_degree)
+    path = tmp_path / "cache.jsonl"
+    t = KLTable(path)
+    written = []
+    for fn, s, w, m in MEMO_PAIRS + [(fn, (1, 2), (2, 1), 5)
+                                     for fn in (parabolic_kl_q, parabolic_kl_neg1)]:
+        p = _ask(t, fn, s, w, m)
+        lines = path.read_text().splitlines(keepends=True)
+        if len(lines) > len(written):
+            assert lines[len(written):] == [_dumped_record(t, fn, s, w, m, p)], (fn, s, w, m)
+            written = lines
+    assert len(written) == len({(fn, m, memo_key(t, s, w)) for fn, s, w, m in MEMO_PAIRS}) + 2
+    assert written[-2:] == ['{"m":5,"v":"q","n":10,"s":[1,2],"w":[2,1],"p":{"10":1}}\n',
+                            '{"m":5,"v":"neg1","n":10,"s":[1,2],"w":[2,1],"p":{"0":1}}\n']
+
+
+@pytest.mark.parametrize("packed, coeffs", [
+    (0, {}), (1, {"0": 1}), (12 << 32 * 10, {"10": 12}),
+    (3 | ((1 << 24) - 1) << 64 | 7 << 32 * 11, {"0": 3, "2": (1 << 24) - 1, "11": 7}),
+], ids=["zero", "one", "degree-10", "gaps"])
+def test_record_formats_each_nonzero_field_in_increasing_degree(packed, coeffs):
+    s, w = _encode((1, 2, 3)), _encode((3, 2, 1))
+    for m, head in [(1, {}), (2, {"m": 2, "v": "neg1"})]:
+        rec = {**head, "n": 3 * m, "s": [1, 2, 3], "w": [3, 2, 1], "p": coeffs}
+        assert kl_module._record(m, "neg1", 3, s, w, packed) == (
+            json.dumps(rec, separators=(",", ":")) + "\n").encode()
+
+
+def test_misses_under_one_top_replicate_each_key_once(monkeypatch):
+    # the table pools t_m of each key by (key, m): the misses of both
+    # variants at m = 2 and m = 3 under one top replicate each key, the top
+    # and every canonical bottom, once per m
+    replicated = []
+    replicate = kl_module._replicate_key
+
+    def counted(key, k, m):
+        replicated.append((key, m))
+        return replicate(key, k, m)
+
+    monkeypatch.setattr(kl_module, "_replicate_key", counted)
+    t, w = KLTable(), (3, 2, 1)
+    for m in (2, 3):
+        for fn in (parabolic_kl_q, parabolic_kl_neg1):
+            for s in all_perms(3):
+                if s != w:
+                    _ask(t, fn, s, w, m)
+    assert len(replicated) > 2 and len(replicated) == len(set(replicated))
+    assert (_encode(w), 2) in replicated and (_encode(w), 3) in replicated
 
 
 def _memo_lines(path):
