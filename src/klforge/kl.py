@@ -67,13 +67,13 @@ Inside the row recursion both permutations and polynomials are single ints:
 A miss replicates the keys of its pair in key space (_replicate_key), and
 polynomials leave the row layer decoded, in _entry and in
 transition._cosets_below, whose signed sums _add_unpacked adds up field
-by field.  The pools behind the encoding belong to the KLTable: the key
-of each permutation asked about, its replicated key at each m a miss
-reads, the row keys, interned by the kernel as it creates them, the row
-values, pooled by the kernel where it makes a new value (a value copied
-from the row before is pooled already), the pair table of each m, the
-w0-conjugate of each key, and the Bruhat order of each pair of keys
-compared, memoised as needed.
+by field.  The pools behind the encoding belong to the KLTable.  The
+kernel pools the row keys as it creates them and the row values where it
+makes a new one (a value copied from the row before is pooled already).
+Every other pool is a function of its key and fills itself at the first
+read (_Memo): the key of each permutation asked about, its replicated key
+at each m a miss reads, the pair table of each m, the w0-conjugate of
+each key and the Bruhat order of each pair of permutations compared.
 
 Conjugation by w0 maps blocks of positions to blocks of the same size,
 hence cosets of W_m to cosets of W_m, and keeps the module polynomials at
@@ -102,10 +102,10 @@ import weakref
 from collections import OrderedDict
 from functools import reduce
 from operator import or_
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .poly import LaurentPoly
-from .symgroup import NotComparable, Perm, bruhat_leq
+from .symgroup import NotComparable, Perm, bruhat_leq, is_pattern_avoiding
 
 _ONE = LaurentPoly.one()
 
@@ -250,6 +250,18 @@ def _record(m: int, variant: str | None, k: int, s: int, w: int, p: int) -> byte
     return f'{head}"n":{k * m},"s":[{bottom}],"w":[{top}],"p":{{{coeffs}}}}}\n'.encode()
 
 
+class _Memo(dict):
+    """A pool that fills itself: a missing key gets fill(key), stored."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self._fill(key)
+        return value
+
+
 class _Images(dict):
     """The w0-conjugates of the keys of S_n, memoised in both directions."""
 
@@ -298,10 +310,11 @@ class KLTable:
     A record holds the canonical member of the class as lists and "p" as
     a map from q-degree to coefficient, in increasing degree.  The loader
     lists the class of whatever member a record holds, so files that
-    store other members load and answer the same.  It skips a pair that
-    is not strictly below in Bruhat order and a polynomial the recursion
-    cannot produce (_poly_of_record).  The cached values are LaurentPoly,
-    immutable, so a hit hands out the stored value itself.
+    store other members load and answer the same.  It skips a record of
+    more than 16 letters, a pair that is not strictly below in Bruhat order
+    and a polynomial the recursion cannot produce (_poly_of_record).  The
+    cached values are LaurentPoly, immutable, so a hit hands out the stored
+    value itself.
 
     Rows are held in one in-memory cache whose total entry count is
     capped at _MAX_ROW_ENTRIES; least recently used rows are dropped first
@@ -313,16 +326,17 @@ class KLTable:
     file was replaced (by another table's loader) and closed with the
     table.
 
-    The table owns every pool: rows map keys to packed polynomials, _keys
+    The table owns every pool.  Rows map keys to packed polynomials, _keys
     interns each key of a row as the kernel creates it and _polys each
     value as the kernel makes it (in the main loop and in the corrections;
-    a value copied from the row before is pooled already), _pairs holds the
-    pair table of each m (_pair_table, built at the first row of that m),
-    _perm_keys the key of each permutation asked about, _replicas t_m of
-    each key a miss reads, by (key, m) (_replica), _images per n the
-    w0-conjugate of each key (_conj), _order the Bruhat order of each pair
-    of keys compared (_leq; keys of different n >= 1 differ) and
-    _avoids_213 whether verify_main_theorem's sigma0 keys avoid 213.  The
+    a value copied from the row before is pooled already).  The other pools
+    fill themselves at a missing key (_Memo): _perm_keys the key of each
+    permutation asked about (_encode), _replicas t_m of each key a miss
+    reads, by (key, k, m) (_replicate_key), _images per n the w0-conjugates
+    of keys of S_n (_Images), _pairs the pair table of each m (_pair_table),
+    _order whether x <= y in Bruhat order, by (x, y), and _avoids_213
+    whether verify_main_theorem's sigma0 avoids 213.  No fill refers to the
+    table, so a dropped table is freed, and its file closed, at once.  The
     pools outlive evicted rows and go away with the table.
 
     A permutation is checked when the table first keys it (_encode) and
@@ -341,14 +355,14 @@ class KLTable:
         # row key -> {key: packed polynomial}; LRU, least recent first
         self._rows: OrderedDict[object, dict[int, int]] = OrderedDict()
         self._row_entries = 0
-        self._keys: dict[int, int] = {}
-        self._perm_keys: dict[Perm, int] = {}
-        self._replicas: dict[tuple[int, int], int] = {}  # (key, m) -> key of t_m
+        keys = self._keys = {}
         self._polys: dict[int, int] = {}
-        self._images: dict[int, _Images] = {}
-        self._order: dict[tuple[int, int], bool] = {}
-        self._avoids_213: dict[int, bool] = {}
-        self._pairs: dict[int, list[int]] = {}  # m -> _pair_table(m)
+        self._perm_keys = _Memo(_encode)
+        self._replicas = _Memo(lambda key_k_m: _replicate_key(*key_k_m))
+        self._images = _Memo(lambda n: _Images(n, keys))
+        self._order = _Memo(lambda pair: bruhat_leq(*pair))
+        self._avoids_213 = _Memo(lambda w: is_pattern_avoiding(w, (2, 1, 3)))
+        self._pairs = _Memo(_pair_table)
         self._lock = threading.Lock()
         self._path = os.fspath(path) if path is not None else None
         self._fh = self._close = None  # the append handle, and its finalizer
@@ -363,20 +377,20 @@ class KLTable:
         with open(self._path, "rb") as fh:
             data = fh.read()
         *lines, tail = data.split(b"\n")  # tail: an unterminated record
-        # int() refuses float literals, whose tuples would hit _key's int twins
+        # int() refuses float literals, whose tuples would hit _perm_keys' int twins
         decode = json.JSONDecoder(parse_float=int).decode
         kept: list[bytes] = []
         polys: dict[tuple, LaurentPoly] = {}  # by p, its types (true is not 1), gap, kind
         for line in lines:
             try:
                 rec = decode(line.decode())
-                s, w, m = rec["s"], rec["w"], rec.get("m", 1)
+                s, w, m = tuple(rec["s"]), tuple(rec["w"]), rec.get("m", 1)
                 kind = (m, rec["v"]) if "m" in rec else ()
                 if (type(m) is not int or len(w) != len(s) or rec["n"] != m * len(s)
-                        or kind and (m < 2 or rec["v"] not in _VARIANTS)):
+                        or rec["n"] > _MAX_N or kind and (m < 2 or rec["v"] not in _VARIANTS)):
                     raise ValueError("inconsistent record")
-                sk, wk = self._key(tuple(s)), self._key(tuple(w))
-                if sk == wk or not self._leq(sk, wk, s, w):  # in S_k: t_m embeds the order
+                sk, wk = self._perm_keys[s], self._perm_keys[w]
+                if sk == wk or not self._order[s, w]:  # in S_k: t_m embeds the order
                     raise ValueError("not a pair below the diagonal")
                 gap = m * m * ((wk & _LEN_MASK) - (sk & _LEN_MASK))  # in S_{mk}
                 key = (*rec["p"].items(), *map(type, rec["p"].values()), gap, m == 1)
@@ -407,36 +421,6 @@ class KLTable:
             self._fh.write(line)
             self._fh.flush()
 
-    # -- key normalization ----------------------------------------------
-
-    def _key(self, w: Perm) -> int:
-        """The key of the permutation w, encoded once per table."""
-        key = self._perm_keys.get(w)
-        if key is None:
-            key = self._perm_keys[w] = _encode(w)
-        return key
-
-    def _replica(self, key: int, k: int, m: int) -> int:
-        """The key of t_m(w) from the key of w in S_k, replicated once per table."""
-        t = self._replicas.get((key, m))
-        if t is None:
-            t = self._replicas[key, m] = _replicate_key(key, k, m)
-        return t
-
-    def _leq(self, s: int, w: int, x: Perm, y: Perm) -> bool:
-        """x <= y in Bruhat order, for x, y of one S_n with keys s, w; memoised."""
-        below = self._order.get((s, w))
-        if below is None:
-            below = self._order[s, w] = bruhat_leq(x, y)
-        return below
-
-    def _conj(self, n: int) -> _Images:
-        """The w0-conjugate of the keys of S_n."""
-        conj = self._images.get(n)
-        if conj is None:
-            conj = self._images.setdefault(n, _Images(n, self._keys))
-        return conj
-
     # -- row cache -------------------------------------------------------
 
     def _row_get(self, w: object) -> dict[int, int] | None:
@@ -461,7 +445,7 @@ def _pair_class(table: KLTable, s: int, w: int, n: int) -> list[tuple[int, int]]
     the pair and its w0-conjugate, ordered by (top, bottom).  The first is
     the canonical member, whose top is the canonical top of its row (of
     t_m(w) for m >= 2, see the module docstring)."""
-    conj = table._conj(n)
+    conj = table._images[n]
     cs, cw = conj[s], conj[w]
     return [(s, w), (cs, cw)] if (w, s) <= (cw, cs) else [(cs, cw), (s, w)]
 
@@ -472,7 +456,7 @@ def _row(table: KLTable, w: int, n: int, m: int = 1,
     minimal y <= w with a nonzero polynomial, as keys and packed
     polynomials; read through w0-conjugation when w is not its canonical
     top."""
-    conj = table._conj(n)
+    conj = table._images[n]
     canon = min(w, conj[w])
     tag = (canon, m, neg1)
     row = table._row_get(tag)
@@ -510,7 +494,7 @@ def _compute_row(table: KLTable, w: int, n: int, m: int, neg1: bool) -> dict[int
     # whose top coefficient is that of p_z.
     lo = _shift(s + 1, n)
     lsw = lw - 1
-    pairs = table._pairs.get(m) or table._pairs.setdefault(m, _pair_table(m))
+    pairs = table._pairs[m]
     cand: dict[int, int] = {}
     corrections: list[tuple[int, int]] = []
     get, intern, pool = prev.get, table._keys.setdefault, table._polys.setdefault
@@ -573,19 +557,20 @@ def _lookup(table: KLTable, sigma: Perm, omega: Perm, m: int,
         raise ValueError("permutations must have the same n")
     if m < 1:
         raise ValueError("m must be at least 1")
-    return _entry(table, table._key(sigma), table._key(omega), sigma, omega, m, variant)
+    keys = table._perm_keys
+    return _entry(table, keys[sigma], keys[omega], sigma, omega, m, variant)
 
 
 def _entry(table: KLTable, s: int, w: int, sigma: Perm, omega: Perm, m: int,
            variant: str | None) -> LaurentPoly:
     """_lookup on the keys s, w of sigma, omega, which the caller has made
-    with table._key and checked to be of one n; a hit reads nothing else."""
+    in table._perm_keys and checked to be of one n; a hit reads nothing else."""
     if s == w:
         return _ONE
     hit = table._final.get((s, w) if m == 1 else (m, variant, s, w))
     if hit is not None:
         return hit
-    if not table._leq(s, w, sigma, omega):  # in S_k: t_m embeds the order
+    if not table._order[sigma, omega]:  # in S_k: t_m embeds the order
         if variant is None:
             return LaurentPoly()
         raise NotComparable(
@@ -593,8 +578,8 @@ def _entry(table: KLTable, s: int, w: int, sigma: Perm, omega: Perm, m: int,
     k = len(omega)
     members = _pair_class(table, s, w, k)
     bottom, top = members[0]
-    row = _row(table, table._replica(top, k, m), k * m, m, m > 1 and variant == "neg1")
-    packed = row.get(table._replica(bottom, k, m), 0)
+    row = _row(table, table._replicas[top, k, m], k * m, m, m > 1 and variant == "neg1")
+    packed = row.get(table._replicas[bottom, k, m], 0)
     p = _unpack(packed)
     kind = (m, variant) if m > 1 else ()
     for pair in members:

@@ -171,17 +171,16 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
         if m < 2:
             raise HypothesisFailed("m must be greater than 1")
         try:
-            s0, s, w = map(table._key, (sigma0_perm, sigma, omega))
+            keys = table._perm_keys
+            s0, s, w = keys[sigma0_perm], keys[sigma], keys[omega]
             if not len(sigma) == len(omega) == k:
                 raise ValueError("sizes differ")
         except ValueError as exc:  # past the keys' width it is no failed hypothesis
             permutes = HypothesisFailed(f"sigma0, sigma and omega must permute 1..{k}")
             raise (exc if k > _MAX_N else permutes) from None
-        if s0 not in table._avoids_213:  # once per sigma0 and table
-            table._avoids_213[s0] = is_pattern_avoiding(sigma0_perm, (2, 1, 3))
-        if not table._avoids_213[s0]:
+        if not table._avoids_213[sigma0_perm]:
             raise HypothesisFailed(f"sigma0 {sigma0_perm} contains the pattern 213")
-        if not (table._leq(s0, s, sigma0_perm, sigma) and table._leq(s, w, sigma, omega)):
+        if not (table._order[sigma0_perm, sigma] and table._order[sigma, omega]):
             raise HypothesisFailed("need sigma0 <= sigma <= omega")
         p0 = _entry(table, s0, w, sigma0_perm, omega, 1, None)
         if not p0.is_one():

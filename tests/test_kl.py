@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import warnings
+import weakref
 
 import pytest
 
@@ -426,6 +427,21 @@ def test_parabolic_record_with_bad_fields_is_skipped(tmp_path, bad_record):
     check_records_answer(t2, good.splitlines())
 
 
+def test_cache_skips_record_past_the_key_width(tmp_path):
+    # t_9 of S_2 has 18 letters, more than a key holds: a fresh table
+    # refuses the pair, and so does a table that met its record
+    path = tmp_path / "cache.jsonl"
+    kl_poly(KLTable(path), (1, 2), (2, 1))
+    good = path.read_bytes()
+    path.write_bytes(good + b'{"m":9,"v":"q","n":18,"s":[1,2],"w":[2,1],"p":{"0":7}}\n')
+    loaded = KLTable(path)
+    assert path.read_bytes() == good
+    for t in (loaded, KLTable()):
+        with pytest.raises(ValueError, match="at most 16 letters, not 18"):
+            parabolic_kl_q(t, (1, 2), (2, 1), 9)
+    assert path.read_bytes() == good
+
+
 def test_cache_skips_records_of_incomparable_pairs(tmp_path):
     # 2134 and 1342 are not comparable in Bruhat order, nor are their
     # replications; both records pass every other check of the loader
@@ -554,6 +570,25 @@ def test_dropped_table_leaves_no_open_file(tmp_path):
         del t
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(path.read_text().splitlines()) == 2
+
+
+def test_dropped_table_is_freed_at_once(tmp_path):
+    # no memo refers back to the table, so the last reference frees it and
+    # closes its handle without the cycle collector
+    from klforge.verify import verify_main_theorem
+
+    path = tmp_path / "cache.jsonl"
+    gc.disable()
+    try:
+        t = KLTable(path)
+        assert verify_main_theorem(t, (1, 2), (1, 2), (2, 1), 2).status == "pass"
+        fh, ref = t._fh, weakref.ref(t)
+        assert not fh.closed
+        del t
+        assert ref() is None and fh.closed
+    finally:
+        gc.enable()
     assert len(path.read_text().splitlines()) == 2
 
 
@@ -781,7 +816,7 @@ def test_record_formats_each_nonzero_field_in_increasing_degree(packed, coeffs):
 
 
 def test_misses_under_one_top_replicate_each_key_once(monkeypatch):
-    # the table pools t_m of each key by (key, m): the misses of both
+    # the table pools t_m of each key by (key, k, m): the misses of both
     # variants at m = 2 and m = 3 under one top replicate each key, the top
     # and every canonical bottom, once per m
     replicated = []

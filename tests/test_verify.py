@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import all_perms, prop1_oracle
-from klforge.kl import KLTable
+from klforge.kl import KLTable, _encode
 from klforge.pbw import _Rank, member_word, word_coefficient
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
@@ -148,7 +148,7 @@ def test_main_theorem_tests_213_once_per_sigma0_and_table(monkeypatch):
         calls.append(w)
         return is_pattern_avoiding(w, pattern)
 
-    monkeypatch.setattr(verify_module, "is_pattern_avoiding", counted)
+    monkeypatch.setattr(kl_module, "is_pattern_avoiding", counted)
     assert stripped(KLTable()) == want
     distinct = len({case[0] for case in cases})
     assert len(calls) == len(set(calls)) == distinct == 9
@@ -172,16 +172,19 @@ def test_warm_main_theorem_keys_each_permutation_once(tmp_path, monkeypatch):
     written = path.read_bytes()
     warm = KLTable(path)
     keyed = []
-    key = warm._key
 
-    def counted(w):
-        keyed.append(w)
-        return key(w)
+    class Counted(type(warm._perm_keys)):
+        def __getitem__(self, w):
+            keyed.append(w)
+            return super().__getitem__(w)
+
+    counted = Counted(_encode)
+    counted.update(warm._perm_keys)
 
     def no_rows(*args):
         raise AssertionError("a warm check computed a row")
 
-    monkeypatch.setattr(warm, "_key", counted)
+    monkeypatch.setattr(warm, "_perm_keys", counted)
     monkeypatch.setattr(kl_module, "_compute_row", no_rows)
     for case, want in zip(cases, cold):
         keyed.clear()
