@@ -115,20 +115,16 @@ def cmd_mseg(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    if args.m < 1:
-        raise ValueError("m must be at least 1")
-    A = _bisequence_from_args(args)
-    if args.m > 1:
-        A = replicate(A, args.m)
+    A, m = _bisequence_from_args(args), args.m
     table = _table(args)
-    index = transition_index(table, A)
+    index = transition_index(table, A, m)
     if args.w is not None and args.w not in index:
         raise ValueError(f"--w {','.join(map(str, args.w))} is not in the matrix index")
     expander = expand_E_in_G if args.direction == "e2g" else expand_G_in_E
     entries = {(row, col): c for col in (index if args.w is None else [args.w])
-               for row, c in expander(table, A, col).items()}
+               for row, c in expander(table, A, col, m).items()}
     print(json.dumps({
-        "family": A.to_json(),
+        "family": replicate(A, m).to_json(),
         "direction": args.direction,
         "index": [list(w) for w in index],
         "entries": [{"row": list(row), "col": list(col), "coeff": coeff.to_json("v")}
@@ -197,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_parse_ints)
     p.add_argument("--b", type=_parse_ints)
     p.add_argument("--m", type=int, default=1,
-                   help="replicate the family this many times")
+                   help="replicate the strongly regular family this many times")
     p.add_argument("--direction", choices=("e2g", "g2e"), required=True)
     p.add_argument("--w", type=_parse_perm,
                    help="emit only the expansion of this element")

@@ -455,9 +455,10 @@ def _row(table: KLTable, w: int, n: int, m: int = 1,
     """The row {y: p_{y,w}} of the minimal representative w over the
     minimal y <= w with a nonzero polynomial, as keys and packed
     polynomials; read through w0-conjugation when w is not its canonical
-    top."""
+    top.  For m = 1 no pair lies in one block, so neg1 is the ordinary row."""
     conj = table._images[n]
     canon = min(w, conj[w])
+    neg1 = neg1 and m > 1
     tag = (canon, m, neg1)
     row = table._row_get(tag)
     if row is None:
@@ -578,7 +579,7 @@ def _entry(table: KLTable, s: int, w: int, sigma: Perm, omega: Perm, m: int,
     k = len(omega)
     members = _pair_class(table, s, w, k)
     bottom, top = members[0]
-    row = _row(table, table._replicas[top, k, m], k * m, m, m > 1 and variant == "neg1")
+    row = _row(table, table._replicas[top, k, m], k * m, m, variant == "neg1")
     packed = row.get(table._replicas[bottom, k, m], 0)
     p = _unpack(packed)
     kind = (m, variant) if m > 1 else ()

@@ -3,24 +3,27 @@
 Over a bi-sequence family the two bases indexed by the family's
 multisegments are unitriangular with respect to Bruhat order on the
 (double-coset) permutation indices, and the two directions of expansion
-are mutually inverse matrices.  The supported families are the strongly
-regular bi-sequences and their m-fold replications; anything else raises
-UnsupportedFamily, because the dimension parameter entering the
-coefficients is not available in general.
+are mutually inverse matrices.  A family is given by a strongly regular
+base A of k segments and m >= 1, as the m-fold replication of A.  Any
+other base, an already replicated one included, raises UnsupportedFamily,
+because the dimension parameter entering the coefficients is not
+available in general.
 
-The indices are the double cosets W_m w W_m in S_n, n = A.k, of the
-block parabolic W_m, where A is the m-fold replication of a strongly
-regular base (m = 1 for a strongly regular A, whose cosets are
-singletons): the ends of A come in runs of m equal values, and two words
-give the same member of the family exactly when they lie in one such
-coset.  A double coset is given by its count matrix of (position block,
-value block) pairs, which also tells whether it lies above sigma0 (see
-_cosets_below), and is represented by its minimal element, which
-_coset_min builds from the matrix; omega~ is the minimal element of
-omega's coset.  Every entry comes from rows of Deodhar's module induced
-from W_m (kl._row; for m = 1 the ordinary rows), which hold minimal
-representatives x of right cosets x W_m, grouped by the count matrix of
-their double coset: the q row can miss the minimal element itself.
+The indices are the double cosets W_m w W_m in S_n, n = k*m, of the
+block parabolic W_m (singletons for m = 1): the replicated ends come in
+runs of m equal values, and two words give the same member of the
+family exactly when they lie in one such coset.  A double coset is given
+by its k x k count matrix of (position block, value block) pairs, the sum
+of one unit per value from the cell table of _cells, and is represented
+by its minimal element, which _coset_min builds from the matrix; omega~
+is the minimal element of omega's coset.  The table is built on the base
+ends: a cell (i, j) with a_i > b_j + 1 gets a sentinel above every count
+matrix, so "above sigma0" is one test per cell, on omega and on every key
+of a row (_cosets_below).  Every entry comes from rows of Deodhar's
+module induced from W_m (kl._row; for m = 1 the ordinary rows), which
+hold minimal representatives x of right cosets x W_m, grouped by the
+count matrix of their double coset: the q row can miss the minimal
+element itself.
 
 * the index below omega~: the double cosets met by the -1 row of omega~,
   which holds every minimal x <= omega~, since p^{-1}_{x,omega~} =
@@ -38,7 +41,7 @@ their double coset: the q row can miss the minimal element itself.
   where the sum over each right coset x W_m is eps(x) p^q_{x,omega~}, an
   entry of the q row of omega~.
 
-No S_n is enumerated, and a replicated family reads no ordinary row.
+No S_n is enumerated, and a family with m >= 2 reads no ordinary row.
 
 The dimension gap between indices sigma <= omega is taken to be the
 length difference of the representatives.  On pairs coming from the
@@ -56,8 +59,6 @@ comparison.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .kl import (
     KLTable,
@@ -77,7 +78,6 @@ from .segcomb import (
     is_strongly_regular,
     multisegment_of,  # noqa: F401  (perfbench/spans.py patches it)
     replicate,  # noqa: F401  (perfbench/spans.py patches it)
-    dominates_sigma0,
     sigma0,  # noqa: F401  (perfbench/spans.py patches it)
 )
 from .pbw import Word, member_word, product_expansion_guarded
@@ -93,38 +93,30 @@ from .symgroup import (
 
 
 class UnsupportedFamily(ValueError):
-    """The bi-sequence is neither strongly regular nor a replication of a
-    strongly regular one; its dimension parameters are not available."""
+    """The base family is not strongly regular."""
 
 
-def family_replication(A: BiSequence) -> tuple[BiSequence, int]:
-    """Split A as the m-fold replication of a strongly regular base.
-
-    Returns (base, m); m = 1 when A itself is strongly regular.  Raises
-    UnsupportedFamily otherwise.
-    """
-    if is_strongly_regular(A):
-        return A, 1
-    lengths = {len(list(run)) for ends in (A.a, A.b) for _, run in itertools.groupby(ends)}
-    if len(lengths) != 1:
-        raise UnsupportedFamily(f"{A} is not a uniform replication")
-    m = lengths.pop()
-    if m < 2:
-        raise UnsupportedFamily(f"{A} is not a replication of a regular family")
-    base = BiSequence(A.a[::m], A.b[::m])
-    if not is_strongly_regular(base):
-        raise UnsupportedFamily(f"the base {base} of {A} is not strongly regular")
-    return base, m
-
-
-def _check_family(A: BiSequence, omega: Perm) -> tuple[int, Perm]:
-    """Validate the family and the top permutation; returns (m, omega~)."""
-    m = family_replication(A)[1]
-    if not dominates_sigma0(A, omega):
-        raise BelowSigma0(f"{omega} lies below sigma0({A}) = {sigma0(A)}")
-    n, k = A.k, A.k // m
-    return m, _coset_min(sum((n + 1) ** (p // m * k + (v - 1) // m)
-                             for p, v in enumerate(omega)), n, m)
+def _cells(A: BiSequence, omega: Perm, m: int) -> tuple[list[list[int]], int, Perm]:
+    """The cell table of the m-fold replication of the base A, its
+    sentinel drop and omega~.  Cell (i, j) holds the unit (n + 1)**(i*k + j),
+    or drop where a_i > b_j + 1, so a word lies above sigma0
+    (dominates_sigma0 on the replicated ends) exactly when its values' units
+    sum below drop.  Raises UnsupportedFamily, ValueError (m < 1, omega not
+    a permutation of 1..k*m) or BelowSigma0 (omega's sum reaches drop)."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if not is_strongly_regular(A):
+        raise UnsupportedFamily(f"{A} is not strongly regular")
+    k, n = A.k, A.k * m
+    if sorted(omega) != [*range(1, n + 1)]:
+        raise ValueError(f"{omega} does not permute 1..{n}")
+    drop = (n + 1) ** (k * k)
+    cells = [[(n + 1) ** (i * k + j) if a <= b + 1 else drop for j, b in enumerate(A.b)]
+             for i, a in enumerate(A.a)]
+    counts = sum(cells[p // m][(v - 1) // m] for p, v in enumerate(omega))
+    if counts >= drop:
+        raise BelowSigma0(f"{omega} lies below sigma0 of {A} at m = {m}")
+    return cells, drop, _coset_min(counts, n, m)
 
 
 def _coset_min(counts: int, n: int, m: int) -> Perm:
@@ -141,29 +133,25 @@ def _coset_min(counts: int, n: int, m: int) -> Perm:
     return tuple(word)
 
 
-def _cosets_below(table: KLTable, A: BiSequence, top: Perm, m: int,
-                  neg1: bool) -> dict[Perm, LaurentPoly]:
+def _cosets_below(table: KLTable, cells: list[list[int]], drop: int, top: Perm,
+                  m: int, neg1: bool) -> dict[Perm, LaurentPoly]:
     """The row of top in the module of W_m (the q row, or the -1 row when
     neg1; for m = 1 the ordinary row), summed with signs (-1)**length(x)
-    over each double coset above sigma0(A), keyed by its minimal element.
+    over each double coset above sigma0, keyed by its minimal element.
 
     Two words lie in the same double coset exactly when, for each block i
     of m positions and each block j of m values, they place the same number
-    of values of block j in block i.  That count matrix, over the blocks
-    p // m of the position p and (v - 1) // m of the value v, is read off
-    the row's keys as a sum of powers of n + 1, one unit per value.  A word
-    lies above sigma0(A) exactly when no value v sits at a position p with
-    a_p > b_v + 1; such a cell's unit is (n + 1)**(k*k), above every count
-    matrix, and a key whose sum reaches it is dropped.
+    of values of block j in block i.  That count matrix is read off the
+    row's keys as the sum of their values' units from the cell table of
+    _cells, and a key whose sum reaches drop lies below sigma0 and is
+    dropped.
     """
-    n, k = len(top), len(top) // m
-    drop = (n + 1) ** (k * k)
+    n = len(top)
     # per value v: the shift of its position field, and its unit by position
-    units = [(_shift(v, n), [(n + 1) ** (p // m * k + (v - 1) // m)
-                             if A.a[p] <= A.b[v - 1] + 1 else drop for p in range(n)])
+    units = [(_shift(v, n), [cells[p // m][(v - 1) // m] for p in range(n)])
              for v in range(1, n + 1)]
     buckets: dict[int, dict[int, int]] = {}  # count matrix -> {packed: sign sum}
-    for y, p in _row(table, _encode(top), n, m, neg1 and m > 1).items():
+    for y, p in _row(table, _encode(top), n, m, neg1).items():
         coset = 0
         for shift, unit in units:
             coset += unit[y >> shift & 15]
@@ -180,35 +168,39 @@ def _cosets_below(table: KLTable, A: BiSequence, top: Perm, m: int,
     return out
 
 
-def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, LaurentPoly]:
-    """Coefficients of the G-basis expansion of E(M_omega(A)).
+def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm,
+                  m: int) -> dict[Perm, LaurentPoly]:
+    """Coefficients of the G-basis expansion of E(M_omega) over the m-fold
+    replication of the base A.
 
     Keys are the minimal (double-)coset representatives sigma~ between
-    sigma0(A) and omega~; the entry at sigma~ is read from the -1 row of
+    sigma0 and omega~; the entry at sigma~ is read from the -1 row of
     the minimal representative of sigma~ w0.
     """
-    m, top = _check_family(A, omega)
-    n, lt = A.k, length(top)
+    cells, drop, top = _cells(A, omega, m)
+    n, lt = len(top), length(top)
     w0 = longest_element(n)
     x = _encode(min_coset_rep(compose(top, w0), m))
     out: dict[Perm, LaurentPoly] = {}
-    for rep in _cosets_below(table, A, top, m, True):
+    for rep in _cosets_below(table, cells, drop, top, m, True):
         z = _encode(min_coset_rep(compose(rep, w0), m))
-        out[rep] = LaurentPoly.v(lt - length(rep)) * _unpack(_row(table, z, n, m, m > 1)[x])
+        out[rep] = LaurentPoly.v(lt - length(rep)) * _unpack(_row(table, z, n, m, True)[x])
     return out
 
 
-def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm) -> dict[Perm, LaurentPoly]:
-    """Coefficients of the E-basis expansion of G(M_omega(A)).
+def expand_G_in_E(table: KLTable, A: BiSequence, omega: Perm,
+                  m: int) -> dict[Perm, LaurentPoly]:
+    """Coefficients of the E-basis expansion of G(M_omega) over the m-fold
+    replication of the base A.
 
     Entry at sigma is the signed sum of ordinary polynomials over all
     members of the double coset sigma, read from the q row of omega~, with
     the same monomial prefactor as the other direction.
     """
-    m, top = _check_family(A, omega)
+    cells, drop, top = _cells(A, omega, m)
     lt, eps_top = length(top), parity(top)
     return {rep: LaurentPoly.v(lt - length(rep)) * acc * eps_top
-            for rep, acc in _cosets_below(table, A, top, m, False).items()
+            for rep, acc in _cosets_below(table, cells, drop, top, m, False).items()
             if not acc.is_zero()}
 
 
@@ -219,13 +211,13 @@ def g_star_power_with_taint(table: KLTable, A: BiSequence, omega: Perm,
     which perfbench/spans.py unpacks."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not is_strongly_regular(A):
-        raise UnsupportedFamily(f"{A} is not strongly regular")
-    one_copy = {member_word(A, rep): c for rep, c in expand_G_in_E(table, A, omega).items()}
+    one_copy = {member_word(A, rep): c for rep, c in expand_G_in_E(table, A, omega, 1).items()}
     return product_expansion_guarded([one_copy] * m)
 
 
-def transition_index(table: KLTable, A: BiSequence) -> list[Perm]:
-    """Every index above sigma0(A), by length and then lexicographically."""
-    m, top = _check_family(A, longest_element(A.k))
-    return sorted(_cosets_below(table, A, top, m, True), key=lambda w: (length(w), w))
+def transition_index(table: KLTable, A: BiSequence, m: int) -> list[Perm]:
+    """Every index above sigma0 of the m-fold replication of the base A, by
+    length and then lexicographically."""
+    cells, drop, top = _cells(A, longest_element(A.k * m), m)
+    return sorted(_cosets_below(table, cells, drop, top, m, True),
+                  key=lambda w: (length(w), w))

@@ -308,7 +308,7 @@ def verify_power_identity(table: KLTable, A: BiSequence, omega: Perm,
 
     replicated = replicate(A, m)
     left = {member_word(replicated, rep): c for rep, c in
-            expand_G_in_E(table, replicated, replicate_perm(omega, m)).items()}
+            expand_G_in_E(table, A, replicate_perm(omega, m), m).items()}
     right = g_star_power_with_taint(table, A, omega, m)[0]
     claimed = LaurentPoly.v(-A.k * comb(m, 2))  # product-vanishing constants, telescoped
     try:

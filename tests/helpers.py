@@ -70,6 +70,7 @@ from klforge.symgroup import (
 )
 from klforge.transition import (
     UnsupportedFamily,
+    _cells,
     _coset_min,
     expand_E_in_G,
     expand_G_in_E,
@@ -194,8 +195,9 @@ def check_dominates_on_replications(n: int) -> int:
     """Assert, for every 213-avoiding s0 of S_k and every m >= 2 with
     k*m = n, with base the strongly regular family of s0 and A its m-fold
     replication, that sigma0(A) = t_m(sigma0(base)) and that
-    dominates_sigma0(A, w) is sigma0(A) <= w in Bruhat order for every w in
-    S_n; returns the number of (A, w) pairs."""
+    dominates_sigma0(A, w) is sigma0(A) <= w in Bruhat order, and is what
+    the cell table of transition._cells on the ends of base decides, for
+    every w in S_n; returns the number of (A, w) pairs."""
     pairs = 0
     for m in [m for m in range(2, n + 1) if n % m == 0]:
         for s0 in all_perms(n // m):
@@ -205,9 +207,20 @@ def check_dominates_on_replications(n: int) -> int:
             A, low = replicate(base, m), replicate_perm(sigma0(base), m)
             assert sigma0(A) == low, (s0, m)
             for w in all_perms(n):
-                assert dominates_sigma0(A, w) == bruhat_leq(low, w), (s0, m, w)
+                assert (dominates_sigma0(A, w) == bruhat_leq(low, w)
+                        == cells_accept(base, w, m)), (s0, m, w)
                 pairs += 1
     return pairs
+
+
+def cells_accept(base: BiSequence, w: Perm, m: int) -> bool:
+    """Whether the cell table of transition._cells, built on the ends of
+    base, puts w above sigma0 of the m-fold replication of base."""
+    try:
+        _cells(base, w, m)
+    except BelowSigma0:
+        return False
+    return True
 
 
 # -- the memo key on tuples ----------------------------------------------
@@ -389,11 +402,13 @@ def kl_inversion_check(table: KLTable, sigma: Perm, omega: Perm) -> bool:
     return acc == (1 if sigma == omega else 0)
 
 
-def transition_matrix(table: KLTable, A: BiSequence, direction: str):
-    """The matrix of one direction as (index, {(row, col): entry})."""
-    index = transition_index(table, A)
+def transition_matrix(table: KLTable, A: BiSequence, m: int, direction: str):
+    """The matrix of one direction over the m-fold replication of the base
+    A, as (index, {(row, col): entry})."""
+    index = transition_index(table, A, m)
     expander = expand_E_in_G if direction == "e2g" else expand_G_in_E
-    return index, {(row, col): c for col in index for row, c in expander(table, A, col).items()}
+    return index, {(row, col): c for col in index
+                   for row, c in expander(table, A, col, m).items()}
 
 
 def is_inverse(a, b) -> bool:

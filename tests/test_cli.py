@@ -212,6 +212,9 @@ def test_bad_cache_directory(tmp_path, capsys):
       for family in ('[1,2]', '{"a":[1,2]}', '{"a":1,"b":2}')),
     (["--a", "1,2", "--b", "8,7", "--w", "2,1,3", "--direction", "g2e"],
      "--w 2,1,3 is not in the matrix index"),
+    # a replicated family is given as its strongly regular base and --m
+    (["--a", "1,1,2,2", "--b", "9,9,8,8", "--direction", "g2e"],
+     "(1,1,2,2 / 9,9,8,8) is not strongly regular"),
 ])
 def test_expand_rejects_bad_arguments(argv, message, capsys):
     code, out, err = run_cli(["expand", *argv, "--no-cache"], capsys)

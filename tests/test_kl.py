@@ -631,6 +631,18 @@ def test_non_permutations_raise_and_write_no_record(tmp_path, fn, s, w):
     assert not t._final and not path.exists()
 
 
+@pytest.mark.parametrize("fn", [parabolic_kl_q, parabolic_kl_neg1],
+                         ids=["parabolic_kl_q", "parabolic_kl_neg1"])
+@pytest.mark.parametrize("m", [0, -1])
+def test_m_below_one_raises_and_writes_no_record(tmp_path, fn, m):
+    path = tmp_path / "cache.jsonl"
+    t = KLTable(path)
+    with pytest.raises(ValueError) as info:
+        fn(t, (1, 2), (2, 1), m)
+    assert str(info.value) == "m must be at least 1"
+    assert not t._final and not path.exists()
+
+
 def test_a_warm_table_answers_an_equal_twin():
     # a lookup finds keys by equality, so (1.0, 2) raises only where (1, 2)
     # was never keyed

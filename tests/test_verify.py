@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import all_perms, prop1_oracle
 from klforge.kl import KLTable, _encode
-from klforge.pbw import _Rank, member_word, word_coefficient
+from klforge.pbw import _Rank, member_word, word_coefficient, word_str
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
     BelowSigma0,
@@ -47,6 +47,10 @@ def test_is_square_irreducible(table):
     assert not is_square_irreducible(table, A4, (4, 2, 3, 1))
     with pytest.raises(BelowSigma0):
         is_square_irreducible(table, BiSequence((1, 3), (2, 1)), (1, 2))
+    not_regular = BiSequence((1, 1), (3, 2))  # two equal left ends
+    with pytest.raises(ValueError) as info:
+        is_square_irreducible(table, not_regular, (1, 2))
+    assert str(info.value) == f"{not_regular} is not regular"
 
 
 @pytest.mark.parametrize("sigma", [(0, 1, 2), (3, 3, 3), (1, 1, 2), (1, 2, 4)])
@@ -541,6 +545,25 @@ def test_power_identity_fails_where_not_square_irreducible(table, monkeypatch, s
     assert (r.status, r.reason) == (
         "fail", f"NotMonomialRatio: coefficient at {word} is not v^-4 times the other side")
     assert r.claimed == V(-4) and r.computed is None  # no exponent was measured
+
+
+@pytest.mark.parametrize("both", [False, True], ids=["one-word-dropped", "both-sides-empty"])
+def test_power_identity_fails_on_supports_that_cannot_be_compared(table, monkeypatch, both):
+    # the ratio's two support detectors: a word on one side only, and no
+    # word on either side; each fails the case with no measured exponent
+    A = BiSequence((1, 5), (7, 5))
+    assert verify_power_identity(table, A, (1, 2), 3).passed
+    right = verify_module.g_star_power_with_taint(table, A, (1, 2), 3)[0]
+    first = min(right)
+    kept = {} if both else {w: c for w, c in right.items() if w != first}
+    monkeypatch.setattr(verify_module, "g_star_power_with_taint",
+                        lambda *args: (kept, frozenset()))
+    if both:
+        monkeypatch.setattr(verify_module, "expand_G_in_E", lambda *args: {})
+    r = verify_power_identity(table, A, (1, 2), 3)
+    reason = "no comparable coefficients" if both else f"supports differ at {word_str(first)}"
+    assert (r.status, r.reason) == ("fail", f"NotMonomialRatio: {reason}")
+    assert r.claimed == V(-6) and r.computed is None and r.measured_exponent is None
 
 
 def test_power_identity_compares_every_coefficient(table, monkeypatch):
