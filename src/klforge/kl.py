@@ -65,9 +65,8 @@ Inside the row recursion both permutations and polynomials are single ints:
   exact in between, so no field can carry into the next unnoticed.
 
 A miss replicates the keys of its pair in key space (_replicate_key), and
-polynomials leave the row layer decoded, in _entry and in
-transition._cosets_below, whose signed sums _add_unpacked adds up field
-by field.  The pools behind the encoding belong to the KLTable.  The
+polynomials leave the row layer through _unpack, in _entry and in
+transition.  The pools behind the encoding belong to the KLTable.  The
 kernel pools the row keys as it creates them and the row values where it
 makes a new one (a value copied from the row before is pooled already).
 Every other pool is a function of its key and fills itself at the first
@@ -85,10 +84,15 @@ on the pair as asked.  That read is _entry, on keys: the public functions
 key their permutations and call it, and verify_main_theorem calls it on
 the keys it made.  A miss computes, and a record holds, the canonical
 member, whose top is the canonical top of its row, so a miss reads the
-row as it is cached.  A parabolic pair is compared and listed in S_k: t_m
-is an order embedding, keeps the order of keys and commutes with
-w0-conjugation.  Inversion keeps P_{x,w} but maps cosets to cosets only
-for m = 1, so an ordinary pair and its inverse are computed apart.
+row as it is cached; so does transition.expand_E_in_G.  _row checks no
+top, since each caller hands it a minimal representative: _entry t_m of
+a key, transition a _coset_min or a min_coset_rep, the kernel s w for a
+left descent s of a minimal w (s and s + 1 lie in two blocks) and keys
+of a row; w0-conjugation keeps minimality.  A parabolic pair is compared
+and listed in S_k: t_m is an order embedding, keeps the order of keys and
+commutes with w0-conjugation.  Inversion keeps P_{x,w} but maps cosets to
+cosets only for m = 1, so an ordinary pair and its inverse are computed
+apart.
 """
 
 from __future__ import annotations
@@ -197,29 +201,6 @@ def _s_left(key: int, s: int, n: int) -> tuple[int, bool]:
     b = key >> lo & 15
     t = key ^ ((a ^ b) * 17 << lo)
     return (t + 1, True) if a < b else (t - 1, False)
-
-
-def _is_minimal_key(key: int, n: int, m: int) -> bool:
-    """Whether the key's permutation is the minimal representative of its
-    coset w W_m: the values increase inside each block of m positions."""
-    last = [-1] * (n // m)  # per block, the position of the last value seen
-    for v in range(1, n + 1):
-        p = key >> _shift(v, n) & 15
-        if p < last[p // m]:
-            return False
-        last[p // m] = p
-    return True
-
-
-def _add_unpacked(out: dict[int, int], p: int, c: int) -> dict[int, int]:
-    """Add c times the packed polynomial p into out, a map {v-exponent:
-    coefficient} with q = v**-2, which LaurentPoly clears of zeros."""
-    e = 0
-    while p:
-        out[e] = out.get(e, 0) + c * (p & _DIGIT)
-        p >>= 32
-        e -= 2
-    return out
 
 
 def _unpack(p: int) -> LaurentPoly:
@@ -452,18 +433,17 @@ def _pair_class(table: KLTable, s: int, w: int, n: int) -> list[tuple[int, int]]
 
 def _row(table: KLTable, w: int, n: int, m: int = 1,
          neg1: bool = False) -> dict[int, int]:
-    """The row {y: p_{y,w}} of the minimal representative w over the
-    minimal y <= w with a nonzero polynomial, as keys and packed
-    polynomials; read through w0-conjugation when w is not its canonical
-    top.  For m = 1 no pair lies in one block, so neg1 is the ordinary row."""
+    """The row {y: p_{y,w}} of the minimal representative w (unchecked,
+    see the module docstring) over the minimal y <= w with a nonzero
+    polynomial, as keys and packed polynomials, copied through
+    w0-conjugation unless w is its canonical top.  For m = 1 no pair lies
+    in one block, so neg1 is the ordinary row."""
     conj = table._images[n]
     canon = min(w, conj[w])
     neg1 = neg1 and m > 1
     tag = (canon, m, neg1)
     row = table._row_get(tag)
     if row is None:
-        if not _is_minimal_key(canon, n, m):
-            raise ValueError(f"{_decode(canon, n)} is not a minimal coset representative")
         row = _compute_row(table, canon, n, m, neg1)
         table._row_put(tag, row)
     return row if canon == w else {conj[y]: p for y, p in row.items()}

@@ -34,7 +34,8 @@ element itself.
       v**c(sigma,omega) * P_{omega~ w0, sigma~ w0}(q)
   which is p^{-1}_{x,z}, the entry at x of the -1 row of z, for x and z
   the minimal representatives of the right cosets of omega~ w0 and
-  sigma~ w0 (y w0 is the longest member of its coset when y is minimal).
+  sigma~ w0 (y w0 is the longest member of its coset when y is minimal),
+  read at the pair's canonical member (kl._pair_class), as rows are cached.
 * basis G in terms of basis E, entry (sigma, omega):
       v**c(sigma,omega) * eps(omega~) * sum over y in the coset sigma of
           eps(y) * P_{y, omega~}(q)
@@ -62,8 +63,8 @@ from __future__ import annotations
 
 from .kl import (
     KLTable,
-    _add_unpacked,
     _encode,
+    _pair_class,
     _row,
     _shift,
     _unpack,
@@ -84,7 +85,6 @@ from .pbw import Word, member_word, product_expansion_guarded
 from .symgroup import (
     Perm,
     bruhat_leq,  # noqa: F401  (perfbench/spans.py patches it)
-    compose,
     length,
     longest_element,
     min_coset_rep,
@@ -158,14 +158,8 @@ def _cosets_below(table: KLTable, cells: list[list[int]], drop: int, top: Perm,
         if coset < drop:
             signs = buckets.setdefault(coset, {})
             signs[p] = signs.get(p, 0) + (-1 if y & 1 else 1)  # y & 1: odd length
-    out: dict[Perm, LaurentPoly] = {}
-    for coset, signs in buckets.items():
-        acc: dict[int, int] = {}
-        for p, c in signs.items():
-            if c:
-                _add_unpacked(acc, p, c)
-        out[_coset_min(coset, n, m)] = LaurentPoly(acc)
-    return out
+    return {_coset_min(coset, n, m): sum((_unpack(p) * c for p, c in signs.items()), LaurentPoly())
+            for coset, signs in buckets.items()}
 
 
 def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm,
@@ -175,16 +169,15 @@ def expand_E_in_G(table: KLTable, A: BiSequence, omega: Perm,
 
     Keys are the minimal (double-)coset representatives sigma~ between
     sigma0 and omega~; the entry at sigma~ is read from the -1 row of
-    the minimal representative of sigma~ w0.
+    the minimal representative of sigma~ w0, or of its w0-conjugate.
     """
     cells, drop, top = _cells(A, omega, m)
     n, lt = len(top), length(top)
-    w0 = longest_element(n)
-    x = _encode(min_coset_rep(compose(top, w0), m))
+    x = _encode(min_coset_rep(top[::-1], m))  # top w0
     out: dict[Perm, LaurentPoly] = {}
     for rep in _cosets_below(table, cells, drop, top, m, True):
-        z = _encode(min_coset_rep(compose(rep, w0), m))
-        out[rep] = LaurentPoly.v(lt - length(rep)) * _unpack(_row(table, z, n, m, True)[x])
+        bottom, z = _pair_class(table, x, _encode(min_coset_rep(rep[::-1], m)), n)[0]
+        out[rep] = LaurentPoly.v(lt - length(rep)) * _unpack(_row(table, z, n, m, True)[bottom])
     return out
 
 

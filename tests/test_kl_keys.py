@@ -13,6 +13,7 @@ from helpers import (
     canonical_pair_oracle,
     conjugate_by_w0,
     is_quotient_minimal,
+    transition_matrix,
 )
 import klforge.kl as kl_module
 from klforge.kl import (
@@ -21,7 +22,6 @@ from klforge.kl import (
     _decode,
     _encode,
     _finish_row,
-    _is_minimal_key,
     _left_descent,
     _LEN_MASK,
     _pair_class,
@@ -31,12 +31,15 @@ from klforge.kl import (
     _s_left,
     _unpack,
 )
+from klforge.segcomb import construct_strongly_regular
 from klforge.symgroup import (
     bruhat_leq,
+    identity,
     length,
     longest_element,
     replicate_perm,
 )
+from klforge.verify import sweep
 
 
 def check_key(w):
@@ -194,17 +197,11 @@ def _block_sizes():
                 yield n, m
 
 
-def test_key_quotient_test_matches_is_quotient_minimal():
-    for n, m in _block_sizes():
-        for w in all_perms(n):
-            assert _is_minimal_key(_encode(w), n, m) == is_quotient_minimal(w, m), (w, m)
-
-
 def test_w0_conjugation_keeps_minimal_representatives():
     for n, m in _block_sizes():
         for w in all_perms(n):
             if is_quotient_minimal(w, m):
-                assert _is_minimal_key(_conj_key(_encode(w), n), n, m), (w, m)
+                assert is_quotient_minimal(_decode(_conj_key(_encode(w), n), n), m), (w, m)
     # t_m(omega) conjugates to t_m(w0 omega w0)
     for k in range(1, 4):
         for m in range(1, 4):
@@ -266,10 +263,32 @@ def test_rows_computed_for_the_top_of_w0(monkeypatch, k, m, neg1, rows):
     assert len(computed) == len(set(computed)) == rows
 
 
-@pytest.mark.parametrize("neg1", [False, True])
-def test_row_of_a_non_minimal_top_raises(neg1):
-    with pytest.raises(ValueError, match="not a minimal coset representative"):
-        _row(KLTable(), _encode((2, 1, 3, 4)), 4, 2, neg1)
+# _row checks nothing of its top: every route into the row layer hands it a
+# minimal representative, and each row computed from it holds only minimal keys.
+@pytest.mark.parametrize("route", [
+    lambda t: sweep(t, 3, 2),
+    lambda t: transition_matrix(t, construct_strongly_regular((1, 2, 3)), 2, "e2g"),
+    lambda t: transition_matrix(t, construct_strongly_regular((1, 2, 3)), 2, "g2e"),
+    lambda t: transition_matrix(t, construct_strongly_regular((1, 2)), 3, "e2g"),
+    lambda t: transition_matrix(t, construct_strongly_regular((1, 2)), 3, "g2e"),
+    lambda t: kl_module.kl_poly(t, identity(5), longest_element(5)),
+    lambda t: kl_module.parabolic_kl_neg1(t, (1, 2, 3), (3, 2, 1), 2),
+], ids=["sweep-3-2", "e2g-3-2", "g2e-3-2", "e2g-2-3", "g2e-2-3", "kl_poly-w0-5",
+        "neg1-3-2"])
+def test_rows_are_computed_for_minimal_tops_and_hold_minimal_keys(monkeypatch, route):
+    tops = []
+    compute = kl_module._compute_row
+
+    def checked(table, w, n, m, neg1):
+        row = compute(table, w, n, m, neg1)
+        for key in (w, *row):
+            assert is_quotient_minimal(_decode(key, n), m), (_decode(w, n), _decode(key, n), m)
+        tops.append(w)
+        return row
+
+    monkeypatch.setattr(kl_module, "_compute_row", checked)
+    route(KLTable())
+    assert tops
 
 
 def _memo_key(table, s, w):

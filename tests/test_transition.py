@@ -16,7 +16,7 @@ from helpers import (
     transition_matrix,
 )
 from klforge.poly import LaurentPoly
-from klforge.kl import KLTable, kl_poly
+from klforge.kl import KLTable, _conj_key, kl_poly
 from klforge.pbw import member_word
 from klforge.segcomb import (
     BelowSigma0,
@@ -343,3 +343,28 @@ def test_member_word_keys(table):
     A = construct_strongly_regular((1, 2))
     keyed = {member_word(A, rep): c for rep, c in expand_G_in_E(table, A, (2, 1), 1).items()}
     assert keyed[member_word(A, (1, 2))] == -1 * V(1)
+
+
+# The row of z is cached under the lesser of z and its w0-conjugate, and any
+# other top gets a copy of the whole row.  expand_E_in_G reads one entry per
+# index at the pair's canonical member, so only its first call, the one of
+# _cosets_below for omega~, may ask for a top above its conjugate.
+@pytest.mark.parametrize("s0, m", [((1, 2, 3), 1), ((1, 3, 2), 1), ((1, 2, 3), 2),
+                                   ((1, 2), 3), ((2, 1), 2)],
+                         ids=["123-m1", "132-m1", "123-m2", "12-m3", "21-m2"])
+def test_expand_E_in_G_reads_rows_at_canonical_tops(monkeypatch, s0, m):
+    table, A = KLTable(), construct_strongly_regular(s0)
+    row, tops = transition_module._row, []
+
+    def spy(table, w, n, m, neg1=False):
+        tops.append((w, _conj_key(w, n)))
+        return row(table, w, n, m, neg1)
+
+    monkeypatch.setattr(transition_module, "_row", spy)
+    reads = 0
+    for omega in transition_index(table, A, m):
+        tops.clear()
+        expand_E_in_G(table, A, omega, m)
+        assert all(w <= conj for w, conj in tops[1:]), omega
+        reads += len(tops) - 1
+    assert reads
