@@ -83,6 +83,8 @@ def cmd_pkl(args) -> int:
 
 def _bisequence_from_args(args) -> BiSequence:
     if args.family:
+        if args.a is not None or args.b is not None:
+            raise ValueError("expand takes --family or --a and --b, not both")
         return BiSequence.from_json(json.loads(args.family))
     if args.a is None or args.b is None:
         raise ValueError("expand needs --family, or both --a and --b")

@@ -43,10 +43,11 @@ guard, per cell (i, j) of L x R and, above the cells, a count per end in L
 and in R; G holds every guard bit.  The vector of [a, b] has a 1 in each
 cell with i >= a and j <= b (ROW[a] * COLS[b]) and in the counts of a and
 of b, and slack(w) = base - sum(w's), base = G + sum(target's); no field
-borrows, as no difference exceeds len(target).  A word is in play when it
-has the target's length, no end outside L and R, and slack & G == G, so no
-count above the target's and equal end multisets.  Steps keep the counts;
-the exchange (x, y) -> (cap, cup) adds rank(x) + rank(y) - rank(cap) -
+borrows, as no difference exceeds len(target).  A word of the target's
+length with no end outside L and R is in play when slack & G == G, so no
+count above the target's and equal end multisets; word_coefficient's caller
+hands in the table and each word's slack.  Steps keep the counts; the
+exchange (x, y) -> (cap, cup) adds rank(x) + rank(y) - rank(cap) -
 rank(cup) and drops the new word once a guard bit clears.  Equal words have
 equal slack, so merging is unchanged.  No table, no pruning: the product
 has no target.
@@ -148,7 +149,7 @@ def word_str(w: Word) -> str:
 
 class _Rank(dict):
     """Packed segment -> rank vector, for every target with the end sets and
-    length of the word it is built from, whose own base it keeps."""
+    length of the word it is built from."""
 
     def __init__(self, word: Word):
         width = len(word).bit_length() + 1
@@ -165,8 +166,7 @@ class _Rank(dict):
         self.lefts = {a: count << width * n for n, a in enumerate(lefts, len(rights))}
         self.rights = {b: count << width * n for n, b in enumerate(rights)}
         ones = rows * cols + sum(self.lefts.values()) + sum(self.rights.values())
-        self.size, self.guard = len(word), ones << width - 1
-        self.base = self.guard + self.total(word)
+        self.guard = ones << width - 1
 
     def __missing__(self, x: int) -> int:
         a, b = x & _LO, x >> _BITS
@@ -177,19 +177,10 @@ class _Rank(dict):
         """The sum of the word's rank vectors; KeyError at an end the table lacks."""
         return sum(map(self.__getitem__, w))
 
-    def slack(self, w: Word, base: int | None = None) -> int | None:
-        """The word's slack toward the target of that base (the table's own by
-        default), or None when the rank lemma rules the target out."""
-        try:
-            s = (self.base if base is None else base) - self.total(w)
-        except KeyError:  # an end the target lacks
-            return None
-        return s if len(w) == self.size and self.in_play(s) else None
-
-    def in_play(self, s: int | None) -> bool:
+    def in_play(self, s: int) -> bool:
         """Whether a word of that slack can still reach the target: the rank
-        lemma rules it out once a guard bit clears (None: ruled out already)."""
-        return s is not None and s & self.guard == self.guard
+        lemma rules it out once a guard bit clears."""
+        return s & self.guard == self.guard
 
 
 def _rewrite(pending: dict[Word, LaurentPoly], rank: _Rank | None = None,
@@ -265,18 +256,12 @@ def product_expansion_guarded(
 
 
 def word_coefficient(words: Mapping[Word, LaurentPoly], target: Word, exponent: int,
-                     rank: _Rank | None = None, slack: Mapping | None = None) -> LaurentPoly:
+                     rank: _Rank, slack: Mapping[Word, int]) -> LaurentPoly:
     """The exact coefficient of E(target) in the sum of the product words.
     Each word's coefficient carries its basis prefactors; target is a sorted
     word, exponent the exponent of its own prefactor, rank a table for it and
-    slack each word's slack toward it (the words then of its length and
-    ends), each built here when the caller keeps none.  The words in play
-    are rewritten together, pruned by the rank lemma."""
-    if rank is None:
-        rank = _Rank(target)
-    if slack is None:
-        base = rank.guard + rank.total(target)
-        slack = {w: rank.slack(w, base) for w in words}
+    slack each word's slack toward it.  The words in play are rewritten
+    together, pruned by the rank lemma."""
     pending = {w: c for w, c in words.items() if rank.in_play(slack[w])}
     c = _rewrite(pending, rank, dict(slack)).get(target) if pending else None
     return LaurentPoly.zero() if c is None else c.shifted(-exponent)

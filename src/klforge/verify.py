@@ -15,8 +15,9 @@ Each verifier computes one identity two ways and reports the comparison:
   E(M_{t_{m-1}(sigma)}) * E(M_omega) vanishes unless omega == sigma, and
   then equals v**(k (C(m-1,2) - C(m,2))).  The members are packed straight
   from the family's ends (pbw.member_word) and only that coefficient is
-  read, by pbw.word_coefficient.  What checks share stays with the family,
-  from its JSON form to one rank table per m and each member's rank sum.
+  read, by pbw.word_coefficient.  What checks share stays with the family:
+  its JSON form, one rank table per m and one record per (member, m), whose
+  rank sum serves the member as sigma and as omega.
   A word whose slack fails the rank table's guard cannot reach the target
   (the rank lemma), and its check reports 0 without straightening.
 * verify_power_identity: the E-basis expansions of G(M_omega)**m and of
@@ -194,16 +195,25 @@ def verify_main_theorem(table: KLTable, sigma0_perm: Perm, sigma: Perm,
     return _finish(check, case, claimed, computed, started)
 
 
-def _keep_members(A: BiSequence, *perms: Perm) -> None:
-    """Keeps in A.derived the member word of each permutation not kept yet,
-    once all of them permute 1..k and dominate sigma0; else HypothesisFailed."""
-    new = [p for p in perms if ("member", p) not in A.derived]
-    if any(tuple(sorted(p)) != identity(A.k) for p in new):
-        raise HypothesisFailed(f"sigma and omega must permute 1..{A.k}")
-    if not all(dominates_sigma0(A, p) for p in new):
-        raise HypothesisFailed("sigma and omega must dominate sigma0")
-    # strong regularity: k nonempty, distinct segments
-    A.derived.update([(("member", p), member_word(A, p)) for p in new])
+def _record(A: BiSequence, p: Perm, m: int) -> tuple[Word, Word, Word, int]:
+    """p's record at m, kept as A.derived[p, m]: its member word, that word
+    taken m - 1 and m times and sorted, and its sum under m's rank table (the
+    first record at m builds the table and constants at ("rank", m)).
+    HypothesisFailed unless p permutes 1..k and dominates sigma0."""
+    record, k = A.derived.get((p, m)), A.k
+    if record is None:
+        if tuple(sorted(p)) != identity(k):
+            raise HypothesisFailed(f"sigma and omega must permute 1..{k}")
+        if not dominates_sigma0(A, p):
+            raise HypothesisFailed("sigma and omega must dominate sigma0")
+        s = member_word(A, p)  # strong regularity: k nonempty, distinct segments
+        if ("rank", m) not in A.derived:  # t_m(p) has the family's ends and length k*m
+            A.derived["rank", m] = (
+                _Rank(tuple(sorted(s * m))), LaurentPoly.v(k * comb(m - 1, 2)),
+                k * comb(m, 2), LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2))))
+        record = A.derived[p, m] = (s, tuple(sorted(s * (m - 1))), tuple(sorted(s * m)),
+                                    A.derived["rank", m][0].total(s))
+    return record
 
 
 def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> VerificationReport:
@@ -211,49 +221,29 @@ def verify_prop1(A: BiSequence, sigma: Perm, omega: Perm, m: int) -> Verificatio
 
     Multiplies E(M at t_{m-1}(sigma) in the (m-1)-replication) by
     E(M_omega) and reads off the coefficient of the m-replicated element.
-    A.derived keeps its strong regularity, its JSON, the packed members that
-    passed, per m one rank table (each target has the family's ends and
-    length k*m) and constants, per (sigma, m) the left word, target, left's
-    share of the slack and m's entries, and per (omega, m) the member's sum.
+    A.derived keeps its JSON, per m one rank table and the constants, and
+    per (p, m) the record of each member p that passed (_record): sigma's
+    gives the left word, the target and its sum, omega's the right word and
+    its sum.  The slack is base(target) - sum(left) - sum(right) =
+    guard + sum(sigma) - sum(omega), as the target holds sigma's member m
+    times and the left m - 1 times.
     """
     started = time.perf_counter()
-    sigma, omega, k = tuple(sigma), tuple(omega), A.k
-    case = {"k": k, "m": m, "family": _family_json(A),
+    sigma, omega = tuple(sigma), tuple(omega)
+    case = {"k": A.k, "m": m, "family": _family_json(A),
             "sigma": list(sigma), "omega": list(omega)}
     check = "product-vanishing"
-    derived = A.derived
     try:
         if m < 2:
             raise HypothesisFailed("m must be greater than 1")
-        regular = derived.get("strongly regular")
-        if regular is None:
-            regular = derived["strongly regular"] = is_strongly_regular(A)
-        if not regular:
+        if ("rank", m) not in A.derived and not is_strongly_regular(A):
             raise HypothesisFailed(f"{A} is not strongly regular")
-        right = derived.get(("member", omega))
-        if right is None or ("member", sigma) not in derived:
-            _keep_members(A, sigma, omega)
-            right = derived["member", omega]
+        _, left, target, part = _record(A, sigma, m)
+        right, _, _, total = _record(A, omega, m)
     except HypothesisFailed as exc:
         return _skip(check, case, f"HypothesisFailed: {exc}", started)
-
-    kept = derived.get(("target", sigma, m))
-    if kept is None:
-        s = derived["member", sigma]  # t_j(sigma) repeats each of its segments j times
-        if ("rank", m) not in derived:
-            derived["rank", m] = (
-                _Rank(tuple(sorted(s * m))), LaurentPoly.v(k * comb(m - 1, 2)),
-                k * comb(m, 2), LaurentPoly.v(k * (comb(m - 1, 2) - comb(m, 2))))
-        rank = derived["rank", m][0]
-        # base(target) - sum(left) = guard + sum(s): target holds s m times, left m - 1
-        kept = derived["target", sigma, m] = (
-            tuple(sorted(s * (m - 1))), tuple(sorted(s * m)), rank.guard + rank.total(s),
-            *derived["rank", m])
-    left, target, part, rank, coeff, exponent, constant = kept
-    total = derived.get(("sum", omega, m))
-    if total is None:
-        total = derived["sum", omega, m] = rank.total(right)
-    slack, computed = part - total, LaurentPoly.zero()
+    rank, coeff, exponent, constant = A.derived["rank", m]
+    slack, computed = rank.guard + part - total, LaurentPoly.zero()
     if rank.in_play(slack):
         w = left + right
         computed = word_coefficient({w: coeff}, target, exponent, rank, {w: slack})

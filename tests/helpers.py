@@ -39,7 +39,7 @@ from math import comb
 from typing import Iterator
 
 from klforge.kl import KLTable, kl_poly, parabolic_kl_neg1, parabolic_kl_q
-from klforge.pbw import _accumulate, pack_segment, word_coefficient
+from klforge.pbw import _accumulate, _Rank, pack_segment, word_coefficient
 from klforge.poly import LaurentPoly
 from klforge.segcomb import (
     BelowSigma0,
@@ -824,11 +824,30 @@ def product_words(factors) -> dict[tuple[int, ...], LaurentPoly]:
     return words
 
 
+def ranked(words, target: tuple[int, ...], rank: _Rank | None = None):
+    """A rank table for the sorted target word (built from it unless given,
+    then one built from a word with its end sets and length) and each word's
+    slack toward the target under it: guard + sum(target's) - sum(word's),
+    or 0, out of play, for a word of another length or with an end the
+    target lacks."""
+    rank = _Rank(target) if rank is None else rank
+    base = rank.guard + rank.total(target)
+
+    def slack(w):
+        try:
+            return base - rank.total(w) if len(w) == len(target) else 0
+        except KeyError:
+            return 0
+
+    return rank, {w: slack(w) for w in words}
+
+
 def product_coefficient_guarded(factors, target: Multisegment) -> LaurentPoly:
     """The exact coefficient of E(target) in the product of the expansions:
-    pbw.word_coefficient on the product words."""
-    return word_coefficient(product_words(factors), pack_word(target.segments()),
-                            prefactor_exponent(target))
+    pbw.word_coefficient on the product words, under the target's own rank
+    table."""
+    words, t = product_words(factors), pack_word(target.segments())
+    return word_coefficient(words, t, prefactor_exponent(target), *ranked(words, t))
 
 
 def prop1_oracle(A: BiSequence, sigma: Perm, omega: Perm,

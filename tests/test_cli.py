@@ -25,6 +25,7 @@ GOLDEN = [
     (["sigma0", "--a", "1,2,3", "--b", "8,7,6"], "1,2,3\n"),
     (["mseg", "--a", "1,2,3", "--b", "8,7,6", "--perm", "1,2,3"],
      "[1,8]+[2,7]+[3,6]\n"),
+    (["sigma0", "--a", "1,2,3", "--b", "8,7,6", "--format", "json"], "[1, 2, 3]\n"),
 ]
 
 
@@ -215,6 +216,10 @@ def test_bad_cache_directory(tmp_path, capsys):
     # a replicated family is given as its strongly regular base and --m
     (["--a", "1,1,2,2", "--b", "9,9,8,8", "--direction", "g2e"],
      "(1,1,2,2 / 9,9,8,8) is not strongly regular"),
+    # --a and --b would give a family that is not strongly regular
+    *((["--family", '{"a":[1,2],"b":[8,7]}', *given, "--m", "1", "--direction", "g2e"],
+       "expand takes --family or --a and --b, not both")
+      for given in (["--a", "5,6", "--b", "9,9"], ["--a", "5,6"], ["--b", "9,9"])),
 ])
 def test_expand_rejects_bad_arguments(argv, message, capsys):
     code, out, err = run_cli(["expand", *argv, "--no-cache"], capsys)
@@ -230,11 +235,16 @@ def test_expand_unknown_direction_is_a_usage_error(capsys):
 
 
 def test_malformed_permutation_rejected(capsys):
-    for argv in (["kl", "--s", "1,3", "--w", "2,1"],
-                 ["kl", "--s", "1,2", "--w", "2,1", "--format", "yaml"]):
-        with pytest.raises(SystemExit):
-            main(argv + ["--no-cache"])
-    capsys.readouterr()
+    # a usage error, exit 2, from the argument parsers
+    for argv, message in (
+            (["kl", "--s", "1,3", "--w", "2,1"], "'1,3' is not one-line notation"),
+            (["kl", "--s", "1,x", "--w", "2,1"], "not a permutation: '1,x'"),
+            (["kl", "--s", "1,2", "--w", "2,1", "--format", "yaml"], "invalid choice: 'yaml'"),
+            (["sigma0", "--a", "1,x", "--b", "8,7"], "not a comma-separated integer list")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("argv", [

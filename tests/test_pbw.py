@@ -21,6 +21,7 @@ from helpers import (
     product_expansion_guarded_oracle,
     product_words,
     prop1_oracle,
+    ranked,
     rewrite_oracle,
     segment_less,
     straighten_oracle,
@@ -319,9 +320,9 @@ def test_straightening_multiplies_no_two_polynomials(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
     for (A, sigma, omega, m), c in zip(products, want):
         s, k = member_word(A, sigma), A.k
-        word = tuple(sorted(s * (m - 1))) + member_word(A, omega)
-        got = pbw.word_coefficient({word: V(k * comb(m - 1, 2))}, tuple(sorted(s * m)),
-                                   k * comb(m, 2))
+        word, target = tuple(sorted(s * (m - 1))) + member_word(A, omega), tuple(sorted(s * m))
+        got = pbw.word_coefficient({word: V(k * comb(m - 1, 2))}, target, k * comb(m, 2),
+                                   *ranked([word], target))
         assert got == c, (A, sigma, omega, m)
     for (segments, prefix), c in zip(words, rewritten):
         assert _unpacked(pbw._rewrite({pack_word(segments): prefix})) == c
@@ -390,7 +391,7 @@ def test_juxtaposed_inversion_raises(word):
     with pytest.raises(ValueError, match="juxtaposed"):
         rewrite_oracle(word, ONE)
     with pytest.raises(ValueError, match="juxtaposed"):
-        pbw.word_coefficient({w: ONE}, tuple(sorted(w)), 0)
+        pbw.word_coefficient({w: ONE}, tuple(sorted(w)), 0, *ranked([w], tuple(sorted(w))))
 
 
 # -- sorted packed words: run lengths and spelling ----------------------------
@@ -487,9 +488,9 @@ def test_coefficient_reader_matches_expansion(factors, rnd):
         # one map of words reads the sum of what each word reads alone
         t = pack_word(target.segments())
         e = e_star_prefactor_exponent(t)
-        for rank in (None, pbw._Rank(t)):
-            alone = [pbw.word_coefficient({w: c}, t, e, rank) for w, c in words.items()]
-            assert pbw.word_coefficient(words, t, e, rank) == sum(alone, LaurentPoly.zero())
+        rank, slack = ranked(words, t)
+        alone = [pbw.word_coefficient({w: c}, t, e, rank, slack) for w, c in words.items()]
+        assert pbw.word_coefficient(words, t, e, rank, slack) == sum(alone, LaurentPoly.zero())
 
 
 def _ends(segments):
@@ -502,7 +503,8 @@ def _rank(segments, i, j):
 
 def _cut(w, t):
     """Whether the rank table of the sorted word t rules out reaching it from w."""
-    return pbw._Rank(t).slack(w) is None
+    rank, slack = ranked([w], t)
+    return not rank.in_play(slack[w])
 
 
 def cut_by_definition(word, target):
@@ -556,9 +558,9 @@ def test_rank_pruning_keeps_what_reaches_the_target(segments, rnd):
     for target in (_paired_again(segments, rnd), segments,
                    segments[:k] + _paired_again(segments[k:], rnd)):
         t = _sorted_word(target)
-        rank = pbw._Rank(t)
-        s = rank.base - sum(rank[x] for x in w)
-        in_play = s & rank.guard == rank.guard
+        rank, slack = ranked([w], t)
+        s = slack[w]
+        in_play = rank.in_play(s)
         assert in_play == (not cut_by_definition(segments, target))
         got, want = pbw._rewrite({w: EXCH}, rank, {w: s}), pbw._rewrite({w: EXCH})
         assert got.get(t) == want.get(t)
@@ -659,8 +661,7 @@ def test_ranked_reachable_matches_the_oracle(segments, rnd):
     for target in (_paired_again(segments, rnd),
                    segments[:k] + _paired_again(segments[k:], rnd)):
         if not cut_by_definition(segments, target):
-            rank = pbw._Rank(_sorted_word(target))
-            got = pbw._rewrite({w: ONE}, rank, {w: rank.slack(w)})
+            got = pbw._rewrite({w: ONE}, *ranked([w], _sorted_word(target)))
             assert _unpacked(got) == _in_play(want, target)
 
 
@@ -724,8 +725,7 @@ def test_ranked_count_leaves_out_an_exchange_out_of_play(monkeypatch):
     w = pack_word([seg(2, 4), seg(1, 3)])
     target = tuple(sorted(w))
     passes = _record_passes(monkeypatch)
-    rank = pbw._Rank(target)
-    assert pbw._rewrite({w: ONE}, rank, {w: rank.slack(w)}) == {target: ONE}
+    assert pbw._rewrite({w: ONE}, *ranked([w], target)) == {target: ONE}
     assert passes == [(w, [])]
     passes.clear()
     exchanged = pack_word([seg(2, 3), seg(1, 4)])
@@ -746,7 +746,6 @@ def test_heaviest_product_word_pops_at_most_four(monkeypatch):
     assert _unpacked(pbw._rewrite({w: ONE})) == want
     assert len(passes) <= 4
     passes.clear()
-    rank = pbw._Rank(_sorted_word(target))
-    ranked = pbw._rewrite({w: ONE}, rank, {w: rank.slack(w)})
-    assert _unpacked(ranked) == _in_play(want, target)
+    got = pbw._rewrite({w: ONE}, *ranked([w], _sorted_word(target)))
+    assert _unpacked(got) == _in_play(want, target)
     assert len(passes) <= 4

@@ -118,6 +118,10 @@ def test_json_roundtrip():
     q = LaurentPoly.from_q_coeffs({0: 1, 3: -2})
     assert LaurentPoly.from_json(q.to_json("q")) == q
     assert q.to_json("q") == {"var": "q", "coeffs": {"0": 1, "3": -2}}
+    with pytest.raises(ValueError, match="unknown variable 'x'"):
+        p.to_json("x")
+    with pytest.raises(ValueError, match="unknown variable 'x'"):
+        LaurentPoly.from_json({"var": "x", "coeffs": {"0": 1}})
 
 
 def test_format():

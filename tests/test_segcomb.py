@@ -170,6 +170,8 @@ def test_replicate():
     assert replicate(A, 3) == BiSequence(
         (1, 1, 1, 2, 2, 2, 3, 3, 3), (8, 8, 8, 7, 7, 7, 6, 6, 6))
     assert replicate(A, 1) == A
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        replicate(A, 0)
 
 
 def test_replicated_parabolics():

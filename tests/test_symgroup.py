@@ -58,6 +58,8 @@ def test_bruhat_examples():
         assert bruhat_leq(e, w)
     assert not bruhat_leq((3, 2, 1), (2, 1, 3))
     assert bruhat_leq((2, 1, 3, 4), (3, 4, 1, 2))
+    with pytest.raises(ValueError, match="permutations must have the same n"):
+        bruhat_leq((1, 2), (1, 2, 3))
 
 
 def test_bruhat_matches_subword_oracle_s4():
@@ -157,6 +159,8 @@ def test_replicate_perm():
     assert replicate_perm((1, 2), 2) == (1, 2, 3, 4)
     assert replicate_perm((2, 1), 2) == (3, 4, 1, 2)
     assert replicate_perm((2, 1), 3) == (4, 5, 6, 1, 2, 3)
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        replicate_perm((2, 1), 0)
 
 
 def test_replicate_length_scaling():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_perms, prop1_oracle
+from helpers import all_perms, prop1_oracle, ranked
 from klforge.kl import KLTable, _encode
 from klforge.pbw import _Rank, member_word, word_coefficient, word_str
 from klforge.poly import LaurentPoly
@@ -256,6 +256,8 @@ def test_prop1_skips_what_is_not_a_permutation_of_the_family(sigma, omega):
     (BiSequence((6, 12), (12, 6)), (1, 2), (2, 1), 2,  # sigma0 = 21
      "sigma and omega must dominate sigma0"),
     (BiSequence((6, 12), (12, 6)), (2, 1), (1, 2), 2, "sigma and omega must dominate sigma0"),
+    # sigma is checked before omega
+    (BiSequence((6, 12), (12, 6)), (1, 2), (1, 1), 2, "sigma and omega must dominate sigma0"),
 ])
 def test_prop1_skip_reasons(A, sigma, omega, m, reason):
     r = verify_prop1(A, sigma, omega, m)
@@ -322,8 +324,7 @@ def _counting_rank(monkeypatch):
             super().__init__(word)
 
         def total(self, w):
-            if len(w) * 2 <= self.size:  # a member: tables are built from targets
-                sums.append(w)
+            sums.append(w)
             return super().total(w)
 
     monkeypatch.setattr(verify_module, "_Rank", Counted)
@@ -335,8 +336,8 @@ def test_prop1_on_shared_families_matches_fresh_ones(monkeypatch):
     # sigma0 and one that is no permutation, at m = 2 and 3 in a shuffled
     # order on shared family objects: the reports of fresh families, one
     # rank table per (family, m) that passes, and one member sum per
-    # (family, omega, m) and per (family, sigma, m), for the left's share,
-    # that passes
+    # (family, p, m) with p the sigma or the omega of a check that passes,
+    # 38 in all
     shared = {A: BiSequence(A.a, A.b) for A, _, _ in _PROP1_CASES}
     runs = [(B, sigma, omega, m) for A, B in shared.items()
             for sigma in all_perms(A.k) for omega in [*all_perms(A.k), (1,) * (A.k + 1)]
@@ -348,14 +349,14 @@ def test_prop1_on_shared_families_matches_fresh_ones(monkeypatch):
     assert {r[0] for r in fresh} == {"pass", "skipped"}
     passed = [run for run, r in zip(runs, fresh) if r[0] == "pass"]
     assert len(tables) == len({(B, m) for B, _, _, m in passed})
-    assert len(sums) == len({(B, omega, m) for B, _, omega, m in passed}) \
-        + len({(B, sigma, m) for B, sigma, _, m in passed})
+    members = {(B, p, m) for B, sigma, omega, m in passed for p in (sigma, omega)}
+    assert len(sums) == len(members) == 38
 
 
 def test_family_derived_data_is_built_once(table, monkeypatch):
     # two passes over one family's grid: one rank table per m, one member
-    # sum per (omega, m) and per (sigma, m), and one family JSON, built at
-    # the first check and shared by every report
+    # sum per (p, m), and one family JSON, built at the first check and
+    # shared by every report; the family keeps nothing else
     targets, sums = _counting_rank(monkeypatch)
     A = construct_strongly_regular((1, 3, 2))
     assert A.derived == {}  # construction leaves the family's derived data to its checks
@@ -365,17 +366,19 @@ def test_family_derived_data_is_built_once(table, monkeypatch):
     reports.append(verify_power_identity(table, A, above[-1], 2))
     assert {r.status for r in reports} == {"pass"}
     assert targets == [tuple(sorted(member_word(A, above[0]) * m)) for m in (2, 3)]
-    assert sorted(sums) == sorted(2 * [member_word(A, p) for p in above for m in (2, 3)])
+    assert sorted(sums) == sorted(member_word(A, p) for p in above for m in (2, 3))
+    assert A.derived.keys() == {"json", ("rank", 2), ("rank", 3)} | {
+        (p, m) for p in above for m in (2, 3)}
     family = reports[0].case["family"]
     assert family == A.to_json()
     assert all(r.case["family"] is family for r in reports)
 
 
 def test_a_shared_rank_table_decides_as_one_per_target():
-    # every product case with k <= 4 and m in (2, 3): the kept slack, the
-    # left's share less omega's sum, is the slack under a table built from
-    # the case's own target, and fails the guard exactly where that rules
-    # the target out; the shared table has each target's end sets and length
+    # every product case with k <= 4 and m in (2, 3): the slack from the
+    # kept sums, guard + sum(sigma) - sum(omega), is the slack under a table
+    # built from the case's own target, and fails the guard exactly where
+    # that rules the target out; the shared table has each target's end sets
     for k in (1, 2, 3, 4):
         for s0 in all_perms(k):
             if not is_pattern_avoiding(s0, (2, 1, 3)):
@@ -384,14 +387,15 @@ def test_a_shared_rank_table_decides_as_one_per_target():
             above = [w for w in all_perms(k) if dominates_sigma0(A, w)]
             for m, sigma, omega in [(m, s, w) for m in (2, 3) for s in above for w in above]:
                 assert verify_prop1(A, sigma, omega, m).passed
-                left, target, part, rank = A.derived["target", sigma, m][:4]
-                assert rank is A.derived["rank", m][0]
-                assert (set(rank.rows), set(rank.cols), rank.size) == (
-                    {x & 0xFFFFFFFF for x in target}, {x >> 32 for x in target}, len(target))
-                kept = part - A.derived["sum", omega, m]
-                own = _Rank(target).slack(left + A.derived["member", omega])
-                assert (kept & rank.guard == rank.guard) == (own is not None)
-                assert own is None or kept == own, (A, sigma, omega, m)
+                _, left, target, part = A.derived[sigma, m]
+                right, _, _, total = A.derived[omega, m]
+                rank = A.derived["rank", m][0]
+                assert (set(rank.rows), set(rank.cols)) == (
+                    {x & 0xFFFFFFFF for x in target}, {x >> 32 for x in target})
+                kept, w = rank.guard + part - total, left + right
+                own_rank, own = ranked([w], target)
+                assert rank.in_play(kept) == own_rank.in_play(own[w])
+                assert not rank.in_play(kept) or kept == own[w], (A, sigma, omega, m)
 
 
 def test_word_coefficient_on_a_shared_table_reads_each_target():
@@ -405,8 +409,9 @@ def test_word_coefficient_on_a_shared_table_reads_each_target():
             left = tuple(sorted(members[sigma] * (m - 1)))
             target = tuple(sorted(members[sigma] * m))
             for omega in all_perms(3):
-                got = word_coefficient({left + members[omega]: V(3 * comb(m - 1, 2))},
-                                       target, 3 * comb(m, 2), shared)
+                w = left + members[omega]
+                got = word_coefficient({w: V(3 * comb(m - 1, 2))}, target, 3 * comb(m, 2),
+                                       *ranked([w], target, shared))
                 assert got == prop1_oracle(A, sigma, omega, m)[1], (sigma, omega)
 
 
@@ -427,9 +432,11 @@ def test_prop1_straightens_only_words_in_play(monkeypatch):
             s, k = member_word(A, sigma), A.k
             left, target = tuple(sorted(s * (m - 1))), tuple(sorted(s * m))
             w = left + member_word(A, omega)
+            rank, slack = ranked([w], target)
             assert r.passed and r.computed == word_coefficient(
-                {w: V(k * comb(m - 1, 2))}, target, k * comb(m, 2)), (A, sigma, omega, m)
-            if _Rank(target).slack(w) is not None:
+                {w: V(k * comb(m - 1, 2))}, target, k * comb(m, 2), rank, slack), \
+                (A, sigma, omega, m)
+            if rank.in_play(slack[w]):
                 in_play.append(w)
     assert called == in_play
     assert 0 < len(in_play) < 2 * len(_PROP1_CASES)
